@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data_io import DetectionFrame, TrajectoryEntry, TrajectoryOutput, iou
+from .data_io import DetectionFrame, TrajectoryEntry, TrajectoryOutput, box_array, iou_matrix
 from .matcher import EmbeddingSet, embed_queries, matcher_forward
 from .model import TrackerModel
 from .rescoring import ScoredInstance, filter_instances
@@ -81,12 +81,6 @@ class MemoryBank:
     def entries(self, track_id: int) -> list[_BankEntry]:
         return self._tracks[track_id].entries
 
-    def embedding_at(self, track_id: int, frame: int) -> np.ndarray:
-        for entry in self._tracks[track_id].entries:
-            if entry.frame == frame:
-                return entry.embedding
-        raise KeyError(f"track {track_id} has no embedding at frame {frame}")
-
     def new_track(self, frame: int, embedding: np.ndarray) -> int:
         tid = self._next_id
         self._next_id += 1
@@ -130,34 +124,42 @@ def nms(instances: list[ScoredInstance], iou_threshold: float) -> list[ScoredIns
     """Greedy suppression in descending fused score; returns survivors in input order."""
     if not 0.0 < iou_threshold <= 1.0:
         raise ValueError(f"iou_threshold must be in (0,1], got {iou_threshold}")
-    order = sorted(range(len(instances)), key=lambda i: (-instances[i].fused_score, i))
-    keep: list[int] = []
-    for i in order:
-        box = instances[i].record.box
-        if all(iou(box, instances[j].record.box) < iou_threshold for j in keep):
-            keep.append(i)
-    return [instances[i] for i in sorted(keep)]
+    n = len(instances)
+    if n <= 1:
+        return list(instances)
+    boxes = box_array(inst.record.box for inst in instances)
+    overlaps = iou_matrix(boxes, boxes) >= iou_threshold
+    np.fill_diagonal(overlaps, False)
+    # A box that overlaps no other box is kept and suppresses nothing, so
+    # only the others go through the greedy pass.
+    keep = ~overlaps.any(axis=1)
+    suppressed = np.zeros(n, dtype=bool)
+    for i in sorted(np.flatnonzero(~keep).tolist(), key=lambda i: (-instances[i].fused_score, i)):
+        if not suppressed[i]:
+            keep[i] = True
+            suppressed |= overlaps[i]
+    return [inst for inst, k in zip(instances, keep) if k]
 
 
-def _greedy_assign(
-    candidates: list[tuple[float, int, int]],
-    threshold: float,
-    free_instances: set[int],
-    free_tracks: set[int],
-) -> list[tuple[int, int, float]]:
-    """One instance per trajectory, highest probability first.
+def _greedy_matches(prob: np.ndarray, threshold: float) -> list[tuple[int, int, float]]:
+    """One row per column, highest probability first: (row, column, probability).
 
-    Ties break on lower instance index, then lower track id, so the
+    Only entries >= threshold compete. Ties break on lower row, then
+    lower column (a stable sort of the row-major flattening), so the
     outcome is deterministic.
     """
+    flat = prob.ravel()
+    cand = np.flatnonzero(flat >= threshold)
+    cand = cand[np.argsort(-flat[cand], kind="stable")]
+    n_rows, n_cols = prob.shape
+    free_rows = [True] * n_rows
+    free_cols = [True] * n_cols
     matched: list[tuple[int, int, float]] = []
-    for prob, inst, tid in sorted(candidates, key=lambda c: (-c[0], c[1], c[2])):
-        if prob < threshold:
-            break
-        if inst in free_instances and tid in free_tracks:
-            matched.append((inst, tid, prob))
-            free_instances.remove(inst)
-            free_tracks.remove(tid)
+    for k in cand.tolist():
+        r, c = divmod(k, n_cols)
+        if free_rows[r] and free_cols[c]:
+            free_rows[r] = free_cols[c] = False
+            matched.append((r, c, float(flat[k])))
     return matched
 
 
@@ -170,7 +172,10 @@ def associate_frame(
 ) -> AssociationOutcome:
     """Resolve one frame's instances (already rescored, filtered and NMS'd).
 
-    The bank is not modified; the caller applies the outcome.
+    Each stage keeps the pairs whose probability reaches the threshold
+    and assigns them greedily: highest probability first, ties to the
+    lower instance index, then the lower track id. The bank is not
+    modified; the caller applies the outcome.
     """
     n = len(instances)
     if n == 0:
@@ -179,57 +184,54 @@ def associate_frame(
     queries = np.stack([inst.record.query for inst in instances])
     current = embed_queries(queries, model.matcher, provenance=[(frame_index, i) for i in range(n)])
 
-    free_instances = set(range(n))
     st_matches: list[tuple[int, int, float]] = []
 
-    # Stage 1: trajectories seen exactly in the previous frame.
+    # Stage 1: trajectories seen exactly in the previous frame, whose
+    # newest bank entry is therefore the one from that frame.
     prev_tracks = bank.seen_at(frame_index - 1)
     if prev_tracks:
         hist = EmbeddingSet(
-            embeddings=np.stack([bank.embedding_at(tid, frame_index - 1) for tid in prev_tracks]),
+            embeddings=np.stack([bank.entries(tid)[-1].embedding for tid in prev_tracks]),
             provenance=[(frame_index - 1, tid) for tid in prev_tracks],
         )
         st = matcher_forward(current, hist, model.matcher, branch="st")
-        candidates = [
-            (float(st.probabilities[i, c]), i, tid)
-            for i in range(n)
-            for c, tid in enumerate(prev_tracks)
+        st_matches = [
+            (i, prev_tracks[c], p) for i, c, p in _greedy_matches(st.probabilities[:, :-1], config.assoc_threshold)
         ]
-        st_matches = _greedy_assign(candidates, config.assoc_threshold, free_instances, set(prev_tracks))
 
-    unmatched_after_st = sorted(free_instances)
+    matched = {i for i, _, _ in st_matches}
+    unmatched_after_st = [i for i in range(n) if i not in matched]
     lt_matches: list[tuple[int, int, float]] = []
 
-    # Stage 2: leftovers against every unclaimed trajectory in the bank,
-    # each represented by all of its stored embeddings.
-    if config.use_lt and free_instances:
+    # Stage 2: leftovers against every unclaimed trajectory in the bank.
+    # A trajectory's rows are contiguous, and its score is the maximum
+    # over them.
+    if config.use_lt and unmatched_after_st:
         claimed = {tid for _, tid, _ in st_matches}
         lt_tracks = [tid for tid in bank.track_ids() if tid not in claimed]
         if lt_tracks:
             rows = []
-            row_tids = []
+            starts = []
             prov = []
             for tid in lt_tracks:
+                starts.append(len(rows))
                 for entry in bank.entries(tid):
                     rows.append(entry.embedding)
-                    row_tids.append(tid)
                     prov.append((entry.frame, tid))
             hist = EmbeddingSet(embeddings=np.stack(rows), provenance=prov)
-            sub_rows = sorted(free_instances)
             sub = EmbeddingSet(
-                embeddings=current.embeddings[sub_rows],
-                provenance=[current.provenance[i] for i in sub_rows],
+                embeddings=current.embeddings[unmatched_after_st],
+                provenance=[current.provenance[i] for i in unmatched_after_st],
             )
             lt = matcher_forward(sub, hist, model.matcher, branch="lt")
-            candidates = []
-            for local_i, inst in enumerate(sub_rows):
-                for tid in lt_tracks:
-                    cols = [c for c, t in enumerate(row_tids) if t == tid]
-                    score = float(lt.probabilities[local_i, cols].max())
-                    candidates.append((score, inst, tid))
-            lt_matches = _greedy_assign(candidates, config.assoc_threshold, free_instances, set(lt_tracks))
+            per_track = np.maximum.reduceat(lt.probabilities[:, :-1], starts, axis=1)
+            lt_matches = [
+                (unmatched_after_st[r], lt_tracks[c], p)
+                for r, c, p in _greedy_matches(per_track, config.assoc_threshold)
+            ]
 
-    new_tracks = sorted(free_instances)
+    matched.update(i for i, _, _ in lt_matches)
+    new_tracks = [i for i in unmatched_after_st if i not in matched]
     scores = {i: p for i, _, p in st_matches}
     scores.update({i: p for i, _, p in lt_matches})
     return AssociationOutcome(

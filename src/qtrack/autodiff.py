@@ -29,6 +29,7 @@ __all__ = [
     "sum_",
     "softmax_rows",
     "l2_normalize_rows",
+    "l2_normalize_rows_or_zero",
     "layer_norm_rows",
     "concat_rows",
     "concat_cols",
@@ -286,14 +287,26 @@ def l2_normalize_rows(a: Tensor) -> Tensor:
 
         return Tensor(y, (a,), bw)
 
-    n = np.linalg.norm(a.value, axis=1, keepdims=True)
-    if np.any(n == 0.0):
+    if np.any(np.linalg.norm(a.value, axis=1) == 0.0):
         raise ValueError("cannot normalize a zero row")
+    return l2_normalize_rows_or_zero(a)
+
+
+def l2_normalize_rows_or_zero(a: Tensor) -> Tensor:
+    """Scale each row of a 2D tensor to unit L2 norm; zero rows stay zero.
+
+    A zero row has no direction, so its output and its gradient are 0;
+    `l2_normalize_rows` rejects it instead.
+    """
+    a = _wrap(a)
+    n = np.linalg.norm(a.value, axis=1, keepdims=True)
+    live = n != 0.0
+    n = np.where(live, n, 1.0)
     y = a.value / n
 
     def bw(g):
         dot = (g * y).sum(axis=1, keepdims=True)
-        _accum(a, (g - y * dot) / n)
+        _accum(a, (g - y * dot) / n * live)
 
     return Tensor(y, (a,), bw)
 

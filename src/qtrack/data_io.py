@@ -21,6 +21,8 @@ __all__ = [
     "AnnotationFormatError",
     "BBox",
     "iou",
+    "iou_matrix",
+    "box_array",
     "polygon_envelope",
     "DetectionRecord",
     "DetectionFrame",
@@ -91,6 +93,34 @@ def iou(a: BBox, b: BBox) -> float:
     inter = ix * iy
     union = a.area() + b.area() - inter
     return inter / union
+
+
+def box_array(boxes: Iterable[BBox]) -> np.ndarray:
+    """Boxes as an (n, 4) float64 array of (x_min, y_min, x_max, y_max) rows."""
+    rows = [(b.x_min, b.y_min, b.x_max, b.y_max) for b in boxes]
+    return np.array(rows, dtype=np.float64).reshape(len(rows), 4)
+
+
+def iou_matrix(a, b) -> np.ndarray:
+    """Pairwise IoU of (n, 4) and (m, 4) box arrays as an (n, m) matrix.
+
+    Repeats the float operations of `iou` in the same order, so every
+    entry equals the scalar result bit for bit. Inputs are cast to
+    float64 first, as `BBox.from_list` does. Either side may have 0 rows.
+    """
+    a = np.asarray(a, dtype=np.float64).reshape(-1, 4)
+    b = np.asarray(b, dtype=np.float64).reshape(-1, 4)
+    ax0, ay0, ax1, ay1 = (a[:, k, None] for k in range(4))
+    bx0, by0, bx1, by1 = b.T
+    ix = np.minimum(ax1, bx1) - np.maximum(ax0, bx0)
+    iy = np.minimum(ay1, by1) - np.maximum(ay0, by0)
+    area_a = np.maximum(0.0, ax1 - ax0) * np.maximum(0.0, ay1 - ay0)
+    area_b = np.maximum(0.0, bx1 - bx0) * np.maximum(0.0, by1 - by0)
+    inter = ix * iy
+    hit = ~((ix <= 0.0) | (iy <= 0.0))
+    out = np.zeros(inter.shape)
+    np.divide(inter, area_a + area_b - inter, out=out, where=hit)
+    return out
 
 
 def polygon_envelope(points: Iterable[tuple[float, float]]) -> BBox:

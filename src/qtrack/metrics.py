@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .data_io import BBox, GroundTruthTrack, TrajectoryOutput, iou
+from .data_io import BBox, GroundTruthTrack, TrajectoryOutput, box_array, iou, iou_matrix
 
 __all__ = ["EvalConfig", "MotReport", "clear_mot", "idf1", "detection_prf", "evaluate_sequences"]
 
@@ -146,13 +146,12 @@ def clear_mot(
         free_gt = [gi for gi in range(len(gts)) if gi not in matched_gt]
         free_pr = [pi for pi in range(len(prs)) if pi not in used_pred]
         if free_gt and free_pr:
-            cost = np.full((len(free_gt), len(free_pr)), INVALID)
-            for a, gi in enumerate(free_gt):
-                gid, gbox, gtext = gts[gi]
-                for b, pi in enumerate(free_pr):
-                    overlap = iou(gbox, prs[pi][1])
-                    if overlap >= thr and _text_ok(gtext, prs[pi][2], cfg):
-                        cost[a, b] = 1.0 - overlap
+            overlaps = iou_matrix(box_array(gts[gi][1] for gi in free_gt), box_array(prs[pi][1] for pi in free_pr))
+            ok = overlaps >= thr
+            if cfg.mode == "spotting":
+                for a, b in zip(*np.nonzero(ok)):
+                    ok[a, b] = _text_ok(gts[free_gt[a]][2], prs[free_pr[b]][2], cfg)
+            cost = np.where(ok, 1.0 - overlaps, INVALID)
             rows, cols = linear_sum_assignment(cost)
             for a, b in zip(rows, cols):
                 if cost[a, b] >= INVALID:
@@ -227,28 +226,32 @@ def _idf1_counts(
     pred_frames = _discount_dontcare(pred_tracks, valid, dontcare, thr)
 
     gt_list = [tr for tr in gt_tracks if tr.category != "other"]
-    pred_entries: dict[int, list[tuple[int, BBox, str | None]]] = {}
-    total_pred = 0
-    for f, rows in pred_frames.items():
-        for pid, box, text in rows:
-            pred_entries.setdefault(pid, []).append((f, box, text))
-            total_pred += 1
+    total_pred = sum(len(rows) for rows in pred_frames.values())
     total_gt = sum(len(tr.frames) for tr in gt_list)
     if total_gt == 0 or total_pred == 0:
         return 0, total_gt, total_pred
 
-    pred_ids = sorted(pred_entries)
-    overlap = np.zeros((len(gt_list), len(pred_ids)))
+    pred_ids = sorted({pid for rows in pred_frames.values() for pid, _, _ in rows})
+    pred_col = {pid: b for b, pid in enumerate(pred_ids)}
+    gt_rows: dict[int, list[tuple[int, BBox, str]]] = {}
     for a, tr in enumerate(gt_list):
-        for b, pid in enumerate(pred_ids):
-            hits = 0
-            for f, box, text in pred_entries[pid]:
-                entry = tr.frames.get(f)
-                if entry is None:
-                    continue
-                if iou(entry.box, box) >= thr and _text_ok(entry.text, text, cfg):
-                    hits += 1
-            overlap[a, b] = hits
+        for f, entry in tr.frames.items():
+            gt_rows.setdefault(f, []).append((a, entry.box, entry.text))
+
+    # Count, per (gt, prediction) pair, the frames where they overlap.
+    overlap = np.zeros((len(gt_list), len(pred_col)))
+    for f, preds in pred_frames.items():
+        gts = gt_rows.get(f)
+        if not gts:
+            continue
+        hit = iou_matrix(box_array(g[1] for g in gts), box_array(p[1] for p in preds)) >= thr
+        gi, pi = np.nonzero(hit)
+        if cfg.mode == "spotting":
+            keep = [_text_ok(gts[i][2], preds[j][2], cfg) for i, j in zip(gi.tolist(), pi.tolist())]
+            gi, pi = gi[keep], pi[keep]
+        rows = np.array([g[0] for g in gts])[gi]
+        cols = np.array([pred_col[p[0]] for p in preds])[pi]
+        np.add.at(overlap, (rows, cols), 1.0)
     rows, cols = linear_sum_assignment(-overlap)
     return int(overlap[rows, cols].sum()), total_gt, total_pred
 

@@ -19,7 +19,7 @@ import numpy as np
 from .autodiff import (
     Tensor,
     concat_cols,
-    l2_normalize_rows,
+    l2_normalize_rows_or_zero,
     layer_norm_rows,
     matmul,
     relu,
@@ -285,8 +285,11 @@ def decoder_layer_tensor(x: Tensor, memory: Tensor, params: TransformerLayerPara
 
 
 def cosine_matrix_tensor(a: Tensor, b: Tensor) -> Tensor:
-    """Pairwise cosine similarities between the rows of a and the rows of b."""
-    return matmul(l2_normalize_rows(a), transpose(l2_normalize_rows(b)))
+    """Pairwise cosine similarities between the rows of a and the rows of b.
+
+    A zero-norm row has similarity 0 to every row.
+    """
+    return matmul(l2_normalize_rows_or_zero(a), transpose(l2_normalize_rows_or_zero(b)))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .autodiff import Tensor, concat_rows, log, matmul, pow_const, sigmoid, sum_, take_rows
-from .data_io import BBox, DetectionFrame, GroundTruthTrack, iou
+from .data_io import BBox, DetectionFrame, GroundTruthTrack, box_array, iou, iou_matrix
 from .matcher import association_matrices_tensor, embed_queries_tensor
 from .model import TrackerModel
 
@@ -138,21 +138,18 @@ def assign_targets(pred_boxes: list[BBox], gt_boxes: dict[int, BBox]) -> dict[in
         return result
     if not pred_boxes:
         return {k: None for k in gt_boxes}
-    overlap = {k: np.array([iou(b, g) for b in pred_boxes]) for k, g in gt_boxes.items()}
-    claimed: set[int] = set()
+    overlap = dict(zip(gt_boxes, iou_matrix(box_array(gt_boxes.values()), box_array(pred_boxes))))
+    claimed = np.zeros(len(pred_boxes), dtype=bool)
     pending = sorted(gt_boxes)
     while pending:
-        # every pending track proposes its best unclaimed record
+        # every pending track proposes its best unclaimed record (the
+        # first one on ties); claimed records read -1 and never win
         proposals: dict[int, tuple[float, int]] = {}
         for k in pending:
-            ious = overlap[k]
-            best_i, best = -1, -1.0
-            for i in range(len(pred_boxes)):
-                if i in claimed:
-                    continue
-                if ious[i] > best:
-                    best, best_i = ious[i], i
-            proposals[k] = (best, best_i)
+            masked = np.where(claimed, -1.0, overlap[k])
+            best_i = int(masked.argmax())
+            best = masked[best_i]
+            proposals[k] = (best, best_i if best >= 0.0 else -1)
         next_pending = []
         by_record: dict[int, list[tuple[float, int]]] = {}
         for k in pending:
@@ -165,7 +162,7 @@ def assign_targets(pred_boxes: list[BBox], gt_boxes: dict[int, BBox]) -> dict[in
             contenders.sort(key=lambda c: (-c[0], c[1]))
             winner = contenders[0][1]
             result[winner] = record_i
-            claimed.add(record_i)
+            claimed[record_i] = True
             next_pending.extend(k for _, k in contenders[1:])
         pending = sorted(next_pending)
     return result

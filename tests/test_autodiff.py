@@ -8,6 +8,7 @@ from qtrack.autodiff import (
     concat_cols,
     concat_rows,
     l2_normalize_rows,
+    l2_normalize_rows_or_zero,
     layer_norm_rows,
     log,
     matmul,
@@ -99,6 +100,25 @@ def test_l2_normalize_rejects_zero():
         l2_normalize_rows(Tensor(np.zeros(3)))
     with pytest.raises(ValueError):
         l2_normalize_rows(Tensor(np.array([[1.0, 0.0], [0.0, 0.0]])))
+
+
+def test_l2_normalize_or_zero_keeps_zero_rows():
+    rng = np.random.default_rng(6)
+    a = Tensor(np.vstack([rng.uniform(0.5, 1.5, size=(2, 4)), np.zeros((1, 4))]))
+    w = Tensor(rng.uniform(-1, 1, size=(3, 4)))
+    y = l2_normalize_rows_or_zero(a)
+    assert np.array_equal(y.value[:2], l2_normalize_rows(Tensor(a.value[:2])).value)
+    assert np.array_equal(y.value[2], np.zeros(4))
+
+    # finite differences only around the live rows: the map jumps at a zero row
+    live = Tensor(a.value[:2].copy())
+
+    def loss():
+        return sum_(l2_normalize_rows_or_zero(concat_rows([live, np.zeros((1, 4))])) * w)
+
+    assert check_gradients(loss, [live]) < 1e-7
+    sum_(l2_normalize_rows_or_zero(a) * w).backward()
+    assert np.array_equal(a.grad[2], np.zeros(4))
 
 
 def test_layer_norm_grads():

@@ -169,3 +169,27 @@ def test_gen_is_replay_deterministic(tmp_path):
     b = _gen(tmp_path, "b", seed=9, extra={"noise_sigma": 0.1, "fp_rate": 0.5, "miss_prob": 0.1})
     assert (a / "stream.jsonl").read_bytes() == (b / "stream.jsonl").read_bytes()
     assert (a / "annotations.json").read_bytes() == (b / "annotations.json").read_bytes()
+
+
+def test_track_zero_query_starts_own_trajectory(tmp_path):
+    """A legal all-zero query has cosine similarity 0, so it matches nothing."""
+    data = _gen(tmp_path, frames=8, tracks=6, seed=7, extra={"miss_prob": 0.0})
+    stream = data / "stream.jsonl"
+    lines = stream.read_text().splitlines()
+    header, body = lines[0], [json.loads(ln) for ln in lines[1:]]
+    # zero the query of track 1's detection in frame 6: by then its bank
+    # holds 5 rows, so the even split over them and the null column stays below theta
+    zeroed = next(row for row in body if row["frame"] == 6 and row["text"] == "WORD1")
+    zeroed["query"] = [0.0] * len(zeroed["query"])
+    stream.write_text("\n".join([header] + [json.dumps(row) for row in body]) + "\n")
+
+    ckpt = tmp_path / "model.json"
+    save_checkpoint(TrackerModel.create(MatcherVariant.SIMILARITY, d_q=16), ckpt)
+    out = tmp_path / "tracked"
+    assert main(["track", "--checkpoint", str(ckpt), "--stream", str(stream), "--out", str(out),
+                 "--min-track-len", "1"]) == 0
+    tracks = read_trajectories(out / "trajectories.jsonl")
+    own = [t for t in tracks if any(e.box.as_list() == zeroed["box"] for e in t.entries)]
+    assert len(own) == 1 and own[0].frame_indices() == [6]
+    # the other instances keep their trajectories: track 1 resumes after the gap
+    assert sorted(len(t.entries) for t in tracks) == [1, 7, 8, 8, 8, 8, 8]
