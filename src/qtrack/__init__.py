@@ -18,7 +18,6 @@ from .data_io import (
 )
 from .matcher import (
     AssociationMatrix,
-    EmbeddingSet,
     MatcherParams,
     MatcherVariant,
     count_parameters,

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data_io import DetectionFrame, TrajectoryEntry, TrajectoryOutput, box_array, iou_matrix
-from .matcher import EmbeddingSet, embed_queries, matcher_forward
+from .matcher import embed_queries, matcher_forward
 from .model import TrackerModel
 from .rescoring import ScoredInstance, filter_instances
 
@@ -182,7 +182,7 @@ def associate_frame(
         return AssociationOutcome([], [], [], [], np.zeros((0, model.d_e)), {})
 
     queries = np.stack([inst.record.query for inst in instances])
-    current = embed_queries(queries, model.matcher, provenance=[(frame_index, i) for i in range(n)])
+    current = embed_queries(queries, model.matcher)
 
     st_matches: list[tuple[int, int, float]] = []
 
@@ -190,10 +190,7 @@ def associate_frame(
     # newest bank entry is therefore the one from that frame.
     prev_tracks = bank.seen_at(frame_index - 1)
     if prev_tracks:
-        hist = EmbeddingSet(
-            embeddings=np.stack([bank.entries(tid)[-1].embedding for tid in prev_tracks]),
-            provenance=[(frame_index - 1, tid) for tid in prev_tracks],
-        )
+        hist = np.stack([bank.entries(tid)[-1].embedding for tid in prev_tracks])
         st = matcher_forward(current, hist, model.matcher, branch="st")
         st_matches = [
             (i, prev_tracks[c], p) for i, c, p in _greedy_matches(st.probabilities[:, :-1], config.assoc_threshold)
@@ -212,18 +209,10 @@ def associate_frame(
         if lt_tracks:
             rows = []
             starts = []
-            prov = []
             for tid in lt_tracks:
                 starts.append(len(rows))
-                for entry in bank.entries(tid):
-                    rows.append(entry.embedding)
-                    prov.append((entry.frame, tid))
-            hist = EmbeddingSet(embeddings=np.stack(rows), provenance=prov)
-            sub = EmbeddingSet(
-                embeddings=current.embeddings[unmatched_after_st],
-                provenance=[current.provenance[i] for i in unmatched_after_st],
-            )
-            lt = matcher_forward(sub, hist, model.matcher, branch="lt")
+                rows.extend(entry.embedding for entry in bank.entries(tid))
+            lt = matcher_forward(current[unmatched_after_st], np.stack(rows), model.matcher, branch="lt")
             per_track = np.maximum.reduceat(lt.probabilities[:, :-1], starts, axis=1)
             lt_matches = [
                 (unmatched_after_st[r], lt_tracks[c], p)
@@ -239,7 +228,7 @@ def associate_frame(
         lt_matches=lt_matches,
         new_tracks=new_tracks,
         unmatched_after_st=unmatched_after_st,
-        embeddings=current.embeddings,
+        embeddings=current,
         scores=scores,
     )
 

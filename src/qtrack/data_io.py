@@ -91,6 +91,8 @@ def iou(a: BBox, b: BBox) -> float:
     if ix <= 0.0 or iy <= 0.0:
         return 0.0
     inter = ix * iy
+    if inter == 0.0:  # the product underflows, and so do both areas: no union to divide by
+        return 0.0
     union = a.area() + b.area() - inter
     return inter / union
 
@@ -116,8 +118,9 @@ def iou_matrix(a, b) -> np.ndarray:
     iy = np.minimum(ay1, by1) - np.maximum(ay0, by0)
     area_a = np.maximum(0.0, ax1 - ax0) * np.maximum(0.0, ay1 - ay0)
     area_b = np.maximum(0.0, bx1 - bx0) * np.maximum(0.0, by1 - by0)
-    inter = ix * iy
-    hit = ~((ix <= 0.0) | (iy <= 0.0))
+    # 0 unless both extents are positive and their product does not underflow
+    inter = np.maximum(ix, 0.0) * np.maximum(iy, 0.0)
+    hit = inter > 0.0
     out = np.zeros(inter.shape)
     np.divide(inter, area_a + area_b - inter, out=out, where=hit)
     return out
@@ -202,6 +205,20 @@ def _norm_text(value) -> str | None:
     return str(value).strip()
 
 
+def _parse_box(raw, where: str, err: type[DataFormatError] = DataFormatError) -> BBox:
+    try:
+        return BBox.from_list(raw)
+    except (TypeError, ValueError):
+        raise err(f"{where}: field 'box' must be a list of 4 numbers, got {raw!r}") from None
+
+
+def _parse_float(raw, name: str, where: str, err: type[DataFormatError] = DataFormatError) -> float:
+    try:
+        return float(raw)
+    except (TypeError, ValueError):
+        raise err(f"{where}: field {name!r} must be a number, got {raw!r}") from None
+
+
 def _parse_polygon(raw, where: str, err: type[DataFormatError] = DataFormatError) -> list[tuple[float, float]]:
     try:
         points = [(float(p[0]), float(p[1])) for p in raw]
@@ -264,10 +281,10 @@ def parse_detection_stream(path) -> tuple[StreamHeader, list[DetectionFrame]]:
         frame_idx = raw["frame"]
         if not isinstance(frame_idx, int) or frame_idx < 0:
             raise StreamFormatError(f"{where}: field 'frame' must be a nonnegative integer")
-        box = BBox.from_list(raw["box"])
+        box = _parse_box(raw["box"], where, StreamFormatError)
         if not box.is_valid():
             raise StreamFormatError(f"{where}: field 'box' is degenerate ({raw['box']})")
-        score = float(raw["score"])
+        score = _parse_float(raw["score"], "score", where, StreamFormatError)
         if not 0.0 <= score <= 1.0:
             raise StreamFormatError(f"{where}: field 'score' out of range [0,1] ({score})")
         query = np.asarray(raw["query"], dtype=np.float64)
@@ -339,13 +356,15 @@ def parse_annotations(path) -> list[GroundTruthTrack]:
             doc = json.load(fh, object_pairs_hook=_reject_duplicate_keys)
         except json.JSONDecodeError as exc:
             raise AnnotationFormatError(f"{path}: bad JSON ({exc.msg})") from None
-    if not isinstance(doc, dict) or "tracks" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("tracks"), list):
         raise AnnotationFormatError(f"{path}: document must carry a 'tracks' list")
 
     tracks: list[GroundTruthTrack] = []
     seen_ids: set[int] = set()
     for ti, raw in enumerate(doc["tracks"]):
         where = f"{path}: track #{ti}"
+        if not isinstance(raw, dict):
+            raise AnnotationFormatError(f"{where}: track must be an object")
         track_id = raw.get("id")
         if not isinstance(track_id, int):
             raise AnnotationFormatError(f"{where}: field 'id' must be an integer")
@@ -366,7 +385,9 @@ def parse_annotations(path) -> list[GroundTruthTrack]:
                 raise AnnotationFormatError(f"{where}: frame key {key!r} is not an integer") from None
             if frame_idx < 0:
                 raise AnnotationFormatError(f"{where}: negative frame index {frame_idx}")
-            box = BBox.from_list(entry["box"])
+            if not isinstance(entry, dict) or "box" not in entry:
+                raise AnnotationFormatError(f"{where}: frame {frame_idx}: missing field 'box'")
+            box = _parse_box(entry["box"], f"{where}: frame {frame_idx}", AnnotationFormatError)
             if not box.is_valid():
                 raise AnnotationFormatError(f"{where}: frame {frame_idx}: degenerate box")
             box_type = entry.get("box_type", "quadrilateral")
@@ -453,16 +474,21 @@ def read_trajectories(path) -> list[TrajectoryOutput]:
             raw = json.loads(line)
         except json.JSONDecodeError as exc:
             raise DataFormatError(f"{where}: bad record JSON ({exc.msg})") from None
+        if not isinstance(raw, dict):
+            raise DataFormatError(f"{where}: record must be an object")
         track_id = raw.get("track")
         frame_idx = raw.get("frame")
         if not isinstance(track_id, int) or not isinstance(frame_idx, int):
             raise DataFormatError(f"{where}: fields 'track' and 'frame' must be integers")
-        box = BBox.from_list(raw["box"])
+        for key in ("box", "score"):
+            if key not in raw:
+                raise DataFormatError(f"{where}: missing field {key!r}")
+        box = _parse_box(raw["box"], where)
         polygon = _parse_polygon(raw["poly"], where) if raw.get("poly") is not None else None
         entry = TrajectoryEntry(
             frame_index=frame_idx,
             box=box,
-            score=float(raw["score"]),
+            score=_parse_float(raw["score"], "score", where),
             polygon=polygon,
             text=_norm_text(raw.get("text")),
         )

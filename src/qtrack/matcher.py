@@ -16,6 +16,11 @@ no-match logit column and row-softmax the result, so every row is a
 probability distribution over "history rows + start a new trajectory".
 The short-term and long-term branches own separate attention weights
 but share one embedding FFN.
+
+Training differentiates ``embed_queries_tensor`` and
+``association_matrices_tensor``; tracking calls ``embed_queries`` and
+``matcher_forward``, which run the same arithmetic on plain arrays and
+build no autodiff graph.
 """
 
 from __future__ import annotations
@@ -30,21 +35,27 @@ from .numerics import (
     AttentionParams,
     FfnParams,
     TransformerLayerParams,
+    attention_array,
     attention_tensor,
+    cosine_matrix_array,
     cosine_matrix_tensor,
+    decoder_layer_array,
     decoder_layer_tensor,
+    encoder_layer_array,
     encoder_layer_tensor,
+    ffn_array,
     ffn_tensor,
+    softmax_rows_array,
 )
 
 __all__ = [
     "MatcherVariant",
     "BranchParams",
     "MatcherParams",
-    "EmbeddingSet",
     "AssociationMatrix",
     "embed_queries",
     "embed_queries_tensor",
+    "association_matrices",
     "association_matrices_tensor",
     "matcher_forward",
     "count_parameters",
@@ -145,21 +156,6 @@ class MatcherParams:
 
 
 @dataclass
-class EmbeddingSet:
-    """Embedding rows plus a (frame, tag) provenance tuple per row."""
-
-    embeddings: np.ndarray  # (n, d_e)
-    provenance: list[tuple[int, int]]
-
-    def __len__(self) -> int:
-        return self.embeddings.shape[0]
-
-    @classmethod
-    def empty(cls, d_e: int) -> "EmbeddingSet":
-        return cls(embeddings=np.zeros((0, d_e)), provenance=[])
-
-
-@dataclass
 class AssociationMatrix:
     """Similarities and row-softmax probabilities, last column = no match."""
 
@@ -177,24 +173,18 @@ def embed_queries_tensor(queries: Tensor, params: MatcherParams) -> Tensor:
     return ffn_tensor(queries, params.shared_ffn)
 
 
-def embed_queries(
-    queries: np.ndarray,
-    params: MatcherParams,
-    provenance: list[tuple[int, int]] | None = None,
-) -> EmbeddingSet:
+def embed_queries(queries: np.ndarray, params: MatcherParams) -> np.ndarray:
     """Map instance queries (n, d_q) to association embeddings (n, d_e)."""
     queries = np.asarray(queries, dtype=np.float64)
     if queries.ndim != 2:
         raise ValueError("queries must be a 2D matrix")
     if queries.shape[0] == 0:
-        return EmbeddingSet(np.zeros((0, params.d_e)), [])
+        return np.zeros((0, params.d_e))
     if queries.shape[1] != params.d_q:
         raise ValueError(f"query dim {queries.shape[1]} does not match matcher d_q {params.d_q}")
-    emb = embed_queries_tensor(Tensor(queries), params).value
-    prov = provenance if provenance is not None else [(0, i) for i in range(queries.shape[0])]
-    if len(prov) != emb.shape[0]:
-        raise ValueError("provenance length does not match row count")
-    return EmbeddingSet(embeddings=emb, provenance=list(prov))
+    if params.variant is MatcherVariant.SIMILARITY:
+        return queries
+    return ffn_array(queries, params.shared_ffn)
 
 
 def association_matrices_tensor(
@@ -238,17 +228,52 @@ def association_matrices_tensor(
     return scores, softmax_rows(scores)
 
 
+def association_matrices(
+    params: MatcherParams,
+    current: np.ndarray,
+    history: np.ndarray,
+    branch: str,
+) -> tuple[np.ndarray, np.ndarray]:
+    """`association_matrices_tensor` on plain arrays, equal to its values bit for bit."""
+    n_cur = current.shape[0]
+    n_hist = history.shape[0]
+    if n_cur == 0:
+        empty = np.zeros((0, n_hist + 1))
+        return empty, empty
+    if n_hist == 0:
+        return np.full((n_cur, 1), params.null_logit), np.ones((n_cur, 1))
+
+    variant = params.variant
+    if variant in (MatcherVariant.SIMILARITY, MatcherVariant.FFN):
+        sims = cosine_matrix_array(current, history)
+    elif variant is MatcherVariant.CROSS_ATTN:
+        b = params.branch(branch)
+        attended = current + attention_array(current, history, history, b.attn)
+        sims = cosine_matrix_array(attended, history)
+    elif variant is MatcherVariant.TRANSFORMER:
+        b = params.branch(branch)
+        encoded = encoder_layer_array(history, b.encoder)
+        decoded = decoder_layer_array(current, encoded, b.decoder)
+        sims = cosine_matrix_array(decoded, encoded)
+    else:  # pragma: no cover - enum is closed
+        raise ValueError(f"unknown variant {variant}")
+
+    scores = np.concatenate([sims * (1.0 / params.temperature), np.full((n_cur, 1), params.null_logit)], axis=1)
+    return scores, softmax_rows_array(scores)
+
+
 def matcher_forward(
-    current: EmbeddingSet,
-    history: EmbeddingSet,
+    current: np.ndarray,
+    history: np.ndarray,
     params: MatcherParams,
     branch: str = "st",
 ) -> AssociationMatrix:
-    """Match probabilities of each current row against history rows + null."""
-    scores, probs = association_matrices_tensor(
-        params, Tensor(current.embeddings), Tensor(history.embeddings), branch
-    )
-    return AssociationMatrix(scores=scores.value, probabilities=probs.value)
+    """Match probabilities of each current row against history rows + null.
+
+    `current` is an (n_cur, d_e) and `history` an (n_hist, d_e) float64 array.
+    """
+    scores, probs = association_matrices(params, current, history, branch)
+    return AssociationMatrix(scores=scores, probabilities=probs)
 
 
 def count_parameters(variant: MatcherVariant, d_q: int, d_e: int, heads: int = 1) -> int:

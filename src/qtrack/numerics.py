@@ -1,10 +1,14 @@
 """Dense numeric primitives and the small trainable blocks.
 
-Vectors and matrices are contiguous float64 numpy arrays. The blocks
-(two-layer feedforward, single-layer multi-head attention, layer norm)
-are composed from autodiff primitives so a single forward definition
-serves both inference and training; the plain-array entry points below
-just unwrap the tensor result. ``check_gradients`` is the independent
+Vectors and matrices are contiguous float64 numpy arrays. Each block
+(two-layer feedforward, single-layer multi-head attention, layer norm,
+the pre-norm encoder and decoder layers, the cosine matrix) has two
+forwards. The ``*_tensor`` forward is composed from autodiff primitives
+and records the graph that training differentiates. The ``*_array``
+forward is plain numpy for inference, which needs no gradient; it
+repeats the tensor forward's float operations in the same order, so
+its output equals the tensor's ``value`` bit for bit (the tests hold
+the two in step). ``check_gradients`` is the independent
 finite-difference oracle for every analytic gradient in the package.
 """
 
@@ -37,12 +41,19 @@ __all__ = [
     "softmax",
     "stable_sigmoid",
     "ffn_tensor",
+    "ffn_array",
     "ffn_forward",
     "attention_tensor",
+    "attention_array",
     "attention_forward",
+    "layer_norm_array",
     "encoder_layer_tensor",
+    "encoder_layer_array",
     "decoder_layer_tensor",
+    "decoder_layer_array",
     "cosine_matrix_tensor",
+    "cosine_matrix_array",
+    "softmax_rows_array",
     "check_gradients",
 ]
 
@@ -219,7 +230,7 @@ def stable_sigmoid(z: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# blocks (tensor compositions + plain wrappers)
+# blocks: tensor compositions (training) and plain-array twins (inference)
 
 
 def ffn_tensor(x: Tensor, params: FfnParams) -> Tensor:
@@ -227,12 +238,18 @@ def ffn_tensor(x: Tensor, params: FfnParams) -> Tensor:
     return matmul(h, params.w2) + params.b2
 
 
+def ffn_array(x: np.ndarray, params: FfnParams) -> np.ndarray:
+    h = x @ params.w1.value + params.b1.value
+    h = h * (h > 0)  # the rectifier as `relu` computes it
+    return h @ params.w2.value + params.b2.value
+
+
 def ffn_forward(x: np.ndarray, params: FfnParams) -> np.ndarray:
     """Plain-array forward through the two-layer block (1D or row-batched 2D)."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != params.d_in:
         raise ValueError(f"input dim {x.shape[-1]} does not match block dim {params.d_in}")
-    return ffn_tensor(Tensor(x), params).value
+    return ffn_array(x, params)
 
 
 def attention_tensor(queries: Tensor, keys: Tensor, values: Tensor, params: AttentionParams) -> Tensor:
@@ -255,6 +272,25 @@ def attention_tensor(queries: Tensor, keys: Tensor, values: Tensor, params: Atte
     return matmul(mixed, params.wo) + params.bo
 
 
+def softmax_rows_array(a: np.ndarray) -> np.ndarray:
+    e = np.exp(a - a.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def attention_array(queries: np.ndarray, keys: np.ndarray, values: np.ndarray, params: AttentionParams) -> np.ndarray:
+    h = params.heads
+    dh = params.d_model // h
+    q = queries @ params.wq.value + params.bq.value
+    k = keys @ params.wk.value + params.bk.value
+    v = values @ params.wv.value + params.bv.value
+    scale = 1.0 / math.sqrt(dh)
+    outs = []
+    for i in range(h):
+        cols = slice(i * dh, (i + 1) * dh)  # views, as `take_cols` slices
+        outs.append(softmax_rows_array((q[:, cols] @ k[:, cols].T) * scale) @ v[:, cols])
+    mixed = outs[0] if h == 1 else np.concatenate(outs, axis=1)
+    return mixed @ params.wo.value + params.bo.value
+
 def attention_forward(queries: np.ndarray, keys: np.ndarray, values: np.ndarray, params: AttentionParams) -> np.ndarray:
     """Plain-array attention over key/value rows; output row count = query row count."""
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
@@ -267,7 +303,7 @@ def attention_forward(queries: np.ndarray, keys: np.ndarray, values: np.ndarray,
     d = params.d_model
     if queries.shape[1] != d or keys.shape[1] != d or values.shape[1] != d:
         raise ValueError("input dims do not match attention params")
-    return attention_tensor(Tensor(queries), Tensor(keys), Tensor(values), params).value
+    return attention_array(queries, keys, values, params)
 
 
 def encoder_layer_tensor(x: Tensor, params: TransformerLayerParams) -> Tensor:
@@ -284,12 +320,42 @@ def decoder_layer_tensor(x: Tensor, memory: Tensor, params: TransformerLayerPara
     return x + ffn_tensor(t2, params.ffn)
 
 
+def layer_norm_array(x: np.ndarray, params: LayerNormParams, eps: float = 1e-8) -> np.ndarray:
+    # `sum / d` is numpy's own `mean`, minus its dispatch overhead.
+    d = x.shape[1]
+    xc = x - x.sum(axis=1, keepdims=True) / d
+    var = (xc * xc).sum(axis=1, keepdims=True) / d
+    return xc * (1.0 / np.sqrt(var + eps)) * params.gain.value + params.bias.value
+
+
+def encoder_layer_array(x: np.ndarray, params: TransformerLayerParams) -> np.ndarray:
+    t = layer_norm_array(x, params.ln1)
+    x = x + attention_array(t, t, t, params.attn)
+    return x + ffn_array(layer_norm_array(x, params.ln2), params.ffn)
+
+
+def decoder_layer_array(x: np.ndarray, memory: np.ndarray, params: TransformerLayerParams) -> np.ndarray:
+    x = x + attention_array(layer_norm_array(x, params.ln1), memory, memory, params.attn)
+    return x + ffn_array(layer_norm_array(x, params.ln2), params.ffn)
+
+
 def cosine_matrix_tensor(a: Tensor, b: Tensor) -> Tensor:
     """Pairwise cosine similarities between the rows of a and the rows of b.
 
     A zero-norm row has similarity 0 to every row.
     """
     return matmul(l2_normalize_rows_or_zero(a), transpose(l2_normalize_rows_or_zero(b)))
+
+
+def _unit_rows_or_zero(a: np.ndarray) -> np.ndarray:
+    # `np.linalg.norm(a, axis=1)` of a real array is this reduction.
+    n = np.sqrt(np.add.reduce(a * a, axis=1, keepdims=True))
+    return a / np.where(n != 0.0, n, 1.0)
+
+
+def cosine_matrix_array(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`cosine_matrix_tensor` on plain arrays; a zero-norm row has similarity 0."""
+    return _unit_rows_or_zero(a) @ _unit_rows_or_zero(b).T
 
 
 # ---------------------------------------------------------------------------

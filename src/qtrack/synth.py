@@ -23,7 +23,8 @@ from .data_io import (
     GroundTruthEntry,
     GroundTruthTrack,
     StreamHeader,
-    iou,
+    box_array,
+    iou_matrix,
 )
 
 __all__ = ["SynthConfig", "generate_sequence", "degrade_scores"]
@@ -189,12 +190,11 @@ def degrade_scores(
         )
         for f in frames
     ]
-    candidates = [
-        rec
-        for frame in out
-        for rec in frame.records
-        if any(iou(rec.box, g) >= 0.5 for g in gt_boxes.get(rec.frame_index, []))
-    ]
+    candidates: list[DetectionRecord] = []
+    for frame in out:
+        gt = box_array(gt_boxes.get(frame.frame_index, []))
+        hit = (iou_matrix(box_array(r.box for r in frame.records), gt) >= 0.5).any(axis=1)
+        candidates += [rec for rec, h in zip(frame.records, hit) if h]
     k = round(fraction * len(candidates))
     rng = np.random.default_rng(seed)
     chosen = rng.choice(len(candidates), size=k, replace=False) if k else []

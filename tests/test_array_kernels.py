@@ -3,15 +3,18 @@
 `iou_matrix` must equal `iou` bit for bit, and NMS, both association
 stages, target assignment and the CLEAR-MOT / IDF1 pairings must give
 exactly the outcomes of the per-pair Python loops kept below as
-references. The streams are seeded and small; the grid covers every
-matcher variant, the long-term stage on and off, and forced ties.
+references. The reference association runs the matcher through the
+autodiff tape, so the same streams also hold the plain-array inference
+forward to the tape bit for bit. The streams are seeded and small; the
+grid covers every matcher variant, the long-term stage on and off, and
+forced ties.
 """
 
 import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
@@ -22,9 +25,28 @@ from qtrack.association import (
     _greedy_matches,
     associate_frame,
     nms,
+    track_sequence,
 )
-from qtrack.data_io import BBox, DetectionRecord, TrajectoryEntry, TrajectoryOutput, box_array, iou, iou_matrix
-from qtrack.matcher import EmbeddingSet, MatcherVariant, embed_queries, matcher_forward
+from qtrack.autodiff import Tensor
+from qtrack.data_io import (
+    BBox,
+    DetectionFrame,
+    DetectionRecord,
+    TrajectoryEntry,
+    TrajectoryOutput,
+    box_array,
+    iou,
+    iou_matrix,
+    write_detection_stream,
+)
+from qtrack.matcher import (
+    MatcherVariant,
+    association_matrices,
+    association_matrices_tensor,
+    embed_queries,
+    embed_queries_tensor,
+    matcher_forward,
+)
 from qtrack.metrics import (
     INVALID,
     EvalConfig,
@@ -40,7 +62,7 @@ from qtrack.metrics import (
 )
 from qtrack.model import TrackerModel
 from qtrack.rescoring import ScoredInstance, filter_instances
-from qtrack.synth import SynthConfig, generate_sequence
+from qtrack.synth import SynthConfig, degrade_scores, generate_sequence
 from qtrack.training import ASSIGN_IOU_MIN, assign_targets
 
 # ---------------------------------------------------------------------------
@@ -69,19 +91,22 @@ def ref_greedy_assign(candidates, threshold, free_instances, free_tracks):
     return matched
 
 
+def ref_probabilities(model, current, history, branch):
+    return association_matrices_tensor(model.matcher, Tensor(current), Tensor(history), branch)[1].value
+
+
 def ref_associate_frame(instances, bank, model, config, frame_index):
     n = len(instances)
     if n == 0:
         return AssociationOutcome([], [], [], [], np.zeros((0, model.d_e)), {})
     queries = np.stack([inst.record.query for inst in instances])
-    current = embed_queries(queries, model.matcher, provenance=[(frame_index, i) for i in range(n)])
+    current = embed_queries_tensor(Tensor(queries), model.matcher).value
     free_instances = set(range(n))
     st_matches = []
     prev_tracks = bank.seen_at(frame_index - 1)
     if prev_tracks:
         rows = [next(e.embedding for e in bank.entries(tid) if e.frame == frame_index - 1) for tid in prev_tracks]
-        hist = EmbeddingSet(np.stack(rows), [(frame_index - 1, tid) for tid in prev_tracks])
-        probs = matcher_forward(current, hist, model.matcher, branch="st").probabilities
+        probs = ref_probabilities(model, current, np.stack(rows), "st")
         candidates = [(float(probs[i, c]), i, tid) for i in range(n) for c, tid in enumerate(prev_tracks)]
         st_matches = ref_greedy_assign(candidates, config.assoc_threshold, free_instances, set(prev_tracks))
     unmatched_after_st = sorted(free_instances)
@@ -90,16 +115,13 @@ def ref_associate_frame(instances, bank, model, config, frame_index):
         claimed = {tid for _, tid, _ in st_matches}
         lt_tracks = [tid for tid in bank.track_ids() if tid not in claimed]
         if lt_tracks:
-            rows, row_tids, prov = [], [], []
+            rows, row_tids = [], []
             for tid in lt_tracks:
                 for entry in bank.entries(tid):
                     rows.append(entry.embedding)
                     row_tids.append(tid)
-                    prov.append((entry.frame, tid))
-            hist = EmbeddingSet(np.stack(rows), prov)
             sub_rows = sorted(free_instances)
-            sub = EmbeddingSet(current.embeddings[sub_rows], [current.provenance[i] for i in sub_rows])
-            probs = matcher_forward(sub, hist, model.matcher, branch="lt").probabilities
+            probs = ref_probabilities(model, current[sub_rows], np.stack(rows), "lt")
             candidates = []
             for local_i, inst in enumerate(sub_rows):
                 for tid in lt_tracks:
@@ -109,7 +131,7 @@ def ref_associate_frame(instances, bank, model, config, frame_index):
     scores = {i: p for i, _, p in st_matches}
     scores.update({i: p for i, _, p in lt_matches})
     return AssociationOutcome(st_matches, lt_matches, sorted(free_instances), unmatched_after_st,
-                              current.embeddings, scores)
+                              current, scores)
 
 
 def ref_assign_targets(pred_boxes, gt_boxes):
@@ -229,6 +251,23 @@ def ref_clear_mot(gt_tracks, pred_tracks, cfg):
                      tp, fp, fn, idsw, gt_total)
 
 
+def ref_degrade_scores(frames, gt_tracks, fraction, floor, seed=0):
+    gt_boxes = {}
+    for tr in gt_tracks:
+        for f, entry in tr.frames.items():
+            gt_boxes.setdefault(f, []).append(entry.box)
+    out = [DetectionFrame(f.frame_index, [DetectionRecord(r.frame_index, r.query.copy(), r.box, r.score, r.polygon, r.text)
+                                          for r in f.records]) for f in frames]
+    candidates = [rec for frame in out for rec in frame.records
+                  if any(iou(rec.box, g) >= 0.5 for g in gt_boxes.get(rec.frame_index, []))]
+    k = round(fraction * len(candidates))
+    rng = np.random.default_rng(seed)
+    chosen = rng.choice(len(candidates), size=k, replace=False) if k else []
+    for i in chosen:
+        candidates[int(i)].score = float(rng.uniform(0.0, floor))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # iou_matrix
 
@@ -257,6 +296,8 @@ def box_lists(draw, coord):
     st.tuples(box_lists(int_coord), box_lists(int_coord)),
     st.tuples(box_lists(float_coord), box_lists(float_coord)),
 ))
+# positive overlap extents whose product underflows to 0 (a zero union)
+@example(([BBox(0.0, 0.0, 3e-180, 3e-180)], [BBox(0.0, 0.0, 3e-180, 3e-180), BBox(0.0, 0.0, 1.0, 1.0)]))
 def test_iou_matrix_equals_scalar_iou_bitwise(boxes):
     a, b = boxes
     m = iou_matrix(box_array(a), box_array(b))
@@ -399,3 +440,82 @@ def test_stream_outcomes_equal_reference(variant, use_lt, ties):
             assert assign_targets(boxes, present) == ref_assign_targets(boxes, present)
     assert totals["st"] > 0
     assert (totals["lt"] > 0) == use_lt
+
+
+# ---------------------------------------------------------------------------
+# score degradation in the synthetic generator
+
+
+@pytest.mark.parametrize("fraction", [0.1, 1.0])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_degrade_scores_equal_reference(tmp_path, seed, fraction):
+    # crowded frames with clutter, so records sit on both sides of IoU 0.5
+    cfg = SynthConfig(frames=10, tracks=20, d_q=4, noise_sigma=0.1, miss_prob=0.2, fp_rate=4.0, seed=seed)
+    header, frames, gts = generate_sequence(cfg)
+    frames.append(DetectionFrame(frame_index=cfg.frames))  # a frame with no records and no ground truth
+    got = degrade_scores(frames, gts, fraction, 0.1, seed=seed + 1)
+    want = ref_degrade_scores(frames, gts, fraction, 0.1, seed=seed + 1)
+    write_detection_stream(tmp_path / "got.jsonl", header, got)
+    write_detection_stream(tmp_path / "want.jsonl", header, want)
+    assert (tmp_path / "got.jsonl").read_bytes() == (tmp_path / "want.jsonl").read_bytes()
+    changed = sum(a.score != b.score for fa, fb in zip(frames, got) for a, b in zip(fa.records, fb.records))
+    assert changed > 0
+
+
+# ---------------------------------------------------------------------------
+# the plain-array matcher forward against the tape
+
+# (current rows, history rows, all-zero current rows, all-zero history rows)
+MATCHER_SHAPES = {
+    "empty-current": (0, 4, (), ()),
+    "empty-history": (3, 0, (), ()),
+    "one-row": (1, 1, (), ()),
+    "several": (4, 6, (), ()),
+    "zero-rows": (4, 6, (1,), (0, 5)),
+}
+
+
+@pytest.mark.parametrize("shape", list(MATCHER_SHAPES))
+@pytest.mark.parametrize("branch", ["st", "lt"])
+@pytest.mark.parametrize("heads", [1, 2])
+@pytest.mark.parametrize("variant", list(MatcherVariant))
+def test_plain_matcher_equals_tape_bitwise(variant, heads, branch, shape):
+    n_cur, n_hist, zero_cur, zero_hist = MATCHER_SHAPES[shape]
+    params = TrackerModel.create(variant, d_q=6, d_e=8, heads=heads, seed=2).matcher
+    rng = np.random.default_rng(5)
+    for t in params.tensors():  # non-trivial biases and layer-norm gains too
+        t.value[...] = rng.normal(scale=0.5, size=t.shape)
+    d_e = params.d_e
+
+    queries = rng.normal(size=(n_cur, 6))
+    embedded = embed_queries(queries, params)
+    assert np.array_equal(embedded, embed_queries_tensor(Tensor(queries), params).value)
+
+    current = rng.normal(size=(n_cur, d_e))
+    history = rng.normal(size=(n_hist, d_e))
+    current[list(zero_cur)] = 0.0
+    history[list(zero_hist)] = 0.0
+    scores, probs = association_matrices(params, current, history, branch)
+    ref_scores, ref_probs = association_matrices_tensor(params, Tensor(current), Tensor(history), branch)
+    assert scores.shape == probs.shape == (n_cur, n_hist + 1)
+    assert np.array_equal(scores, ref_scores.value)
+    assert np.array_equal(probs, ref_probs.value)
+    out = matcher_forward(current, history, params, branch=branch)
+    assert np.array_equal(out.scores, scores) and np.array_equal(out.probabilities, probs)
+
+
+def test_tracking_builds_no_tensor(monkeypatch):
+    frames, _ = _stream(0, ties=True)
+    models = [TrackerModel.create(v, d_q=8, d_e=8, heads=2, seed=1) for v in MatcherVariant]
+    config = TrackerConfig(assoc_threshold=0.2, history_depth=4, min_track_len=1)
+    built = []
+    init = Tensor.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(type(self))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Tensor, "__init__", counting_init)
+    for model in models:
+        assert track_sequence(frames, model, config)
+    assert built == []

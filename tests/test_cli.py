@@ -193,3 +193,51 @@ def test_track_zero_query_starts_own_trajectory(tmp_path):
     assert len(own) == 1 and own[0].frame_indices() == [6]
     # the other instances keep their trajectories: track 1 resumes after the gap
     assert sorted(len(t.entries) for t in tracks) == [1, 7, 8, 8, 8, 8, 8]
+
+
+def _json_error(capsys) -> str:
+    """The one stderr line a failed command prints: a JSON object, no traceback."""
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return json.loads(err.strip().splitlines()[-1])["error"]
+
+
+def test_track_stream_box_not_a_list_is_json_error(tmp_path, capsys):
+    data = _gen(tmp_path, frames=4, tracks=2, seed=8)
+    stream = data / "stream.jsonl"
+    lines = stream.read_text().splitlines()
+    row = json.loads(lines[2])
+    row["box"] = 5
+    lines[2] = json.dumps(row)
+    stream.write_text("\n".join(lines) + "\n")
+    ckpt = tmp_path / "model.json"
+    save_checkpoint(TrackerModel.create(MatcherVariant.SIMILARITY, d_q=16), ckpt)
+    assert main(["track", "--checkpoint", str(ckpt), "--stream", str(stream), "--out", str(tmp_path / "o")]) == 1
+    error = _json_error(capsys)
+    assert f"{stream}:3" in error and "'box'" in error
+
+
+def test_eval_annotation_frame_without_box_is_json_error(tmp_path, capsys):
+    data = _gen(tmp_path, frames=4, tracks=2, seed=8)
+    ann = data / "annotations.json"
+    doc = json.loads(ann.read_text())
+    del doc["tracks"][1]["frames"]["2"]["box"]
+    ann.write_text(json.dumps(doc))
+    traj = tmp_path / "t.jsonl"
+    traj.write_text(json.dumps({"format": "qtrack-traj/1", "video": ""}) + "\n")
+    assert main(["eval", "--annotations", str(ann), "--trajectories", str(traj)]) == 1
+    error = _json_error(capsys)
+    assert str(ann) in error and "track #1" in error and "frame 2" in error and "'box'" in error
+
+
+def test_eval_trajectory_without_score_is_json_error(tmp_path, capsys):
+    data = _gen(tmp_path, frames=4, tracks=2, seed=8)
+    traj = tmp_path / "t.jsonl"
+    traj.write_text("\n".join([
+        json.dumps({"format": "qtrack-traj/1", "video": ""}),
+        json.dumps({"track": 1, "frame": 0, "box": [0, 0, 5, 5], "score": 0.9}),
+        json.dumps({"track": 1, "frame": 1, "box": [0, 0, 5, 5]}),
+    ]) + "\n")
+    assert main(["eval", "--annotations", str(data / "annotations.json"), "--trajectories", str(traj)]) == 1
+    error = _json_error(capsys)
+    assert f"{traj}:3" in error and "'score'" in error

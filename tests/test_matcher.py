@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from qtrack.matcher import (
-    EmbeddingSet,
     MatcherParams,
     MatcherVariant,
     count_parameters,
@@ -40,14 +39,14 @@ def test_embed_zero_queries_is_empty():
     p = _params(MatcherVariant.FFN)
     out = embed_queries(np.zeros((0, 6)), p)
     assert len(out) == 0
-    assert out.embeddings.shape == (0, 6)
+    assert out.shape == (0, 6)
 
 
 def test_embed_similarity_is_identity():
     p = _params(MatcherVariant.SIMILARITY)
     q = np.random.default_rng(0).normal(size=(3, 6))
     out = embed_queries(q, p)
-    np.testing.assert_array_equal(out.embeddings, q)
+    np.testing.assert_array_equal(out, q)
 
 
 def test_embed_ffn_matches_straightline_oracle():
@@ -56,8 +55,8 @@ def test_embed_ffn_matches_straightline_oracle():
     out = embed_queries(q, p)
     f = p.shared_ffn
     expected = np.maximum(q @ f.w1.value + f.b1.value, 0.0) @ f.w2.value + f.b2.value
-    np.testing.assert_allclose(out.embeddings, expected, atol=1e-12)
-    np.testing.assert_allclose(out.embeddings, ffn_forward(q, f), atol=1e-15)
+    np.testing.assert_allclose(out, expected, atol=1e-12)
+    np.testing.assert_allclose(out, ffn_forward(q, f), atol=1e-15)
 
 
 def test_embed_dimension_mismatch():
@@ -72,16 +71,14 @@ def test_embed_dimension_mismatch():
 
 def _sets(rng, n_cur, n_hist, d, normalized=False):
     make = _normalized_rows if normalized else _rows
-    cur = EmbeddingSet(make(rng, n_cur, d), [(1, i) for i in range(n_cur)])
-    hist = EmbeddingSet(make(rng, n_hist, d), [(0, i) for i in range(n_hist)])
-    return cur, hist
+    return make(rng, n_cur, d), make(rng, n_hist, d)
 
 
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
 def test_empty_history_forces_null(variant):
     p = _params(variant)
     cur, _ = _sets(np.random.default_rng(0), 3, 0, 6)
-    out = matcher_forward(cur, EmbeddingSet.empty(6), p)
+    out = matcher_forward(cur, np.zeros((0, 6)), p)
     assert out.probabilities.shape == (3, 1)
     np.testing.assert_allclose(out.probabilities, 1.0)
 
@@ -90,7 +87,7 @@ def test_empty_history_forces_null(variant):
 def test_empty_current_gives_empty_matrix(variant):
     p = _params(variant)
     _, hist = _sets(np.random.default_rng(0), 0, 4, 6)
-    out = matcher_forward(EmbeddingSet.empty(6), hist, p)
+    out = matcher_forward(np.zeros((0, 6)), hist, p)
     assert out.probabilities.shape == (0, 5)
 
 
@@ -107,9 +104,7 @@ def test_similarity_variant_picks_identical_embedding():
             v -= (v @ o) / (o @ o) * o
         others.append(v)
     hist_rows = np.vstack([others[0], target, others[1], others[2]])
-    cur = EmbeddingSet(target[None, :].copy(), [(1, 0)])
-    hist = EmbeddingSet(hist_rows, [(0, i) for i in range(4)])
-    out = matcher_forward(cur, hist, p)
+    out = matcher_forward(target[None, :].copy(), hist_rows, p)
     row = out.probabilities[0]
     assert row.argmax() == 1  # the identical history column wins strictly
     assert row[1] > max(v for i, v in enumerate(row) if i != 1)
@@ -131,8 +126,7 @@ def test_history_permutation_permutes_columns(variant):
     cur, hist = _sets(rng, 3, 5, 6)
     out = matcher_forward(cur, hist, p)
     perm = rng.permutation(5)
-    hist_p = EmbeddingSet(hist.embeddings[perm], [hist.provenance[i] for i in perm])
-    out_p = matcher_forward(cur, hist_p, p)
+    out_p = matcher_forward(cur, hist[perm], p)
     np.testing.assert_allclose(out_p.probabilities[:, :5], out.probabilities[:, perm], atol=1e-10)
     np.testing.assert_allclose(out_p.probabilities[:, 5], out.probabilities[:, 5], atol=1e-10)
 
