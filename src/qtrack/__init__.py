@@ -17,7 +17,6 @@ from .data_io import (
     write_trajectories,
 )
 from .matcher import (
-    AssociationMatrix,
     MatcherParams,
     MatcherVariant,
     count_parameters,

@@ -10,7 +10,7 @@ detections. Whatever remains unmatched founds a new trajectory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,61 +51,47 @@ class TrackerConfig:
             raise ValueError("min_track_len must be >= 1")
 
 
-@dataclass
-class _BankEntry:
-    frame: int
-    embedding: np.ndarray
-
-
-@dataclass
-class _LiveTrack:
-    track_id: int
-    entries: list[_BankEntry] = field(default_factory=list)
-    last_seen: int = -1
-
-
 class MemoryBank:
-    """Live trajectories with their embeddings from the last H frames."""
+    """Embeddings of the live trajectories from the last H frames.
 
-    def __init__(self, horizon: int):
+    One row per (trajectory, frame): `embeddings` (R, d_e) with the
+    `track` and `frame` of each row. Rows are grouped by ascending track
+    id, oldest first within a track, which is the order the long-term
+    stage reads them in. A trajectory leaves the bank with its last row.
+    """
+
+    def __init__(self, horizon: int, d_e: int):
         self.horizon = horizon
-        self._tracks: dict[int, _LiveTrack] = {}
-        self._next_id = 1
+        self.embeddings = np.zeros((0, d_e))
+        self.track = np.zeros(0, dtype=np.int64)
+        self.frame = np.zeros(0, dtype=np.int64)
+        self.next_id = 1
 
     def track_ids(self) -> list[int]:
-        return sorted(self._tracks)
+        return np.unique(self.track).tolist()
 
-    def seen_at(self, frame: int) -> list[int]:
-        return sorted(tid for tid, t in self._tracks.items() if t.last_seen == frame)
+    def entries(self, track_id: int) -> np.ndarray:
+        """The trajectory's embedding rows, oldest first."""
+        lo, hi = np.searchsorted(self.track, (track_id, track_id + 1))
+        return self.embeddings[lo:hi]
 
-    def entries(self, track_id: int) -> list[_BankEntry]:
-        return self._tracks[track_id].entries
+    def new_ids(self, count: int) -> list[int]:
+        """Ids for `count` new trajectories, increasing and never reused."""
+        first = self.next_id
+        self.next_id += count
+        return list(range(first, self.next_id))
 
-    def new_track(self, frame: int, embedding: np.ndarray) -> int:
-        tid = self._next_id
-        self._next_id += 1
-        self._tracks[tid] = _LiveTrack(track_id=tid, entries=[_BankEntry(frame, embedding)], last_seen=frame)
-        return tid
+    def update(self, frame: int, track_ids: list[int], embeddings: np.ndarray) -> None:
+        """Add one row per trajectory seen at `frame`, then drop rows at or before frame - H.
 
-    def append(self, track_id: int, frame: int, embedding: np.ndarray) -> None:
-        track = self._tracks[track_id]
-        track.entries.append(_BankEntry(frame, embedding))
-        track.last_seen = frame
-
-    def evict(self, current_frame: int) -> None:
-        """Drop embeddings older than the horizon; empty tracks leave the bank."""
-        cutoff = current_frame - self.horizon
-        dead = []
-        for tid, track in self._tracks.items():
-            track.entries = [e for e in track.entries if e.frame > cutoff]
-            if not track.entries:
-                dead.append(tid)
-        for tid in dead:
-            del self._tracks[tid]
-
-    def oldest_frame(self) -> int | None:
-        frames = [e.frame for t in self._tracks.values() for e in t.entries]
-        return min(frames) if frames else None
+        The stable sort by track id puts each new row last in its track.
+        """
+        keep = self.frame > frame - self.horizon
+        track = np.concatenate((self.track[keep], np.asarray(track_ids, dtype=np.int64)))
+        order = np.argsort(track, kind="stable")
+        self.track = track[order]
+        self.frame = np.concatenate((self.frame[keep], np.full(len(track_ids), frame)))[order]
+        self.embeddings = np.concatenate((self.embeddings[keep], embeddings))[order]
 
 
 @dataclass
@@ -115,9 +101,7 @@ class AssociationOutcome:
     st_matches: list[tuple[int, int, float]]  # (instance index, track id, probability)
     lt_matches: list[tuple[int, int, float]]
     new_tracks: list[int]  # instance indices that found no trajectory
-    unmatched_after_st: list[int]
     embeddings: np.ndarray  # (n, d_e) rows aligned with the input instances
-    scores: dict[int, float]  # winning probability per matched instance
 
 
 def nms(instances: list[ScoredInstance], iou_threshold: float) -> list[ScoredInstance]:
@@ -179,58 +163,45 @@ def associate_frame(
     """
     n = len(instances)
     if n == 0:
-        return AssociationOutcome([], [], [], [], np.zeros((0, model.d_e)), {})
+        return AssociationOutcome([], [], [], np.zeros((0, model.d_e)))
 
     queries = np.stack([inst.record.query for inst in instances])
     current = embed_queries(queries, model.matcher)
 
     st_matches: list[tuple[int, int, float]] = []
 
-    # Stage 1: trajectories seen exactly in the previous frame, whose
-    # newest bank entry is therefore the one from that frame.
-    prev_tracks = bank.seen_at(frame_index - 1)
-    if prev_tracks:
-        hist = np.stack([bank.entries(tid)[-1].embedding for tid in prev_tracks])
-        st = matcher_forward(current, hist, model.matcher, branch="st")
-        st_matches = [
-            (i, prev_tracks[c], p) for i, c, p in _greedy_matches(st.probabilities[:, :-1], config.assoc_threshold)
-        ]
+    # Stage 1: trajectories seen in the previous frame, through their row
+    # from that frame.
+    prev = np.flatnonzero(bank.frame == frame_index - 1)
+    if len(prev):
+        prev_tracks = bank.track[prev].tolist()
+        _, st = matcher_forward(current, bank.embeddings[prev], model.matcher, branch="st")
+        st_matches = [(i, prev_tracks[c], p) for i, c, p in _greedy_matches(st[:, :-1], config.assoc_threshold)]
 
     matched = {i for i, _, _ in st_matches}
-    unmatched_after_st = [i for i in range(n) if i not in matched]
+    leftovers = [i for i in range(n) if i not in matched]
     lt_matches: list[tuple[int, int, float]] = []
 
-    # Stage 2: leftovers against every unclaimed trajectory in the bank.
-    # A trajectory's rows are contiguous, and its score is the maximum
-    # over them.
-    if config.use_lt and unmatched_after_st:
-        claimed = {tid for _, tid, _ in st_matches}
-        lt_tracks = [tid for tid in bank.track_ids() if tid not in claimed]
-        if lt_tracks:
-            rows = []
-            starts = []
-            for tid in lt_tracks:
-                starts.append(len(rows))
-                rows.extend(entry.embedding for entry in bank.entries(tid))
-            lt = matcher_forward(current[unmatched_after_st], np.stack(rows), model.matcher, branch="lt")
-            per_track = np.maximum.reduceat(lt.probabilities[:, :-1], starts, axis=1)
+    # Stage 2: leftovers against the rows of every trajectory ST did not
+    # claim. A trajectory's rows are contiguous, and its score is the
+    # maximum over them.
+    if config.use_lt and leftovers:
+        claimed = np.zeros(bank.next_id, dtype=bool)
+        claimed[[tid for _, tid, _ in st_matches]] = True
+        free = ~claimed[bank.track]
+        track = bank.track[free]
+        if len(track):
+            starts = np.flatnonzero(np.concatenate(([True], track[1:] != track[:-1])))
+            lt_tracks = track[starts].tolist()
+            _, lt = matcher_forward(current[leftovers], bank.embeddings[free], model.matcher, branch="lt")
+            per_track = np.maximum.reduceat(lt[:, :-1], starts, axis=1)
             lt_matches = [
-                (unmatched_after_st[r], lt_tracks[c], p)
-                for r, c, p in _greedy_matches(per_track, config.assoc_threshold)
+                (leftovers[r], lt_tracks[c], p) for r, c, p in _greedy_matches(per_track, config.assoc_threshold)
             ]
 
     matched.update(i for i, _, _ in lt_matches)
-    new_tracks = [i for i in unmatched_after_st if i not in matched]
-    scores = {i: p for i, _, p in st_matches}
-    scores.update({i: p for i, _, p in lt_matches})
-    return AssociationOutcome(
-        st_matches=st_matches,
-        lt_matches=lt_matches,
-        new_tracks=new_tracks,
-        unmatched_after_st=unmatched_after_st,
-        embeddings=current,
-        scores=scores,
-    )
+    new_tracks = [i for i in leftovers if i not in matched]
+    return AssociationOutcome(st_matches, lt_matches, new_tracks, current)
 
 
 def track_sequence(
@@ -243,7 +214,7 @@ def track_sequence(
     Deterministic: identical frames, model and config produce identical
     trajectory ids and contents.
     """
-    bank = MemoryBank(config.history_depth)
+    bank = MemoryBank(config.history_depth, model.d_e)
     head = model.rescoring_head()
     recorded: dict[int, TrajectoryOutput] = {}
 
@@ -252,13 +223,9 @@ def track_sequence(
         kept = nms(filter_instances(frame, head, config.detect_threshold), config.nms_iou)
         outcome = associate_frame(kept, bank, model, config, frame_index=t)
 
-        assignments: list[tuple[int, int]] = [(i, tid) for i, tid, _ in outcome.st_matches]
-        assignments += [(i, tid) for i, tid, _ in outcome.lt_matches]
-        for i, tid in assignments:
-            bank.append(tid, t, outcome.embeddings[i])
-        for i in outcome.new_tracks:
-            tid = bank.new_track(t, outcome.embeddings[i])
-            assignments.append((i, tid))
+        assignments = [(i, tid) for i, tid, _ in outcome.st_matches + outcome.lt_matches]
+        assignments += zip(outcome.new_tracks, bank.new_ids(len(outcome.new_tracks)))
+        bank.update(t, [tid for _, tid in assignments], outcome.embeddings[[i for i, _ in assignments]])
 
         for i, tid in assignments:
             inst = kept[i]
@@ -272,7 +239,6 @@ def track_sequence(
                     text=rec.text,
                 )
             )
-        bank.evict(t)
 
     final = [
         track for track in recorded.values() if len(track.entries) >= config.min_track_len

@@ -52,10 +52,8 @@ __all__ = [
     "MatcherVariant",
     "BranchParams",
     "MatcherParams",
-    "AssociationMatrix",
     "embed_queries",
     "embed_queries_tensor",
-    "association_matrices",
     "association_matrices_tensor",
     "matcher_forward",
     "count_parameters",
@@ -155,18 +153,6 @@ class MatcherParams:
         return out
 
 
-@dataclass
-class AssociationMatrix:
-    """Similarities and row-softmax probabilities, last column = no match."""
-
-    scores: np.ndarray  # (n_cur, n_hist + 1)
-    probabilities: np.ndarray  # same shape, rows sum to 1
-
-    @property
-    def null_column(self) -> int:
-        return self.scores.shape[1] - 1
-
-
 def embed_queries_tensor(queries: Tensor, params: MatcherParams) -> Tensor:
     if params.variant is MatcherVariant.SIMILARITY:
         return queries
@@ -228,13 +214,18 @@ def association_matrices_tensor(
     return scores, softmax_rows(scores)
 
 
-def association_matrices(
-    params: MatcherParams,
+def matcher_forward(
     current: np.ndarray,
     history: np.ndarray,
-    branch: str,
+    params: MatcherParams,
+    branch: str = "st",
 ) -> tuple[np.ndarray, np.ndarray]:
-    """`association_matrices_tensor` on plain arrays, equal to its values bit for bit."""
+    """Match each current row against the history rows + null: (scores, probabilities).
+
+    `current` is an (n_cur, d_e) and `history` an (n_hist, d_e) float64
+    array; both results are (n_cur, n_hist + 1) and equal the values of
+    `association_matrices_tensor` bit for bit.
+    """
     n_cur = current.shape[0]
     n_hist = history.shape[0]
     if n_cur == 0:
@@ -260,20 +251,6 @@ def association_matrices(
 
     scores = np.concatenate([sims * (1.0 / params.temperature), np.full((n_cur, 1), params.null_logit)], axis=1)
     return scores, softmax_rows_array(scores)
-
-
-def matcher_forward(
-    current: np.ndarray,
-    history: np.ndarray,
-    params: MatcherParams,
-    branch: str = "st",
-) -> AssociationMatrix:
-    """Match probabilities of each current row against history rows + null.
-
-    `current` is an (n_cur, d_e) and `history` an (n_hist, d_e) float64 array.
-    """
-    scores, probs = association_matrices(params, current, history, branch)
-    return AssociationMatrix(scores=scores, probabilities=probs)
 
 
 def count_parameters(variant: MatcherVariant, d_q: int, d_e: int, heads: int = 1) -> int:

@@ -101,13 +101,33 @@ def clear_mot(
     pred_tracks: list[TrajectoryOutput],
     cfg: EvalConfig | None = None,
 ) -> MotReport:
+    """CLEAR-MOT counts, MOTA, MOTP and IDF1 of one sequence."""
+    cfg = cfg if cfg is not None else EvalConfig()
+    return _report(_clear_counts(gt_tracks, pred_tracks, cfg), idf1(gt_tracks, pred_tracks, cfg))
+
+
+def _report(counts: tuple[int, int, int, int, int, float], idf1_score: float, per_sequence=None) -> MotReport:
+    """The report of (tp, fp, fn, id switches, gt total, MOTP), with MOTA from them."""
+    tp, fp, fn, idsw, gt_total, motp = counts
+    if gt_total > 0:
+        mota = 1.0 - (fn + fp + idsw) / gt_total
+    else:
+        mota = 1.0 if (fp + idsw) == 0 else None
+    return MotReport(mota, motp, idf1_score, tp, fp, fn, idsw, gt_total, per_sequence or {})
+
+
+def _clear_counts(
+    gt_tracks: list[GroundTruthTrack],
+    pred_tracks: list[TrajectoryOutput],
+    cfg: EvalConfig,
+) -> tuple[int, int, int, int, int, float]:
     """Frame-by-frame CLEAR matching with continuation preference.
 
     A ground truth matched last frame keeps its prediction while the
     pair still overlaps, which avoids counting spurious identity
-    switches when several predictions cover one region.
+    switches when several predictions cover one region. Returns (tp,
+    fp, fn, id switches, gt total, MOTP).
     """
-    cfg = cfg if cfg is not None else EvalConfig()
     thr = cfg.iou_match_threshold
     valid, dontcare = _gt_by_frame(gt_tracks)
     preds = _pred_by_frame(pred_tracks)
@@ -178,21 +198,7 @@ def clear_mot(
         fn += len(gts) - len(matched_gt)
         prev_pairs = {gt_ids[gi]: pr_ids[pi] for gi, pi in matched_gt.items()}
 
-    if gt_total > 0:
-        mota = 1.0 - (fn + fp + idsw) / gt_total
-    else:
-        mota = 1.0 if (fp + idsw) == 0 else None
-    motp = motp_sum / tp if tp > 0 else 0.0
-    return MotReport(
-        mota=mota,
-        motp=motp,
-        idf1=idf1(gt_tracks, pred_tracks, cfg),
-        tp=tp,
-        fp=fp,
-        fn=fn,
-        id_switches=idsw,
-        gt_total=gt_total,
-    )
+    return tp, fp, fn, idsw, gt_total, motp_sum / tp if tp > 0 else 0.0
 
 
 def _discount_dontcare(
@@ -268,7 +274,10 @@ def idf1(
     and IDF1 = 2*IDTP / (total gt frames + total predicted frames).
     """
     cfg = cfg if cfg is not None else EvalConfig()
-    idtp, total_gt, total_pred = _idf1_counts(gt_tracks, pred_tracks, cfg)
+    return _idf1_score(*_idf1_counts(gt_tracks, pred_tracks, cfg))
+
+
+def _idf1_score(idtp: int, total_gt: int, total_pred: int) -> float:
     if total_gt == 0 and total_pred == 0:
         return 1.0
     if total_gt == 0 or total_pred == 0:
@@ -287,44 +296,19 @@ def evaluate_sequences(
     breakdown is kept on the report.
     """
     cfg = cfg if cfg is not None else EvalConfig()
-    tp = fp = fn = idsw = gt_total = 0
+    clear_sum = [0] * 5  # tp, fp, fn, id switches, gt total
     motp_weighted = 0.0
-    idtp_sum = gt_frames = pred_frames = 0
+    idf1_sum = [0] * 3  # IDTP, gt frames, predicted frames
     per_sequence: dict[str, dict] = {}
     for name, (gt_tracks, pred_tracks) in sorted(sequences.items()):
-        report = clear_mot(gt_tracks, pred_tracks, cfg)
-        per_sequence[name] = report.as_dict()
-        tp += report.tp
-        fp += report.fp
-        fn += report.fn
-        idsw += report.id_switches
-        gt_total += report.gt_total
-        motp_weighted += report.motp * report.tp
-        idtp, tg, tp_frames = _idf1_counts(gt_tracks, pred_tracks, cfg)
-        idtp_sum += idtp
-        gt_frames += tg
-        pred_frames += tp_frames
-    if gt_total > 0:
-        mota = 1.0 - (fn + fp + idsw) / gt_total
-    else:
-        mota = 1.0 if (fp + idsw) == 0 else None
-    if gt_frames == 0 and pred_frames == 0:
-        combined_idf1 = 1.0
-    elif gt_frames == 0 or pred_frames == 0:
-        combined_idf1 = 0.0
-    else:
-        combined_idf1 = 2.0 * idtp_sum / (gt_frames + pred_frames)
-    return MotReport(
-        mota=mota,
-        motp=motp_weighted / tp if tp > 0 else 0.0,
-        idf1=combined_idf1,
-        tp=tp,
-        fp=fp,
-        fn=fn,
-        id_switches=idsw,
-        gt_total=gt_total,
-        per_sequence=per_sequence,
-    )
+        counts = _clear_counts(gt_tracks, pred_tracks, cfg)
+        idf1_counts = _idf1_counts(gt_tracks, pred_tracks, cfg)
+        per_sequence[name] = _report(counts, _idf1_score(*idf1_counts)).as_dict()
+        clear_sum = [a + b for a, b in zip(clear_sum, counts)]
+        motp_weighted += counts[5] * counts[0]
+        idf1_sum = [a + b for a, b in zip(idf1_sum, idf1_counts)]
+    tp = clear_sum[0]
+    return _report((*clear_sum, motp_weighted / tp if tp > 0 else 0.0), _idf1_score(*idf1_sum), per_sequence)
 
 
 def detection_prf(

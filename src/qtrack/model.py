@@ -39,25 +39,16 @@ class TrackerModel:
         temperature: float = DEFAULT_TEMPERATURE,
         null_logit: float = DEFAULT_NULL_LOGIT,
         seed: int = 0,
-        classifier: tuple[np.ndarray, float] | None = None,
     ) -> "TrackerModel":
-        """Fresh model; the rescoring head adopts `classifier` when given, else starts neutral."""
+        """Fresh model; the rescoring head starts neutral (zero weight and bias)."""
         rng = np.random.default_rng(seed)
         matcher = MatcherParams.create(
             MatcherVariant(variant), d_q=d_q, d_e=d_e, heads=heads,
             temperature=temperature, null_logit=null_logit, rng=rng,
         )
-        if classifier is not None:
-            weight, bias = classifier
-            weight = np.asarray(weight, dtype=np.float64)
-            if weight.shape != (d_q,):
-                raise ValueError(f"classifier weight shape {weight.shape} does not match d_q {d_q}")
-            head_w, head_b = weight.copy(), float(bias)
-        else:
-            head_w, head_b = np.zeros(d_q), 0.0
         return cls(
-            rescore_weight=Tensor(head_w),
-            rescore_bias=Tensor(np.asarray(head_b)),
+            rescore_weight=Tensor(np.zeros(d_q)),
+            rescore_bias=Tensor(np.asarray(0.0)),
             matcher=matcher,
         )
 

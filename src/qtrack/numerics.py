@@ -15,7 +15,6 @@ finite-difference oracle for every analytic gradient in the package.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,8 +36,6 @@ __all__ = [
     "AttentionParams",
     "LayerNormParams",
     "TransformerLayerParams",
-    "cosine_similarity",
-    "softmax",
     "stable_sigmoid",
     "ffn_tensor",
     "ffn_array",
@@ -194,32 +191,7 @@ class TransformerLayerParams:
 
 
 # ---------------------------------------------------------------------------
-# plain vector ops
-
-
-def cosine_similarity(u: np.ndarray, v: np.ndarray) -> float:
-    """u.v / (|u||v|), 0.0 with a warning when either norm is zero."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape:
-        raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        warnings.warn("cosine_similarity of a zero-norm vector, returning 0", RuntimeWarning, stacklevel=2)
-        return 0.0
-    return float(u @ v / (nu * nv))
-
-
-def softmax(row: np.ndarray) -> np.ndarray:
-    """Probabilities of one score row, computed with max subtraction."""
-    row = np.asarray(row, dtype=np.float64)
-    if row.size == 0:
-        raise ValueError("softmax of an empty row")
-    if not np.all(np.isfinite(row)):
-        raise ValueError("softmax input must be finite")
-    e = np.exp(row - row.max())
-    return e / e.sum()
+# scalar ops
 
 
 def stable_sigmoid(z: float) -> float:

@@ -25,16 +25,6 @@ class RescoringHead:
     weight: np.ndarray  # (d_q,)
     bias: float = 0.0
 
-    @classmethod
-    def neutral(cls, d_q: int) -> "RescoringHead":
-        # zero weight, zero bias: every query scores logistic(0) = 0.5
-        return cls(weight=np.zeros(d_q), bias=0.0)
-
-    @classmethod
-    def from_classifier(cls, weight: np.ndarray, bias: float) -> "RescoringHead":
-        """Adopt an external classifier's parameters verbatim."""
-        return cls(weight=np.asarray(weight, dtype=np.float64).copy(), bias=float(bias))
-
 
 @dataclass
 class ScoredInstance:

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .autodiff import Tensor, concat_rows, log, matmul, pow_const, sigmoid, sum_, take_rows
-from .data_io import BBox, DetectionFrame, GroundTruthTrack, box_array, iou, iou_matrix
+from .data_io import BBox, DetectionFrame, GroundTruthTrack, box_array, iou_matrix
 from .matcher import association_matrices_tensor, embed_queries_tensor
 from .model import TrackerModel
 
@@ -29,7 +29,6 @@ __all__ = [
     "ClipBatch",
     "Video",
     "LossBreakdown",
-    "iou",
     "assign_targets",
     "focal_cost",
     "matching_cost",
@@ -59,14 +58,11 @@ class LossConfig:
     focal_gamma: float = 2.0
     cost_class_weight: float = 2.0  # lambda_c in the matching cost
     cost_box_weight: float = 5.0  # lambda_b in the matching cost
-    cost_class_form: str = "focal"  # or "plain" for 1 - p
 
     def __post_init__(self) -> None:
         for name in ("lambda_res", "lambda_asso", "focal_alpha", "focal_gamma", "cost_class_weight", "cost_box_weight"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
-        if self.cost_class_form not in ("focal", "plain"):
-            raise ValueError(f"cost_class_form must be 'focal' or 'plain', got {self.cost_class_form!r}")
 
 
 @dataclass
@@ -194,10 +190,7 @@ def matching_cost(
     if len(pred_boxes) == 0 or len(gt_boxes) == 0:
         raise ValueError("matching_cost needs nonempty predictions and ground truths")
     p = np.asarray(pred_scores, dtype=np.float64)
-    if cfg.cost_class_form == "focal":
-        cls = focal_cost(p, cfg.focal_alpha, cfg.focal_gamma)
-    else:
-        cls = 1.0 - p
+    cls = focal_cost(p, cfg.focal_alpha, cfg.focal_gamma)
     pb = np.array([b.as_list() for b in pred_boxes])
     gb = np.array([b.as_list() for b in gt_boxes])
     l1 = np.abs(pb[:, None, :] - gb[None, :, :]).sum(axis=2)

@@ -1,9 +1,9 @@
 """The array kernels against the scalar loops they replaced.
 
 `iou_matrix` must equal `iou` bit for bit, and NMS, both association
-stages, target assignment and the CLEAR-MOT / IDF1 pairings must give
-exactly the outcomes of the per-pair Python loops kept below as
-references. The reference association runs the matcher through the
+stages, the memory bank, target assignment and the CLEAR-MOT / IDF1
+pairings must give exactly the outcomes of the per-pair Python loops
+and the dict-of-lists bank kept below as references. The reference association runs the matcher through the
 autodiff tape, so the same streams also hold the plain-array inference
 forward to the tape bit for bit. The streams are seeded and small; the
 grid covers every matcher variant, the long-term stage on and off, and
@@ -11,6 +11,7 @@ forced ties.
 """
 
 import struct
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -41,7 +42,6 @@ from qtrack.data_io import (
 )
 from qtrack.matcher import (
     MatcherVariant,
-    association_matrices,
     association_matrices_tensor,
     embed_queries,
     embed_queries_tensor,
@@ -91,6 +91,62 @@ def ref_greedy_assign(candidates, threshold, free_instances, free_tracks):
     return matched
 
 
+@dataclass
+class _BankEntry:
+    frame: int
+    embedding: np.ndarray
+
+
+@dataclass
+class _LiveTrack:
+    track_id: int
+    entries: list[_BankEntry] = field(default_factory=list)
+    last_seen: int = -1
+
+
+class RefMemoryBank:
+    """The memory bank as a dict of live tracks, each a list of (frame, embedding)."""
+
+    def __init__(self, horizon):
+        self.horizon = horizon
+        self._tracks: dict[int, _LiveTrack] = {}
+        self._next_id = 1
+
+    def track_ids(self):
+        return sorted(self._tracks)
+
+    def seen_at(self, frame):
+        return sorted(tid for tid, t in self._tracks.items() if t.last_seen == frame)
+
+    def entries(self, track_id):
+        return self._tracks[track_id].entries
+
+    def new_track(self, frame, embedding):
+        tid = self._next_id
+        self._next_id += 1
+        self._tracks[tid] = _LiveTrack(track_id=tid, entries=[_BankEntry(frame, embedding)], last_seen=frame)
+        return tid
+
+    def append(self, track_id, frame, embedding):
+        track = self._tracks[track_id]
+        track.entries.append(_BankEntry(frame, embedding))
+        track.last_seen = frame
+
+    def evict(self, current_frame):
+        cutoff = current_frame - self.horizon
+        dead = []
+        for tid, track in self._tracks.items():
+            track.entries = [e for e in track.entries if e.frame > cutoff]
+            if not track.entries:
+                dead.append(tid)
+        for tid in dead:
+            del self._tracks[tid]
+
+    def rows(self):
+        """(track id, frame, embedding) per entry, by track id, then oldest first."""
+        return [(tid, e.frame, e.embedding) for tid in self.track_ids() for e in self.entries(tid)]
+
+
 def ref_probabilities(model, current, history, branch):
     return association_matrices_tensor(model.matcher, Tensor(current), Tensor(history), branch)[1].value
 
@@ -98,7 +154,7 @@ def ref_probabilities(model, current, history, branch):
 def ref_associate_frame(instances, bank, model, config, frame_index):
     n = len(instances)
     if n == 0:
-        return AssociationOutcome([], [], [], [], np.zeros((0, model.d_e)), {})
+        return AssociationOutcome([], [], [], np.zeros((0, model.d_e)))
     queries = np.stack([inst.record.query for inst in instances])
     current = embed_queries_tensor(Tensor(queries), model.matcher).value
     free_instances = set(range(n))
@@ -109,7 +165,6 @@ def ref_associate_frame(instances, bank, model, config, frame_index):
         probs = ref_probabilities(model, current, np.stack(rows), "st")
         candidates = [(float(probs[i, c]), i, tid) for i in range(n) for c, tid in enumerate(prev_tracks)]
         st_matches = ref_greedy_assign(candidates, config.assoc_threshold, free_instances, set(prev_tracks))
-    unmatched_after_st = sorted(free_instances)
     lt_matches = []
     if config.use_lt and free_instances:
         claimed = {tid for _, tid, _ in st_matches}
@@ -128,10 +183,7 @@ def ref_associate_frame(instances, bank, model, config, frame_index):
                     cols = [c for c, t in enumerate(row_tids) if t == tid]
                     candidates.append((float(probs[local_i, cols].max()), inst, tid))
             lt_matches = ref_greedy_assign(candidates, config.assoc_threshold, free_instances, set(lt_tracks))
-    scores = {i: p for i, _, p in st_matches}
-    scores.update({i: p for i, _, p in lt_matches})
-    return AssociationOutcome(st_matches, lt_matches, sorted(free_instances), unmatched_after_st,
-                              current, scores)
+    return AssociationOutcome(st_matches, lt_matches, sorted(free_instances), current)
 
 
 def ref_assign_targets(pred_boxes, gt_boxes):
@@ -382,8 +434,9 @@ def _stream(seed: int, ties: bool):
 
 
 def _track_both(frames, model, config):
-    """Track with the array code, checking every step against the references."""
-    bank = MemoryBank(config.history_depth)
+    """Track with the array code, checking every step and bank against the references."""
+    bank = MemoryBank(config.history_depth, model.d_e)
+    ref_bank = RefMemoryBank(config.history_depth)
     head = model.rescoring_head()
     recorded: dict[int, TrajectoryOutput] = {}
     counts = {"st": 0, "lt": 0}
@@ -393,26 +446,30 @@ def _track_both(frames, model, config):
         kept = nms(scored, config.nms_iou)
         assert [id(k) for k in kept] == [id(k) for k in ref_nms(scored, config.nms_iou)]
         got = associate_frame(kept, bank, model, config, t)
-        want = ref_associate_frame(kept, bank, model, config, t)
+        want = ref_associate_frame(kept, ref_bank, model, config, t)
         assert got.st_matches == want.st_matches
         assert got.lt_matches == want.lt_matches
         assert got.new_tracks == want.new_tracks
-        assert got.unmatched_after_st == want.unmatched_after_st
-        assert got.scores == want.scores
         assert np.array_equal(got.embeddings, want.embeddings)
         counts["st"] += len(got.st_matches)
         counts["lt"] += len(got.lt_matches)
+        new_ids = bank.new_ids(len(got.new_tracks))
         assignments = [(i, tid) for i, tid, _ in got.st_matches + got.lt_matches]
-        for i, tid in assignments:
-            bank.append(tid, t, got.embeddings[i])
-        for i in got.new_tracks:
-            assignments.append((i, bank.new_track(t, got.embeddings[i])))
+        assignments += zip(got.new_tracks, new_ids)
+        bank.update(t, [tid for _, tid in assignments], got.embeddings[[i for i, _ in assignments]])
+        for i, tid, _ in want.st_matches + want.lt_matches:
+            ref_bank.append(tid, t, want.embeddings[i])
+        assert [ref_bank.new_track(t, want.embeddings[i]) for i in want.new_tracks] == new_ids
+        ref_bank.evict(t)
+        want_rows = ref_bank.rows()
+        assert bank.track.tolist() == [tid for tid, _, _ in want_rows]
+        assert bank.frame.tolist() == [f for _, f, _ in want_rows]
+        assert np.array_equal(bank.embeddings, np.reshape([e for _, _, e in want_rows], (-1, model.d_e)))
         for i, tid in assignments:
             rec = kept[i].record
             text = rec.text if (i + t) % 5 else "typo"  # some misreads for spotting mode
             recorded.setdefault(tid, TrajectoryOutput(tid)).entries.append(
                 TrajectoryEntry(t, rec.box, kept[i].fused_score, text=text))
-        bank.evict(t)
     return list(recorded.values()), counts
 
 
@@ -495,13 +552,11 @@ def test_plain_matcher_equals_tape_bitwise(variant, heads, branch, shape):
     history = rng.normal(size=(n_hist, d_e))
     current[list(zero_cur)] = 0.0
     history[list(zero_hist)] = 0.0
-    scores, probs = association_matrices(params, current, history, branch)
+    scores, probs = matcher_forward(current, history, params, branch=branch)
     ref_scores, ref_probs = association_matrices_tensor(params, Tensor(current), Tensor(history), branch)
     assert scores.shape == probs.shape == (n_cur, n_hist + 1)
     assert np.array_equal(scores, ref_scores.value)
     assert np.array_equal(probs, ref_probs.value)
-    out = matcher_forward(current, history, params, branch=branch)
-    assert np.array_equal(out.scores, scores) and np.array_equal(out.probabilities, probs)
 
 
 def test_tracking_builds_no_tensor(monkeypatch):

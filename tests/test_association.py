@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtrack.association import MemoryBank, TrackerConfig, associate_frame, nms, track_sequence
 from qtrack.data_io import BBox, DetectionRecord
 from qtrack.matcher import MatcherVariant
 from qtrack.model import TrackerModel
-from qtrack.rescoring import ScoredInstance
+from qtrack.rescoring import ScoredInstance, filter_instances
 from qtrack.synth import SynthConfig, generate_sequence
 
 
@@ -28,6 +30,13 @@ def _unit(*values):
 
 def _similarity_model(d=4):
     return TrackerModel.create(MatcherVariant.SIMILARITY, d_q=d, d_e=d)
+
+
+def _new_track(bank, frame, embedding):
+    """Found one trajectory at `frame` and return its id."""
+    (tid,) = bank.new_ids(1)
+    bank.update(frame, [tid], np.asarray(embedding, dtype=np.float64)[None, :])
+    return tid
 
 
 # ---------------------------------------------------------------------------
@@ -78,28 +87,33 @@ def test_nms_threshold_validation():
 
 
 def test_bank_eviction_and_finalization():
-    bank = MemoryBank(horizon=2)
-    tid = bank.new_track(0, np.ones(4))
-    bank.append(tid, 1, np.ones(4))
-    bank.evict(1)
+    bank = MemoryBank(horizon=2, d_e=4)
+    tid = _new_track(bank, 0, np.ones(4))
+    bank.update(1, [tid], np.ones((1, 4)))
     assert bank.track_ids() == [tid]
-    bank.evict(3)  # entries at frames 0 and 1 are both older than 3-2
+    assert len(bank.entries(tid)) == 2
+    bank.update(3, [], np.zeros((0, 4)))  # rows at frames 0 and 1 are both at or before 3-2
     assert bank.track_ids() == []
+    assert len(bank.entries(tid)) == 0
 
 
 def test_bank_ids_are_unique_and_increasing():
-    bank = MemoryBank(horizon=5)
-    ids = [bank.new_track(0, np.ones(2)) for _ in range(4)]
+    bank = MemoryBank(horizon=5, d_e=2)
+    ids = [_new_track(bank, 0, np.ones(2)) for _ in range(4)] + bank.new_ids(3)
     assert ids == sorted(set(ids))
 
 
 def test_bank_seen_at():
-    bank = MemoryBank(horizon=5)
-    a = bank.new_track(0, np.ones(2))
-    b = bank.new_track(1, np.ones(2))
-    bank.append(a, 2, np.ones(2))
-    assert bank.seen_at(2) == [a]
-    assert bank.seen_at(1) == [b]
+    bank = MemoryBank(horizon=5, d_e=2)
+    a = _new_track(bank, 0, np.ones(2))
+    b = _new_track(bank, 1, np.ones(2))
+    bank.update(2, [a], np.full((1, 2), 2.0))
+    assert bank.track[bank.frame == 2].tolist() == [a]
+    assert bank.track[bank.frame == 1].tolist() == [b]
+    # rows stay grouped by track, oldest first: the new row is last in a's group
+    assert bank.track.tolist() == [a, a, b]
+    assert bank.frame.tolist() == [0, 2, 1]
+    assert np.array_equal(bank.entries(a), [[1.0, 1.0], [2.0, 2.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -108,39 +122,36 @@ def test_bank_seen_at():
 
 def test_empty_bank_creates_new_tracks():
     model = _similarity_model()
-    bank = MemoryBank(horizon=5)
+    bank = MemoryBank(horizon=5, d_e=4)
     instances = [_instance(_unit(1, 0, 0, 0)), _instance(_unit(0, 1, 0, 0), box=(20, 0, 30, 10))]
     outcome = associate_frame(instances, bank, model, TrackerConfig(), frame_index=0)
     assert outcome.st_matches == [] and outcome.lt_matches == []
     assert outcome.new_tracks == [0, 1]
-    assert outcome.unmatched_after_st == [0, 1]
 
 
 def test_stage_ordering_st_wins_before_lt():
     model = _similarity_model()
-    bank = MemoryBank(horizon=5)
+    bank = MemoryBank(horizon=5, d_e=4)
     q = _unit(1, 0, 0, 0)
-    tid = bank.new_track(4, q)  # seen at t-1
+    tid = _new_track(bank, 4, q)  # seen at t-1
     outcome = associate_frame([_instance(q, frame=5)], bank, model, TrackerConfig(), frame_index=5)
     assert len(outcome.st_matches) == 1
     inst, matched_tid, prob = outcome.st_matches[0]
     assert (inst, matched_tid) == (0, tid)
     assert prob >= 0.2
     assert outcome.lt_matches == [] and outcome.new_tracks == []
-    assert outcome.unmatched_after_st == []
 
 
 def test_lt_recovers_when_st_fails():
     """Low short-term probability, high long-term probability: the missed-detection path."""
     model = _similarity_model()
-    bank = MemoryBank(horizon=5)
+    bank = MemoryBank(horizon=5, d_e=4)
     q = _unit(1, 0, 0, 0)
     # trajectory A was seen at t-1 but points the other way; B is older and matches
-    a = bank.new_track(4, -q)
-    b = bank.new_track(2, q)
+    a = _new_track(bank, 4, -q)
+    b = _new_track(bank, 2, q)
     outcome = associate_frame([_instance(q, frame=5)], bank, model, TrackerConfig(), frame_index=5)
-    assert outcome.st_matches == []
-    assert outcome.unmatched_after_st == [0]
+    assert outcome.st_matches == []  # so instance 0 reaches the long-term stage
     assert len(outcome.lt_matches) == 1
     inst, matched_tid, prob = outcome.lt_matches[0]
     assert (inst, matched_tid) == (0, b)
@@ -151,10 +162,10 @@ def test_lt_recovers_when_st_fails():
 def test_partition_and_one_instance_per_trajectory():
     rng = np.random.default_rng(0)
     model = _similarity_model(d=8)
-    bank = MemoryBank(horizon=5)
+    bank = MemoryBank(horizon=5, d_e=8)
     for f in range(3):
         for _ in range(2):
-            bank.new_track(f, rng.normal(size=8))
+            _new_track(bank, f, rng.normal(size=8))
     instances = [
         _instance(rng.normal(size=8), box=(i * 20, 0, i * 20 + 10, 10), frame=3) for i in range(5)
     ]
@@ -171,9 +182,9 @@ def test_partition_and_one_instance_per_trajectory():
 
 def test_st_only_config_never_consults_lt():
     model = _similarity_model()
-    bank = MemoryBank(horizon=5)
+    bank = MemoryBank(horizon=5, d_e=4)
     q = _unit(1, 0, 0, 0)
-    bank.new_track(2, q)  # only reachable through the long-term stage
+    _new_track(bank, 2, q)  # only reachable through the long-term stage
     cfg = TrackerConfig(use_lt=False)
     outcome = associate_frame([_instance(q, frame=5)], bank, model, cfg, frame_index=5)
     assert outcome.lt_matches == []
@@ -237,21 +248,68 @@ def test_bank_never_holds_stale_embeddings():
     dets, _ = _noiseless_frames(frames=10, tracks=2, seed=3)
     model = _similarity_model(d=16)
     config = TrackerConfig()
-    bank = MemoryBank(config.history_depth)
-    from qtrack.association import nms as run_nms
-    from qtrack.rescoring import filter_instances
-
+    bank = MemoryBank(config.history_depth, model.d_e)
     head = model.rescoring_head()
     for frame in dets:
-        kept = run_nms(filter_instances(frame, head, config.detect_threshold), config.nms_iou)
+        kept = nms(filter_instances(frame, head, config.detect_threshold), config.nms_iou)
         outcome = associate_frame(kept, bank, model, config, frame.frame_index)
-        for i, tid, _ in outcome.st_matches + outcome.lt_matches:
-            bank.append(tid, frame.frame_index, outcome.embeddings[i])
-        for i in outcome.new_tracks:
-            bank.new_track(frame.frame_index, outcome.embeddings[i])
-        bank.evict(frame.frame_index)
-        oldest = bank.oldest_frame()
-        assert oldest is None or oldest > frame.frame_index - config.history_depth
+        assignments = [(i, tid) for i, tid, _ in outcome.st_matches + outcome.lt_matches]
+        assignments += zip(outcome.new_tracks, bank.new_ids(len(outcome.new_tracks)))
+        bank.update(frame.frame_index, [tid for _, tid in assignments],
+                    outcome.embeddings[[i for i, _ in assignments]])
+        assert len(bank.frame) == 0 or bank.frame.min() > frame.frame_index - config.history_depth
+
+
+_MODELS = {v: TrackerModel.create(v, d_q=8, d_e=8, seed=3) for v in MatcherVariant}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    variant=st.sampled_from(list(MatcherVariant)),
+    use_lt=st.booleans(),
+    history=st.integers(min_value=1, max_value=4),
+    dropped=st.sets(st.integers(min_value=0, max_value=11), max_size=4),
+)
+def test_tracking_invariants_on_synthetic_streams(seed, variant, use_lt, history, dropped):
+    cfg = SynthConfig(frames=12, tracks=5, d_q=8, noise_sigma=0.4, miss_prob=0.3, fp_rate=1.0, seed=seed)
+    _, frames, _ = generate_sequence(cfg)
+    frames = [f for f in frames if f.frame_index not in dropped]  # gaps in the stream
+    model = _MODELS[variant]
+    config = TrackerConfig(history_depth=history, use_lt=use_lt)
+    bank = MemoryBank(config.history_depth, model.d_e)
+    head = model.rescoring_head()
+    last_id = 0
+    for frame in frames:
+        t = frame.frame_index
+        kept = nms(filter_instances(frame, head, config.detect_threshold), config.nms_iou)
+        outcome = associate_frame(kept, bank, model, config, t)
+
+        # every kept instance lands in exactly one of ST, LT or new
+        buckets = [i for i, _, _ in outcome.st_matches] + [i for i, _, _ in outcome.lt_matches] + outcome.new_tracks
+        assert sorted(buckets) == list(range(len(kept)))
+        # no trajectory gets two instances in one frame, and none is a new id
+        tids = [tid for _, tid, _ in outcome.st_matches + outcome.lt_matches]
+        assert len(tids) == len(set(tids))
+        assert all(tid in bank.track_ids() for tid in tids)
+        if not use_lt:
+            assert outcome.lt_matches == []
+
+        new_ids = bank.new_ids(len(outcome.new_tracks))
+        assert new_ids == list(range(last_id + 1, last_id + 1 + len(new_ids)))  # unique and increasing
+        last_id += len(new_ids)
+        assignments = [(i, tid) for i, tid, _ in outcome.st_matches + outcome.lt_matches]
+        assignments += zip(outcome.new_tracks, new_ids)
+        bank.update(t, [tid for _, tid in assignments], outcome.embeddings[[i for i, _ in assignments]])
+
+        # rows grouped by ascending track id, frames ascending within a track, none at or before t - H
+        same_track = bank.track[1:] == bank.track[:-1]
+        assert np.all(bank.track[1:] >= bank.track[:-1])
+        assert np.all(bank.frame[1:][same_track] > bank.frame[:-1][same_track])
+        assert np.all(bank.frame > t - history)
+        assert len(bank.track) == len(bank.frame) == len(bank.embeddings)
+        assert sum(len(bank.entries(tid)) for tid in bank.track_ids()) == len(bank.track)
+        assert set(bank.track[bank.frame == t].tolist()) == {tid for _, tid in assignments}
 
 
 def test_track_sequence_deterministic():

@@ -50,6 +50,15 @@ def test_unknown_config_key_rejected(tmp_path):
     assert main(["gen", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
 
 
+def test_removed_cost_class_form_key_rejected(tmp_path, capsys):
+    # the matching cost's class term is always the focal cost; the key that chose it is gone
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps({"loss": {"cost_class_form": "focal"}}))
+    assert main(["train", "--config", str(cfg_path), "--data", str(tmp_path), "--out", str(tmp_path / "o")]) == 1
+    parsed = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert "cost_class_form" in parsed["error"]
+
+
 def test_unknown_section_rejected(tmp_path, capsys):
     cfg_path = tmp_path / "c.json"
     cfg_path.write_text(json.dumps({"nope": {}}))

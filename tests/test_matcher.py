@@ -78,17 +78,17 @@ def _sets(rng, n_cur, n_hist, d, normalized=False):
 def test_empty_history_forces_null(variant):
     p = _params(variant)
     cur, _ = _sets(np.random.default_rng(0), 3, 0, 6)
-    out = matcher_forward(cur, np.zeros((0, 6)), p)
-    assert out.probabilities.shape == (3, 1)
-    np.testing.assert_allclose(out.probabilities, 1.0)
+    _, probs = matcher_forward(cur, np.zeros((0, 6)), p)
+    assert probs.shape == (3, 1)
+    np.testing.assert_allclose(probs, 1.0)
 
 
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
 def test_empty_current_gives_empty_matrix(variant):
     p = _params(variant)
     _, hist = _sets(np.random.default_rng(0), 0, 4, 6)
-    out = matcher_forward(np.zeros((0, 6)), hist, p)
-    assert out.probabilities.shape == (0, 5)
+    _, probs = matcher_forward(np.zeros((0, 6)), hist, p)
+    assert probs.shape == (0, 5)
 
 
 def test_similarity_variant_picks_identical_embedding():
@@ -104,8 +104,8 @@ def test_similarity_variant_picks_identical_embedding():
             v -= (v @ o) / (o @ o) * o
         others.append(v)
     hist_rows = np.vstack([others[0], target, others[1], others[2]])
-    out = matcher_forward(target[None, :].copy(), hist_rows, p)
-    row = out.probabilities[0]
+    _, probs = matcher_forward(target[None, :].copy(), hist_rows, p)
+    row = probs[0]
     assert row.argmax() == 1  # the identical history column wins strictly
     assert row[1] > max(v for i, v in enumerate(row) if i != 1)
 
@@ -114,9 +114,9 @@ def test_similarity_variant_picks_identical_embedding():
 def test_rows_sum_to_one(variant):
     p = _params(variant)
     cur, hist = _sets(np.random.default_rng(3), 4, 5, 6)
-    out = matcher_forward(cur, hist, p)
-    np.testing.assert_allclose(out.probabilities.sum(axis=1), 1.0, atol=1e-12)
-    assert out.probabilities.shape == (4, 6)  # null column appended
+    _, probs = matcher_forward(cur, hist, p)
+    np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
+    assert probs.shape == (4, 6)  # null column appended
 
 
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
@@ -124,20 +124,20 @@ def test_history_permutation_permutes_columns(variant):
     rng = np.random.default_rng(4)
     p = _params(variant)
     cur, hist = _sets(rng, 3, 5, 6)
-    out = matcher_forward(cur, hist, p)
+    _, probs = matcher_forward(cur, hist, p)
     perm = rng.permutation(5)
-    out_p = matcher_forward(cur, hist[perm], p)
-    np.testing.assert_allclose(out_p.probabilities[:, :5], out.probabilities[:, perm], atol=1e-10)
-    np.testing.assert_allclose(out_p.probabilities[:, 5], out.probabilities[:, 5], atol=1e-10)
+    _, probs_p = matcher_forward(cur, hist[perm], p)
+    np.testing.assert_allclose(probs_p[:, :5], probs[:, perm], atol=1e-10)
+    np.testing.assert_allclose(probs_p[:, 5], probs[:, 5], atol=1e-10)
 
 
 def test_similarity_variant_bit_for_bit_deterministic():
     p = _params(MatcherVariant.SIMILARITY)
     cur, hist = _sets(np.random.default_rng(5), 3, 4, 6)
-    a = matcher_forward(cur, hist, p)
-    b = matcher_forward(cur, hist, p)
-    assert np.array_equal(a.probabilities, b.probabilities)
-    assert np.array_equal(a.scores, b.scores)
+    scores_a, probs_a = matcher_forward(cur, hist, p)
+    scores_b, probs_b = matcher_forward(cur, hist, p)
+    assert np.array_equal(probs_a, probs_b)
+    assert np.array_equal(scores_a, scores_b)
 
 
 def test_transformer_degenerates_to_crossattn_with_identity_encoder():
@@ -163,9 +163,9 @@ def test_transformer_degenerates_to_crossattn_with_identity_encoder():
             td.value[...] = ta.value
 
     cur, hist = _sets(rng, 3, 4, d, normalized=True)
-    out_a = matcher_forward(cur, hist, pa)
-    out_d = matcher_forward(cur, hist, pd)
-    np.testing.assert_allclose(out_a.probabilities, out_d.probabilities, atol=1e-6)
+    _, probs_a = matcher_forward(cur, hist, pa)
+    _, probs_d = matcher_forward(cur, hist, pd)
+    np.testing.assert_allclose(probs_a, probs_d, atol=1e-6)
 
 
 # ---------------------------------------------------------------------------

@@ -36,16 +36,18 @@ def test_parameter_order_matches_declared_count(variant):
 
 
 def test_classifier_seed_initialization():
+    # a fresh head is neutral; seeding its tensors with a classifier's
+    # parameters carries them into the head that tracking uses
     w = np.arange(5, dtype=np.float64)
-    model = TrackerModel.create(MatcherVariant.FFN, d_q=5, d_e=4, classifier=(w, -1.5))
+    model = TrackerModel.create(MatcherVariant.FFN, d_q=5, d_e=4)
+    head = model.rescoring_head()
+    np.testing.assert_array_equal(head.weight, np.zeros(5))
+    assert head.bias == 0.0
+    model.rescore_weight.value[...] = w
+    model.rescore_bias.value[...] = -1.5
     head = model.rescoring_head()
     np.testing.assert_array_equal(head.weight, w)
     assert head.bias == -1.5
-
-
-def test_classifier_shape_mismatch():
-    with pytest.raises(ValueError):
-        TrackerModel.create(MatcherVariant.FFN, d_q=5, d_e=4, classifier=(np.zeros(3), 0.0))
 
 
 def test_load_rejects_wrong_format(tmp_path):

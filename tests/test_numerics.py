@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qtrack.autodiff import Tensor, pow_const, sum_
+from qtrack.autodiff import Tensor, pow_const, softmax_rows, sum_
 from qtrack.numerics import (
     AttentionParams,
     FfnParams,
@@ -13,40 +13,51 @@ from qtrack.numerics import (
     TransformerLayerParams,
     attention_forward,
     check_gradients,
-    cosine_similarity,
+    cosine_matrix_array,
+    cosine_matrix_tensor,
     decoder_layer_tensor,
     encoder_layer_tensor,
     ffn_forward,
-    softmax,
+    softmax_rows_array,
 )
 
 
 # ---------------------------------------------------------------------------
-# cosine similarity
+# cosine similarity (the cosine matrix of single rows, plain and tape)
+
+
+def _cosine(u, v):
+    """`cosine_matrix_array` of one row against one row, equal to its tape twin."""
+    a, b = np.atleast_2d(u), np.atleast_2d(v)
+    got = cosine_matrix_array(a, b)
+    assert np.array_equal(got, cosine_matrix_tensor(Tensor(a), Tensor(b)).value)
+    return float(got[0, 0])
 
 
 def test_cosine_identical_vectors():
-    assert cosine_similarity(np.array([1.0, 2.0, 3.0]), np.array([1.0, 2.0, 3.0])) == pytest.approx(1.0)
+    assert _cosine(np.array([1.0, 2.0, 3.0]), np.array([1.0, 2.0, 3.0])) == pytest.approx(1.0)
 
 
 def test_cosine_orthogonal():
-    assert cosine_similarity(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == pytest.approx(0.0)
+    assert _cosine(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == pytest.approx(0.0)
 
 
 def test_cosine_hand_value():
     # (1,0).(1,1) / (1 * sqrt(2)) = 1/sqrt(2)
-    got = cosine_similarity(np.array([1.0, 0.0]), np.array([1.0, 1.0]))
+    got = _cosine(np.array([1.0, 0.0]), np.array([1.0, 1.0]))
     assert got == pytest.approx(0.70710678, abs=1e-8)
 
 
-def test_cosine_zero_norm_warns_and_returns_zero():
-    with pytest.warns(RuntimeWarning):
-        assert cosine_similarity(np.zeros(3), np.ones(3)) == 0.0
+def test_cosine_zero_norm_returns_zero():
+    assert _cosine(np.zeros(3), np.ones(3)) == 0.0
+    assert _cosine(np.ones(3), np.zeros(3)) == 0.0
 
 
 def test_cosine_dimension_mismatch():
     with pytest.raises(ValueError):
-        cosine_similarity(np.ones(3), np.ones(4))
+        cosine_matrix_array(np.ones((1, 3)), np.ones((1, 4)))
+    with pytest.raises(ValueError):
+        cosine_matrix_tensor(Tensor(np.ones((1, 3))), Tensor(np.ones((1, 4))))
 
 
 def test_cosine_properties_random():
@@ -54,41 +65,51 @@ def test_cosine_properties_random():
     for _ in range(50):
         u = rng.normal(size=8)
         v = rng.normal(size=8)
-        c = cosine_similarity(u, v)
+        c = _cosine(u, v)
         assert abs(c) <= 1.0 + 1e-12
-        assert c == pytest.approx(cosine_similarity(v, u))
-        assert cosine_similarity(u, u) == pytest.approx(1.0)
+        assert c == pytest.approx(_cosine(v, u))
+        assert _cosine(u, u) == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------------------
-# softmax
+# softmax (single rows through the row softmax, plain and tape)
+
+
+def _softmax(row):
+    """`softmax_rows_array` of one row, equal to its tape twin."""
+    a = np.atleast_2d(np.asarray(row, dtype=np.float64))
+    got = softmax_rows_array(a)
+    assert np.array_equal(got, softmax_rows(Tensor(a)).value)
+    return got[0]
 
 
 def test_softmax_singleton():
-    np.testing.assert_allclose(softmax(np.array([3.7])), [1.0])
+    np.testing.assert_allclose(_softmax(np.array([3.7])), [1.0])
 
 
 def test_softmax_symmetry():
-    np.testing.assert_allclose(softmax(np.array([2.2, 2.2])), [0.5, 0.5])
+    np.testing.assert_allclose(_softmax(np.array([2.2, 2.2])), [0.5, 0.5])
 
 
 def test_softmax_hand_value():
-    np.testing.assert_allclose(softmax(np.array([0.0, math.log(3.0)])), [0.25, 0.75], atol=1e-12)
+    np.testing.assert_allclose(_softmax(np.array([0.0, math.log(3.0)])), [0.25, 0.75], atol=1e-12)
 
 
 def test_softmax_empty_errors():
     with pytest.raises(ValueError):
-        softmax(np.array([]))
+        softmax_rows_array(np.zeros((1, 0)))
+    with pytest.raises(ValueError):
+        softmax_rows(Tensor(np.zeros((1, 0))))
 
 
 def test_softmax_sum_and_shift_invariance():
     rng = np.random.default_rng(1)
     for _ in range(30):
         row = rng.normal(scale=50.0, size=6)
-        y = softmax(row)
+        y = _softmax(row)
         assert abs(y.sum() - 1.0) <= 1e-12
         assert np.all(y > 0)
-        np.testing.assert_allclose(softmax(row + 123.456), y, atol=1e-12)
+        np.testing.assert_allclose(_softmax(row + 123.456), y, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

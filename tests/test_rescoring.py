@@ -19,7 +19,7 @@ def _record(query, score=0.5, frame=0):
 
 
 def test_rescore_neutral_head_gives_half():
-    head = RescoringHead.neutral(3)
+    head = RescoringHead(weight=np.zeros(3))
     assert rescore(_record([1, 2, 3]), head) == pytest.approx(0.5)
 
 
@@ -35,7 +35,7 @@ def test_rescore_hand_value():
 
 
 def test_rescore_dimension_mismatch():
-    head = RescoringHead.neutral(4)
+    head = RescoringHead(weight=np.zeros(4))
     with pytest.raises(ValueError):
         rescore(_record([1.0, 2.0]), head)
 
@@ -54,7 +54,7 @@ def test_filter_all_below_threshold():
 
 def test_filter_threshold_zero_keeps_all():
     frame = DetectionFrame(0, [_record([0, 0], score=0.0), _record([1, 1], score=0.99)])
-    head = RescoringHead.neutral(2)
+    head = RescoringHead(weight=np.zeros(2))
     kept = filter_instances(frame, head, 0.0)
     assert len(kept) == 2
     assert [k.record.score for k in kept] == [0.0, 0.99]  # order preserved
@@ -99,7 +99,7 @@ def test_disabled_head_keeps_subset():
 def test_classifier_initialization_reproduces_scores():
     rng = np.random.default_rng(2)
     w, b = rng.normal(size=5), 0.3
-    head = RescoringHead.from_classifier(w, b)
+    head = RescoringHead(weight=w.copy(), bias=b)
     for _ in range(20):
         q = rng.normal(size=5)
         expected = 1.0 / (1.0 + math.exp(-(q @ w + b)))

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from qtrack.autodiff import Tensor
-from qtrack.data_io import BBox
+from qtrack.data_io import BBox, iou
 from qtrack.matcher import MatcherVariant
 from qtrack.model import TrackerModel
-from qtrack.numerics import softmax
+from qtrack.numerics import softmax_rows_array
 from qtrack.synth import SynthConfig, generate_sequence
 from qtrack.training import (
     LossConfig,
@@ -19,8 +19,8 @@ from qtrack.training import (
     assign_targets,
     build_clip,
     combine_losses,
+    focal_cost,
     hungarian_match,
-    iou,
     long_term_loss,
     matching_cost,
     rescoring_loss,
@@ -41,7 +41,7 @@ def brute_force_min_cost(cost: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# iou (re-exported geometry)
+# iou (the geometry behind target assignment)
 
 
 def test_iou_examples():
@@ -110,10 +110,13 @@ def test_matching_cost_direct_evaluation():
     np.testing.assert_allclose(cost[0, 0], 2.0 * cls + 5.0 * 0.1, atol=1e-9)
 
 
-def test_matching_cost_plain_form():
-    cfg = LossConfig(cost_class_weight=1.0, cost_box_weight=0.0, cost_class_form="plain")
+def test_matching_cost_class_term_alone():
+    cfg = LossConfig(cost_class_weight=1.0, cost_box_weight=0.0)
     cost = matching_cost(np.array([0.8]), [BBox(0, 0, 1, 1)], [BBox(0, 0, 1, 1)], cfg)
-    np.testing.assert_allclose(cost[0, 0], 0.2)
+    alpha, gamma = 0.25, 2.0
+    cls = alpha * 0.2**gamma * -math.log(0.8 + 1e-12) - (1 - alpha) * 0.8**gamma * -math.log(0.2 + 1e-12)
+    np.testing.assert_allclose(cost[0, 0], cls, atol=1e-12)
+    np.testing.assert_allclose(cost[0, 0], focal_cost(np.array(0.8), alpha, gamma), atol=1e-15)
 
 
 def test_hungarian_1x1():
@@ -240,9 +243,9 @@ def test_argmax_invariant_under_row_scaling():
     rng = np.random.default_rng(2)
     for _ in range(30):
         row = rng.normal(size=6)
-        base = softmax(row).argmax()
+        base = softmax_rows_array(row[None, :]).argmax()
         for c in (0.5, 2.0, 10.0):
-            assert softmax(row * c).argmax() == base
+            assert softmax_rows_array(row[None, :] * c).argmax() == base
 
 
 # ---------------------------------------------------------------------------
