@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import attrgetter
 from typing import Iterable
 
 import numpy as np
@@ -22,6 +24,7 @@ __all__ = [
     "BBox",
     "iou",
     "iou_matrix",
+    "iou_pairs",
     "box_array",
     "polygon_envelope",
     "DetectionRecord",
@@ -59,6 +62,10 @@ class AnnotationFormatError(DataFormatError):
     pass
 
 
+class _Invalid(DataFormatError):
+    """What is wrong with one record, before the caller names the file and line."""
+
+
 @dataclass(frozen=True)
 class BBox:
     """Axis-aligned box in pixels, corners ordered (x_min, y_min, x_max, y_max)."""
@@ -77,12 +84,6 @@ class BBox:
     def as_list(self) -> list[float]:
         return [self.x_min, self.y_min, self.x_max, self.y_max]
 
-    @classmethod
-    def from_list(cls, values) -> "BBox":
-        if len(values) != 4:
-            raise DataFormatError(f"box needs 4 values, got {len(values)}")
-        return cls(*(float(v) for v in values))
-
 
 def iou(a: BBox, b: BBox) -> float:
     """Intersection area over union area of two boxes, in [0, 1]."""
@@ -97,23 +98,36 @@ def iou(a: BBox, b: BBox) -> float:
     return inter / union
 
 
+_corners = attrgetter("x_min", "y_min", "x_max", "y_max")
+
+
 def box_array(boxes: Iterable[BBox]) -> np.ndarray:
     """Boxes as an (n, 4) float64 array of (x_min, y_min, x_max, y_max) rows."""
-    rows = [(b.x_min, b.y_min, b.x_max, b.y_max) for b in boxes]
-    return np.array(rows, dtype=np.float64).reshape(len(rows), 4)
+    return np.fromiter(chain.from_iterable(map(_corners, boxes)), np.float64).reshape(-1, 4)
 
 
 def iou_matrix(a, b) -> np.ndarray:
     """Pairwise IoU of (n, 4) and (m, 4) box arrays as an (n, m) matrix.
 
-    Repeats the float operations of `iou` in the same order, so every
-    entry equals the scalar result bit for bit. Inputs are cast to
-    float64 first, as `BBox.from_list` does. Either side may have 0 rows.
+    Inputs are cast to float64 first, as the parsers cast box values.
+    Either side may have 0 rows.
     """
     a = np.asarray(a, dtype=np.float64).reshape(-1, 4)
     b = np.asarray(b, dtype=np.float64).reshape(-1, 4)
-    ax0, ay0, ax1, ay1 = (a[:, k, None] for k in range(4))
-    bx0, by0, bx1, by1 = b.T
+    return _iou_columns(*(a[:, k, None] for k in range(4)), *b.T)
+
+
+def iou_pairs(a, b) -> np.ndarray:
+    """IoU of row i of `a` with row i of `b`, for two (n, 4) float64 box arrays."""
+    return _iou_columns(*a.T, *b.T)
+
+
+def _iou_columns(ax0, ay0, ax1, ay1, bx0, by0, bx1, by1) -> np.ndarray:
+    """The one IoU kernel, on corner columns that broadcast against each other.
+
+    Repeats the float operations of `iou` in the same order, so every
+    value equals the scalar result bit for bit.
+    """
     ix = np.minimum(ax1, bx1) - np.maximum(ax0, bx0)
     iy = np.minimum(ay1, by1) - np.maximum(ay0, by0)
     area_a = np.maximum(0.0, ax1 - ax0) * np.maximum(0.0, ay1 - ay0)
@@ -205,39 +219,65 @@ def _norm_text(value) -> str | None:
     return str(value).strip()
 
 
-def _parse_box(raw, where: str, err: type[DataFormatError] = DataFormatError) -> BBox:
+def _parse_box(raw) -> BBox:
     try:
-        return BBox.from_list(raw)
+        x_min, y_min, x_max, y_max = raw
+        return BBox(float(x_min), float(y_min), float(x_max), float(y_max))
     except (TypeError, ValueError):
-        raise err(f"{where}: field 'box' must be a list of 4 numbers, got {raw!r}") from None
+        raise _Invalid(f"field 'box' must be a list of 4 numbers, got {raw!r}") from None
 
 
-def _parse_float(raw, name: str, where: str, err: type[DataFormatError] = DataFormatError) -> float:
+def _parse_float(raw, name: str) -> float:
     try:
         return float(raw)
     except (TypeError, ValueError):
-        raise err(f"{where}: field {name!r} must be a number, got {raw!r}") from None
+        raise _Invalid(f"field {name!r} must be a number, got {raw!r}") from None
 
 
-def _parse_polygon(raw, where: str, err: type[DataFormatError] = DataFormatError) -> list[tuple[float, float]]:
+def _parse_polygon(raw) -> list[tuple[float, float]]:
     try:
         points = [(float(p[0]), float(p[1])) for p in raw]
     except (TypeError, ValueError, IndexError):
-        raise err(f"{where}: malformed polygon") from None
+        raise _Invalid("malformed polygon") from None
     if len(points) < 3:
-        raise err(f"{where}: polygon needs at least 3 points")
+        raise _Invalid("polygon needs at least 3 points")
     return points
 
 
-def _check_envelope(polygon, box: BBox, where: str, err: type[DataFormatError] = DataFormatError) -> None:
-    env = polygon_envelope(polygon)
-    if max(
-        abs(env.x_min - box.x_min),
-        abs(env.y_min - box.y_min),
-        abs(env.x_max - box.x_max),
-        abs(env.y_max - box.y_max),
-    ) > 1e-6:
-        raise err(f"{where}: polygon envelope does not match box")
+def _check_envelope(polygon, box: BBox) -> None:
+    if max(abs(e - b) for e, b in zip(polygon_envelope(polygon).as_list(), box.as_list())) > 1e-6:
+        raise _Invalid("polygon envelope does not match box")
+
+
+def _stream_record(line: str, d_q: int) -> DetectionRecord:
+    try:
+        raw = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise _Invalid(f"bad record JSON ({exc.msg})") from None
+    if not isinstance(raw, dict):
+        raise _Invalid("record must be an object")
+    for key in ("frame", "box", "score", "query"):
+        if key not in raw:
+            raise _Invalid(f"missing field {key!r}")
+    frame_idx = raw["frame"]
+    if not isinstance(frame_idx, int) or frame_idx < 0:
+        raise _Invalid("field 'frame' must be a nonnegative integer")
+    box = _parse_box(raw["box"])
+    if not box.is_valid():
+        raise _Invalid(f"field 'box' is degenerate ({raw['box']})")
+    score = _parse_float(raw["score"], "score")
+    if not 0.0 <= score <= 1.0:
+        raise _Invalid(f"field 'score' out of range [0,1] ({score})")
+    query = np.asarray(raw["query"], dtype=np.float64)
+    if query.ndim != 1 or query.size != d_q:
+        raise _Invalid(f"field 'query' has dim {query.size}, header d_q is {d_q}")
+    if not np.isfinite(query).all():
+        raise _Invalid("field 'query' contains non-finite values")
+    polygon = None
+    if raw.get("poly") is not None:
+        polygon = _parse_polygon(raw["poly"])
+        _check_envelope(polygon, box)
+    return DetectionRecord(frame_idx, query, box, score, polygon, _norm_text(raw.get("text")))
 
 
 def parse_detection_stream(path) -> tuple[StreamHeader, list[DetectionFrame]]:
@@ -268,46 +308,15 @@ def parse_detection_stream(path) -> tuple[StreamHeader, list[DetectionFrame]]:
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        where = f"{path}:{lineno}"
         try:
-            raw = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise StreamFormatError(f"{where}: bad record JSON ({exc.msg})") from None
-        if not isinstance(raw, dict):
-            raise StreamFormatError(f"{where}: record must be an object")
-        for key in ("frame", "box", "score", "query"):
-            if key not in raw:
-                raise StreamFormatError(f"{where}: missing field {key!r}")
-        frame_idx = raw["frame"]
-        if not isinstance(frame_idx, int) or frame_idx < 0:
-            raise StreamFormatError(f"{where}: field 'frame' must be a nonnegative integer")
-        box = _parse_box(raw["box"], where, StreamFormatError)
-        if not box.is_valid():
-            raise StreamFormatError(f"{where}: field 'box' is degenerate ({raw['box']})")
-        score = _parse_float(raw["score"], "score", where, StreamFormatError)
-        if not 0.0 <= score <= 1.0:
-            raise StreamFormatError(f"{where}: field 'score' out of range [0,1] ({score})")
-        query = np.asarray(raw["query"], dtype=np.float64)
-        if query.ndim != 1 or query.size != header.d_q:
-            raise StreamFormatError(f"{where}: field 'query' has dim {query.size}, header d_q is {header.d_q}")
-        if not np.all(np.isfinite(query)):
-            raise StreamFormatError(f"{where}: field 'query' contains non-finite values")
-        polygon = None
-        if raw.get("poly") is not None:
-            polygon = _parse_polygon(raw["poly"], where, StreamFormatError)
-            _check_envelope(polygon, box, where, StreamFormatError)
-        record = DetectionRecord(
-            frame_index=frame_idx,
-            query=query,
-            box=box,
-            score=score,
-            polygon=polygon,
-            text=_norm_text(raw.get("text")),
-        )
+            record = _stream_record(line, header.d_q)
+        except _Invalid as exc:
+            raise StreamFormatError(f"{path}:{lineno}: {exc}") from None
+        frame_idx = record.frame_index
         if current is None or frame_idx != current.frame_index:
             if current is not None and frame_idx < current.frame_index:
                 raise StreamFormatError(
-                    f"{where}: frame index {frame_idx} after {current.frame_index}, stream must be monotone"
+                    f"{path}:{lineno}: frame index {frame_idx} after {current.frame_index}, stream must be monotone"
                 )
             current = DetectionFrame(frame_index=frame_idx)
             frames.append(current)
@@ -387,7 +396,10 @@ def parse_annotations(path) -> list[GroundTruthTrack]:
                 raise AnnotationFormatError(f"{where}: negative frame index {frame_idx}")
             if not isinstance(entry, dict) or "box" not in entry:
                 raise AnnotationFormatError(f"{where}: frame {frame_idx}: missing field 'box'")
-            box = _parse_box(entry["box"], f"{where}: frame {frame_idx}", AnnotationFormatError)
+            try:
+                box = _parse_box(entry["box"])
+            except _Invalid as exc:
+                raise AnnotationFormatError(f"{where}: frame {frame_idx}: {exc}") from None
             if not box.is_valid():
                 raise AnnotationFormatError(f"{where}: frame {frame_idx}: degenerate box")
             box_type = entry.get("box_type", "quadrilateral")
@@ -395,14 +407,20 @@ def parse_annotations(path) -> list[GroundTruthTrack]:
                 raise AnnotationFormatError(f"{where}: frame {frame_idx}: unknown box_type {box_type!r}")
             polygon = None
             if entry.get("poly") is not None:
-                polygon = _parse_polygon(entry["poly"], where, AnnotationFormatError)
+                try:
+                    polygon = _parse_polygon(entry["poly"])
+                except _Invalid as exc:
+                    raise AnnotationFormatError(f"{where}: {exc}") from None
                 expected = QUAD_POINTS if box_type == "quadrilateral" else POLYGON_POINTS
                 if len(polygon) != expected:
                     raise AnnotationFormatError(
                         f"{where}: frame {frame_idx}: box_type {box_type!r} requires "
                         f"{expected} polygon points, got {len(polygon)}"
                     )
-                _check_envelope(polygon, box, f"{where}: frame {frame_idx}", AnnotationFormatError)
+                try:
+                    _check_envelope(polygon, box)
+                except _Invalid as exc:
+                    raise AnnotationFormatError(f"{where}: frame {frame_idx}: {exc}") from None
             track.frames[frame_idx] = GroundTruthEntry(
                 box=box,
                 text=_norm_text(entry.get("text", "")) or "",
@@ -469,31 +487,34 @@ def read_trajectories(path) -> list[TrajectoryOutput]:
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        where = f"{path}:{lineno}"
         try:
-            raw = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise DataFormatError(f"{where}: bad record JSON ({exc.msg})") from None
-        if not isinstance(raw, dict):
-            raise DataFormatError(f"{where}: record must be an object")
-        track_id = raw.get("track")
-        frame_idx = raw.get("frame")
-        if not isinstance(track_id, int) or not isinstance(frame_idx, int):
-            raise DataFormatError(f"{where}: fields 'track' and 'frame' must be integers")
-        for key in ("box", "score"):
-            if key not in raw:
-                raise DataFormatError(f"{where}: missing field {key!r}")
-        box = _parse_box(raw["box"], where)
-        polygon = _parse_polygon(raw["poly"], where) if raw.get("poly") is not None else None
-        entry = TrajectoryEntry(
-            frame_index=frame_idx,
-            box=box,
-            score=_parse_float(raw["score"], "score", where),
-            polygon=polygon,
-            text=_norm_text(raw.get("text")),
-        )
-        track = by_id.setdefault(track_id, TrajectoryOutput(track_id=track_id))
-        if track.entries and frame_idx <= track.entries[-1].frame_index:
-            raise DataFormatError(f"{where}: frame {frame_idx} not increasing within track {track_id}")
+            track_id, entry = _trajectory_entry(line)
+        except _Invalid as exc:
+            raise DataFormatError(f"{path}:{lineno}: {exc}") from None
+        track = by_id.get(track_id)
+        if track is None:
+            track = by_id[track_id] = TrajectoryOutput(track_id=track_id)
+        if track.entries and entry.frame_index <= track.entries[-1].frame_index:
+            raise DataFormatError(f"{path}:{lineno}: frame {entry.frame_index} not increasing within track {track_id}")
         track.entries.append(entry)
     return [by_id[k] for k in sorted(by_id)]
+
+
+def _trajectory_entry(line: str) -> tuple[int, TrajectoryEntry]:
+    try:
+        raw = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise _Invalid(f"bad record JSON ({exc.msg})") from None
+    if not isinstance(raw, dict):
+        raise _Invalid("record must be an object")
+    track_id = raw.get("track")
+    frame_idx = raw.get("frame")
+    if not isinstance(track_id, int) or not isinstance(frame_idx, int):
+        raise _Invalid("fields 'track' and 'frame' must be integers")
+    for key in ("box", "score"):
+        if key not in raw:
+            raise _Invalid(f"missing field {key!r}")
+    box = _parse_box(raw["box"])
+    polygon = _parse_polygon(raw["poly"]) if raw.get("poly") is not None else None
+    score = _parse_float(raw["score"], "score")
+    return track_id, TrajectoryEntry(frame_idx, box, score, polygon, _norm_text(raw.get("text")))

@@ -9,20 +9,26 @@ are treated as don't-care: predictions that land on them are neither
 true nor false positives, and they are never counted as misses. In
 spotting mode a match additionally requires transcription equality,
 case-insensitive after trimming.
+
+A sequence is scored from one table built once: its boxes sorted by
+frame, and the same-frame (ground truth, prediction) pairs whose IoU
+reaches the threshold. CLEAR-MOT and IDF1 both read those pairs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .data_io import BBox, GroundTruthTrack, TrajectoryOutput, box_array, iou, iou_matrix
+from .data_io import BBox, GroundTruthTrack, TrajectoryOutput, box_array, iou_pairs
 
 __all__ = ["EvalConfig", "MotReport", "clear_mot", "idf1", "detection_prf", "evaluate_sequences"]
 
 INVALID = 1e9  # cost placeholder for pairs below the overlap threshold
+PAIR_BUDGET = 4096  # same-frame pairs whose IoU is taken at once, so crowded frames stay small in memory
 
 
 @dataclass
@@ -66,34 +72,165 @@ def _norm_text(text: str | None) -> str:
     return (text or "").strip().lower()
 
 
-def _text_ok(gt_text: str | None, pred_text: str | None, cfg: EvalConfig) -> bool:
-    if cfg.mode != "spotting":
-        return True
-    return _norm_text(gt_text) == _norm_text(pred_text)
+def _rows(frames, boxes, sizes: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Rows sorted stably by frame: (input position, frame, (n, 4) boxes, index of the row's group)."""
+    frame = np.fromiter(frames, np.int64, sum(sizes))
+    order = np.argsort(frame, kind="stable")
+    return order, frame[order], box_array(boxes)[order], np.repeat(np.arange(len(sizes)), sizes)[order]
 
 
-def _gt_by_frame(tracks: list[GroundTruthTrack]):
-    valid: dict[int, list[tuple[int, BBox, str]]] = {}
-    dontcare: dict[int, list[BBox]] = {}
-    for tr in tracks:
-        for f, entry in tr.frames.items():
-            if tr.category == "other":
-                dontcare.setdefault(f, []).append(entry.box)
-            else:
-                valid.setdefault(f, []).append((tr.track_id, entry.box, entry.text))
-    return valid, dontcare
+def _gt_rows(tracks: list[GroundTruthTrack]):
+    return _rows(chain.from_iterable(tr.frames for tr in tracks),
+                 (e.box for tr in tracks for e in tr.frames.values()), [len(tr.frames) for tr in tracks])
 
 
-def _pred_by_frame(tracks: list[TrajectoryOutput]):
-    preds: dict[int, list[tuple[int, BBox, str | None]]] = {}
-    for tr in tracks:
-        for entry in tr.entries:
-            preds.setdefault(entry.frame_index, []).append((tr.track_id, entry.box, entry.text))
-    return preds
+def _pairs(a_frame, a_box, b_frame, b_box, thr: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(i, j, IoU) of the rows i of `a` and j of `b` in one frame with IoU >= thr, ordered by (i, j).
+
+    Both sides are sorted by frame. The pairs are taken PAIR_BUDGET at a
+    time (or one `a` row at a time, if it has more).
+    """
+    lo = np.searchsorted(b_frame, a_frame, "left")
+    count = np.searchsorted(b_frame, a_frame, "right") - lo
+    end = np.cumsum(count)
+    found = [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0))]
+    start = 0
+    while start < len(a_frame):
+        before = end[start] - count[start]
+        stop = max(int(np.searchsorted(end, before + PAIR_BUDGET, "right")), start + 1)
+        c = count[start:stop]
+        i = np.repeat(np.arange(start, stop), c)
+        j = np.arange(before, end[stop - 1]) + np.repeat(lo[start:stop] - end[start:stop] + c, c)
+        overlap = iou_pairs(a_box[i], b_box[j])
+        hit = overlap >= thr
+        found.append((i[hit], j[hit], overlap[hit]))
+        start = stop
+    return tuple(np.concatenate(column) for column in zip(*found))
 
 
-def _hits_dontcare(box: BBox, regions: list[BBox], threshold: float) -> bool:
-    return any(iou(box, r) >= threshold for r in regions)
+def _hit_mask(a_frame, a_box, b_frame, b_box, thr: float) -> np.ndarray:
+    """Whether each `a` row overlaps some `b` row of its frame at the threshold."""
+    mask = np.zeros(len(a_frame), dtype=bool)
+    mask[_pairs(a_frame, a_box, b_frame, b_box, thr)[0]] = True
+    return mask
+
+
+class _Sequence:
+    """One sequence as frame-sorted rows and its same-frame pairs at the threshold.
+
+    GT rows are the valid (not "other") ground truth, prediction rows the
+    trajectories' entries; within a frame each keeps the order of its
+    tracks. `pair_g`, `pair_p` and `pair_iou` hold every (GT row,
+    prediction row) of one frame whose IoU reaches the threshold (and, in
+    spotting mode, whose texts agree), ordered by GT row, then prediction
+    row.
+    """
+
+    def __init__(self, gt_tracks: list[GroundTruthTrack], pred_tracks: list[TrajectoryOutput], cfg: EvalConfig):
+        thr = cfg.iou_match_threshold
+        valid = [tr for tr in gt_tracks if tr.category != "other"]
+        self.n_tracks = len(valid)
+        g_order, self.g_frame, g_box, self.g_track = _gt_rows(valid)
+        self.g_id = np.array([tr.track_id for tr in valid], dtype=np.int64)[self.g_track]
+        p_order, self.p_frame, p_box, p_track = _rows(
+            (e.frame_index for tr in pred_tracks for e in tr.entries),
+            (e.box for tr in pred_tracks for e in tr.entries), [len(tr.entries) for tr in pred_tracks])
+        self.p_id = np.array([tr.track_id for tr in pred_tracks], dtype=np.int64)[p_track]
+        _, d_frame, d_box, _ = _gt_rows([tr for tr in gt_tracks if tr.category == "other"])
+        self.on_dontcare = _hit_mask(self.p_frame, p_box, d_frame, d_box, thr)
+        g, p, overlap = _pairs(self.g_frame, g_box, self.p_frame, p_box, thr)
+        self.hits_valid = np.zeros(len(p_order), dtype=bool)
+        self.hits_valid[p] = True  # at the threshold, whatever the texts
+        if cfg.mode == "spotting":
+            codes: dict[str, int] = {}
+            g_text = [codes.setdefault(_norm_text(e.text), len(codes)) for tr in valid for e in tr.frames.values()]
+            p_text = [codes.setdefault(_norm_text(e.text), len(codes)) for tr in pred_tracks for e in tr.entries]
+            same = np.array(g_text, dtype=np.int64)[g_order[g]] == np.array(p_text, dtype=np.int64)[p_order[p]]
+            g, p, overlap = g[same], p[same], overlap[same]
+        self.pair_g, self.pair_p, self.pair_iou = g, p, overlap
+
+    def clear_counts(self) -> tuple[int, int, int, int, int, float]:
+        """Frame-by-frame CLEAR matching with continuation preference.
+
+        A ground truth matched last frame keeps its prediction while the
+        pair still overlaps, which avoids counting spurious identity
+        switches when several predictions cover one region. The rest is
+        a minimum-cost assignment (cost 1 - IoU) over the frame's free
+        rows. When the free pairs share no GT row and no prediction row,
+        that assignment takes every one of them, so no solver runs.
+        Returns (tp, fp, fn, id switches, gt total, MOTP).
+        """
+        gid, pid = self.g_id.tolist(), self.p_id.tolist()
+        pair_g, pair_p, pair_iou = self.pair_g.tolist(), self.pair_p.tolist(), self.pair_iou.tolist()
+        pair_frames, starts = np.unique(self.g_frame[self.pair_g], return_index=True)
+        edges = [*starts.tolist(), len(pair_g)]
+        # where each frame with pairs sits among the frames with a GT row or a prediction
+        at = np.searchsorted(np.union1d(self.g_frame, self.p_frame), pair_frames).tolist()
+        # a prediction continues a pairing only from the first row of its id in the frame
+        first = set(np.unique(np.stack([self.p_frame, self.p_id]), axis=1, return_index=True)[1].tolist())
+
+        used = np.zeros(len(pid), dtype=bool)
+        tp = idsw = 0
+        motp_sum = 0.0
+        last_match: dict[int, int] = {}  # most recent prediction id per gt id
+        prev_pairs: dict[int, int] = {}  # pairs standing in the previous frame
+        for k, (lo, hi) in enumerate(zip(edges, edges[1:])):
+            if k == 0 or at[k] != at[k - 1] + 1:
+                prev_pairs = {}  # the frame before had no match
+            matched: list[tuple[int, int, float]] = []
+            used_g, used_p = set(), set()
+            for q in range(lo, hi):
+                g, p = pair_g[q], pair_p[q]
+                if prev_pairs.get(gid[g]) == pid[p] and p in first and p not in used_p:
+                    matched.append((g, p, pair_iou[q]))
+                    used_g.add(g)
+                    used_p.add(p)
+            free = [q for q in range(lo, hi) if pair_g[q] not in used_g and pair_p[q] not in used_p]
+            if len({pair_g[q] for q in free}) == len(free) == len({pair_p[q] for q in free}):
+                # 1 - cost, as the solver's matches add it: it may differ from the IoU in the last bit
+                matched += [(pair_g[q], pair_p[q], 1.0 - (1.0 - pair_iou[q])) for q in free]
+            elif free:
+                matched += self._assign(free, used_g, used_p)
+            for g, p, overlap in matched:
+                motp_sum += overlap
+                if gid[g] in last_match and last_match[gid[g]] != pid[p]:
+                    idsw += 1
+                last_match[gid[g]] = pid[p]
+            used[[p for _, p, _ in matched]] = True
+            tp += len(matched)
+            prev_pairs = {gid[g]: pid[p] for g, p, _ in matched}
+
+        fp = int(np.count_nonzero(~used & ~self.on_dontcare))
+        return tp, fp, len(gid) - tp, idsw, len(gid), motp_sum / tp if tp > 0 else 0.0
+
+    def _assign(self, free: list[int], used_g: set[int], used_p: set[int]) -> list[tuple[int, int, float]]:
+        """Minimum-cost assignment over all free GT rows x all free prediction rows of the pairs' frame."""
+        f = self.g_frame[self.pair_g[free[0]]]
+        g_rows = [g for g in range(*np.searchsorted(self.g_frame, [f, f + 1]).tolist()) if g not in used_g]
+        p_rows = [p for p in range(*np.searchsorted(self.p_frame, [f, f + 1]).tolist()) if p not in used_p]
+        cost = np.full((len(g_rows), len(p_rows)), INVALID)
+        a = np.searchsorted(g_rows, self.pair_g[free])
+        b = np.searchsorted(p_rows, self.pair_p[free])
+        cost[a, b] = 1.0 - self.pair_iou[free]
+        return [(g_rows[a], p_rows[b], 1.0 - cost[a, b])
+                for a, b in zip(*linear_sum_assignment(cost)) if cost[a, b] < INVALID]
+
+    def idf1_counts(self) -> tuple[int, int, int]:
+        """(IDTP, total gt frames, total predicted frames) under the best pairing.
+
+        A prediction that only covers don't-care regions (no valid GT at
+        the threshold, whatever the texts) is left out of the totals.
+        """
+        kept = ~self.on_dontcare | self.hits_valid
+        total_gt, total_pred = len(self.g_frame), int(np.count_nonzero(kept))
+        if total_gt == 0 or total_pred == 0:
+            return 0, total_gt, total_pred
+        pred_ids = np.unique(self.p_id[kept])
+        # per (gt track, prediction id), the frames where they overlap
+        overlap = np.zeros((self.n_tracks, len(pred_ids)))
+        np.add.at(overlap, (self.g_track[self.pair_g], np.searchsorted(pred_ids, self.p_id[self.pair_p])), 1.0)
+        rows, cols = linear_sum_assignment(-overlap)
+        return int(overlap[rows, cols].sum()), total_gt, total_pred
 
 
 def clear_mot(
@@ -102,8 +239,8 @@ def clear_mot(
     cfg: EvalConfig | None = None,
 ) -> MotReport:
     """CLEAR-MOT counts, MOTA, MOTP and IDF1 of one sequence."""
-    cfg = cfg if cfg is not None else EvalConfig()
-    return _report(_clear_counts(gt_tracks, pred_tracks, cfg), idf1(gt_tracks, pred_tracks, cfg))
+    seq = _Sequence(gt_tracks, pred_tracks, cfg if cfg is not None else EvalConfig())
+    return _report(seq.clear_counts(), _idf1_score(*seq.idf1_counts()))
 
 
 def _report(counts: tuple[int, int, int, int, int, float], idf1_score: float, per_sequence=None) -> MotReport:
@@ -114,152 +251,6 @@ def _report(counts: tuple[int, int, int, int, int, float], idf1_score: float, pe
     else:
         mota = 1.0 if (fp + idsw) == 0 else None
     return MotReport(mota, motp, idf1_score, tp, fp, fn, idsw, gt_total, per_sequence or {})
-
-
-def _clear_counts(
-    gt_tracks: list[GroundTruthTrack],
-    pred_tracks: list[TrajectoryOutput],
-    cfg: EvalConfig,
-) -> tuple[int, int, int, int, int, float]:
-    """Frame-by-frame CLEAR matching with continuation preference.
-
-    A ground truth matched last frame keeps its prediction while the
-    pair still overlaps, which avoids counting spurious identity
-    switches when several predictions cover one region. Returns (tp,
-    fp, fn, id switches, gt total, MOTP).
-    """
-    thr = cfg.iou_match_threshold
-    valid, dontcare = _gt_by_frame(gt_tracks)
-    preds = _pred_by_frame(pred_tracks)
-
-    frames = sorted(set(valid) | set(preds))
-    tp = fp = fn = idsw = gt_total = 0
-    motp_sum = 0.0
-    last_match: dict[int, int] = {}  # most recent prediction id per gt id
-    prev_pairs: dict[int, int] = {}  # pairs standing in the previous frame
-
-    for f in frames:
-        gts = valid.get(f, [])
-        prs = preds.get(f, [])
-        gt_total += len(gts)
-        gt_ids = [g[0] for g in gts]
-        pr_ids = [p[0] for p in prs]
-        matched_gt: dict[int, int] = {}
-        used_pred: set[int] = set()
-
-        # continuation: keep last frame's pairing when it still holds
-        for gi, (gid, gbox, gtext) in enumerate(gts):
-            pid = prev_pairs.get(gid)
-            if pid is None or pid not in pr_ids:
-                continue
-            pi = pr_ids.index(pid)
-            if pi in used_pred:
-                continue
-            overlap = iou(gbox, prs[pi][1])
-            if overlap >= thr and _text_ok(gtext, prs[pi][2], cfg):
-                matched_gt[gi] = pi
-                used_pred.add(pi)
-                motp_sum += overlap
-                tp += 1
-
-        # minimum-cost assignment on the rest, cost 1 - IoU
-        free_gt = [gi for gi in range(len(gts)) if gi not in matched_gt]
-        free_pr = [pi for pi in range(len(prs)) if pi not in used_pred]
-        if free_gt and free_pr:
-            overlaps = iou_matrix(box_array(gts[gi][1] for gi in free_gt), box_array(prs[pi][1] for pi in free_pr))
-            ok = overlaps >= thr
-            if cfg.mode == "spotting":
-                for a, b in zip(*np.nonzero(ok)):
-                    ok[a, b] = _text_ok(gts[free_gt[a]][2], prs[free_pr[b]][2], cfg)
-            cost = np.where(ok, 1.0 - overlaps, INVALID)
-            rows, cols = linear_sum_assignment(cost)
-            for a, b in zip(rows, cols):
-                if cost[a, b] >= INVALID:
-                    continue
-                gi, pi = free_gt[a], free_pr[b]
-                matched_gt[gi] = pi
-                used_pred.add(pi)
-                motp_sum += 1.0 - cost[a, b]
-                tp += 1
-
-        for gi, pi in matched_gt.items():
-            gid, pid = gt_ids[gi], pr_ids[pi]
-            if gid in last_match and last_match[gid] != pid:
-                idsw += 1
-            last_match[gid] = pid
-
-        dc = dontcare.get(f, [])
-        for pi in range(len(prs)):
-            if pi in used_pred:
-                continue
-            if dc and _hits_dontcare(prs[pi][1], dc, thr):
-                continue  # absorbed by a don't-care region
-            fp += 1
-        fn += len(gts) - len(matched_gt)
-        prev_pairs = {gt_ids[gi]: pr_ids[pi] for gi, pi in matched_gt.items()}
-
-    return tp, fp, fn, idsw, gt_total, motp_sum / tp if tp > 0 else 0.0
-
-
-def _discount_dontcare(
-    pred_tracks: list[TrajectoryOutput],
-    valid: dict[int, list[tuple[int, BBox, str]]],
-    dontcare: dict[int, list[BBox]],
-    thr: float,
-) -> dict[int, list[tuple[int, BBox, str | None]]]:
-    """Per-frame predictions minus those that only cover don't-care regions."""
-    kept: dict[int, list[tuple[int, BBox, str | None]]] = {}
-    for tr in pred_tracks:
-        for entry in tr.entries:
-            f = entry.frame_index
-            dc = dontcare.get(f, [])
-            if dc and _hits_dontcare(entry.box, dc, thr):
-                hits_valid = any(iou(entry.box, g[1]) >= thr for g in valid.get(f, []))
-                if not hits_valid:
-                    continue
-            kept.setdefault(f, []).append((tr.track_id, entry.box, entry.text))
-    return kept
-
-
-def _idf1_counts(
-    gt_tracks: list[GroundTruthTrack],
-    pred_tracks: list[TrajectoryOutput],
-    cfg: EvalConfig,
-) -> tuple[int, int, int]:
-    """(IDTP, total gt frames, total predicted frames) under the best pairing."""
-    thr = cfg.iou_match_threshold
-    valid, dontcare = _gt_by_frame(gt_tracks)
-    pred_frames = _discount_dontcare(pred_tracks, valid, dontcare, thr)
-
-    gt_list = [tr for tr in gt_tracks if tr.category != "other"]
-    total_pred = sum(len(rows) for rows in pred_frames.values())
-    total_gt = sum(len(tr.frames) for tr in gt_list)
-    if total_gt == 0 or total_pred == 0:
-        return 0, total_gt, total_pred
-
-    pred_ids = sorted({pid for rows in pred_frames.values() for pid, _, _ in rows})
-    pred_col = {pid: b for b, pid in enumerate(pred_ids)}
-    gt_rows: dict[int, list[tuple[int, BBox, str]]] = {}
-    for a, tr in enumerate(gt_list):
-        for f, entry in tr.frames.items():
-            gt_rows.setdefault(f, []).append((a, entry.box, entry.text))
-
-    # Count, per (gt, prediction) pair, the frames where they overlap.
-    overlap = np.zeros((len(gt_list), len(pred_col)))
-    for f, preds in pred_frames.items():
-        gts = gt_rows.get(f)
-        if not gts:
-            continue
-        hit = iou_matrix(box_array(g[1] for g in gts), box_array(p[1] for p in preds)) >= thr
-        gi, pi = np.nonzero(hit)
-        if cfg.mode == "spotting":
-            keep = [_text_ok(gts[i][2], preds[j][2], cfg) for i, j in zip(gi.tolist(), pi.tolist())]
-            gi, pi = gi[keep], pi[keep]
-        rows = np.array([g[0] for g in gts])[gi]
-        cols = np.array([pred_col[p[0]] for p in preds])[pi]
-        np.add.at(overlap, (rows, cols), 1.0)
-    rows, cols = linear_sum_assignment(-overlap)
-    return int(overlap[rows, cols].sum()), total_gt, total_pred
 
 
 def idf1(
@@ -274,7 +265,7 @@ def idf1(
     and IDF1 = 2*IDTP / (total gt frames + total predicted frames).
     """
     cfg = cfg if cfg is not None else EvalConfig()
-    return _idf1_score(*_idf1_counts(gt_tracks, pred_tracks, cfg))
+    return _idf1_score(*_Sequence(gt_tracks, pred_tracks, cfg).idf1_counts())
 
 
 def _idf1_score(idtp: int, total_gt: int, total_pred: int) -> float:
@@ -301,8 +292,8 @@ def evaluate_sequences(
     idf1_sum = [0] * 3  # IDTP, gt frames, predicted frames
     per_sequence: dict[str, dict] = {}
     for name, (gt_tracks, pred_tracks) in sorted(sequences.items()):
-        counts = _clear_counts(gt_tracks, pred_tracks, cfg)
-        idf1_counts = _idf1_counts(gt_tracks, pred_tracks, cfg)
+        seq = _Sequence(gt_tracks, pred_tracks, cfg)
+        counts, idf1_counts = seq.clear_counts(), seq.idf1_counts()
         per_sequence[name] = _report(counts, _idf1_score(*idf1_counts)).as_dict()
         clear_sum = [a + b for a, b in zip(clear_sum, counts)]
         motp_weighted += counts[5] * counts[0]
@@ -318,40 +309,28 @@ def detection_prf(
 ) -> tuple[float, float, float]:
     """Micro-averaged precision/recall/F over frames, greedy IoU matching.
 
+    In each frame the pairs at the threshold are taken greedily by
+    overlap (descending), then GT index, then prediction index.
     Empty denominators follow the usual convention and yield 0.
     """
     cfg = cfg if cfg is not None else EvalConfig()
     thr = cfg.iou_match_threshold
-    valid, dontcare = _gt_by_frame(gt_tracks)
-
-    tp = fp = fn = 0
-    frames = sorted(set(valid) | set(pred_boxes_by_frame))
-    for f in frames:
-        gts = valid.get(f, [])
-        prs = pred_boxes_by_frame.get(f, [])
-        pairs = []
-        for gi, (gid, gbox, _) in enumerate(gts):
-            for pi, pbox in enumerate(prs):
-                overlap = iou(gbox, pbox)
-                if overlap >= thr:
-                    pairs.append((overlap, gi, pi))
-        pairs.sort(key=lambda x: (-x[0], x[1], x[2]))
-        used_gt: set[int] = set()
-        used_pr: set[int] = set()
-        for overlap, gi, pi in pairs:
-            if gi in used_gt or pi in used_pr:
-                continue
-            used_gt.add(gi)
-            used_pr.add(pi)
-            tp += 1
-        fn += len(gts) - len(used_gt)
-        dc = dontcare.get(f, [])
-        for pi in range(len(prs)):
-            if pi in used_pr:
-                continue
-            if dc and _hits_dontcare(prs[pi], dc, thr):
-                continue
-            fp += 1
+    _, g_frame, g_box, _ = _gt_rows([tr for tr in gt_tracks if tr.category != "other"])
+    _, d_frame, d_box, _ = _gt_rows([tr for tr in gt_tracks if tr.category == "other"])
+    _, p_frame, p_box, _ = _rows((f for f, boxes in pred_boxes_by_frame.items() for _ in boxes),
+                                 chain.from_iterable(pred_boxes_by_frame.values()),
+                                 [len(boxes) for boxes in pred_boxes_by_frame.values()])
+    g, p, overlap = _pairs(g_frame, g_box, p_frame, p_box, thr)
+    # rows are global, so pairs of different frames never compete and one order serves all frames
+    used_g: set[int] = set()
+    used = np.zeros(len(p_frame), dtype=bool)
+    for q in np.lexsort((p, g, -overlap)).tolist():
+        if g[q] not in used_g and not used[p[q]]:
+            used_g.add(g[q])
+            used[p[q]] = True
+    tp = len(used_g)
+    fn = len(g_frame) - tp
+    fp = int(np.count_nonzero(~used & ~_hit_mask(p_frame, p_box, d_frame, d_box, thr)))
 
     precision = tp / (tp + fp) if (tp + fp) > 0 else 0.0
     recall = tp / (tp + fn) if (tp + fn) > 0 else 0.0

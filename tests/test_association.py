@@ -263,7 +263,7 @@ def test_bank_never_holds_stale_embeddings():
 _MODELS = {v: TrackerModel.create(v, d_q=8, d_e=8, seed=3) for v in MatcherVariant}
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(
     seed=st.integers(min_value=0, max_value=10_000),
     variant=st.sampled_from(list(MatcherVariant)),

@@ -3,6 +3,8 @@
 import csv
 import json
 
+import pytest
+
 from qtrack.cli import main
 from qtrack.data_io import (
     BBox,
@@ -107,6 +109,28 @@ def test_eval_trajectories_against_themselves(tmp_path, capsys):
                  "--trajectories", str(track_out / "trajectories.jsonl")]) == 0
     report = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert report["mota"] == 1.0 and report["idf1"] == 1.0
+
+
+@pytest.mark.parametrize("gt_frames, pred_frames, mota, idf1", [
+    ([], [], 1.0, 1.0),  # nothing to find, nothing found
+    ([0, 1], [], 0.0, 0.0),  # every ground truth missed
+    ([], [0, 1], None, 0.0),  # predictions but no ground truth: MOTA is undefined
+])
+def test_eval_degenerate_sequences(tmp_path, capsys, gt_frames, pred_frames, mota, idf1):
+    box = BBox(0.0, 0.0, 40.0, 20.0)
+    gt = [GroundTruthTrack(track_id=1, frames={f: GroundTruthEntry(box=box, text="a") for f in gt_frames})]
+    ann = tmp_path / "ann.json"
+    write_annotations(ann, gt if gt_frames else [])
+    traj = tmp_path / "t.jsonl"
+    traj.write_text("".join(json.dumps(row) + "\n" for row in [
+        {"format": "qtrack-traj/1", "video": ""},
+        *({"track": 1, "frame": f, "box": box.as_list(), "score": 0.9} for f in pred_frames),
+    ]))
+    assert main(["eval", "--annotations", str(ann), "--trajectories", str(traj)]) == 0
+    out = capsys.readouterr().out.strip().splitlines()
+    report = json.loads(out[-1])
+    assert (report["mota"], report["idf1"]) == (mota, idf1)
+    assert ("MOTA  -" in out) == (mota is None)
 
 
 def test_train_writes_checkpoint_and_history(tmp_path):

@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qtrack.data_io import (
     BBox,
@@ -130,6 +132,55 @@ def test_removing_correct_prediction_never_raises_scores():
 def test_empty_everything():
     report = clear_mot([], [])
     assert report.mota == 1.0 and report.idf1 == 1.0
+
+
+def test_dontcare_absorbs_a_misread_only_when_no_valid_gt_is_hit():
+    # a don't-care region on the same box as a valid track; the prediction misreads frames 2-3
+    gt = [_gt(1, range(4), slot=0), _gt(2, range(4), slot=0, category="other")]
+    preds = [TrajectoryOutput(5, [TrajectoryEntry(f, _box(0), 0.9, text="word" if f < 2 else "ward") for f in range(4)])]
+    report = clear_mot(gt, preds, EvalConfig(mode="spotting"))
+    assert (report.tp, report.fp, report.fn) == (2, 0, 2)
+    # IDF1 discounts a prediction only if it hits no valid GT at the threshold, whatever
+    # the texts: the misreads stay among the predicted frames (IDTP 2 of 4 + 4)
+    assert report.idf1 == pytest.approx(0.5, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# invariants
+
+
+@st.composite
+def lane_tracks(draw):
+    """GT tracks with frame gaps, each in its own lane so no two tracks overlap; some don't-care."""
+    tracks = []
+    for k in range(draw(st.integers(0, 4))):
+        category = draw(st.sampled_from(["alphanumeric", "alphanumeric", "other"]))
+        frames = draw(st.lists(st.integers(0, 12), min_size=1, max_size=8, unique=True))
+        tracks.append(GroundTruthTrack(k + 1, category, {
+            f: GroundTruthEntry(BBox(k * 100.0 + dx, 0.0, k * 100.0 + dx + 50.0, 30.0), draw(st.sampled_from(["ab", "cd"])))
+            for f, dx in zip(frames, draw(st.lists(st.integers(0, 20), min_size=len(frames), max_size=len(frames))))}))
+    return tracks
+
+
+@given(lane_tracks(), st.sampled_from(["tracking", "spotting"]))
+def test_predictions_equal_to_the_ground_truth_score_one(gt, mode):
+    report = clear_mot(gt, _as_predictions(gt), EvalConfig(mode=mode))
+    assert (report.mota, report.idf1, report.fp, report.fn, report.id_switches) == (1.0, 1.0, 0, 0, 0)
+
+
+@given(lane_tracks(), st.lists(st.tuples(st.integers(1, 4), st.integers(0, 12), st.integers(0, 4),
+                                         st.sampled_from(["ab", "cd"])), max_size=20),
+       st.sampled_from(["tracking", "spotting"]))
+def test_mota_at_most_one_and_idf1_in_unit_interval(gt, rows, mode):
+    by_id = {}
+    for pid, f, slot, text in rows:
+        entries = by_id.setdefault(pid, {})
+        entries.setdefault(f, TrajectoryEntry(f, _box(slot), 0.9, text=text))
+    preds = [TrajectoryOutput(pid, [entries[f] for f in sorted(entries)]) for pid, entries in by_id.items()]
+    report = clear_mot(gt, preds, EvalConfig(mode=mode))
+    assert report.mota is None or report.mota <= 1.0
+    assert report.mota is not None or (report.gt_total == 0 and report.fp > 0)
+    assert 0.0 <= report.idf1 <= 1.0
 
 
 # ---------------------------------------------------------------------------
