@@ -6,6 +6,8 @@ trajectories seen in the immediately preceding frame (short-term),
 then the leftovers against every other live trajectory in the memory
 bank (long-term), which is what recovers tracks across missed
 detections. Whatever remains unmatched founds a new trajectory.
+Each match adds a row (track id, frame, record, fused score) to flat
+lists, grouped into per-track columns at the end.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_io import DetectionFrame, TrajectoryEntry, TrajectoryOutput, box_array, iou_matrix
+from .data_io import DetectionFrame, TrajectoryOutput, box_array, group_trajectories, iou_matrix
 from .matcher import embed_queries, matcher_forward
 from .model import TrackerModel
 from .rescoring import ScoredInstance, filter_instances
@@ -216,7 +218,7 @@ def track_sequence(
     """
     bank = MemoryBank(config.history_depth, model.d_e)
     head = model.rescoring_head()
-    recorded: dict[int, TrajectoryOutput] = {}
+    track_ids, frame_ids, records, scores = [], [], [], []  # one row per (trajectory, frame)
 
     for frame in frames:
         t = frame.frame_index
@@ -227,22 +229,15 @@ def track_sequence(
         assignments += zip(outcome.new_tracks, bank.new_ids(len(outcome.new_tracks)))
         bank.update(t, [tid for _, tid in assignments], outcome.embeddings[[i for i, _ in assignments]])
 
-        for i, tid in assignments:
-            inst = kept[i]
-            rec = inst.record
-            recorded.setdefault(tid, TrajectoryOutput(track_id=tid)).entries.append(
-                TrajectoryEntry(
-                    frame_index=t,
-                    box=rec.box,
-                    score=inst.fused_score,
-                    polygon=rec.polygon,
-                    text=rec.text,
-                )
-            )
+        track_ids += [tid for _, tid in assignments]
+        frame_ids += [t] * len(assignments)
+        records += [kept[i].record for i, _ in assignments]
+        scores += [kept[i].fused_score for i, _ in assignments]
 
-    final = [
-        track for track in recorded.values() if len(track.entries) >= config.min_track_len
-    ]
-    for track in final:
-        track.entries.sort(key=lambda e: e.frame_index)
-    return sorted(final, key=lambda tr: tr.track_id)
+    # the rows of trajectories with at least min_track_len of them
+    track = np.array(track_ids, dtype=np.int64)
+    rows = np.flatnonzero(np.bincount(track)[track] >= config.min_track_len)
+    records = [records[i] for i in rows.tolist()]
+    return group_trajectories(track[rows], np.array(frame_ids, dtype=np.int64)[rows],
+                              box_array(rec.box for rec in records), np.array(scores, dtype=np.float64)[rows],
+                              [rec.polygon for rec in records], [rec.text for rec in records])

@@ -5,6 +5,9 @@ Detection streams are line-delimited JSON: a header object first
 are a single JSON document keyed by track. Trajectory output is again
 line-delimited JSON, one line per (track, frame), ordered so writes are
 reproducible byte for byte.
+A trajectory is held as columns (`TrajectoryOutput`) from the tracker
+through the file to the metrics, with no object per row. Integer
+fields are JSON integers, not booleans, that fit in int64.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from typing import Iterable
 
@@ -32,8 +36,8 @@ __all__ = [
     "StreamHeader",
     "GroundTruthEntry",
     "GroundTruthTrack",
-    "TrajectoryEntry",
     "TrajectoryOutput",
+    "group_trajectories",
     "parse_detection_stream",
     "write_detection_stream",
     "parse_annotations",
@@ -48,6 +52,7 @@ CATEGORIES = ("alphanumeric", "other")
 BOX_TYPES = ("quadrilateral", "polygon")
 POLYGON_POINTS = 14  # curved-text annotation convention
 QUAD_POINTS = 4
+INT64_END = 2**63  # integer fields lie in [-INT64_END, INT64_END)
 
 
 class DataFormatError(ValueError):
@@ -191,22 +196,31 @@ class GroundTruthTrack:
         return sorted(self.frames)
 
 
-@dataclass
-class TrajectoryEntry:
-    frame_index: int
-    box: BBox
-    score: float  # fused score c_f
-    polygon: list[tuple[float, float]] | None = None
-    text: str | None = None
-
-
-@dataclass
+@dataclass(eq=False)
 class TrajectoryOutput:
+    """One trajectory as columns, row k its instance in frame `frames[k]`; frames increase."""
+
     track_id: int
-    entries: list[TrajectoryEntry] = field(default_factory=list)
+    frames: np.ndarray  # (n,) int64
+    boxes: np.ndarray  # (n, 4) float64
+    scores: np.ndarray  # (n,) float64, fused score c_f
+    polygons: list[list[tuple[float, float]] | None]
+    texts: list[str | None]
 
     def frame_indices(self) -> list[int]:
-        return [e.frame_index for e in self.entries]
+        return self.frames.tolist()
+
+
+def group_trajectories(track, frame, boxes, scores, polygons, texts) -> list[TrajectoryOutput]:
+    """Trajectories by ascending id from flat rows (arrays, then lists), stably sorted by (track, frame)."""
+    order = np.lexsort((frame, track))
+    track, frame, boxes, scores = track[order], frame[order], boxes[order], scores[order]
+    order = order.tolist()
+    polygons, texts = [polygons[i] for i in order], [texts[i] for i in order]
+    ids, starts = np.unique(track, return_index=True)
+    bounds = [*starts.tolist(), len(order)]
+    return [TrajectoryOutput(tid, frame[lo:hi], boxes[lo:hi], scores[lo:hi], polygons[lo:hi], texts[lo:hi])
+            for tid, lo, hi in zip(ids.tolist(), bounds, bounds[1:])]
 
 
 # ---------------------------------------------------------------------------
@@ -219,10 +233,20 @@ def _norm_text(value) -> str | None:
     return str(value).strip()
 
 
-def _parse_box(raw) -> BBox:
+def _record_object(line: str) -> dict:
+    try:
+        raw = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise _Invalid(f"bad record JSON ({exc.msg})") from None
+    if not isinstance(raw, dict):
+        raise _Invalid("record must be an object")
+    return raw
+
+
+def _box_corners(raw) -> tuple[float, float, float, float]:
     try:
         x_min, y_min, x_max, y_max = raw
-        return BBox(float(x_min), float(y_min), float(x_max), float(y_max))
+        return float(x_min), float(y_min), float(x_max), float(y_max)
     except (TypeError, ValueError):
         raise _Invalid(f"field 'box' must be a list of 4 numbers, got {raw!r}") from None
 
@@ -250,25 +274,23 @@ def _check_envelope(polygon, box: BBox) -> None:
 
 
 def _stream_record(line: str, d_q: int) -> DetectionRecord:
-    try:
-        raw = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise _Invalid(f"bad record JSON ({exc.msg})") from None
-    if not isinstance(raw, dict):
-        raise _Invalid("record must be an object")
+    raw = _record_object(line)
     for key in ("frame", "box", "score", "query"):
         if key not in raw:
             raise _Invalid(f"missing field {key!r}")
     frame_idx = raw["frame"]
-    if not isinstance(frame_idx, int) or frame_idx < 0:
+    if type(frame_idx) is not int or not 0 <= frame_idx < INT64_END:
         raise _Invalid("field 'frame' must be a nonnegative integer")
-    box = _parse_box(raw["box"])
+    box = BBox(*_box_corners(raw["box"]))
     if not box.is_valid():
         raise _Invalid(f"field 'box' is degenerate ({raw['box']})")
     score = _parse_float(raw["score"], "score")
     if not 0.0 <= score <= 1.0:
         raise _Invalid(f"field 'score' out of range [0,1] ({score})")
-    query = np.asarray(raw["query"], dtype=np.float64)
+    try:
+        query = np.asarray(raw["query"], dtype=np.float64)
+    except (TypeError, ValueError):
+        raise _Invalid("field 'query' must be a list of numbers") from None
     if query.ndim != 1 or query.size != d_q:
         raise _Invalid(f"field 'query' has dim {query.size}, header d_q is {d_q}")
     if not np.isfinite(query).all():
@@ -280,20 +302,25 @@ def _stream_record(line: str, d_q: int) -> DetectionRecord:
     return DetectionRecord(frame_idx, query, box, score, polygon, _norm_text(raw.get("text")))
 
 
-def parse_detection_stream(path) -> tuple[StreamHeader, list[DetectionFrame]]:
-    """Read a .jsonl detection stream, validating and grouping records by frame."""
+def _read_jsonl(path, fmt: str, error: type[DataFormatError]) -> tuple[dict, list[tuple[int, str]]]:
+    """The header object of a .jsonl file that declares `fmt`, and its other nonblank lines, numbered."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines:
-        raise StreamFormatError(f"{path}: empty file, header expected")
-
+        raise error(f"{path}: empty file, header expected")
     try:
         head = json.loads(lines[0])
     except json.JSONDecodeError as exc:
-        raise StreamFormatError(f"{path}:1: bad header JSON ({exc.msg})") from None
-    if not isinstance(head, dict) or head.get("format") != STREAM_FORMAT:
-        raise StreamFormatError(f"{path}:1: header must declare format {STREAM_FORMAT!r}")
-    if not isinstance(head.get("d_q"), int) or head["d_q"] <= 0:
+        raise error(f"{path}:1: bad header JSON ({exc.msg})") from None
+    if not isinstance(head, dict) or head.get("format") != fmt:
+        raise error(f"{path}:1: header must declare format {fmt!r}")
+    return head, [(lineno, line) for lineno, line in enumerate(lines[1:], start=2) if line.strip()]
+
+
+def parse_detection_stream(path) -> tuple[StreamHeader, list[DetectionFrame]]:
+    """Read a .jsonl detection stream, validating and grouping records by frame."""
+    head, lines = _read_jsonl(path, STREAM_FORMAT, StreamFormatError)
+    if type(head.get("d_q")) is not int or not 0 < head["d_q"] < INT64_END:
         raise StreamFormatError(f"{path}:1: header field d_q must be a positive integer")
     canvas = None
     if "canvas" in head:
@@ -305,9 +332,7 @@ def parse_detection_stream(path) -> tuple[StreamHeader, list[DetectionFrame]]:
 
     frames: list[DetectionFrame] = []
     current: DetectionFrame | None = None
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
+    for lineno, line in lines:
         try:
             record = _stream_record(line, header.d_q)
         except _Invalid as exc:
@@ -350,12 +375,11 @@ def write_detection_stream(path, header: StreamHeader, frames: list[DetectionFra
 
 
 def _reject_duplicate_keys(pairs):
-    seen = set()
-    for key, _ in pairs:
-        if key in seen:
-            raise AnnotationFormatError(f"duplicate key {key!r}")
-        seen.add(key)
-    return dict(pairs)
+    obj = dict(pairs)
+    if len(obj) != len(pairs):  # name the first key met a second time
+        seen: set[str] = set()
+        raise _Invalid(f"duplicate key {next(key for key, _ in pairs if key in seen or seen.add(key))!r}")
+    return obj
 
 
 def parse_annotations(path) -> list[GroundTruthTrack]:
@@ -365,6 +389,8 @@ def parse_annotations(path) -> list[GroundTruthTrack]:
             doc = json.load(fh, object_pairs_hook=_reject_duplicate_keys)
         except json.JSONDecodeError as exc:
             raise AnnotationFormatError(f"{path}: bad JSON ({exc.msg})") from None
+        except _Invalid as exc:
+            raise AnnotationFormatError(f"{path}: {exc}") from None
     if not isinstance(doc, dict) or not isinstance(doc.get("tracks"), list):
         raise AnnotationFormatError(f"{path}: document must carry a 'tracks' list")
 
@@ -375,7 +401,7 @@ def parse_annotations(path) -> list[GroundTruthTrack]:
         if not isinstance(raw, dict):
             raise AnnotationFormatError(f"{where}: track must be an object")
         track_id = raw.get("id")
-        if not isinstance(track_id, int):
+        if type(track_id) is not int or not -INT64_END <= track_id < INT64_END:
             raise AnnotationFormatError(f"{where}: field 'id' must be an integer")
         if track_id in seen_ids:
             raise AnnotationFormatError(f"{where}: duplicate track id {track_id}")
@@ -394,10 +420,12 @@ def parse_annotations(path) -> list[GroundTruthTrack]:
                 raise AnnotationFormatError(f"{where}: frame key {key!r} is not an integer") from None
             if frame_idx < 0:
                 raise AnnotationFormatError(f"{where}: negative frame index {frame_idx}")
+            if frame_idx >= INT64_END:
+                raise AnnotationFormatError(f"{where}: frame index {frame_idx} out of range")
             if not isinstance(entry, dict) or "box" not in entry:
                 raise AnnotationFormatError(f"{where}: frame {frame_idx}: missing field 'box'")
             try:
-                box = _parse_box(entry["box"])
+                box = BBox(*_box_corners(entry["box"]))
             except _Invalid as exc:
                 raise AnnotationFormatError(f"{where}: frame {frame_idx}: {exc}") from None
             if not box.is_valid():
@@ -453,68 +481,60 @@ def write_annotations(path, tracks: list[GroundTruthTrack], video: str = "") -> 
 
 
 def write_trajectories(tracks: list[TrajectoryOutput], path, video: str = "") -> None:
-    """One line per (track, frame), sorted by (track_id, frame_index)."""
+    """One line per (track, frame), sorted by (track_id, frame_index): the bytes `json.dumps` writes."""
+    lines = [json.dumps({"format": TRAJ_FORMAT, "video": video})]
+    for tr in sorted(tracks, key=attrgetter("track_id")):
+        rows = zip(tr.frames.tolist(), tr.boxes.tolist(), tr.scores.tolist(), tr.polygons, tr.texts)
+        for f, (x0, y0, x1, y1), s, poly, text in rows:
+            line = (f'{{"track": {tr.track_id}, "frame": {f}, '
+                    f'"box": [{x0!r}, {y0!r}, {x1!r}, {y1!r}], "score": {s!r}')
+            if poly is not None:
+                line += ', "poly": [' + ", ".join([f"[{x!r}, {y!r}]" for x, y in poly]) + "]"
+            if "n" in line:  # a float that repr spells inf or nan, and JSON Infinity or NaN
+                line = line.replace("inf", "Infinity").replace("nan", "NaN")
+            if text is not None:
+                line += ', "text": ' + encode_basestring_ascii(text)
+            lines.append(line + "}")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"format": TRAJ_FORMAT, "video": video}) + "\n")
-        for track in sorted(tracks, key=lambda t: t.track_id):
-            for entry in sorted(track.entries, key=lambda e: e.frame_index):
-                row: dict = {
-                    "track": track.track_id,
-                    "frame": entry.frame_index,
-                    "box": entry.box.as_list(),
-                    "score": entry.score,
-                }
-                if entry.polygon is not None:
-                    row["poly"] = [[x, y] for x, y in entry.polygon]
-                if entry.text is not None:
-                    row["text"] = entry.text
-                fh.write(json.dumps(row) + "\n")
+        fh.write("\n".join(lines) + "\n")
 
 
 def read_trajectories(path) -> list[TrajectoryOutput]:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise DataFormatError(f"{path}: empty file, header expected")
-    try:
-        head = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"{path}:1: bad header JSON ({exc.msg})") from None
-    if not isinstance(head, dict) or head.get("format") != TRAJ_FORMAT:
-        raise DataFormatError(f"{path}:1: header must declare format {TRAJ_FORMAT!r}")
-
-    by_id: dict[int, TrajectoryOutput] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
+    """Trajectories by ascending track id; lines of different tracks may interleave."""
+    _, lines = _read_jsonl(path, TRAJ_FORMAT, DataFormatError)
+    track, frame, corners, scores, polygons, texts = [], [], [], [], [], []
+    last_frame: dict[int, int] = {}  # per track
+    for lineno, line in lines:
         try:
-            track_id, entry = _trajectory_entry(line)
+            track_id, frame_idx, box, score, polygon, text = _trajectory_row(line)
         except _Invalid as exc:
             raise DataFormatError(f"{path}:{lineno}: {exc}") from None
-        track = by_id.get(track_id)
-        if track is None:
-            track = by_id[track_id] = TrajectoryOutput(track_id=track_id)
-        if track.entries and entry.frame_index <= track.entries[-1].frame_index:
-            raise DataFormatError(f"{path}:{lineno}: frame {entry.frame_index} not increasing within track {track_id}")
-        track.entries.append(entry)
-    return [by_id[k] for k in sorted(by_id)]
+        if frame_idx <= last_frame.get(track_id, frame_idx - 1):
+            raise DataFormatError(f"{path}:{lineno}: frame {frame_idx} not increasing within track {track_id}")
+        last_frame[track_id] = frame_idx
+        track.append(track_id)
+        frame.append(frame_idx)
+        corners += box
+        scores.append(score)
+        polygons.append(polygon)
+        texts.append(text)
+    return group_trajectories(np.array(track, dtype=np.int64), np.array(frame, dtype=np.int64),
+                              np.array(corners, dtype=np.float64).reshape(-1, 4),
+                              np.array(scores, dtype=np.float64), polygons, texts)
 
 
-def _trajectory_entry(line: str) -> tuple[int, TrajectoryEntry]:
-    try:
-        raw = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise _Invalid(f"bad record JSON ({exc.msg})") from None
-    if not isinstance(raw, dict):
-        raise _Invalid("record must be an object")
+def _trajectory_row(line: str):
+    """(track id, frame, box corners, score, polygon, text) of one trajectory line."""
+    raw = _record_object(line)
     track_id = raw.get("track")
     frame_idx = raw.get("frame")
-    if not isinstance(track_id, int) or not isinstance(frame_idx, int):
+    if not (type(track_id) is type(frame_idx) is int
+            and -INT64_END <= min(track_id, frame_idx) <= max(track_id, frame_idx) < INT64_END):
         raise _Invalid("fields 'track' and 'frame' must be integers")
     for key in ("box", "score"):
         if key not in raw:
             raise _Invalid(f"missing field {key!r}")
-    box = _parse_box(raw["box"])
+    box = _box_corners(raw["box"])
     polygon = _parse_polygon(raw["poly"]) if raw.get("poly") is not None else None
     score = _parse_float(raw["score"], "score")
-    return track_id, TrajectoryEntry(frame_idx, box, score, polygon, _norm_text(raw.get("text")))
+    return track_id, frame_idx, box, score, polygon, _norm_text(raw.get("text"))

@@ -12,7 +12,8 @@ case-insensitive after trimming.
 
 A sequence is scored from one table built once: its boxes sorted by
 frame, and the same-frame (ground truth, prediction) pairs whose IoU
-reaches the threshold. CLEAR-MOT and IDF1 both read those pairs.
+reaches the threshold. CLEAR-MOT and IDF1 both read those pairs. The
+prediction rows are the trajectories' columns, concatenated.
 """
 
 from __future__ import annotations
@@ -72,16 +73,16 @@ def _norm_text(text: str | None) -> str:
     return (text or "").strip().lower()
 
 
-def _rows(frames, boxes, sizes: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _rows(frame, box, sizes: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Rows sorted stably by frame: (input position, frame, (n, 4) boxes, index of the row's group)."""
-    frame = np.fromiter(frames, np.int64, sum(sizes))
     order = np.argsort(frame, kind="stable")
-    return order, frame[order], box_array(boxes)[order], np.repeat(np.arange(len(sizes)), sizes)[order]
+    return order, frame[order], box[order], np.repeat(np.arange(len(sizes)), sizes)[order]
 
 
 def _gt_rows(tracks: list[GroundTruthTrack]):
-    return _rows(chain.from_iterable(tr.frames for tr in tracks),
-                 (e.box for tr in tracks for e in tr.frames.values()), [len(tr.frames) for tr in tracks])
+    sizes = [len(tr.frames) for tr in tracks]
+    return _rows(np.fromiter(chain.from_iterable(tr.frames for tr in tracks), np.int64, sum(sizes)),
+                 box_array(e.box for tr in tracks for e in tr.frames.values()), sizes)
 
 
 def _pairs(a_frame, a_box, b_frame, b_box, thr: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -119,11 +120,11 @@ class _Sequence:
     """One sequence as frame-sorted rows and its same-frame pairs at the threshold.
 
     GT rows are the valid (not "other") ground truth, prediction rows the
-    trajectories' entries; within a frame each keeps the order of its
-    tracks. `pair_g`, `pair_p` and `pair_iou` hold every (GT row,
-    prediction row) of one frame whose IoU reaches the threshold (and, in
-    spotting mode, whose texts agree), ordered by GT row, then prediction
-    row.
+    rows of the trajectories' columns; within a frame each keeps the
+    order of its tracks. `pair_g`, `pair_p` and `pair_iou` hold every
+    (GT row, prediction row) of one frame whose IoU reaches the threshold
+    (and, in spotting mode, whose texts agree), ordered by GT row, then
+    prediction row.
     """
 
     def __init__(self, gt_tracks: list[GroundTruthTrack], pred_tracks: list[TrajectoryOutput], cfg: EvalConfig):
@@ -132,9 +133,9 @@ class _Sequence:
         self.n_tracks = len(valid)
         g_order, self.g_frame, g_box, self.g_track = _gt_rows(valid)
         self.g_id = np.array([tr.track_id for tr in valid], dtype=np.int64)[self.g_track]
-        p_order, self.p_frame, p_box, p_track = _rows(
-            (e.frame_index for tr in pred_tracks for e in tr.entries),
-            (e.box for tr in pred_tracks for e in tr.entries), [len(tr.entries) for tr in pred_tracks])
+        p_frame = np.concatenate([np.zeros(0, np.int64), *(tr.frames for tr in pred_tracks)])
+        p_box = np.concatenate([np.zeros((0, 4)), *(tr.boxes for tr in pred_tracks)])
+        p_order, self.p_frame, p_box, p_track = _rows(p_frame, p_box, [len(tr.frames) for tr in pred_tracks])
         self.p_id = np.array([tr.track_id for tr in pred_tracks], dtype=np.int64)[p_track]
         _, d_frame, d_box, _ = _gt_rows([tr for tr in gt_tracks if tr.category == "other"])
         self.on_dontcare = _hit_mask(self.p_frame, p_box, d_frame, d_box, thr)
@@ -144,7 +145,7 @@ class _Sequence:
         if cfg.mode == "spotting":
             codes: dict[str, int] = {}
             g_text = [codes.setdefault(_norm_text(e.text), len(codes)) for tr in valid for e in tr.frames.values()]
-            p_text = [codes.setdefault(_norm_text(e.text), len(codes)) for tr in pred_tracks for e in tr.entries]
+            p_text = [codes.setdefault(_norm_text(text), len(codes)) for tr in pred_tracks for text in tr.texts]
             same = np.array(g_text, dtype=np.int64)[g_order[g]] == np.array(p_text, dtype=np.int64)[p_order[p]]
             g, p, overlap = g[same], p[same], overlap[same]
         self.pair_g, self.pair_p, self.pair_iou = g, p, overlap
@@ -317,9 +318,9 @@ def detection_prf(
     thr = cfg.iou_match_threshold
     _, g_frame, g_box, _ = _gt_rows([tr for tr in gt_tracks if tr.category != "other"])
     _, d_frame, d_box, _ = _gt_rows([tr for tr in gt_tracks if tr.category == "other"])
-    _, p_frame, p_box, _ = _rows((f for f, boxes in pred_boxes_by_frame.items() for _ in boxes),
-                                 chain.from_iterable(pred_boxes_by_frame.values()),
-                                 [len(boxes) for boxes in pred_boxes_by_frame.values()])
+    sizes = [len(boxes) for boxes in pred_boxes_by_frame.values()]
+    _, p_frame, p_box, _ = _rows(np.repeat(np.array(list(pred_boxes_by_frame), dtype=np.int64), sizes),
+                                 box_array(chain.from_iterable(pred_boxes_by_frame.values())), sizes)
     g, p, overlap = _pairs(g_frame, g_box, p_frame, p_box, thr)
     # rows are global, so pairs of different frames never compete and one order serves all frames
     used_g: set[int] = set()

@@ -18,8 +18,8 @@ from qtrack.data_io import (
     BBox,
     GroundTruthEntry,
     GroundTruthTrack,
-    TrajectoryEntry,
     TrajectoryOutput,
+    box_array,
 )
 from qtrack.matcher import MatcherVariant, count_parameters
 from qtrack.metrics import clear_mot, detection_prf, evaluate_sequences, idf1
@@ -143,10 +143,9 @@ def _gt(track_id, frames, slot=0):
 
 
 def _pred(track_id, frames, slot=0):
-    return TrajectoryOutput(
-        track_id=track_id,
-        entries=[TrajectoryEntry(frame_index=f, box=_slot_box(slot), score=0.9, text="w") for f in frames],
-    )
+    frames = list(frames)
+    return TrajectoryOutput(track_id, np.array(frames, dtype=np.int64), box_array([_slot_box(slot)] * len(frames)),
+                            np.full(len(frames), 0.9), [None] * len(frames), ["w"] * len(frames))
 
 
 def test_criterion_3_metric_hand_counts():

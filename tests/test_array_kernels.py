@@ -35,7 +35,6 @@ from qtrack.data_io import (
     DetectionRecord,
     GroundTruthEntry,
     GroundTruthTrack,
-    TrajectoryEntry,
     TrajectoryOutput,
     box_array,
     iou,
@@ -237,11 +236,23 @@ def ref_gt_by_frame(tracks):
     return valid, dontcare
 
 
+def traj(track_id, rows):
+    """A trajectory's columns from (frame, BBox, score, text) rows."""
+    frames, boxes, scores, texts = zip(*rows) if rows else ((),) * 4
+    return TrajectoryOutput(track_id, np.array(frames, dtype=np.int64), box_array(boxes),
+                            np.array(scores, dtype=np.float64), [None] * len(frames), list(texts))
+
+
+def ref_pred_rows(tr):
+    """(frame, box, text) of each row of a trajectory's columns."""
+    return [(f, BBox(*box), text) for f, box, text in zip(tr.frame_indices(), tr.boxes.tolist(), tr.texts)]
+
+
 def ref_pred_by_frame(tracks):
     preds = {}
     for tr in tracks:
-        for entry in tr.entries:
-            preds.setdefault(entry.frame_index, []).append((tr.track_id, entry.box, entry.text))
+        for f, box, text in ref_pred_rows(tr):
+            preds.setdefault(f, []).append((tr.track_id, box, text))
     return preds
 
 
@@ -253,13 +264,12 @@ def ref_discount_dontcare(pred_tracks, valid, dontcare, thr):
     """Per-frame predictions minus those that only cover don't-care regions (no text check)."""
     kept = {}
     for tr in pred_tracks:
-        for entry in tr.entries:
-            f = entry.frame_index
+        for f, box, text in ref_pred_rows(tr):
             dc = dontcare.get(f, [])
-            if dc and ref_hits_dontcare(entry.box, dc, thr):
-                if not any(iou(entry.box, g[1]) >= thr for g in valid.get(f, [])):
+            if dc and ref_hits_dontcare(box, dc, thr):
+                if not any(iou(box, g[1]) >= thr for g in valid.get(f, [])):
                     continue
-            kept.setdefault(f, []).append((tr.track_id, entry.box, entry.text))
+            kept.setdefault(f, []).append((tr.track_id, box, text))
     return kept
 
 
@@ -534,11 +544,16 @@ def _stream(seed: int, ties: bool):
 
 
 def _track_both(frames, model, config):
-    """Track with the array code, checking every step and bank against the references."""
+    """Track with the array code, checking every step and bank against the references.
+
+    Returns the reference tracker's trajectories: per track id, in order
+    of creation, its (frame, record, fused score, text with misreads)
+    rows in order of recording.
+    """
     bank = MemoryBank(config.history_depth, model.d_e)
     ref_bank = RefMemoryBank(config.history_depth)
     head = model.rescoring_head()
-    recorded: dict[int, TrajectoryOutput] = {}
+    recorded: dict[int, list] = {}
     counts = {"st": 0, "lt": 0}
     for frame in frames:
         t = frame.frame_index
@@ -568,9 +583,22 @@ def _track_both(frames, model, config):
         for i, tid in assignments:
             rec = kept[i].record
             text = rec.text if (i + t) % 5 else "typo"  # some misreads for spotting mode
-            recorded.setdefault(tid, TrajectoryOutput(tid)).entries.append(
-                TrajectoryEntry(t, rec.box, kept[i].fused_score, text=text))
-    return list(recorded.values()), counts
+            recorded.setdefault(tid, []).append((t, rec, kept[i].fused_score, text))
+    return recorded, counts
+
+
+def _assert_columns_equal_reference(tracks, recorded, min_track_len):
+    """`track_sequence`'s columns against the reference rows: sorted by frame, short tracks dropped."""
+    want = {tid: sorted(rows, key=lambda r: r[0]) for tid, rows in sorted(recorded.items())
+            if len(rows) >= min_track_len}
+    assert [tr.track_id for tr in tracks] == list(want)
+    for tr in tracks:
+        frames, records, scores, _ = zip(*want[tr.track_id])
+        assert tr.frames.dtype == np.int64 and tr.frame_indices() == list(frames)
+        assert tr.boxes.dtype == np.float64 and tr.boxes.tolist() == [rec.box.as_list() for rec in records]
+        assert tr.scores.dtype == np.float64 and tr.scores.tolist() == list(scores)
+        assert tr.polygons == [rec.polygon for rec in records]
+        assert tr.texts == [rec.text for rec in records]
 
 
 @pytest.mark.parametrize("ties", [False, True])
@@ -583,8 +611,11 @@ def test_stream_outcomes_equal_reference(variant, use_lt, ties):
     totals = {"st": 0, "lt": 0}
     for seed in (0, 1):
         frames, gts = _stream(seed, ties)
-        tracks, counts = _track_both(frames, model, config)
+        recorded, counts = _track_both(frames, model, config)
         totals = {k: totals[k] + counts[k] for k in totals}
+        _assert_columns_equal_reference(track_sequence(frames, model, config), recorded, config.min_track_len)
+        tracks = [traj(tid, [(t, rec.box, score, text) for t, rec, score, text in rows])
+                  for tid, rows in recorded.items()]
 
         gts[0].category = "other"  # one don't-care region
         by_frame = {f.frame_index: [r.box for r in f.records] for f in frames}
@@ -634,8 +665,8 @@ def eval_sequence(draw):
                 box = BBox(b.x_min + dx, b.y_min, b.x_max + dx, b.y_max)
             else:
                 box = draw(grid_box)
-            entries.append(TrajectoryEntry(f, box, 0.9, text=draw(st.sampled_from(["ab", "cd", None]))))
-        preds.append(TrajectoryOutput(3 * k + draw(st.integers(1, 3)), entries))
+            entries.append((f, box, 0.9, draw(st.sampled_from(["ab", "cd", None]))))
+        preds.append(traj(3 * k + draw(st.integers(1, 3)), entries))
     return gts, preds
 
 
@@ -649,8 +680,8 @@ def test_metrics_equal_reference_on_random_sequences(seq_a, seq_b, threshold):
         assert idf1(gts, preds, cfg) == ref_idf1_score(*ref_idf1_counts(gts, preds, cfg))
         by_frame = {}
         for tr in preds:
-            for e in tr.entries:
-                by_frame.setdefault(e.frame_index, []).append(e.box)
+            for f, box, _ in ref_pred_rows(tr):
+                by_frame.setdefault(f, []).append(box)
         assert detection_prf(gts, by_frame, cfg) == ref_detection_prf(gts, by_frame, cfg)
         sequences = {"a": seq_a, "b": seq_b}
         assert evaluate_sequences(sequences, cfg) == ref_evaluate_sequences(sequences, cfg)

@@ -234,7 +234,7 @@ def test_theta_near_one_fragments_everything():
     model = _similarity_model(d=16)
     tracks = track_sequence(dets, model, TrackerConfig(assoc_threshold=0.999999, min_track_len=1))
     assert len(tracks) == 6  # a fresh trajectory every frame
-    assert all(len(t.entries) == 1 for t in tracks)
+    assert all(len(t.frames) == 1 for t in tracks)
 
 
 def test_single_repeated_instance_default_theta():
@@ -320,7 +320,7 @@ def test_track_sequence_deterministic():
     assert [t.track_id for t in a] == [t.track_id for t in b]
     for ta, tb in zip(a, b):
         assert ta.frame_indices() == tb.frame_indices()
-        assert [e.score for e in ta.entries] == [e.score for e in tb.entries]
+        assert ta.scores.tolist() == tb.scores.tolist()
 
 
 def test_tracker_config_validation():

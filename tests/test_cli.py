@@ -99,7 +99,8 @@ def test_eval_trajectories_against_themselves(tmp_path, capsys):
     as_gt = [
         GroundTruthTrack(
             track_id=t.track_id,
-            frames={e.frame_index: GroundTruthEntry(box=e.box, text=e.text or "") for e in t.entries},
+            frames={f: GroundTruthEntry(box=BBox(*box), text=text or "")
+                    for f, box, text in zip(t.frame_indices(), t.boxes.tolist(), t.texts)},
         )
         for t in tracks
     ]
@@ -222,10 +223,10 @@ def test_track_zero_query_starts_own_trajectory(tmp_path):
     assert main(["track", "--checkpoint", str(ckpt), "--stream", str(stream), "--out", str(out),
                  "--min-track-len", "1"]) == 0
     tracks = read_trajectories(out / "trajectories.jsonl")
-    own = [t for t in tracks if any(e.box.as_list() == zeroed["box"] for e in t.entries)]
+    own = [t for t in tracks if zeroed["box"] in t.boxes.tolist()]
     assert len(own) == 1 and own[0].frame_indices() == [6]
     # the other instances keep their trajectories: track 1 resumes after the gap
-    assert sorted(len(t.entries) for t in tracks) == [1, 7, 8, 8, 8, 8, 8]
+    assert sorted(len(t.frames) for t in tracks) == [1, 7, 8, 8, 8, 8, 8]
 
 
 def _json_error(capsys) -> str:
@@ -274,3 +275,43 @@ def test_eval_trajectory_without_score_is_json_error(tmp_path, capsys):
     assert main(["eval", "--annotations", str(data / "annotations.json"), "--trajectories", str(traj)]) == 1
     error = _json_error(capsys)
     assert f"{traj}:3" in error and "'score'" in error
+
+
+@pytest.mark.parametrize("query", [{"a": 1}, [1, "x"], [[1], 2]])
+def test_track_stream_query_not_numbers_is_json_error(tmp_path, capsys, query):
+    data = _gen(tmp_path, frames=4, tracks=2, seed=8)
+    stream = data / "stream.jsonl"
+    lines = stream.read_text().splitlines()
+    row = json.loads(lines[2])
+    row["query"] = query
+    lines[2] = json.dumps(row)
+    stream.write_text("\n".join(lines) + "\n")
+    ckpt = tmp_path / "model.json"
+    save_checkpoint(TrackerModel.create(MatcherVariant.SIMILARITY, d_q=16), ckpt)
+    assert main(["track", "--checkpoint", str(ckpt), "--stream", str(stream), "--out", str(tmp_path / "o")]) == 1
+    assert _json_error(capsys) == f"{stream}:3: field 'query' must be a list of numbers"
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ('"id": 1', f'"id": {2**63}', "track #0: field 'id' must be an integer"),
+    ('"0": {', f'"{2**63}": {{', f"track #0: frame index {2**63} out of range"),
+])
+def test_eval_annotation_beyond_int64_is_json_error(tmp_path, capsys, old, new, message):
+    data = _gen(tmp_path, frames=4, tracks=2, seed=8)
+    ann = data / "annotations.json"
+    assert old in ann.read_text()
+    ann.write_text(ann.read_text().replace(old, new, 1))
+    traj = tmp_path / "t.jsonl"
+    traj.write_text(json.dumps({"format": "qtrack-traj/1", "video": ""}) + "\n")
+    assert main(["eval", "--annotations", str(ann), "--trajectories", str(traj)]) == 1
+    assert _json_error(capsys) == f"{ann}: {message}"
+
+
+def test_eval_annotation_duplicate_key_is_json_error(tmp_path, capsys):
+    data = _gen(tmp_path, frames=4, tracks=2, seed=8)
+    ann = data / "annotations.json"
+    ann.write_text(ann.read_text().replace('"video":', '"video": "x", "video":', 1))
+    traj = tmp_path / "t.jsonl"
+    traj.write_text(json.dumps({"format": "qtrack-traj/1", "video": ""}) + "\n")
+    assert main(["eval", "--annotations", str(ann), "--trajectories", str(traj)]) == 1
+    assert _json_error(capsys) == f"{ann}: duplicate key 'video'"

@@ -4,14 +4,16 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtrack.data_io import (
     AnnotationFormatError,
     BBox,
+    DataFormatError,
     GroundTruthEntry,
     GroundTruthTrack,
     StreamFormatError,
-    TrajectoryEntry,
     TrajectoryOutput,
     iou,
     parse_annotations,
@@ -124,6 +126,32 @@ def test_stream_polygon_envelope_must_match_box(tmp_path):
         parse_detection_stream(path)
 
 
+@pytest.mark.parametrize("query", [[1, "x", 0, 0], {"a": 1}, [[1], 2, 0, 0], "abcd"])
+def test_stream_query_not_a_flat_list_of_numbers_names_file_and_line(tmp_path, query):
+    path = tmp_path / "s.jsonl"
+    _write_lines(path, HEADER, _record(), _record(query=query))
+    with pytest.raises(StreamFormatError) as err:
+        parse_detection_stream(path)
+    assert str(err.value) == f"{path}:3: field 'query' must be a list of numbers"
+
+
+@pytest.mark.parametrize("frame", [True, False, -1, 2**63, 1.0])
+def test_stream_frame_must_be_a_nonnegative_int64(tmp_path, frame):
+    path = tmp_path / "s.jsonl"
+    _write_lines(path, HEADER, _record(frame=frame))
+    with pytest.raises(StreamFormatError) as err:
+        parse_detection_stream(path)
+    assert str(err.value) == f"{path}:2: field 'frame' must be a nonnegative integer"
+
+
+@pytest.mark.parametrize("d_q", [True, 0, 2**63])
+def test_stream_header_d_q_must_be_a_positive_int64(tmp_path, d_q):
+    path = tmp_path / "s.jsonl"
+    _write_lines(path, {**HEADER, "d_q": d_q}, _record(query=(1,)))
+    with pytest.raises(StreamFormatError, match=":1: header field d_q must be a positive integer"):
+        parse_detection_stream(path)
+
+
 def test_missing_header(tmp_path):
     path = tmp_path / "s.jsonl"
     _write_lines(path, _record())
@@ -193,6 +221,47 @@ def test_annotations_duplicate_frame_key_rejected(tmp_path):
         parse_annotations(path)
 
 
+@pytest.mark.parametrize("doc, key", [
+    ('{"video": "v", "video": "w", "tracks": []}', "video"),
+    # the first key met a second time, not the first key that has a twin
+    ('{"tracks": [], "a": 1, "b": 2, "b": 3, "a": 4}', "b"),
+])
+def test_annotations_duplicate_key_names_the_file(tmp_path, doc, key):
+    path = tmp_path / "a.json"
+    path.write_text(doc)
+    with pytest.raises(AnnotationFormatError) as err:
+        parse_annotations(path)
+    assert str(err.value) == f"{path}: duplicate key {key!r}"
+
+
+@pytest.mark.parametrize("track_id", [True, 2**63, -2**63 - 1, 1.0])
+def test_annotations_track_id_must_be_an_int64(tmp_path, track_id):
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps(_annotation_doc([{"id": track_id, "frames": {"0": {"box": [0, 0, 5, 5]}}}])))
+    with pytest.raises(AnnotationFormatError) as err:
+        parse_annotations(path)
+    assert str(err.value) == f"{path}: track #0: field 'id' must be an integer"
+
+
+def test_annotations_int64_bounds_are_accepted(tmp_path):
+    path = tmp_path / "a.json"
+    box = {"box": [0, 0, 5, 5]}
+    path.write_text(json.dumps(_annotation_doc([
+        {"id": -2**63, "frames": {"0": box}}, {"id": 2**63 - 1, "frames": {str(2**63 - 1): box}},
+    ])))
+    assert [(tr.track_id, tr.present_frames()) for tr in parse_annotations(path)] == [
+        (-2**63, [0]), (2**63 - 1, [2**63 - 1]),
+    ]
+
+
+def test_annotations_frame_key_beyond_int64_rejected(tmp_path):
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps(_annotation_doc([{"id": 1, "frames": {str(2**63): {"box": [0, 0, 5, 5]}}}])))
+    with pytest.raises(AnnotationFormatError) as err:
+        parse_annotations(path)
+    assert str(err.value) == f"{path}: track #0: frame index {2**63} out of range"
+
+
 def test_annotations_duplicate_track_id_rejected(tmp_path):
     path = tmp_path / "a.json"
     entry = {"id": 1, "frames": {"0": {"box": [0, 0, 5, 5], "text": "x"}}}
@@ -232,11 +301,27 @@ def test_annotations_round_trip(tmp_path):
 # trajectories
 
 
+def _columns(track_id, frames, boxes, scores, polygons=None, texts=None):
+    n = len(frames)
+    return TrajectoryOutput(track_id, np.array(frames, dtype=np.int64), np.array(boxes, dtype=np.float64).reshape(-1, 4),
+                            np.array(scores, dtype=np.float64), polygons or [None] * n, texts or [None] * n)
+
+
 def _traj(track_id, frames):
-    return TrajectoryOutput(track_id=track_id, entries=[
-        TrajectoryEntry(frame_index=f, box=BBox(f, f, f + 5, f + 5), score=0.5 + 0.01 * f, text=f"t{track_id}")
-        for f in frames
-    ])
+    return _columns(track_id, frames, [[f, f, f + 5, f + 5] for f in frames], [0.5 + 0.01 * f for f in frames],
+                    texts=[f"t{track_id}"] * len(frames))
+
+
+def _assert_same_columns(a, b):
+    """Equal columns, floats bit for bit, and the dtypes the tracker gives."""
+    assert a.track_id == b.track_id
+    assert b.frames.dtype == np.int64 and a.frame_indices() == b.frame_indices()
+    assert b.boxes.dtype == np.float64 and b.boxes.shape == (len(b.frames), 4)
+    assert a.boxes.tobytes() == b.boxes.tobytes()
+    assert b.scores.dtype == np.float64 and a.scores.tobytes() == b.scores.tobytes()
+    assert [None if p is None else [tuple(map(repr, pt)) for pt in p] for p in a.polygons] == \
+        [None if p is None else [tuple(map(repr, pt)) for pt in p] for p in b.polygons]
+    assert a.texts == b.texts
 
 
 @pytest.mark.parametrize("tracks", [
@@ -253,8 +338,7 @@ def test_trajectory_round_trip(tmp_path, tracks):
     for a, b in zip(sorted(outs, key=lambda t: t.track_id), back):
         assert a.track_id == b.track_id
         assert a.frame_indices() == b.frame_indices()
-        for ea, eb in zip(a.entries, b.entries):
-            assert ea.box == eb.box and ea.score == eb.score and ea.text == eb.text
+        assert a.boxes.tolist() == b.boxes.tolist() and a.scores.tolist() == b.scores.tolist() and a.texts == b.texts
 
 
 def test_trajectory_round_trip_random_property():
@@ -267,16 +351,10 @@ def test_trajectory_round_trip_random_property():
         for tid in range(1, int(rng.integers(1, 6)) + 1):
             n = int(rng.integers(1, 8))
             frames = sorted(rng.choice(50, size=n, replace=False).tolist())
-            entries = [
-                TrajectoryEntry(
-                    frame_index=int(f),
-                    box=BBox(*sorted(rng.uniform(0, 100, 2)), *(sorted(rng.uniform(0, 100, 2) + 101))),
-                    score=float(rng.uniform(0, 1)),
-                    text=None if rng.random() < 0.3 else f"w{tid}",
-                )
-                for f in frames
-            ]
-            tracks.append(TrajectoryOutput(track_id=tid, entries=entries))
+            boxes = [[*sorted(rng.uniform(0, 100, 2)), *(sorted(rng.uniform(0, 100, 2) + 101))] for _ in frames]
+            scores = [float(rng.uniform(0, 1)) for _ in frames]
+            texts = [None if rng.random() < 0.3 else f"w{tid}" for _ in frames]
+            tracks.append(_columns(tid, frames, boxes, scores, texts=texts))
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "t.jsonl"
             write_trajectories(tracks, path)
@@ -285,10 +363,9 @@ def test_trajectory_round_trip_random_property():
             assert len(back) == len(tracks)
             for a, b in zip(tracks, back):
                 assert a.track_id == b.track_id
-                for ea, eb in zip(a.entries, b.entries):
-                    assert ea.box == eb.box  # exact float round trip
-                    assert ea.score == eb.score
-                    assert ea.text == eb.text
+                assert a.boxes.tolist() == b.boxes.tolist()  # exact float round trip
+                assert a.scores.tolist() == b.scores.tolist()
+                assert a.texts == b.texts
 
 
 def test_trajectory_writes_are_deterministic(tmp_path):
@@ -297,6 +374,110 @@ def test_trajectory_writes_are_deterministic(tmp_path):
     write_trajectories(outs, a)
     write_trajectories(list(reversed(outs)), b)
     assert a.read_bytes() == b.read_bytes()
+
+
+def ref_write_trajectories(tracks, path, video=""):
+    """The writer as it was: one `json.dumps` of a dict per row."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps({"format": "qtrack-traj/1", "video": video}) + "\n")
+        for tr in sorted(tracks, key=lambda t: t.track_id):
+            rows = zip(tr.frame_indices(), tr.boxes.tolist(), tr.scores.tolist(), tr.polygons, tr.texts)
+            for f, box, score, poly, text in sorted(rows, key=lambda row: row[0]):
+                row = {"track": tr.track_id, "frame": f, "box": box, "score": score}
+                if poly is not None:
+                    row["poly"] = [[x, y] for x, y in poly]
+                if text is not None:
+                    row["text"] = text
+                fh.write(json.dumps(row) + "\n")
+
+
+EDGE_FLOATS = [-0.0, 1e-300, 1e22, float("inf"), float("-inf"), float("nan"), 5e-324, 0.1, 1e16, 123456789.125]
+EDGE_TEXTS = ["naïve", "日本語", "emoji \U0001F600", 'quo"te', "back\\slash", "ctl\x00\x01\x1f\n\t\r\x7f",
+              "  ", "inf nan Infinity", "", None]
+
+
+def test_trajectory_bytes_equal_json_dumps_on_edge_values(tmp_path):
+    n = len(EDGE_FLOATS)
+    boxes = [[EDGE_FLOATS[(k + c) % n] for c in range(4)] for k in range(n)]
+    polygons = [None if k % 3 else [(EDGE_FLOATS[k], -1.5), (2.0, EDGE_FLOATS[-k]), (1e-7, 3.0)] for k in range(n)]
+    texts = [EDGE_TEXTS[k % len(EDGE_TEXTS)] for k in range(n)]
+    tracks = [_columns(9, list(range(n)), boxes, EDGE_FLOATS[::-1], polygons, texts),
+              _columns(-3, [-7, 2], [[1, 2, 3, 4], [0.5, 0.25, 1e300, 2e300]], [0.0, 1.0], texts=["a", None])]
+    got, want = tmp_path / "got.jsonl", tmp_path / "want.jsonl"
+    write_trajectories(tracks, got, video="vidéo \"1\"")
+    ref_write_trajectories(tracks, want, video="vidéo \"1\"")
+    assert got.read_bytes() == want.read_bytes()
+    assert b"Infinity" in got.read_bytes() and b"NaN" in got.read_bytes()
+
+
+texts = st.one_of(st.none(), st.text(max_size=8).map(str.strip))
+
+
+@st.composite
+def trajectory_sets(draw, allow_nan=False):
+    """Trajectories with unique ids and increasing frames, int64 anywhere, any float and text."""
+    floats = st.floats(allow_nan=allow_nan, width=64)
+    polygons = st.one_of(st.none(), st.lists(st.tuples(floats, floats), min_size=3, max_size=5))
+    ids = draw(st.lists(st.integers(-2**63, 2**63 - 1), unique=True, max_size=4))
+    tracks = []
+    for tid in ids:
+        frames = sorted(draw(st.lists(st.integers(-2**63, 2**63 - 1), unique=True, min_size=1, max_size=4)))
+        n = len(frames)
+        tracks.append(_columns(tid, frames, draw(st.lists(st.lists(floats, min_size=4, max_size=4), min_size=n, max_size=n)),
+                               draw(st.lists(floats, min_size=n, max_size=n)),
+                               draw(st.lists(polygons, min_size=n, max_size=n)),
+                               draw(st.lists(texts, min_size=n, max_size=n))))
+    return tracks
+
+
+@settings(max_examples=150)
+@given(trajectory_sets(), st.data())
+def test_trajectory_columns_survive_the_file_in_any_track_order(tmp_path_factory, tracks, data):
+    path = tmp_path_factory.mktemp("traj") / "t.jsonl"
+    write_trajectories(tracks, path, video="v")
+    head, *body = path.read_text(encoding="utf-8").splitlines()
+    # interleave the tracks' lines at random, each track's own lines kept in order
+    owner = [json.loads(line)["track"] for line in body]
+    queues = {tid: iter([line for line, t in zip(body, owner) if t == tid]) for tid in owner}
+    body = [next(queues[owner[i]]) for i in data.draw(st.permutations(range(len(body))))]
+    path.write_text("\n".join([head, *body]) + "\n", encoding="utf-8")
+    back = read_trajectories(path)
+    assert len(back) == len(tracks)
+    for a, b in zip(sorted(tracks, key=lambda t: t.track_id), back):
+        _assert_same_columns(a, b)
+
+
+@settings(max_examples=150)
+@given(trajectory_sets(allow_nan=True), st.text(max_size=6))
+def test_trajectory_bytes_equal_json_dumps(tmp_path_factory, tracks, video):
+    path = tmp_path_factory.mktemp("traj")
+    write_trajectories(tracks, path / "got.jsonl", video=video)
+    ref_write_trajectories(tracks, path / "want.jsonl", video=video)
+    assert (path / "got.jsonl").read_bytes() == (path / "want.jsonl").read_bytes()
+
+
+def _trajectory_file(path, *rows):
+    path.write_text("\n".join(json.dumps(r) for r in [{"format": "qtrack-traj/1", "video": ""}, *rows]) + "\n")
+
+
+@pytest.mark.parametrize("track, frame", [(True, 0), (1, False), (1, 2**63), (-2**63 - 1, 0), (1, 1.0), ("1", 0)])
+def test_trajectory_ids_must_be_int64_integers(tmp_path, track, frame):
+    path = tmp_path / "t.jsonl"
+    _trajectory_file(path, {"track": 1, "frame": 0, "box": [0, 0, 1, 1], "score": 0.5},
+                     {"track": track, "frame": frame, "box": [0, 0, 1, 1], "score": 0.5})
+    with pytest.raises(DataFormatError) as err:
+        read_trajectories(path)
+    assert str(err.value) == f"{path}:3: fields 'track' and 'frame' must be integers"
+
+
+def test_trajectory_frames_must_increase_within_a_track(tmp_path):
+    path = tmp_path / "t.jsonl"
+    row = {"box": [0, 0, 1, 1], "score": 0.5}
+    _trajectory_file(path, {"track": 2, "frame": 5, **row}, {"track": 1, "frame": 9, **row},
+                     {"track": 1, "frame": 10, **row}, {"track": 2, "frame": 5, **row})
+    with pytest.raises(DataFormatError) as err:
+        read_trajectories(path)
+    assert str(err.value) == f"{path}:5: frame 5 not increasing within track 2"
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,8 @@ from qtrack.data_io import (
     BBox,
     GroundTruthEntry,
     GroundTruthTrack,
-    TrajectoryEntry,
     TrajectoryOutput,
+    box_array,
 )
 from qtrack.metrics import EvalConfig, clear_mot, detection_prf, idf1
 
@@ -30,22 +30,20 @@ def _gt(track_id, frames, slot=0, text="word", category="alphanumeric"):
     )
 
 
+def _traj(track_id, rows):
+    """A trajectory from (frame, BBox, score, text) rows."""
+    frames, boxes, scores, texts = zip(*rows) if rows else ((),) * 4
+    return TrajectoryOutput(track_id, np.array(frames, dtype=np.int64), box_array(boxes),
+                            np.array(scores, dtype=np.float64), [None] * len(frames), list(texts))
+
+
 def _pred(track_id, frames, slot=0, text="word"):
-    return TrajectoryOutput(
-        track_id=track_id,
-        entries=[TrajectoryEntry(frame_index=f, box=_box(slot), score=0.9, text=text) for f in frames],
-    )
+    return _traj(track_id, [(f, _box(slot), 0.9, text) for f in frames])
 
 
 def _as_predictions(gt_tracks):
-    preds = []
-    for tr in gt_tracks:
-        entries = [
-            TrajectoryEntry(frame_index=f, box=e.box, score=1.0, text=e.text)
-            for f, e in sorted(tr.frames.items())
-        ]
-        preds.append(TrajectoryOutput(track_id=tr.track_id + 1000, entries=entries))
-    return preds
+    return [_traj(tr.track_id + 1000, [(f, e.box, 1.0, e.text) for f, e in sorted(tr.frames.items())])
+            for tr in gt_tracks]
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +135,7 @@ def test_empty_everything():
 def test_dontcare_absorbs_a_misread_only_when_no_valid_gt_is_hit():
     # a don't-care region on the same box as a valid track; the prediction misreads frames 2-3
     gt = [_gt(1, range(4), slot=0), _gt(2, range(4), slot=0, category="other")]
-    preds = [TrajectoryOutput(5, [TrajectoryEntry(f, _box(0), 0.9, text="word" if f < 2 else "ward") for f in range(4)])]
+    preds = [_traj(5, [(f, _box(0), 0.9, "word" if f < 2 else "ward") for f in range(4)])]
     report = clear_mot(gt, preds, EvalConfig(mode="spotting"))
     assert (report.tp, report.fp, report.fn) == (2, 0, 2)
     # IDF1 discounts a prediction only if it hits no valid GT at the threshold, whatever
@@ -175,8 +173,8 @@ def test_mota_at_most_one_and_idf1_in_unit_interval(gt, rows, mode):
     by_id = {}
     for pid, f, slot, text in rows:
         entries = by_id.setdefault(pid, {})
-        entries.setdefault(f, TrajectoryEntry(f, _box(slot), 0.9, text=text))
-    preds = [TrajectoryOutput(pid, [entries[f] for f in sorted(entries)]) for pid, entries in by_id.items()]
+        entries.setdefault(f, (f, _box(slot), 0.9, text))
+    preds = [_traj(pid, [entries[f] for f in sorted(entries)]) for pid, entries in by_id.items()]
     report = clear_mot(gt, preds, EvalConfig(mode=mode))
     assert report.mota is None or report.mota <= 1.0
     assert report.mota is not None or (report.gt_total == 0 and report.fp > 0)
@@ -205,7 +203,7 @@ def _idf1_brute_force(gt_tracks, pred_tracks, thr=0.5):
     gts = [t for t in gt_tracks if t.category != "other"]
     preds = pred_tracks
     total_gt = sum(len(t.frames) for t in gts)
-    total_pred = sum(len(t.entries) for t in preds)
+    total_pred = sum(len(t.frames) for t in preds)
     if total_gt == 0 and total_pred == 0:
         return 1.0
     if total_gt == 0 or total_pred == 0:
@@ -213,9 +211,9 @@ def _idf1_brute_force(gt_tracks, pred_tracks, thr=0.5):
 
     def overlap(g, p):
         hits = 0
-        for e in p.entries:
-            entry = g.frames.get(e.frame_index)
-            if entry is not None and iou(entry.box, e.box) >= thr:
+        for f, box in zip(p.frame_indices(), p.boxes.tolist()):
+            entry = g.frames.get(f)
+            if entry is not None and iou(entry.box, BBox(*box)) >= thr:
                 hits += 1
         return hits
 
