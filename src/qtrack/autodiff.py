@@ -10,9 +10,20 @@ in reverse topological order.
 
 Leaf tensors double as parameters: after ``backward()``, ``grad``
 holds dL/dvalue with the same shape as ``value``.
+
+The blocks in ``numerics`` and ``matcher`` are written once against an
+op table: ``TAPE`` runs them on tensors and records the graph that
+training differentiates; ``ARRAY`` runs them on plain float64 arrays
+and builds nothing, for tracking. Products, sums, scaling and
+transposes are ``@``, ``+``, ``*`` and ``.T`` in both. Where a tape
+op's forward is plain arithmetic (row softmax, unit rows, layer norm),
+it computes its value with the array op's function, so the two tables
+agree bit for bit by construction.
 """
 
 from __future__ import annotations
+
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -28,13 +39,14 @@ __all__ = [
     "pow_const",
     "sum_",
     "softmax_rows",
-    "l2_normalize_rows",
     "l2_normalize_rows_or_zero",
     "layer_norm_rows",
     "concat_rows",
     "concat_cols",
     "take_rows",
     "take_cols",
+    "ARRAY",
+    "TAPE",
 ]
 
 
@@ -56,6 +68,10 @@ class Tensor:
     @property
     def ndim(self):
         return self.value.ndim
+
+    @property
+    def T(self):
+        return transpose(self)
 
     def item(self) -> float:
         return float(self.value)
@@ -261,9 +277,7 @@ def softmax_rows(a: Tensor) -> Tensor:
     a = _wrap(a)
     if a.value.ndim != 2:
         raise ValueError("softmax_rows expects a 2D tensor")
-    shifted = a.value - a.value.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=1, keepdims=True)
+    y = _softmax_rows(a.value)
 
     def bw(g):
         # dS = y * (g - sum_j g_j y_j) per row
@@ -273,55 +287,27 @@ def softmax_rows(a: Tensor) -> Tensor:
     return Tensor(y, (a,), bw)
 
 
-def l2_normalize_rows(a: Tensor) -> Tensor:
-    """Scale each row (or a single vector) to unit L2 norm."""
-    a = _wrap(a)
-    if a.value.ndim == 1:
-        n = np.linalg.norm(a.value)
-        if n == 0.0:
-            raise ValueError("cannot normalize a zero vector")
-        y = a.value / n
-
-        def bw(g):
-            _accum(a, (g - y * (g @ y)) / n)
-
-        return Tensor(y, (a,), bw)
-
-    if np.any(np.linalg.norm(a.value, axis=1) == 0.0):
-        raise ValueError("cannot normalize a zero row")
-    return l2_normalize_rows_or_zero(a)
-
-
 def l2_normalize_rows_or_zero(a: Tensor) -> Tensor:
     """Scale each row of a 2D tensor to unit L2 norm; zero rows stay zero.
 
-    A zero row has no direction, so its output and its gradient are 0;
-    `l2_normalize_rows` rejects it instead.
+    A zero row has no direction, so its output and its gradient are 0.
     """
     a = _wrap(a)
-    n = np.linalg.norm(a.value, axis=1, keepdims=True)
-    live = n != 0.0
-    n = np.where(live, n, 1.0)
-    y = a.value / n
+    y, n = _unit_rows_or_zero(a.value)
 
     def bw(g):
         dot = (g * y).sum(axis=1, keepdims=True)
-        _accum(a, (g - y * dot) / n * live)
+        _accum(a, (g - y * dot) / n)
 
     return Tensor(y, (a,), bw)
 
 
-def layer_norm_rows(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-8) -> Tensor:
+def layer_norm_rows(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize each row to zero mean / unit variance, then apply gain and bias."""
     x, gain, bias = _wrap(x), _wrap(gain), _wrap(bias)
     if x.value.ndim != 2:
         raise ValueError("layer_norm_rows expects a 2D tensor")
-    mu = x.value.mean(axis=1, keepdims=True)
-    xc = x.value - mu
-    var = (xc * xc).mean(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    y = xc * inv
-    out = y * gain.value + bias.value
+    out, y, inv = _layer_norm(x.value, gain.value, bias.value)
 
     def bw(g):
         _accum(gain, (g * y).sum(axis=0))
@@ -386,3 +372,55 @@ def take_cols(a: Tensor, start: int, stop: int) -> Tensor:
         _accum(a, acc)
 
     return Tensor(out, (a,), bw)
+
+
+# ---------------------------------------------------------------------------
+# plain-array forwards and the two op tables
+
+
+def _softmax_rows(a: np.ndarray) -> np.ndarray:
+    e = np.exp(a - a.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def _unit_rows_or_zero(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rows scaled to unit L2 norm, the norms); a zero row is divided by inf, so it and its gradient stay 0."""
+    # `np.linalg.norm(a, axis=1)` of a real array is this reduction.
+    n = np.sqrt(np.add.reduce(a * a, axis=1, keepdims=True))
+    n = np.where(n != 0.0, n, np.inf)
+    return a / n, n
+
+
+def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(output, normalized rows, 1 / row std) of layer norm, with 1e-8 added to the variance."""
+    # `sum / d` is numpy's own `mean`, minus its dispatch overhead.
+    d = x.shape[1]
+    xc = x - x.sum(axis=1, keepdims=True) / d
+    inv = 1.0 / np.sqrt((xc * xc).sum(axis=1, keepdims=True) / d + 1e-8)
+    y = xc * inv
+    return y * gain + bias, y, inv
+
+
+# The ops a block calls besides `@`, `+`, `*` and `.T`. `linear` and
+# `layer_norm` take parameter tensors (and `LayerNormParams`) and unwrap
+# them themselves, so the array table pays no per-weight call.
+ARRAY = SimpleNamespace(
+    const=lambda value: value,
+    linear=lambda x, w, b: x @ w.value + b.value,
+    relu=lambda a: a * (a > 0),
+    softmax_rows=_softmax_rows,
+    layer_norm=lambda x, ln: _layer_norm(x, ln.gain.value, ln.bias.value)[0],
+    cols=lambda a, start, stop: a[:, start:stop],
+    concat_cols=lambda parts: np.concatenate(parts, axis=1),
+    unit_rows_or_zero=lambda a: _unit_rows_or_zero(a)[0],
+)
+TAPE = SimpleNamespace(
+    const=Tensor,
+    linear=lambda x, w, b: matmul(x, w) + b,
+    relu=relu,
+    softmax_rows=softmax_rows,
+    layer_norm=lambda x, ln: layer_norm_rows(x, ln.gain, ln.bias),
+    cols=take_cols,
+    concat_cols=concat_cols,
+    unit_rows_or_zero=l2_normalize_rows_or_zero,
+)

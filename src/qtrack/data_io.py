@@ -13,6 +13,7 @@ fields are JSON integers, not booleans, that fit in int64.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from itertools import chain
 from json.encoder import encode_basestring_ascii
@@ -233,11 +234,16 @@ def _norm_text(value) -> str | None:
     return str(value).strip()
 
 
+def _json_message(exc: ValueError) -> str:
+    """The decoder's message, or, for an integer literal past the interpreter's digit limit, the int parser's."""
+    return exc.msg if isinstance(exc, json.JSONDecodeError) else str(exc)
+
+
 def _record_object(line: str) -> dict:
     try:
         raw = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise _Invalid(f"bad record JSON ({exc.msg})") from None
+    except ValueError as exc:
+        raise _Invalid(f"bad record JSON ({_json_message(exc)})") from None
     if not isinstance(raw, dict):
         raise _Invalid("record must be an object")
     return raw
@@ -247,21 +253,21 @@ def _box_corners(raw) -> tuple[float, float, float, float]:
     try:
         x_min, y_min, x_max, y_max = raw
         return float(x_min), float(y_min), float(x_max), float(y_max)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise _Invalid(f"field 'box' must be a list of 4 numbers, got {raw!r}") from None
 
 
 def _parse_float(raw, name: str) -> float:
     try:
         return float(raw)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise _Invalid(f"field {name!r} must be a number, got {raw!r}") from None
 
 
 def _parse_polygon(raw) -> list[tuple[float, float]]:
     try:
         points = [(float(p[0]), float(p[1])) for p in raw]
-    except (TypeError, ValueError, IndexError):
+    except (TypeError, ValueError, LookupError, OverflowError):
         raise _Invalid("malformed polygon") from None
     if len(points) < 3:
         raise _Invalid("polygon needs at least 3 points")
@@ -310,8 +316,8 @@ def _read_jsonl(path, fmt: str, error: type[DataFormatError]) -> tuple[dict, lis
         raise error(f"{path}: empty file, header expected")
     try:
         head = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise error(f"{path}:1: bad header JSON ({exc.msg})") from None
+    except ValueError as exc:
+        raise error(f"{path}:1: bad header JSON ({_json_message(exc)})") from None
     if not isinstance(head, dict) or head.get("format") != fmt:
         raise error(f"{path}:1: header must declare format {fmt!r}")
     return head, [(lineno, line) for lineno, line in enumerate(lines[1:], start=2) if line.strip()]
@@ -325,7 +331,9 @@ def parse_detection_stream(path) -> tuple[StreamHeader, list[DetectionFrame]]:
     canvas = None
     if "canvas" in head:
         c = head["canvas"]
-        if not (isinstance(c, (list, tuple)) and len(c) == 2):
+        # two finite positive numbers, not booleans; an integer beyond float range fails the bound too
+        if not (isinstance(c, list) and len(c) == 2
+                and all(type(v) in (int, float) and 0 < v <= sys.float_info.max for v in c)):
             raise StreamFormatError(f"{path}:1: header field canvas must be [width, height]")
         canvas = (float(c[0]), float(c[1]))
     header = StreamHeader(d_q=head["d_q"], video=str(head.get("video", "")), canvas=canvas)
@@ -387,10 +395,10 @@ def parse_annotations(path) -> list[GroundTruthTrack]:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh, object_pairs_hook=_reject_duplicate_keys)
-        except json.JSONDecodeError as exc:
-            raise AnnotationFormatError(f"{path}: bad JSON ({exc.msg})") from None
         except _Invalid as exc:
             raise AnnotationFormatError(f"{path}: {exc}") from None
+        except ValueError as exc:
+            raise AnnotationFormatError(f"{path}: bad JSON ({_json_message(exc)})") from None
     if not isinstance(doc, dict) or not isinstance(doc.get("tracks"), list):
         raise AnnotationFormatError(f"{path}: document must carry a 'tracks' list")
 

@@ -17,10 +17,10 @@ probability distribution over "history rows + start a new trajectory".
 The short-term and long-term branches own separate attention weights
 but share one embedding FFN.
 
-Training differentiates ``embed_queries_tensor`` and
-``association_matrices_tensor``; tracking calls ``embed_queries`` and
-``matcher_forward``, which run the same arithmetic on plain arrays and
-build no autodiff graph.
+``embed`` and ``association`` are written once against an op table.
+Training runs them with ``autodiff.TAPE`` and differentiates the graph;
+tracking calls ``embed_queries`` and ``matcher_forward``, which run them
+with ``autodiff.ARRAY`` on plain arrays and build no autodiff graph.
 """
 
 from __future__ import annotations
@@ -30,31 +30,25 @@ from enum import Enum
 
 import numpy as np
 
-from .autodiff import Tensor, concat_cols, softmax_rows
+from .autodiff import ARRAY, Tensor
 from .numerics import (
     AttentionParams,
     FfnParams,
     TransformerLayerParams,
-    attention_array,
-    attention_tensor,
-    cosine_matrix_array,
-    cosine_matrix_tensor,
-    decoder_layer_array,
-    decoder_layer_tensor,
-    encoder_layer_array,
-    encoder_layer_tensor,
-    ffn_array,
-    ffn_tensor,
-    softmax_rows_array,
+    attention,
+    cosine_matrix,
+    decoder_layer,
+    encoder_layer,
+    ffn,
 )
 
 __all__ = [
     "MatcherVariant",
     "BranchParams",
     "MatcherParams",
+    "embed",
     "embed_queries",
-    "embed_queries_tensor",
-    "association_matrices_tensor",
+    "association",
     "matcher_forward",
     "count_parameters",
 ]
@@ -153,14 +147,15 @@ class MatcherParams:
         return out
 
 
-def embed_queries_tensor(queries: Tensor, params: MatcherParams) -> Tensor:
+def embed(o, queries, params: MatcherParams):
+    """Association embeddings (n, d_e) of instance queries (n, d_q), on op table `o`."""
     if params.variant is MatcherVariant.SIMILARITY:
         return queries
-    return ffn_tensor(queries, params.shared_ffn)
+    return ffn(o, queries, params.shared_ffn)
 
 
 def embed_queries(queries: np.ndarray, params: MatcherParams) -> np.ndarray:
-    """Map instance queries (n, d_q) to association embeddings (n, d_e)."""
+    """Map instance queries (n, d_q) to association embeddings (n, d_e) as plain arrays."""
     queries = np.asarray(queries, dtype=np.float64)
     if queries.ndim != 2:
         raise ValueError("queries must be a 2D matrix")
@@ -168,50 +163,45 @@ def embed_queries(queries: np.ndarray, params: MatcherParams) -> np.ndarray:
         return np.zeros((0, params.d_e))
     if queries.shape[1] != params.d_q:
         raise ValueError(f"query dim {queries.shape[1]} does not match matcher d_q {params.d_q}")
-    if params.variant is MatcherVariant.SIMILARITY:
-        return queries
-    return ffn_array(queries, params.shared_ffn)
+    return embed(ARRAY, queries, params)
 
 
-def association_matrices_tensor(
-    params: MatcherParams,
-    current: Tensor,
-    history: Tensor,
-    branch: str,
-) -> tuple[Tensor, Tensor]:
-    """Return (scores with null column, probabilities) as graph tensors.
+def association(o, current, history, params: MatcherParams, branch: str):
+    """Match each current row against the history rows + null: (scores, probabilities).
 
-    Empty history forces the whole probability mass onto the null
-    column; empty current yields empty matrices.
+    `current` has n_cur rows and `history` n_hist rows of width d_e, as
+    tensors or arrays to suit op table `o`; both results are
+    (n_cur, n_hist + 1). Empty history forces the whole probability
+    mass onto the null column; empty current yields empty matrices.
     """
     n_cur = current.shape[0]
     n_hist = history.shape[0]
     if n_cur == 0:
-        empty = Tensor(np.zeros((0, n_hist + 1)))
+        empty = o.const(np.zeros((0, n_hist + 1)))
         return empty, empty
     if n_hist == 0:
-        scores = Tensor(np.full((n_cur, 1), params.null_logit))
-        return scores, Tensor(np.ones((n_cur, 1)))
+        scores = o.const(np.full((n_cur, 1), params.null_logit))
+        return scores, o.const(np.ones((n_cur, 1)))
 
     variant = params.variant
     if variant in (MatcherVariant.SIMILARITY, MatcherVariant.FFN):
-        sims = cosine_matrix_tensor(current, history)
+        sims = cosine_matrix(o, current, history)
     elif variant is MatcherVariant.CROSS_ATTN:
         b = params.branch(branch)
-        attended = current + attention_tensor(current, history, history, b.attn)
-        sims = cosine_matrix_tensor(attended, history)
+        attended = current + attention(o, current, history, history, b.attn)
+        sims = cosine_matrix(o, attended, history)
     elif variant is MatcherVariant.TRANSFORMER:
         b = params.branch(branch)
-        encoded = encoder_layer_tensor(history, b.encoder)
-        decoded = decoder_layer_tensor(current, encoded, b.decoder)
-        sims = cosine_matrix_tensor(decoded, encoded)
+        encoded = encoder_layer(o, history, b.encoder)
+        decoded = decoder_layer(o, current, encoded, b.decoder)
+        sims = cosine_matrix(o, decoded, encoded)
     else:  # pragma: no cover - enum is closed
         raise ValueError(f"unknown variant {variant}")
 
     scaled = sims * (1.0 / params.temperature)
-    null = Tensor(np.full((n_cur, 1), params.null_logit))
-    scores = concat_cols([scaled, null])
-    return scores, softmax_rows(scores)
+    null = o.const(np.full((n_cur, 1), params.null_logit))
+    scores = o.concat_cols([scaled, null])
+    return scores, o.softmax_rows(scores)
 
 
 def matcher_forward(
@@ -220,37 +210,8 @@ def matcher_forward(
     params: MatcherParams,
     branch: str = "st",
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Match each current row against the history rows + null: (scores, probabilities).
-
-    `current` is an (n_cur, d_e) and `history` an (n_hist, d_e) float64
-    array; both results are (n_cur, n_hist + 1) and equal the values of
-    `association_matrices_tensor` bit for bit.
-    """
-    n_cur = current.shape[0]
-    n_hist = history.shape[0]
-    if n_cur == 0:
-        empty = np.zeros((0, n_hist + 1))
-        return empty, empty
-    if n_hist == 0:
-        return np.full((n_cur, 1), params.null_logit), np.ones((n_cur, 1))
-
-    variant = params.variant
-    if variant in (MatcherVariant.SIMILARITY, MatcherVariant.FFN):
-        sims = cosine_matrix_array(current, history)
-    elif variant is MatcherVariant.CROSS_ATTN:
-        b = params.branch(branch)
-        attended = current + attention_array(current, history, history, b.attn)
-        sims = cosine_matrix_array(attended, history)
-    elif variant is MatcherVariant.TRANSFORMER:
-        b = params.branch(branch)
-        encoded = encoder_layer_array(history, b.encoder)
-        decoded = decoder_layer_array(current, encoded, b.decoder)
-        sims = cosine_matrix_array(decoded, encoded)
-    else:  # pragma: no cover - enum is closed
-        raise ValueError(f"unknown variant {variant}")
-
-    scores = np.concatenate([sims * (1.0 / params.temperature), np.full((n_cur, 1), params.null_logit)], axis=1)
-    return scores, softmax_rows_array(scores)
+    """`association` on plain (n_cur, d_e) and (n_hist, d_e) float64 arrays."""
+    return association(ARRAY, current, history, params, branch)
 
 
 def count_parameters(variant: MatcherVariant, d_q: int, d_e: int, heads: int = 1) -> int:

@@ -1,14 +1,13 @@
 """Dense numeric primitives and the small trainable blocks.
 
 Vectors and matrices are contiguous float64 numpy arrays. Each block
-(two-layer feedforward, single-layer multi-head attention, layer norm,
-the pre-norm encoder and decoder layers, the cosine matrix) has two
-forwards. The ``*_tensor`` forward is composed from autodiff primitives
-and records the graph that training differentiates. The ``*_array``
-forward is plain numpy for inference, which needs no gradient; it
-repeats the tensor forward's float operations in the same order, so
-its output equals the tensor's ``value`` bit for bit (the tests hold
-the two in step). ``check_gradients`` is the independent
+(two-layer feedforward, single-layer multi-head attention, the pre-norm
+encoder and decoder layers, the cosine matrix) is one forward whose
+first argument is an op table: ``autodiff.TAPE`` records the graph that
+training differentiates, ``autodiff.ARRAY`` runs the same operations on
+plain arrays for inference, which needs no gradient. Both tables run
+the same float operations in the same order, so the array output equals
+the tape's ``value`` bit for bit. ``check_gradients`` is the independent
 finite-difference oracle for every analytic gradient in the package.
 """
 
@@ -19,17 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (
-    Tensor,
-    concat_cols,
-    l2_normalize_rows_or_zero,
-    layer_norm_rows,
-    matmul,
-    relu,
-    softmax_rows,
-    take_cols,
-    transpose,
-)
+from .autodiff import Tensor
 
 __all__ = [
     "FfnParams",
@@ -37,20 +26,11 @@ __all__ = [
     "LayerNormParams",
     "TransformerLayerParams",
     "stable_sigmoid",
-    "ffn_tensor",
-    "ffn_array",
-    "ffn_forward",
-    "attention_tensor",
-    "attention_array",
-    "attention_forward",
-    "layer_norm_array",
-    "encoder_layer_tensor",
-    "encoder_layer_array",
-    "decoder_layer_tensor",
-    "decoder_layer_array",
-    "cosine_matrix_tensor",
-    "cosine_matrix_array",
-    "softmax_rows_array",
+    "ffn",
+    "attention",
+    "encoder_layer",
+    "decoder_layer",
+    "cosine_matrix",
     "check_gradients",
 ]
 
@@ -202,132 +182,47 @@ def stable_sigmoid(z: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# blocks: tensor compositions (training) and plain-array twins (inference)
+# blocks, each written once against an op table `o` (`autodiff.TAPE` or `autodiff.ARRAY`)
 
 
-def ffn_tensor(x: Tensor, params: FfnParams) -> Tensor:
-    h = relu(matmul(x, params.w1) + params.b1)
-    return matmul(h, params.w2) + params.b2
+def ffn(o, x, params: FfnParams):
+    """Two-layer feedforward block on rows (or a single vector)."""
+    return o.linear(o.relu(o.linear(x, params.w1, params.b1)), params.w2, params.b2)
 
 
-def ffn_array(x: np.ndarray, params: FfnParams) -> np.ndarray:
-    h = x @ params.w1.value + params.b1.value
-    h = h * (h > 0)  # the rectifier as `relu` computes it
-    return h @ params.w2.value + params.b2.value
-
-
-def ffn_forward(x: np.ndarray, params: FfnParams) -> np.ndarray:
-    """Plain-array forward through the two-layer block (1D or row-batched 2D)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] != params.d_in:
-        raise ValueError(f"input dim {x.shape[-1]} does not match block dim {params.d_in}")
-    return ffn_array(x, params)
-
-
-def attention_tensor(queries: Tensor, keys: Tensor, values: Tensor, params: AttentionParams) -> Tensor:
+def attention(o, queries, keys, values, params: AttentionParams):
     """Scaled dot-product attention with head split/concat and output projection."""
-    d = params.d_model
-    h = params.heads
-    dh = d // h
-    q = matmul(queries, params.wq) + params.bq
-    k = matmul(keys, params.wk) + params.bk
-    v = matmul(values, params.wv) + params.bv
-    outs = []
-    for i in range(h):
-        qs = take_cols(q, i * dh, (i + 1) * dh)
-        ks = take_cols(k, i * dh, (i + 1) * dh)
-        vs = take_cols(v, i * dh, (i + 1) * dh)
-        scores = matmul(qs, transpose(ks)) * (1.0 / math.sqrt(dh))
-        weights = softmax_rows(scores)
-        outs.append(matmul(weights, vs))
-    mixed = outs[0] if h == 1 else concat_cols(outs)
-    return matmul(mixed, params.wo) + params.bo
-
-
-def softmax_rows_array(a: np.ndarray) -> np.ndarray:
-    e = np.exp(a - a.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def attention_array(queries: np.ndarray, keys: np.ndarray, values: np.ndarray, params: AttentionParams) -> np.ndarray:
-    h = params.heads
-    dh = params.d_model // h
-    q = queries @ params.wq.value + params.bq.value
-    k = keys @ params.wk.value + params.bk.value
-    v = values @ params.wv.value + params.bv.value
+    dh = params.d_model // params.heads
+    q = o.linear(queries, params.wq, params.bq)
+    k = o.linear(keys, params.wk, params.bk)
+    v = o.linear(values, params.wv, params.bv)
     scale = 1.0 / math.sqrt(dh)
     outs = []
-    for i in range(h):
-        cols = slice(i * dh, (i + 1) * dh)  # views, as `take_cols` slices
-        outs.append(softmax_rows_array((q[:, cols] @ k[:, cols].T) * scale) @ v[:, cols])
-    mixed = outs[0] if h == 1 else np.concatenate(outs, axis=1)
-    return mixed @ params.wo.value + params.bo.value
-
-def attention_forward(queries: np.ndarray, keys: np.ndarray, values: np.ndarray, params: AttentionParams) -> np.ndarray:
-    """Plain-array attention over key/value rows; output row count = query row count."""
-    queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-    keys = np.atleast_2d(np.asarray(keys, dtype=np.float64))
-    values = np.atleast_2d(np.asarray(values, dtype=np.float64))
-    if keys.shape[0] == 0:
-        raise ValueError("attention needs at least one key row")
-    if keys.shape[0] != values.shape[0]:
-        raise ValueError("key and value row counts differ")
-    d = params.d_model
-    if queries.shape[1] != d or keys.shape[1] != d or values.shape[1] != d:
-        raise ValueError("input dims do not match attention params")
-    return attention_array(queries, keys, values, params)
+    for i in range(params.heads):
+        lo, hi = i * dh, (i + 1) * dh
+        weights = o.softmax_rows((o.cols(q, lo, hi) @ o.cols(k, lo, hi).T) * scale)
+        outs.append(weights @ o.cols(v, lo, hi))
+    mixed = outs[0] if params.heads == 1 else o.concat_cols(outs)
+    return o.linear(mixed, params.wo, params.bo)
 
 
-def encoder_layer_tensor(x: Tensor, params: TransformerLayerParams) -> Tensor:
-    t = layer_norm_rows(x, params.ln1.gain, params.ln1.bias)
-    x = x + attention_tensor(t, t, t, params.attn)
-    t2 = layer_norm_rows(x, params.ln2.gain, params.ln2.bias)
-    return x + ffn_tensor(t2, params.ffn)
+def encoder_layer(o, x, params: TransformerLayerParams):
+    t = o.layer_norm(x, params.ln1)
+    x = x + attention(o, t, t, t, params.attn)
+    return x + ffn(o, o.layer_norm(x, params.ln2), params.ffn)
 
 
-def decoder_layer_tensor(x: Tensor, memory: Tensor, params: TransformerLayerParams) -> Tensor:
-    t = layer_norm_rows(x, params.ln1.gain, params.ln1.bias)
-    x = x + attention_tensor(t, memory, memory, params.attn)
-    t2 = layer_norm_rows(x, params.ln2.gain, params.ln2.bias)
-    return x + ffn_tensor(t2, params.ffn)
+def decoder_layer(o, x, memory, params: TransformerLayerParams):
+    x = x + attention(o, o.layer_norm(x, params.ln1), memory, memory, params.attn)
+    return x + ffn(o, o.layer_norm(x, params.ln2), params.ffn)
 
 
-def layer_norm_array(x: np.ndarray, params: LayerNormParams, eps: float = 1e-8) -> np.ndarray:
-    # `sum / d` is numpy's own `mean`, minus its dispatch overhead.
-    d = x.shape[1]
-    xc = x - x.sum(axis=1, keepdims=True) / d
-    var = (xc * xc).sum(axis=1, keepdims=True) / d
-    return xc * (1.0 / np.sqrt(var + eps)) * params.gain.value + params.bias.value
-
-
-def encoder_layer_array(x: np.ndarray, params: TransformerLayerParams) -> np.ndarray:
-    t = layer_norm_array(x, params.ln1)
-    x = x + attention_array(t, t, t, params.attn)
-    return x + ffn_array(layer_norm_array(x, params.ln2), params.ffn)
-
-
-def decoder_layer_array(x: np.ndarray, memory: np.ndarray, params: TransformerLayerParams) -> np.ndarray:
-    x = x + attention_array(layer_norm_array(x, params.ln1), memory, memory, params.attn)
-    return x + ffn_array(layer_norm_array(x, params.ln2), params.ffn)
-
-
-def cosine_matrix_tensor(a: Tensor, b: Tensor) -> Tensor:
+def cosine_matrix(o, a, b):
     """Pairwise cosine similarities between the rows of a and the rows of b.
 
     A zero-norm row has similarity 0 to every row.
     """
-    return matmul(l2_normalize_rows_or_zero(a), transpose(l2_normalize_rows_or_zero(b)))
-
-
-def _unit_rows_or_zero(a: np.ndarray) -> np.ndarray:
-    # `np.linalg.norm(a, axis=1)` of a real array is this reduction.
-    n = np.sqrt(np.add.reduce(a * a, axis=1, keepdims=True))
-    return a / np.where(n != 0.0, n, 1.0)
-
-
-def cosine_matrix_array(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """`cosine_matrix_tensor` on plain arrays; a zero-norm row has similarity 0."""
-    return _unit_rows_or_zero(a) @ _unit_rows_or_zero(b).T
+    return o.unit_rows_or_zero(a) @ o.unit_rows_or_zero(b).T
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .autodiff import Tensor, concat_rows, log, matmul, pow_const, sigmoid, sum_, take_rows
+from .autodiff import TAPE, Tensor, concat_rows, log, matmul, pow_const, sigmoid, sum_, take_rows
 from .data_io import BBox, DetectionFrame, GroundTruthTrack, box_array, iou_matrix
-from .matcher import association_matrices_tensor, embed_queries_tensor
+from .matcher import association, embed
 from .model import TrackerModel
 
 __all__ = [
@@ -313,7 +313,7 @@ def total_loss(batch: ClipBatch, model: TrackerModel, cfg: LossConfig) -> LossBr
         frame_tracks.append(tracks)
         if tracks:
             rows = np.stack([frame.queries[frame.assignments[k]] for k in tracks])
-            frame_emb.append(embed_queries_tensor(Tensor(rows), model.matcher))
+            frame_emb.append(embed(TAPE, Tensor(rows), model.matcher))
         else:
             frame_emb.append(None)
 
@@ -326,7 +326,7 @@ def total_loss(batch: ClipBatch, model: TrackerModel, cfg: LossConfig) -> LossBr
         cur, prev = frame_emb[t], frame_emb[t - 1]
         if cur is None:
             continue
-        _, probs = association_matrices_tensor(model.matcher, cur, prev if prev is not None else empty, "st")
+        _, probs = association(TAPE, cur, prev if prev is not None else empty, model.matcher, "st")
         prev_tracks = frame_tracks[t - 1]
         rows = []
         for r, k in enumerate(frame_tracks[t]):
@@ -348,7 +348,7 @@ def total_loss(batch: ClipBatch, model: TrackerModel, cfg: LossConfig) -> LossBr
             hist = concat_rows(other_emb) if len(other_emb) > 1 else other_emb[0]
         else:
             hist = empty
-        _, probs = association_matrices_tensor(model.matcher, cur, hist, "lt")
+        _, probs = association(TAPE, cur, hist, model.matcher, "lt")
         rows = []
         for r, k in enumerate(frame_tracks[t]):
             cols = [c for c, kk in enumerate(other_tracks) if kk == k]

@@ -28,7 +28,7 @@ from qtrack.association import (
     nms,
     track_sequence,
 )
-from qtrack.autodiff import Tensor
+from qtrack.autodiff import TAPE, Tensor
 from qtrack.data_io import (
     BBox,
     DetectionFrame,
@@ -43,9 +43,9 @@ from qtrack.data_io import (
 )
 from qtrack.matcher import (
     MatcherVariant,
-    association_matrices_tensor,
+    association,
+    embed,
     embed_queries,
-    embed_queries_tensor,
     matcher_forward,
 )
 from qtrack.metrics import (
@@ -145,7 +145,7 @@ class RefMemoryBank:
 
 
 def ref_probabilities(model, current, history, branch):
-    return association_matrices_tensor(model.matcher, Tensor(current), Tensor(history), branch)[1].value
+    return association(TAPE, Tensor(current), Tensor(history), model.matcher, branch)[1].value
 
 
 def ref_associate_frame(instances, bank, model, config, frame_index):
@@ -153,7 +153,7 @@ def ref_associate_frame(instances, bank, model, config, frame_index):
     if n == 0:
         return AssociationOutcome([], [], [], np.zeros((0, model.d_e)))
     queries = np.stack([inst.record.query for inst in instances])
-    current = embed_queries_tensor(Tensor(queries), model.matcher).value
+    current = embed(TAPE, Tensor(queries), model.matcher).value
     free_instances = set(range(n))
     st_matches = []
     prev_tracks = bank.seen_at(frame_index - 1)
@@ -734,14 +734,14 @@ def test_plain_matcher_equals_tape_bitwise(variant, heads, branch, shape):
 
     queries = rng.normal(size=(n_cur, 6))
     embedded = embed_queries(queries, params)
-    assert np.array_equal(embedded, embed_queries_tensor(Tensor(queries), params).value)
+    assert np.array_equal(embedded, embed(TAPE, Tensor(queries), params).value)
 
     current = rng.normal(size=(n_cur, d_e))
     history = rng.normal(size=(n_hist, d_e))
     current[list(zero_cur)] = 0.0
     history[list(zero_hist)] = 0.0
     scores, probs = matcher_forward(current, history, params, branch=branch)
-    ref_scores, ref_probs = association_matrices_tensor(params, Tensor(current), Tensor(history), branch)
+    ref_scores, ref_probs = association(TAPE, Tensor(current), Tensor(history), params, branch)
     assert scores.shape == probs.shape == (n_cur, n_hist + 1)
     assert np.array_equal(scores, ref_scores.value)
     assert np.array_equal(probs, ref_probs.value)

@@ -292,6 +292,18 @@ def test_track_stream_query_not_numbers_is_json_error(tmp_path, capsys, query):
     assert _json_error(capsys) == f"{stream}:3: field 'query' must be a list of numbers"
 
 
+def test_track_stream_canvas_not_numbers_is_json_error(tmp_path, capsys):
+    data = _gen(tmp_path, frames=4, tracks=2, seed=8)
+    stream = data / "stream.jsonl"
+    lines = stream.read_text().splitlines()
+    lines[0] = json.dumps({**json.loads(lines[0]), "canvas": [None, 1]})
+    stream.write_text("\n".join(lines) + "\n")
+    ckpt = tmp_path / "model.json"
+    save_checkpoint(TrackerModel.create(MatcherVariant.SIMILARITY, d_q=16), ckpt)
+    assert main(["track", "--checkpoint", str(ckpt), "--stream", str(stream), "--out", str(tmp_path / "o")]) == 1
+    assert _json_error(capsys) == f"{stream}:1: header field canvas must be [width, height]"
+
+
 @pytest.mark.parametrize("old, new, message", [
     ('"id": 1', f'"id": {2**63}', "track #0: field 'id' must be an integer"),
     ('"0": {', f'"{2**63}": {{', f"track #0: frame index {2**63} out of range"),

@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qtrack.data_io import (
@@ -150,6 +150,18 @@ def test_stream_header_d_q_must_be_a_positive_int64(tmp_path, d_q):
     _write_lines(path, {**HEADER, "d_q": d_q}, _record(query=(1,)))
     with pytest.raises(StreamFormatError, match=":1: header field d_q must be a positive integer"):
         parse_detection_stream(path)
+
+
+@pytest.mark.parametrize("canvas", [
+    ["a", 1], [None, 1], [True, 1], ["640", 480], [0, 480], [-640, 480],
+    [float("inf"), 480], [float("nan"), 480], [2**1024, 480],
+])
+def test_stream_header_canvas_must_be_two_finite_positive_numbers(tmp_path, canvas):
+    path = tmp_path / "s.jsonl"
+    _write_lines(path, {**HEADER, "canvas": canvas}, _record())
+    with pytest.raises(StreamFormatError) as err:
+        parse_detection_stream(path)
+    assert str(err.value) == f"{path}:1: header field canvas must be [width, height]"
 
 
 def test_missing_header(tmp_path):
@@ -493,3 +505,84 @@ def test_iou_basic():
 def test_polygon_envelope():
     env = polygon_envelope([(1, 2), (5, 0), (3, 7)])
     assert env == BBox(1, 0, 5, 7)
+
+
+# ---------------------------------------------------------------------------
+# every parser raises only DataFormatError on any JSON
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+SQUARE = [[0, 0], [10, 0], [10, 10], [0, 10]]
+VALID_FILES = {
+    "stream": (parse_detection_stream, [
+        {**HEADER, "canvas": [640, 480]},
+        _record(),
+        _record(frame=1, poly=SQUARE, text="ab"),
+    ]),
+    "trajectories": (read_trajectories, [
+        {"format": "qtrack-traj/1", "video": "v"},
+        {"track": 1, "frame": 0, "box": [0, 0, 10, 10], "score": 0.9},
+        {"track": 1, "frame": 1, "box": [0, 0, 10, 10], "score": 0.5, "poly": SQUARE, "text": "ab"},
+    ]),
+    "annotations": (parse_annotations, {"video": "v", "tracks": [
+        {"id": 1, "category": "alphanumeric",
+         "frames": {"0": {"box": [0, 0, 10, 10], "text": "ab", "box_type": "quadrilateral", "poly": SQUARE}}},
+    ]}),
+}
+
+
+def _replace_one_node(draw, value, top=False):
+    """`value` with one node, at a drawn path (never the root when `top`), replaced by any JSON value."""
+    if isinstance(value, (dict, list)) and value and (top or draw(st.booleans())):
+        key = draw(st.sampled_from(sorted(value) if isinstance(value, dict) else range(len(value))))
+        copy = dict(value) if isinstance(value, dict) else list(value)
+        copy[key] = _replace_one_node(draw, value[key])
+        return copy
+    return draw(json_values)
+
+
+@st.composite
+def mutated_files(draw):
+    """(kind, content): a valid file with one node replaced; for JSON lines, a node of a line or a whole line."""
+    kind = draw(st.sampled_from(sorted(VALID_FILES)))
+    return kind, _replace_one_node(draw, VALID_FILES[kind][1], top=kind != "annotations")
+
+
+BIG = 2**1024  # an integer beyond float range
+TRAJ_HEADER = VALID_FILES["trajectories"][1][0]
+
+
+@settings(max_examples=300)
+@given(mutated_files())
+@example(("stream", [{**HEADER, "canvas": [None, 1]}, _record()]))
+@example(("stream", [HEADER, _record(poly=[{}, {}, {}])]))
+@example(("stream", [HEADER, _record(box=[0, 0, BIG, 10])]))
+@example(("trajectories", [TRAJ_HEADER, {"track": 1, "frame": 0, "box": [0, 0, 10, 10], "score": BIG}]))
+@example(("annotations", {"tracks": [{"id": 1, "frames": {"0": {"box": [0, 0, 10, 10], "poly": [[BIG, 0]] * 4}}}]}))
+def test_parsers_raise_only_data_format_error_on_any_json(tmp_path_factory, file):
+    kind, content = file
+    path = tmp_path_factory.mktemp(kind) / "f.json"
+    if kind == "annotations":
+        path.write_text(json.dumps(content))
+    else:
+        path.write_text("\n".join(json.dumps(line) for line in content) + "\n")
+    try:
+        VALID_FILES[kind][0](path)
+    except DataFormatError:
+        pass
+
+
+@pytest.mark.parametrize("parse, text", [
+    (parse_detection_stream, '{"format": "qtrack-det/1", "d_q": 4}\n{"frame": %s}\n'),
+    (read_trajectories, '{"format": "qtrack-traj/1", "video": %s}\n'),
+    (parse_annotations, '{"tracks": [%s]}'),
+])
+def test_parsers_name_the_file_for_an_integer_past_the_digit_limit(tmp_path, parse, text):
+    path = tmp_path / "f.json"
+    path.write_text(text % ("9" * 5000))  # valid JSON that `json.loads` refuses with a bare ValueError
+    with pytest.raises(DataFormatError, match="bad (record |header )?JSON"):
+        parse(path)

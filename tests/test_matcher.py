@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from qtrack.autodiff import ARRAY
 from qtrack.matcher import (
     MatcherParams,
     MatcherVariant,
@@ -10,7 +11,7 @@ from qtrack.matcher import (
     embed_queries,
     matcher_forward,
 )
-from qtrack.numerics import ffn_forward
+from qtrack.numerics import ffn
 
 ALL_VARIANTS = list(MatcherVariant)
 PARAMETRIC = [MatcherVariant.TRANSFORMER, MatcherVariant.FFN, MatcherVariant.CROSS_ATTN]
@@ -56,7 +57,7 @@ def test_embed_ffn_matches_straightline_oracle():
     f = p.shared_ffn
     expected = np.maximum(q @ f.w1.value + f.b1.value, 0.0) @ f.w2.value + f.b2.value
     np.testing.assert_allclose(out, expected, atol=1e-12)
-    np.testing.assert_allclose(out, ffn_forward(q, f), atol=1e-15)
+    np.testing.assert_allclose(out, ffn(ARRAY, q, f), atol=1e-15)
 
 
 def test_embed_dimension_mismatch():

@@ -5,33 +5,35 @@ import math
 import numpy as np
 import pytest
 
-from qtrack.autodiff import Tensor, pow_const, softmax_rows, sum_
+from qtrack.autodiff import ARRAY, TAPE, Tensor, pow_const, sum_
 from qtrack.numerics import (
     AttentionParams,
     FfnParams,
     LayerNormParams,
     TransformerLayerParams,
-    attention_forward,
+    attention,
     check_gradients,
-    cosine_matrix_array,
-    cosine_matrix_tensor,
-    decoder_layer_tensor,
-    encoder_layer_tensor,
-    ffn_forward,
-    softmax_rows_array,
+    cosine_matrix,
+    decoder_layer,
+    encoder_layer,
+    ffn,
 )
 
 
+def _on_both_tables(block, *arrays, **params):
+    """`block` run by the array table, after checking that the tape table gives the same bits."""
+    got = block(ARRAY, *arrays, **params)
+    assert np.array_equal(got, block(TAPE, *map(Tensor, arrays), **params).value)
+    return got
+
+
 # ---------------------------------------------------------------------------
-# cosine similarity (the cosine matrix of single rows, plain and tape)
+# cosine similarity (the cosine matrix of single rows, on both op tables)
 
 
 def _cosine(u, v):
-    """`cosine_matrix_array` of one row against one row, equal to its tape twin."""
-    a, b = np.atleast_2d(u), np.atleast_2d(v)
-    got = cosine_matrix_array(a, b)
-    assert np.array_equal(got, cosine_matrix_tensor(Tensor(a), Tensor(b)).value)
-    return float(got[0, 0])
+    """`cosine_matrix` of one row against one row."""
+    return float(_on_both_tables(cosine_matrix, np.atleast_2d(u), np.atleast_2d(v))[0, 0])
 
 
 def test_cosine_identical_vectors():
@@ -55,9 +57,9 @@ def test_cosine_zero_norm_returns_zero():
 
 def test_cosine_dimension_mismatch():
     with pytest.raises(ValueError):
-        cosine_matrix_array(np.ones((1, 3)), np.ones((1, 4)))
+        cosine_matrix(ARRAY, np.ones((1, 3)), np.ones((1, 4)))
     with pytest.raises(ValueError):
-        cosine_matrix_tensor(Tensor(np.ones((1, 3))), Tensor(np.ones((1, 4))))
+        cosine_matrix(TAPE, Tensor(np.ones((1, 3))), Tensor(np.ones((1, 4))))
 
 
 def test_cosine_properties_random():
@@ -72,14 +74,14 @@ def test_cosine_properties_random():
 
 
 # ---------------------------------------------------------------------------
-# softmax (single rows through the row softmax, plain and tape)
+# softmax (single rows through the row softmax, on both op tables)
 
 
 def _softmax(row):
-    """`softmax_rows_array` of one row, equal to its tape twin."""
+    """The row softmax op of one row."""
     a = np.atleast_2d(np.asarray(row, dtype=np.float64))
-    got = softmax_rows_array(a)
-    assert np.array_equal(got, softmax_rows(Tensor(a)).value)
+    got = ARRAY.softmax_rows(a)
+    assert np.array_equal(got, TAPE.softmax_rows(Tensor(a)).value)
     return got[0]
 
 
@@ -97,9 +99,9 @@ def test_softmax_hand_value():
 
 def test_softmax_empty_errors():
     with pytest.raises(ValueError):
-        softmax_rows_array(np.zeros((1, 0)))
+        ARRAY.softmax_rows(np.zeros((1, 0)))
     with pytest.raises(ValueError):
-        softmax_rows(Tensor(np.zeros((1, 0))))
+        TAPE.softmax_rows(Tensor(np.zeros((1, 0))))
 
 
 def test_softmax_sum_and_shift_invariance():
@@ -113,7 +115,7 @@ def test_softmax_sum_and_shift_invariance():
 
 
 # ---------------------------------------------------------------------------
-# feedforward block
+# feedforward block (on both op tables)
 
 
 def _ffn(w1, b1, w2, b2):
@@ -122,13 +124,13 @@ def _ffn(w1, b1, w2, b2):
 
 def test_ffn_zero_weights_annihilate():
     p = _ffn(np.zeros((3, 4)), np.zeros(4), np.zeros((4, 3)), np.zeros(3))
-    np.testing.assert_allclose(ffn_forward(np.array([1.0, -2.0, 5.0]), p), np.zeros(3))
+    np.testing.assert_allclose(_on_both_tables(ffn, np.array([1.0, -2.0, 5.0]), params=p), np.zeros(3))
 
 
 def test_ffn_identity_composition():
     p = _ffn(np.eye(3), np.zeros(3), np.eye(3), np.zeros(3))
     x = np.array([0.5, 0.0, 2.0])  # nonnegative so the rectifier is transparent
-    np.testing.assert_allclose(ffn_forward(x, p), x)
+    np.testing.assert_allclose(_on_both_tables(ffn, x, params=p), x)
 
 
 def test_ffn_hand_computation():
@@ -141,17 +143,19 @@ def test_ffn_hand_computation():
     # hidden pre-activation: [1*1 + 2*0.5 + 0.1, 1*(-1) + 2*0.25 - 0.2] = [2.1, -0.7]
     # after rectifier: [2.1, 0.0]; output: 2.1*2 + 0*3 + 0.5 = 4.7
     p = _ffn(w1, b1, w2, b2)
-    np.testing.assert_allclose(ffn_forward(x, p), [4.7])
+    np.testing.assert_allclose(_on_both_tables(ffn, x, params=p), [4.7])
 
 
 def test_ffn_shape_mismatch():
     p = _ffn(np.zeros((3, 4)), np.zeros(4), np.zeros((4, 3)), np.zeros(3))
     with pytest.raises(ValueError):
-        ffn_forward(np.ones(5), p)
+        ffn(ARRAY, np.ones(5), p)
+    with pytest.raises(ValueError):
+        ffn(TAPE, Tensor(np.ones(5)), p)
 
 
 # ---------------------------------------------------------------------------
-# attention block
+# attention block (on both op tables)
 
 
 def test_attention_single_key_ignores_query():
@@ -160,7 +164,7 @@ def test_attention_single_key_ignores_query():
     key = rng.normal(size=(1, 4))
     value = rng.normal(size=(1, 4))
     queries = rng.normal(size=(3, 4))
-    out = attention_forward(queries, key, value, p)
+    out = _on_both_tables(attention, queries, key, value, params=p)
     # softmax over one element is 1, so every query sees the projected value
     projected = (value @ p.wv.value + p.bv.value) @ p.wo.value + p.bo.value
     for row in out:
@@ -177,7 +181,7 @@ def test_attention_identical_keys_average_values():
     p.bo.value[...] = 0.0
     keys = np.tile(rng.normal(size=(1, 4)), (2, 1))
     values = rng.normal(size=(2, 4))
-    out = attention_forward(rng.normal(size=(1, 4)), keys, values, p)
+    out = _on_both_tables(attention, rng.normal(size=(1, 4)), keys, values, params=p)
     np.testing.assert_allclose(out[0], values.mean(axis=0), atol=1e-12)
 
 
@@ -203,7 +207,7 @@ def test_attention_matches_straightline_reimplementation():
         heads.append(w @ vp[:, sl])
     expected = np.concatenate(heads, axis=1) @ p.wo.value + p.bo.value
 
-    np.testing.assert_allclose(attention_forward(q, k, v, p), expected, atol=1e-12)
+    np.testing.assert_allclose(_on_both_tables(attention, q, k, v, params=p), expected, atol=1e-12)
 
 
 def test_attention_permutation_equivariance():
@@ -214,16 +218,10 @@ def test_attention_permutation_equivariance():
     v = rng.normal(size=(5, 4))
     perm = rng.permutation(5)
     np.testing.assert_allclose(
-        attention_forward(q, k, v, p),
-        attention_forward(q, k[perm], v[perm], p),
+        _on_both_tables(attention, q, k, v, params=p),
+        _on_both_tables(attention, q, k[perm], v[perm], params=p),
         atol=1e-12,
     )
-
-
-def test_attention_zero_keys_error():
-    p = AttentionParams.create(4, 1, np.random.default_rng(6))
-    with pytest.raises(ValueError):
-        attention_forward(np.ones((2, 4)), np.zeros((0, 4)), np.zeros((0, 4)), p)
 
 
 def test_attention_layer_gradients():
@@ -233,9 +231,7 @@ def test_attention_layer_gradients():
     k = Tensor(rng.normal(size=(3, 4)))
 
     def loss():
-        from qtrack.numerics import attention_tensor
-
-        out = attention_tensor(q, k, k, p)
+        out = attention(TAPE, q, k, k, p)
         return sum_(out * out)
 
     assert check_gradients(loss, p.tensors() + [q, k]) < 1e-6
@@ -249,8 +245,8 @@ def test_transformer_layer_gradients():
     c = Tensor(rng.normal(size=(2, 4)))
 
     def loss():
-        mem = encoder_layer_tensor(h, enc)
-        out = decoder_layer_tensor(c, mem, dec)
+        mem = encoder_layer(TAPE, h, enc)
+        out = decoder_layer(TAPE, c, mem, dec)
         return sum_(out * out)
 
     assert check_gradients(loss, enc.tensors() + dec.tensors()) < 1e-6

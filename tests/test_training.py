@@ -6,11 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from qtrack.autodiff import Tensor
+from qtrack.autodiff import ARRAY, Tensor
 from qtrack.data_io import BBox, iou
 from qtrack.matcher import MatcherVariant
 from qtrack.model import TrackerModel
-from qtrack.numerics import softmax_rows_array
 from qtrack.synth import SynthConfig, generate_sequence
 from qtrack.training import (
     LossConfig,
@@ -243,9 +242,9 @@ def test_argmax_invariant_under_row_scaling():
     rng = np.random.default_rng(2)
     for _ in range(30):
         row = rng.normal(size=6)
-        base = softmax_rows_array(row[None, :]).argmax()
+        base = ARRAY.softmax_rows(row[None, :]).argmax()
         for c in (0.5, 2.0, 10.0):
-            assert softmax_rows_array(row[None, :] * c).argmax() == base
+            assert ARRAY.softmax_rows(row[None, :] * c).argmax() == base
 
 
 # ---------------------------------------------------------------------------
