@@ -19,6 +19,14 @@ transposes are ``@``, ``+``, ``*`` and ``.T`` in both. Where a tape
 op's forward is plain arithmetic (row softmax, unit rows, layer norm),
 it computes its value with the array op's function, so the two tables
 agree bit for bit by construction.
+
+Training's cost is mostly per-node bookkeeping, not arithmetic, so the
+tape records as few nodes as the gradients' bits allow. A linear layer
+is one ``linear`` node, not a product node and a bias node; a
+whole-width column slice (every slice of one-head attention) records
+nothing. Constants (queries, masks, wrapped scalars) stay on the tape
+and receive gradients no one reads: skipping them saved no measurable
+time.
 """
 
 from __future__ import annotations
@@ -32,6 +40,7 @@ __all__ = [
     "add",
     "mul",
     "matmul",
+    "linear",
     "transpose",
     "relu",
     "sigmoid",
@@ -125,20 +134,21 @@ class Tensor:
 
 
 def _topo_order(root: Tensor) -> list[Tensor]:
+    # a Tensor hashes by identity, so the set holds the nodes themselves
     order: list[Tensor] = []
-    visited: set[int] = set()
+    visited: set[Tensor] = set()
     stack: list[tuple[Tensor, bool]] = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
             order.append(node)
             continue
-        if id(node) in visited:
+        if node in visited:
             continue
-        visited.add(id(node))
+        visited.add(node)
         stack.append((node, True))
         for parent in node._parents:
-            if id(parent) not in visited:
+            if parent not in visited:
                 stack.append((parent, False))
     return order
 
@@ -149,8 +159,11 @@ def _wrap(x) -> Tensor:
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
     if t.grad is None:
-        t.grad = np.zeros_like(t.value)
-    t.grad += g
+        # `0.0 + g` in `value`'s layout: the bits, signed zeros and
+        # strides of `zeros_like(value) + g`, without the zero fill
+        t.grad = np.add(g, 0.0, out=np.empty_like(t.value))
+    else:
+        t.grad += g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -206,6 +219,21 @@ def matmul(a, b) -> Tensor:
             _accum(b, g * a.value)
 
     return Tensor(out, (a, b), bw)
+
+
+def linear(x, w, b) -> Tensor:
+    """x @ w + b for 2D x as one node; its gradients are those of `matmul` then `add`."""
+    x, w, b = _wrap(x), _wrap(w), _wrap(b)
+    if x.value.ndim != 2:  # a single vector: the general product's gradients
+        return matmul(x, w) + b
+
+    def bw(g):
+        g = g + 0.0  # the product's gradient as `add` accumulated it
+        _accum(x, g @ w.value.T)
+        _accum(w, x.value.T @ g)
+        _accum(b, _unbroadcast(g, b.value.shape))
+
+    return Tensor(x.value @ w.value + b.value, (x, w, b), bw)
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -313,8 +341,9 @@ def layer_norm_rows(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         _accum(gain, (g * y).sum(axis=0))
         _accum(bias, g.sum(axis=0))
         dy = g * gain.value
-        m1 = dy.mean(axis=1, keepdims=True)
-        m2 = (dy * y).mean(axis=1, keepdims=True)
+        d = dy.shape[1]
+        m1 = dy.sum(axis=1, keepdims=True) / d
+        m2 = (dy * y).sum(axis=1, keepdims=True) / d
         _accum(x, inv * (dy - m1 - y * m2))
 
     return Tensor(out, (x, gain, bias), bw)
@@ -416,11 +445,11 @@ ARRAY = SimpleNamespace(
 )
 TAPE = SimpleNamespace(
     const=Tensor,
-    linear=lambda x, w, b: matmul(x, w) + b,
+    linear=linear,
     relu=relu,
     softmax_rows=softmax_rows,
     layer_norm=lambda x, ln: layer_norm_rows(x, ln.gain, ln.bias),
-    cols=take_cols,
+    cols=lambda a, start, stop: a if start == 0 and stop == a.shape[1] else take_cols(a, start, stop),
     concat_cols=concat_cols,
     unit_rows_or_zero=l2_normalize_rows_or_zero,
 )

@@ -249,26 +249,40 @@ def _record_object(line: str) -> dict:
     return raw
 
 
+# The types of a JSON number: a numeric string or a boolean is not one,
+# though `float()` would take it.
+_NUMBER_TYPES = frozenset((int, float))
+
+
 def _box_corners(raw) -> tuple[float, float, float, float]:
     try:
         x_min, y_min, x_max, y_max = raw
-        return float(x_min), float(y_min), float(x_max), float(y_max)
+        if type(x_min) is type(y_min) is type(x_max) is type(y_max) is float:  # as the writers write them: no conversion
+            return x_min, y_min, x_max, y_max
+        if {type(x_min), type(y_min), type(x_max), type(y_max)} <= _NUMBER_TYPES:
+            return float(x_min), float(y_min), float(x_max), float(y_max)
     except (TypeError, ValueError, OverflowError):
-        raise _Invalid(f"field 'box' must be a list of 4 numbers, got {raw!r}") from None
+        pass
+    raise _Invalid(f"field 'box' must be a list of 4 numbers, got {raw!r}")
 
 
 def _parse_float(raw, name: str) -> float:
     try:
-        return float(raw)
-    except (TypeError, ValueError, OverflowError):
-        raise _Invalid(f"field {name!r} must be a number, got {raw!r}") from None
+        if type(raw) in _NUMBER_TYPES:
+            return float(raw)
+    except OverflowError:
+        pass
+    raise _Invalid(f"field {name!r} must be a number, got {raw!r}")
 
 
 def _parse_polygon(raw) -> list[tuple[float, float]]:
     try:
-        points = [(float(p[0]), float(p[1])) for p in raw]
+        pairs = [(p[0], p[1]) for p in raw]
+        points = [(float(x), float(y)) for x, y in pairs]
     except (TypeError, ValueError, LookupError, OverflowError):
-        raise _Invalid("malformed polygon") from None
+        points = None
+    if points is None or not {type(v) for pair in pairs for v in pair} <= _NUMBER_TYPES:
+        raise _Invalid("malformed polygon")
     if len(points) < 3:
         raise _Invalid("polygon needs at least 3 points")
     return points
@@ -425,7 +439,10 @@ def parse_annotations(path) -> list[GroundTruthTrack]:
             try:
                 frame_idx = int(key)
             except ValueError:
-                raise AnnotationFormatError(f"{where}: frame key {key!r} is not an integer") from None
+                frame_idx = None
+            # only the canonical spelling, so that no two keys name one frame
+            if frame_idx is None or key != str(frame_idx):
+                raise AnnotationFormatError(f"{where}: frame key {key!r} is not an integer")
             if frame_idx < 0:
                 raise AnnotationFormatError(f"{where}: negative frame index {frame_idx}")
             if frame_idx >= INT64_END:

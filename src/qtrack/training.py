@@ -242,7 +242,7 @@ def _masked_row_loss(probs: Tensor, row_targets: list[tuple[int, list[int] | Non
     rows = []
     for r, cols in row_targets:
         rows.append(r)
-        if not cols:
+        if cols is None or len(cols) == 0:
             mask[r, m - 1] = 1.0
         else:
             mask[r, cols] = 1.0
@@ -298,7 +298,8 @@ def total_loss(batch: ClipBatch, model: TrackerModel, cfg: LossConfig) -> LossBr
                 matched_rows = sorted(c for _, c in hungarian_match(cost.T).pairs)
         else:
             matched_rows = []
-        unmatched_rows = [i for i in range(p) if i not in set(matched_rows)]
+        matched = set(matched_rows)
+        unmatched_rows = [i for i in range(p) if i not in matched]
         l_res = l_res + rescoring_loss(
             take_rows(probs, np.array(matched_rows, dtype=np.intp)),
             take_rows(probs, np.array(unmatched_rows, dtype=np.intp)),
@@ -343,7 +344,7 @@ def total_loss(batch: ClipBatch, model: TrackerModel, cfg: LossConfig) -> LossBr
         if cur is None:
             continue
         other_emb = [frame_emb[s] for s in range(len(batch.frames)) if s != t and frame_emb[s] is not None]
-        other_tracks = [k for s in range(len(batch.frames)) if s != t for k in frame_tracks[s]]
+        other_tracks = np.array([k for s in range(len(batch.frames)) if s != t for k in frame_tracks[s]])
         if other_emb:
             hist = concat_rows(other_emb) if len(other_emb) > 1 else other_emb[0]
         else:
@@ -351,8 +352,8 @@ def total_loss(batch: ClipBatch, model: TrackerModel, cfg: LossConfig) -> LossBr
         _, probs = association(TAPE, cur, hist, model.matcher, "lt")
         rows = []
         for r, k in enumerate(frame_tracks[t]):
-            cols = [c for c, kk in enumerate(other_tracks) if kk == k]
-            rows.append((r, cols if cols else None))
+            cols = np.flatnonzero(other_tracks == k)
+            rows.append((r, cols if cols.size else None))
         lt_G.append(probs)
         lt_targets.append(rows)
     l_lt = long_term_loss(lt_G, lt_targets)
@@ -427,28 +428,42 @@ def build_clip(video: Video, start: int, length: int) -> ClipBatch:
 
 
 class AdamW:
-    """Adaptive moments with decoupled weight decay."""
+    """Adaptive moments with decoupled weight decay.
+
+    The moments are flat vectors over every parameter in order, and a
+    step runs the update once over the concatenated gradients and
+    values, then writes each parameter's new values into its own array.
+    The update is elementwise, so each entry sees the operations of a
+    per-parameter step in the same order.
+    """
 
     def __init__(self, params: list[Tensor], weight_decay: float = 1e-4,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.params = params
         self.weight_decay = weight_decay
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.m = [np.zeros_like(p.value) for p in params]
-        self.v = [np.zeros_like(p.value) for p in params]
+        offsets = np.cumsum([0] + [p.value.size for p in params]).tolist()
+        self._spans = list(zip(offsets, offsets[1:]))
+        self.m = np.zeros(offsets[-1])
+        self.v = np.zeros(offsets[-1])
         self.t = 0
 
     def step(self, lr: float) -> None:
         self.t += 1
         b1, b2 = self.beta1, self.beta2
-        for i, p in enumerate(self.params):
-            g = p.grad if p.grad is not None else np.zeros_like(p.value)
-            self.m[i] = b1 * self.m[i] + (1 - b1) * g
-            self.v[i] = b2 * self.v[i] + (1 - b2) * g * g
-            m_hat = self.m[i] / (1 - b1 ** self.t)
-            v_hat = self.v[i] / (1 - b2 ** self.t)
-            p.value -= lr * self.weight_decay * p.value
-            p.value -= lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        g, value = np.zeros_like(self.m), np.empty_like(self.m)
+        for p, (lo, hi) in zip(self.params, self._spans):
+            value[lo:hi] = p.value.ravel()
+            if p.grad is not None:
+                g[lo:hi] = p.grad.ravel()
+        self.m = b1 * self.m + (1 - b1) * g
+        self.v = b2 * self.v + (1 - b2) * g * g
+        m_hat = self.m / (1 - b1 ** self.t)
+        v_hat = self.v / (1 - b2 ** self.t)
+        value -= lr * self.weight_decay * value
+        value -= lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        for p, (lo, hi) in zip(self.params, self._spans):
+            p.value[...] = value[lo:hi].reshape(p.value.shape)
 
     def zero_grad(self) -> None:
         for p in self.params:

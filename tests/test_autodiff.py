@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from qtrack.autodiff import (
+    TAPE,
     Tensor,
     concat_cols,
     concat_rows,
     l2_normalize_rows_or_zero,
     layer_norm_rows,
+    linear,
     log,
     matmul,
     pow_const,
@@ -153,3 +155,51 @@ def test_grad_accumulates_across_shared_use():
     out = a * 3.0 + a * a  # d/da = 3 + 2a = 7
     out.backward()
     np.testing.assert_allclose(a.grad, 7.0)
+
+
+def test_linear_grads():
+    rng = np.random.default_rng(7)
+    x = _param(rng, 3, 4)
+    w = _param(rng, 4, 5)
+    b = _param(rng, 5)
+
+    def loss():
+        out = linear(x, w, b)
+        return sum_(out * out)
+
+    assert check_gradients(loss, [x, w, b]) < 1e-7
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+@pytest.mark.parametrize("rows", [(5,), ()], ids=["matrix", "vector"])
+def test_linear_equals_matmul_then_add_bitwise(rows):
+    rng = np.random.default_rng(8)
+    x0, w0, b0 = rng.normal(size=(*rows, 4)), rng.normal(size=(4, 3)), rng.normal(size=3)
+    c = rng.normal(size=(*rows, 3))
+    c[..., 0] = -0.0  # zero gradients of both signs reach the product
+
+    def run(fused):
+        x, w, b = Tensor(x0.copy()), Tensor(w0.copy()), Tensor(b0.copy())
+        out = linear(x, w, b) if fused else matmul(x, w) + b
+        # x also has a second use, so its gradient is a sum of two
+        loss = sum_(relu(out) * c) + sum_(x * x)
+        loss.backward()
+        return out.value, [t.grad + 0.0 for t in (x, w, b)]
+
+    (value, grads), (ref_value, ref_grads) = run(True), run(False)
+    assert _bits(value) == _bits(ref_value)
+    for g, ref in zip(grads, ref_grads):
+        assert _bits(g) == _bits(ref)
+
+
+def test_tape_cols_records_a_slice_only_below_full_width():
+    a = Tensor(np.arange(12.0).reshape(3, 4))
+    assert TAPE.cols(a, 0, 4) is a
+    for start, stop in ((0, 2), (1, 4), (1, 3)):
+        sliced = TAPE.cols(a, start, stop)
+        assert sliced._parents == (a,)
+        assert sliced._backward.__qualname__ == "take_cols.<locals>.bw"
+        np.testing.assert_array_equal(sliced.value, a.value[:, start:stop])

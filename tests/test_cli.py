@@ -327,3 +327,18 @@ def test_eval_annotation_duplicate_key_is_json_error(tmp_path, capsys):
     traj.write_text(json.dumps({"format": "qtrack-traj/1", "video": ""}) + "\n")
     assert main(["eval", "--annotations", str(ann), "--trajectories", str(traj)]) == 1
     assert _json_error(capsys) == f"{ann}: duplicate key 'video'"
+
+
+def test_eval_annotation_frame_key_not_canonical_is_json_error(tmp_path, capsys):
+    # "03" is int()'s frame 3, which the track also has under "3"
+    data = _gen(tmp_path, frames=4, tracks=2, seed=8)
+    ann = data / "annotations.json"
+    doc = json.loads(ann.read_text())
+    frames = doc["tracks"][0]["frames"]
+    assert "3" in frames
+    frames["03"] = frames["0"]
+    ann.write_text(json.dumps(doc))
+    traj = tmp_path / "t.jsonl"
+    traj.write_text(json.dumps({"format": "qtrack-traj/1", "video": ""}) + "\n")
+    assert main(["eval", "--annotations", str(ann), "--trajectories", str(traj)]) == 1
+    assert _json_error(capsys) == f"{ann}: track #0: frame key '03' is not an integer"

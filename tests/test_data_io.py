@@ -164,6 +164,23 @@ def test_stream_header_canvas_must_be_two_finite_positive_numbers(tmp_path, canv
     assert str(err.value) == f"{path}:1: header field canvas must be [width, height]"
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("box", ["0", 0, 10, 10], "field 'box' must be a list of 4 numbers, got ['0', 0, 10, 10]"),
+    ("box", [0, False, 10, 10], "field 'box' must be a list of 4 numbers, got [0, False, 10, 10]"),
+    ("score", "0.5", "field 'score' must be a number, got '0.5'"),
+    ("score", True, "field 'score' must be a number, got True"),
+    ("poly", [["0", 0], [10, 0], [10, 10], [0, 10]], "malformed polygon"),
+    ("poly", [[0, 0], [10, 0], [10, 10], [False, 10]], "malformed polygon"),
+    ("poly", ["00", "90", "99", "09"], "malformed polygon"),  # each string a two-character point
+], ids=["box-string", "box-bool", "score-string", "score-bool", "poly-string", "poly-bool", "poly-strings-as-points"])
+def test_stream_numbers_must_be_json_numbers(tmp_path, field, value, message):
+    path = tmp_path / "s.jsonl"
+    _write_lines(path, HEADER, {**_record(), field: value})
+    with pytest.raises(StreamFormatError) as err:
+        parse_detection_stream(path)
+    assert str(err.value) == f"{path}:2: {message}"
+
+
 def test_missing_header(tmp_path):
     path = tmp_path / "s.jsonl"
     _write_lines(path, _record())
@@ -264,6 +281,30 @@ def test_annotations_int64_bounds_are_accepted(tmp_path):
     assert [(tr.track_id, tr.present_frames()) for tr in parse_annotations(path)] == [
         (-2**63, [0]), (2**63 - 1, [2**63 - 1]),
     ]
+
+
+@pytest.mark.parametrize("key", ["\u0663", " 4", "4 ", "1_0", "+3", "03", "-0"])
+def test_annotations_frame_key_must_be_spelled_canonically(tmp_path, key):
+    # each key is one int() accepts; with "3" beside it, two spellings could name one frame
+    path = tmp_path / "a.json"
+    box = {"box": [0, 0, 5, 5]}
+    path.write_text(json.dumps(_annotation_doc([{"id": 1, "frames": {"3": box, key: box}}])))
+    with pytest.raises(AnnotationFormatError) as err:
+        parse_annotations(path)
+    assert str(err.value) == f"{path}: track #0: frame key {key!r} is not an integer"
+
+
+def test_annotations_box_and_polygon_must_be_json_numbers(tmp_path):
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps(_annotation_doc([{"id": 1, "frames": {"0": {"box": [0, 0, "5", 5]}}}])))
+    with pytest.raises(AnnotationFormatError) as err:
+        parse_annotations(path)
+    assert str(err.value) == f"{path}: track #0: frame 0: field 'box' must be a list of 4 numbers, got [0, 0, '5', 5]"
+    square = [[0, 0], [5, 0], [5, 5], [0, True]]
+    path.write_text(json.dumps(_annotation_doc([{"id": 1, "frames": {"0": {"box": [0, 0, 5, 5], "poly": square}}}])))
+    with pytest.raises(AnnotationFormatError) as err:
+        parse_annotations(path)
+    assert str(err.value) == f"{path}: track #0: malformed polygon"
 
 
 def test_annotations_frame_key_beyond_int64_rejected(tmp_path):
@@ -480,6 +521,18 @@ def test_trajectory_ids_must_be_int64_integers(tmp_path, track, frame):
     with pytest.raises(DataFormatError) as err:
         read_trajectories(path)
     assert str(err.value) == f"{path}:3: fields 'track' and 'frame' must be integers"
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("box", [0, 0, 1, True], "field 'box' must be a list of 4 numbers, got [0, 0, 1, True]"),
+    ("score", "0.5", "field 'score' must be a number, got '0.5'"),
+], ids=["box-bool", "score-string"])
+def test_trajectory_numbers_must_be_json_numbers(tmp_path, field, value, message):
+    path = tmp_path / "t.jsonl"
+    _trajectory_file(path, {"track": 1, "frame": 0, "box": [0, 0, 1, 1], "score": 0.5, field: value})
+    with pytest.raises(DataFormatError) as err:
+        read_trajectories(path)
+    assert str(err.value) == f"{path}:2: {message}"
 
 
 def test_trajectory_frames_must_increase_within_a_track(tmp_path):

@@ -12,6 +12,7 @@ from qtrack.matcher import MatcherVariant
 from qtrack.model import TrackerModel
 from qtrack.synth import SynthConfig, generate_sequence
 from qtrack.training import (
+    AdamW,
     LossConfig,
     TrainConfig,
     Video,
@@ -317,6 +318,53 @@ def test_build_clip_rejects_overrun():
 
 # ---------------------------------------------------------------------------
 # optimization loop
+
+
+class _ReferenceAdamW:
+    """The per-parameter step: one moment array and a dozen numpy calls per parameter."""
+
+    def __init__(self, params, weight_decay=1e-4, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.params = params
+        self.weight_decay = weight_decay
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.m = [np.zeros_like(p.value) for p in params]
+        self.v = [np.zeros_like(p.value) for p in params]
+        self.t = 0
+
+    def step(self, lr):
+        self.t += 1
+        b1, b2 = self.beta1, self.beta2
+        for i, p in enumerate(self.params):
+            g = p.grad if p.grad is not None else np.zeros_like(p.value)
+            self.m[i] = b1 * self.m[i] + (1 - b1) * g
+            self.v[i] = b2 * self.v[i] + (1 - b2) * g * g
+            m_hat = self.m[i] / (1 - b1 ** self.t)
+            v_hat = self.v[i] / (1 - b2 ** self.t)
+            p.value -= lr * self.weight_decay * p.value
+            p.value -= lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+def test_adamw_flat_step_equals_per_parameter_step_bitwise():
+    rng = np.random.default_rng(11)
+    shapes = [(3, 4), (4,), (), (2, 5), (5,)]  # a 0-d bias like the rescoring head's
+    start = [rng.normal(size=s) for s in shapes]
+    flat = [Tensor(v.copy()) for v in start]
+    ref = [Tensor(v.copy()) for v in start]
+    arrays = [p.value for p in flat]
+    opt, ref_opt = AdamW(flat, weight_decay=0.3), _ReferenceAdamW(ref, weight_decay=0.3)
+    # large steps, none a power of two, so that reordering any product or sum shows in the bits
+    for step, lr in enumerate((0.3, 0.7, 0.45, 0.9)):
+        for i, (p, q) in enumerate(zip(flat, ref)):
+            # parameter 1 gets no gradient on some steps, as a branch the clip never reached
+            g = None if i == 1 and step != 2 else rng.normal(size=shapes[i]) * 10.0 ** -step
+            p.grad = q.grad = g
+        opt.step(lr)
+        ref_opt.step(lr)
+        for p, q in zip(flat, ref):
+            assert p.value.tobytes() == q.value.tobytes()
+        for moment, ref_moment in ((opt.m, ref_opt.m), (opt.v, ref_opt.v)):
+            assert moment.tobytes() == np.concatenate([a.ravel() for a in ref_moment]).tobytes()
+    assert all(p.value is a for p, a in zip(flat, arrays)), "a step replaced a parameter's array"
 
 
 def test_warmup_cosine_shape():
