@@ -2,7 +2,6 @@
 
 from .association import AssociationOutcome, MemoryBank, TrackerConfig, associate_frame, nms, track_sequence
 from .data_io import (
-    BBox,
     DetectionFrame,
     DetectionRecord,
     GroundTruthTrack,

@@ -36,7 +36,6 @@ from .training import LossConfig, TrainConfig, Video, train
 
 log = logging.getLogger("qtrack.cli")
 
-MODEL_FIELDS = ("variant", "d_q", "d_e", "heads", "temperature", "null_logit", "seed")
 MODEL_DEFAULTS = {"variant": "crossattn", "d_q": 16, "d_e": 32, "heads": 1,
                   "temperature": 0.1, "null_logit": 0.0, "seed": 0}
 VARIANTS = ("transformer", "similarity", "ffn", "crossattn")
@@ -46,13 +45,33 @@ class CliError(Exception):
     pass
 
 
-def _section(config: dict, name: str, allowed: tuple[str, ...]) -> dict:
+# What a config value must be, by the type of its field's default. A
+# bool is never a number, and a number must fit in a float.
+_KINDS = {bool: "a boolean", int: "an integer", float: "a number", tuple: "a list of 2 numbers"}
+
+
+def _is_number(value) -> bool:
+    return type(value) is float or (type(value) is int and abs(value) <= sys.float_info.max)
+
+
+def _section(config: dict, name: str, defaults: dict) -> dict:
+    """The section's values, each of its field's JSON type; strings are checked by the caller."""
     raw = config.get(name, {})
     if not isinstance(raw, dict):
         raise CliError(f"config section {name!r} must be an object")
-    unknown = set(raw) - set(allowed)
+    unknown = set(raw) - set(defaults)
     if unknown:
         raise CliError(f"config section {name!r} has unknown keys: {sorted(unknown)}")
+    for key, value in raw.items():
+        kind = type(defaults[key])
+        if kind is float:
+            ok = _is_number(value)
+        elif kind is tuple:
+            ok = type(value) is list and len(value) == 2 and all(map(_is_number, value))
+        else:
+            ok = kind is str or type(value) is kind
+        if not ok:
+            raise CliError(f"bad config section {name!r}: field {key!r} must be {_KINDS[kind]}")
     return dict(raw)
 
 
@@ -75,8 +94,7 @@ def _load_config(path: str | None) -> dict:
 
 
 def _dataclass_section(config: dict, name: str, cls):
-    fields = tuple(f.name for f in dataclasses.fields(cls))
-    kwargs = _section(config, name, fields)
+    kwargs = _section(config, name, {f.name: f.default for f in dataclasses.fields(cls)})
     if name == "synth" and "canvas" in kwargs:
         kwargs["canvas"] = tuple(kwargs["canvas"])
     try:
@@ -100,7 +118,7 @@ def _tracker_config(config: dict, args) -> TrackerConfig:
 
 def _model_settings(config: dict, args) -> dict:
     settings = dict(MODEL_DEFAULTS)
-    settings.update(_section(config, "model", MODEL_FIELDS))
+    settings.update(_section(config, "model", MODEL_DEFAULTS))
     if getattr(args, "variant", None) is not None:
         settings["variant"] = args.variant
     if getattr(args, "seed", None) is not None:

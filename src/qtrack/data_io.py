@@ -5,9 +5,11 @@ Detection streams are line-delimited JSON: a header object first
 are a single JSON document keyed by track. Trajectory output is again
 line-delimited JSON, one line per (track, frame), ordered so writes are
 reproducible byte for byte.
-A trajectory is held as columns (`TrajectoryOutput`) from the tracker
-through the file to the metrics, with no object per row. Integer
-fields are JSON integers, not booleans, that fit in int64.
+A box is the corner tuple (x_min, y_min, x_max, y_max), many boxes an
+(n, 4) float64 array. A trajectory is held as columns
+(`TrajectoryOutput`) from the tracker through the file to the metrics,
+with no object per row. Numbers are JSON numbers, not booleans or
+strings; integer fields are JSON integers that fit in int64.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ __all__ = [
     "DataFormatError",
     "StreamFormatError",
     "AnnotationFormatError",
-    "BBox",
+    "Box",
     "iou",
     "iou_matrix",
     "iou_pairs",
@@ -72,44 +74,27 @@ class _Invalid(DataFormatError):
     """What is wrong with one record, before the caller names the file and line."""
 
 
-@dataclass(frozen=True)
-class BBox:
-    """Axis-aligned box in pixels, corners ordered (x_min, y_min, x_max, y_max)."""
-
-    x_min: float
-    y_min: float
-    x_max: float
-    y_max: float
-
-    def is_valid(self) -> bool:
-        return self.x_min < self.x_max and self.y_min < self.y_max
-
-    def area(self) -> float:
-        return max(0.0, self.x_max - self.x_min) * max(0.0, self.y_max - self.y_min)
-
-    def as_list(self) -> list[float]:
-        return [self.x_min, self.y_min, self.x_max, self.y_max]
+Box = tuple[float, float, float, float]  # pixels: (x_min, y_min, x_max, y_max)
 
 
-def iou(a: BBox, b: BBox) -> float:
+def iou(a: Box, b: Box) -> float:
     """Intersection area over union area of two boxes, in [0, 1]."""
-    ix = min(a.x_max, b.x_max) - max(a.x_min, b.x_min)
-    iy = min(a.y_max, b.y_max) - max(a.y_min, b.y_min)
+    ax0, ay0, ax1, ay1 = a
+    bx0, by0, bx1, by1 = b
+    ix = min(ax1, bx1) - max(ax0, bx0)
+    iy = min(ay1, by1) - max(ay0, by0)
     if ix <= 0.0 or iy <= 0.0:
         return 0.0
     inter = ix * iy
     if inter == 0.0:  # the product underflows, and so do both areas: no union to divide by
         return 0.0
-    union = a.area() + b.area() - inter
+    union = max(0.0, ax1 - ax0) * max(0.0, ay1 - ay0) + max(0.0, bx1 - bx0) * max(0.0, by1 - by0) - inter
     return inter / union
 
 
-_corners = attrgetter("x_min", "y_min", "x_max", "y_max")
-
-
-def box_array(boxes: Iterable[BBox]) -> np.ndarray:
+def box_array(boxes: Iterable[Box]) -> np.ndarray:
     """Boxes as an (n, 4) float64 array of (x_min, y_min, x_max, y_max) rows."""
-    return np.fromiter(chain.from_iterable(map(_corners, boxes)), np.float64).reshape(-1, 4)
+    return np.fromiter(chain.from_iterable(boxes), np.float64).reshape(-1, 4)
 
 
 def iou_matrix(a, b) -> np.ndarray:
@@ -146,10 +131,10 @@ def _iou_columns(ax0, ay0, ax1, ay1, bx0, by0, bx1, by1) -> np.ndarray:
     return out
 
 
-def polygon_envelope(points: Iterable[tuple[float, float]]) -> BBox:
+def polygon_envelope(points: Iterable[tuple[float, float]]) -> Box:
     xs = [p[0] for p in points]
     ys = [p[1] for p in points]
-    return BBox(min(xs), min(ys), max(xs), max(ys))
+    return min(xs), min(ys), max(xs), max(ys)
 
 
 @dataclass
@@ -158,7 +143,7 @@ class DetectionRecord:
 
     frame_index: int
     query: np.ndarray  # (d_q,) float64
-    box: BBox
+    box: Box
     score: float  # original confidence c_o in [0, 1]
     polygon: list[tuple[float, float]] | None = None
     text: str | None = None
@@ -179,7 +164,7 @@ class StreamHeader:
 
 @dataclass
 class GroundTruthEntry:
-    box: BBox
+    box: Box
     text: str
     box_type: str = "quadrilateral"
     polygon: list[tuple[float, float]] | None = None
@@ -254,7 +239,7 @@ def _record_object(line: str) -> dict:
 _NUMBER_TYPES = frozenset((int, float))
 
 
-def _box_corners(raw) -> tuple[float, float, float, float]:
+def _box_corners(raw) -> Box:
     try:
         x_min, y_min, x_max, y_max = raw
         if type(x_min) is type(y_min) is type(x_max) is type(y_max) is float:  # as the writers write them: no conversion
@@ -275,6 +260,15 @@ def _parse_float(raw, name: str) -> float:
     raise _Invalid(f"field {name!r} must be a number, got {raw!r}")
 
 
+def _parse_query(raw) -> np.ndarray:
+    try:
+        if type(raw) is list and _NUMBER_TYPES.issuperset(map(type, raw)):
+            return np.array(raw, dtype=np.float64)
+    except OverflowError:
+        pass
+    raise _Invalid("field 'query' must be a list of numbers")
+
+
 def _parse_polygon(raw) -> list[tuple[float, float]]:
     try:
         pairs = [(p[0], p[1]) for p in raw]
@@ -288,8 +282,8 @@ def _parse_polygon(raw) -> list[tuple[float, float]]:
     return points
 
 
-def _check_envelope(polygon, box: BBox) -> None:
-    if max(abs(e - b) for e, b in zip(polygon_envelope(polygon).as_list(), box.as_list())) > 1e-6:
+def _check_envelope(polygon, box: Box) -> None:
+    if max(abs(e - b) for e, b in zip(polygon_envelope(polygon), box)) > 1e-6:
         raise _Invalid("polygon envelope does not match box")
 
 
@@ -301,17 +295,14 @@ def _stream_record(line: str, d_q: int) -> DetectionRecord:
     frame_idx = raw["frame"]
     if type(frame_idx) is not int or not 0 <= frame_idx < INT64_END:
         raise _Invalid("field 'frame' must be a nonnegative integer")
-    box = BBox(*_box_corners(raw["box"]))
-    if not box.is_valid():
+    box = x_min, y_min, x_max, y_max = _box_corners(raw["box"])
+    if not (x_min < x_max and y_min < y_max):
         raise _Invalid(f"field 'box' is degenerate ({raw['box']})")
     score = _parse_float(raw["score"], "score")
     if not 0.0 <= score <= 1.0:
         raise _Invalid(f"field 'score' out of range [0,1] ({score})")
-    try:
-        query = np.asarray(raw["query"], dtype=np.float64)
-    except (TypeError, ValueError):
-        raise _Invalid("field 'query' must be a list of numbers") from None
-    if query.ndim != 1 or query.size != d_q:
+    query = _parse_query(raw["query"])
+    if query.size != d_q:
         raise _Invalid(f"field 'query' has dim {query.size}, header d_q is {d_q}")
     if not np.isfinite(query).all():
         raise _Invalid("field 'query' contains non-finite values")
@@ -381,7 +372,7 @@ def write_detection_stream(path, header: StreamHeader, frames: list[DetectionFra
             for rec in frame.records:
                 row: dict = {
                     "frame": frame.frame_index,
-                    "box": rec.box.as_list(),
+                    "box": list(rec.box),
                     "score": rec.score,
                     "query": [float(v) for v in rec.query],
                 }
@@ -450,10 +441,10 @@ def parse_annotations(path) -> list[GroundTruthTrack]:
             if not isinstance(entry, dict) or "box" not in entry:
                 raise AnnotationFormatError(f"{where}: frame {frame_idx}: missing field 'box'")
             try:
-                box = BBox(*_box_corners(entry["box"]))
+                box = x_min, y_min, x_max, y_max = _box_corners(entry["box"])
             except _Invalid as exc:
                 raise AnnotationFormatError(f"{where}: frame {frame_idx}: {exc}") from None
-            if not box.is_valid():
+            if not (x_min < x_max and y_min < y_max):
                 raise AnnotationFormatError(f"{where}: frame {frame_idx}: degenerate box")
             box_type = entry.get("box_type", "quadrilateral")
             if box_type not in BOX_TYPES:
@@ -491,7 +482,7 @@ def write_annotations(path, tracks: list[GroundTruthTrack], video: str = "") -> 
         frames = {}
         for frame_idx in track.present_frames():
             entry = track.frames[frame_idx]
-            row: dict = {"box": entry.box.as_list(), "text": entry.text, "box_type": entry.box_type}
+            row: dict = {"box": list(entry.box), "text": entry.text, "box_type": entry.box_type}
             if entry.polygon is not None:
                 row["poly"] = [[x, y] for x, y in entry.polygon]
             frames[str(frame_idx)] = row

@@ -24,7 +24,7 @@ from itertools import chain
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .data_io import BBox, GroundTruthTrack, TrajectoryOutput, box_array, iou_pairs
+from .data_io import Box, GroundTruthTrack, TrajectoryOutput, box_array, iou_pairs
 
 __all__ = ["EvalConfig", "MotReport", "clear_mot", "idf1", "detection_prf", "evaluate_sequences"]
 
@@ -305,7 +305,7 @@ def evaluate_sequences(
 
 def detection_prf(
     gt_tracks: list[GroundTruthTrack],
-    pred_boxes_by_frame: dict[int, list[BBox]],
+    pred_boxes_by_frame: dict[int, list[Box]],
     cfg: EvalConfig | None = None,
 ) -> tuple[float, float, float]:
     """Micro-averaged precision/recall/F over frames, greedy IoU matching.

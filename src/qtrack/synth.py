@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data_io import (
-    BBox,
+    Box,
     DetectionFrame,
     DetectionRecord,
     GroundTruthEntry,
@@ -100,7 +100,7 @@ def generate_sequence(cfg: SynthConfig) -> tuple[StreamHeader, list[DetectionFra
                 # reflect so the box stays fully inside the canvas
                 centers[k][0] = _reflect(centers[k][0], bw / 2, w - bw / 2)
                 centers[k][1] = _reflect(centers[k][1], bh / 2, h - bh / 2)
-            box = BBox(
+            box = (
                 centers[k][0] - bw / 2,
                 centers[k][1] - bh / 2,
                 centers[k][0] + bw / 2,
@@ -130,7 +130,7 @@ def generate_sequence(cfg: SynthConfig) -> tuple[StreamHeader, list[DetectionFra
                 DetectionRecord(
                     frame_index=t,
                     query=_clutter_latent(rng, cfg.d_q),
-                    box=BBox(cx - fw / 2, cy - fh / 2, cx + fw / 2, cy + fh / 2),
+                    box=(cx - fw / 2, cy - fh / 2, cx + fw / 2, cy + fh / 2),
                     score=float(rng.uniform(0.3, 0.7)),
                 )
             )
@@ -168,7 +168,7 @@ def degrade_scores(
     """
     if not 0.0 <= fraction <= 1.0:
         raise ValueError("fraction must be in [0,1]")
-    gt_boxes: dict[int, list[BBox]] = {}
+    gt_boxes: dict[int, list[Box]] = {}
     for tr in gt_tracks:
         for f, entry in tr.frames.items():
             gt_boxes.setdefault(f, []).append(entry.box)

@@ -1,10 +1,12 @@
-"""Target assignment, losses and the optimization loop over clip batches.
+"""Target assignment, losses and the optimization loop over clips.
 
 Each iteration samples a contiguous clip of B frames from one video,
 matches detections to ground truth (min-cost bipartite matching for the
 rescoring focal loss, per-frame best-IoU assignment for the association
 losses), and takes one decoupled-weight-decay adaptive-moment step with
-a linear-warmup cosine-decay learning rate.
+a linear-warmup cosine-decay learning rate. A clip is a list of
+`ClipFrame`s, whose detection and ground-truth boxes are (n, 4) arrays
+normalized by the canvas.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .autodiff import TAPE, Tensor, concat_rows, log, matmul, pow_const, sigmoid, sum_, take_rows
-from .data_io import BBox, DetectionFrame, GroundTruthTrack, box_array, iou_matrix
+from .data_io import Box, DetectionFrame, GroundTruthTrack, box_array, iou_matrix
 from .matcher import association, embed
 from .model import TrackerModel
 
@@ -26,7 +28,6 @@ __all__ = [
     "TrainConfig",
     "MatchResult",
     "ClipFrame",
-    "ClipBatch",
     "Video",
     "LossBreakdown",
     "assign_targets",
@@ -34,8 +35,7 @@ __all__ = [
     "matching_cost",
     "hungarian_match",
     "rescoring_loss",
-    "short_term_loss",
-    "long_term_loss",
+    "association_loss",
     "combine_losses",
     "total_loss",
     "build_clip",
@@ -100,14 +100,9 @@ class Video:
 @dataclass
 class ClipFrame:
     queries: np.ndarray  # (p, d_q) all detector records, unfiltered
-    boxes: list[BBox]
-    gt_boxes: list[BBox]  # ground-truth geometry present in this frame
+    boxes: np.ndarray  # (p, 4) their boxes, normalized
+    gt_boxes: np.ndarray  # (g, 4) ground-truth boxes present in this frame, by track id, normalized
     assignments: dict[int, int]  # track id -> matched record index
-
-
-@dataclass
-class ClipBatch:
-    frames: list[ClipFrame]
 
 
 @dataclass
@@ -123,8 +118,10 @@ class LossBreakdown:
 # target assignment
 
 
-def assign_targets(pred_boxes: list[BBox], gt_boxes: dict[int, BBox]) -> dict[int, int | None]:
+def assign_targets(pred_boxes, gt_boxes: dict[int, Box]) -> dict[int, int | None]:
     """Best-IoU record index per ground-truth track, None when absent or IoU < 0.5.
+
+    `pred_boxes` is an (n, 4) array or a list of boxes.
 
     When two tracks argmax to the same record, the higher-IoU track
     keeps it and the loser retries on the remaining records.
@@ -132,9 +129,9 @@ def assign_targets(pred_boxes: list[BBox], gt_boxes: dict[int, BBox]) -> dict[in
     result: dict[int, int | None] = {}
     if not gt_boxes:
         return result
-    if not pred_boxes:
+    if len(pred_boxes) == 0:
         return {k: None for k in gt_boxes}
-    overlap = dict(zip(gt_boxes, iou_matrix(box_array(gt_boxes.values()), box_array(pred_boxes))))
+    overlap = dict(zip(gt_boxes, iou_matrix(box_array(gt_boxes.values()), pred_boxes)))
     claimed = np.zeros(len(pred_boxes), dtype=bool)
     pending = sorted(gt_boxes)
     while pending:
@@ -182,18 +179,16 @@ def focal_cost(p: np.ndarray, alpha: float, gamma: float) -> np.ndarray:
 
 def matching_cost(
     pred_scores: np.ndarray,
-    pred_boxes: list[BBox],
-    gt_boxes: list[BBox],
+    pred_boxes: np.ndarray,
+    gt_boxes: np.ndarray,
     cfg: LossConfig,
 ) -> np.ndarray:
-    """Cost matrix (predictions x ground truths); boxes should share one scale."""
+    """Cost matrix (predictions x ground truths) from (p, 4) and (g, 4) boxes of one scale."""
     if len(pred_boxes) == 0 or len(gt_boxes) == 0:
         raise ValueError("matching_cost needs nonempty predictions and ground truths")
     p = np.asarray(pred_scores, dtype=np.float64)
     cls = focal_cost(p, cfg.focal_alpha, cfg.focal_gamma)
-    pb = np.array([b.as_list() for b in pred_boxes])
-    gb = np.array([b.as_list() for b in gt_boxes])
-    l1 = np.abs(pb[:, None, :] - gb[None, :, :]).sum(axis=2)
+    l1 = np.abs(pred_boxes[:, None, :] - gt_boxes[None, :, :]).sum(axis=2)
     return cfg.cost_class_weight * cls[:, None] + cfg.cost_box_weight * l1
 
 
@@ -251,22 +246,15 @@ def _masked_row_loss(probs: Tensor, row_targets: list[tuple[int, list[int] | Non
     return -sum_(log(picked))
 
 
-def short_term_loss(clip_G: list[Tensor], targets: list[list[tuple[int, list[int] | None]]]) -> Tensor:
-    """Negative log-likelihood of each frame-to-previous-frame assignment.
+def association_loss(clip_G: list[Tensor], targets: list[list[tuple[int, list[int] | None]]]) -> Tensor:
+    """Negative log of the mass each instance row assigns to its target columns, summed over matrices.
 
-    ``clip_G[i]`` is the match-probability matrix of frame t=i+2 against
-    frame t=i+1; ``targets[i]`` lists (row, target columns) with None
-    for the null column.
+    ``clip_G[i]`` is a match-probability matrix of a frame's instances:
+    against the previous frame (short-term) or against the clip's other
+    frames (long-term). ``targets[i]`` lists (row, target columns): the
+    row's own track in the previous frame, or all of its own track's
+    other-frame columns; None for the null column.
     """
-    total = Tensor(0.0)
-    for probs, row_targets in zip(clip_G, targets):
-        total = total + _masked_row_loss(probs, row_targets)
-    return total
-
-
-def long_term_loss(clip_G: list[Tensor], targets: list[list[tuple[int, list[int] | None]]]) -> Tensor:
-    """Negative log of the mass each instance row assigns to its own track's
-    other-frame columns (summed over those columns), null when it has none."""
     total = Tensor(0.0)
     for probs, row_targets in zip(clip_G, targets):
         total = total + _masked_row_loss(probs, row_targets)
@@ -277,19 +265,19 @@ def combine_losses(l_res: Tensor, l_asso: Tensor, cfg: LossConfig) -> Tensor:
     return l_res * cfg.lambda_res + l_asso * cfg.lambda_asso
 
 
-def total_loss(batch: ClipBatch, model: TrackerModel, cfg: LossConfig) -> LossBreakdown:
+def total_loss(clip: list[ClipFrame], model: TrackerModel, cfg: LossConfig) -> LossBreakdown:
     """Weighted sum of the rescoring focal loss and both association losses.
 
     Rescoring gradients reach only the head; association gradients reach
     the shared FFN and the branch attention weights.
     """
     l_res = Tensor(0.0)
-    for frame in batch.frames:
+    for frame in clip:
         p = len(frame.boxes)
         if p == 0:
             continue
         probs = sigmoid(matmul(Tensor(frame.queries), model.rescore_weight) + model.rescore_bias)
-        if frame.gt_boxes:
+        if len(frame.gt_boxes):
             cost = matching_cost(probs.value, frame.boxes, frame.gt_boxes, cfg)
             if p >= len(frame.gt_boxes):
                 matched_rows = sorted(r for r, _ in hungarian_match(cost).pairs)
@@ -309,7 +297,7 @@ def total_loss(batch: ClipBatch, model: TrackerModel, cfg: LossConfig) -> LossBr
     # embeddings of the ground-truth-assigned instances, one row set per frame
     frame_tracks: list[list[int]] = []
     frame_emb: list[Tensor | None] = []
-    for frame in batch.frames:
+    for frame in clip:
         tracks = sorted(k for k, i in frame.assignments.items() if i is not None)
         frame_tracks.append(tracks)
         if tracks:
@@ -323,7 +311,7 @@ def total_loss(batch: ClipBatch, model: TrackerModel, cfg: LossConfig) -> LossBr
 
     st_G: list[Tensor] = []
     st_targets: list[list[tuple[int, list[int] | None]]] = []
-    for t in range(1, len(batch.frames)):
+    for t in range(1, len(clip)):
         cur, prev = frame_emb[t], frame_emb[t - 1]
         if cur is None:
             continue
@@ -335,16 +323,16 @@ def total_loss(batch: ClipBatch, model: TrackerModel, cfg: LossConfig) -> LossBr
             rows.append((r, cols))
         st_G.append(probs)
         st_targets.append(rows)
-    l_st = short_term_loss(st_G, st_targets)
+    l_st = association_loss(st_G, st_targets)
 
     lt_G: list[Tensor] = []
     lt_targets: list[list[tuple[int, list[int] | None]]] = []
-    for t in range(len(batch.frames)):
+    for t in range(len(clip)):
         cur = frame_emb[t]
         if cur is None:
             continue
-        other_emb = [frame_emb[s] for s in range(len(batch.frames)) if s != t and frame_emb[s] is not None]
-        other_tracks = np.array([k for s in range(len(batch.frames)) if s != t for k in frame_tracks[s]])
+        other_emb = [frame_emb[s] for s in range(len(clip)) if s != t and frame_emb[s] is not None]
+        other_tracks = np.array([k for s in range(len(clip)) if s != t for k in frame_tracks[s]])
         if other_emb:
             hist = concat_rows(other_emb) if len(other_emb) > 1 else other_emb[0]
         else:
@@ -356,7 +344,7 @@ def total_loss(batch: ClipBatch, model: TrackerModel, cfg: LossConfig) -> LossBr
             rows.append((r, cols if cols.size else None))
         lt_G.append(probs)
         lt_targets.append(rows)
-    l_lt = long_term_loss(lt_G, lt_targets)
+    l_lt = association_loss(lt_G, lt_targets)
 
     l_asso = l_st + l_lt
     return LossBreakdown(
@@ -369,15 +357,16 @@ def total_loss(batch: ClipBatch, model: TrackerModel, cfg: LossConfig) -> LossBr
 
 
 # ---------------------------------------------------------------------------
-# batch construction
+# clip construction
 
 
-def build_clip(video: Video, start: int, length: int) -> ClipBatch:
-    """Assemble a training batch from `length` consecutive stream frames.
+def build_clip(video: Video, start: int, length: int) -> list[ClipFrame]:
+    """Assemble a training clip from `length` consecutive stream frames.
 
     Box coordinates are normalized by the canvas (falling back to the
     joint extent of all boxes) so the matching-cost box term is scale
-    free.
+    free. Each frame's boxes are divided as one (n, 4) array, entry by
+    entry, so every value is the quotient of its own corner.
     """
     frames = video.frames[start:start + length]
     if len(frames) < length:
@@ -388,18 +377,16 @@ def build_clip(video: Video, start: int, length: int) -> ClipBatch:
         extent = 1.0
         for f in video.frames:
             for r in f.records:
-                extent = max(extent, r.box.x_max, r.box.y_max)
+                extent = max(extent, r.box[2], r.box[3])
         for tr in video.tracks:
             for e in tr.frames.values():
-                extent = max(extent, e.box.x_max, e.box.y_max)
+                extent = max(extent, e.box[2], e.box[3])
         sx = sy = extent
+    scale = np.array([sx, sy, sx, sy], dtype=np.float64)
 
-    def norm(b: BBox) -> BBox:
-        return BBox(b.x_min / sx, b.y_min / sy, b.x_max / sx, b.y_max / sy)
-
-    clip_frames = []
+    clip = []
     for frame in frames:
-        boxes = [r.box for r in frame.records]
+        boxes = box_array(r.box for r in frame.records)
         gt_map = {
             tr.track_id: tr.frames[frame.frame_index].box
             for tr in video.tracks
@@ -412,15 +399,15 @@ def build_clip(video: Video, start: int, length: int) -> ClipBatch:
             queries = np.stack([r.query for r in frame.records])
         else:
             queries = np.zeros((0, 1))
-        clip_frames.append(
+        clip.append(
             ClipFrame(
                 queries=queries,
-                boxes=[norm(b) for b in boxes],
-                gt_boxes=[norm(gt_map[k]) for k in sorted(gt_map)],
+                boxes=boxes / scale,
+                gt_boxes=box_array(gt_map[k] for k in sorted(gt_map)) / scale,
                 assignments=assignments,
             )
         )
-    return ClipBatch(frames=clip_frames)
+    return clip
 
 
 # ---------------------------------------------------------------------------
@@ -514,9 +501,9 @@ def train(
     for step in range(train_cfg.iterations):
         video = usable[int(rng.integers(len(usable)))]
         start = int(rng.integers(len(video.frames) - train_cfg.clip_len + 1))
-        batch = build_clip(video, start, train_cfg.clip_len)
+        clip = build_clip(video, start, train_cfg.clip_len)
         opt.zero_grad()
-        breakdown = total_loss(batch, model, loss_cfg)
+        breakdown = total_loss(clip, model, loss_cfg)
         value = float(breakdown.total.value)
         if not math.isfinite(value):
             raise FloatingPointError(f"non-finite loss at iteration {step}")

@@ -15,7 +15,7 @@ import pytest
 from qtrack.association import TrackerConfig, track_sequence
 from qtrack.cli import main as cli_main
 from qtrack.data_io import (
-    BBox,
+    Box,
     GroundTruthEntry,
     GroundTruthTrack,
     TrajectoryOutput,
@@ -85,14 +85,14 @@ def _suite_idf1(model, eval_videos, use_lt: bool) -> float:
 def test_criterion_1_gradient_correctness():
     video, _ = _make_video(5, frames=3, tracks=3, miss=0.2, sigma=0.1, fp=0.7, d_q=6)
     video_small = Video(name=video.name, frames=video.frames, tracks=video.tracks, canvas=video.canvas)
-    batch = build_clip(video_small, 0, 3)
+    clip = build_clip(video_small, 0, 3)
     loss_cfg = LossConfig()
     started = time.time()
     worst = {}
     for variant in (MatcherVariant.FFN, MatcherVariant.CROSS_ATTN, MatcherVariant.TRANSFORMER):
         model = TrackerModel.create(variant, d_q=6, d_e=8, seed=2)
         err = check_gradients(
-            lambda: total_loss(batch, model, loss_cfg).total,
+            lambda: total_loss(clip, model, loss_cfg).total,
             model.parameters(),
             epsilon=1e-5,
         )
@@ -131,8 +131,8 @@ def test_criterion_2_hungarian_oracle_equivalence():
 # 3. metric hand-count scenarios
 
 
-def _slot_box(i: int) -> BBox:
-    return BBox(i * 100.0, 0.0, i * 100.0 + 50.0, 30.0)
+def _slot_box(i: int) -> Box:
+    return (i * 100.0, 0.0, i * 100.0 + 50.0, 30.0)
 
 
 def _gt(track_id, frames, slot=0):

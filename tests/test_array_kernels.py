@@ -30,7 +30,6 @@ from qtrack.association import (
 )
 from qtrack.autodiff import TAPE, Tensor
 from qtrack.data_io import (
-    BBox,
     DetectionFrame,
     DetectionRecord,
     GroundTruthEntry,
@@ -237,7 +236,7 @@ def ref_gt_by_frame(tracks):
 
 
 def traj(track_id, rows):
-    """A trajectory's columns from (frame, BBox, score, text) rows."""
+    """A trajectory's columns from (frame, box, score, text) rows."""
     frames, boxes, scores, texts = zip(*rows) if rows else ((),) * 4
     return TrajectoryOutput(track_id, np.array(frames, dtype=np.int64), box_array(boxes),
                             np.array(scores, dtype=np.float64), [None] * len(frames), list(texts))
@@ -245,7 +244,7 @@ def traj(track_id, rows):
 
 def ref_pred_rows(tr):
     """(frame, box, text) of each row of a trajectory's columns."""
-    return [(f, BBox(*box), text) for f, box, text in zip(tr.frame_indices(), tr.boxes.tolist(), tr.texts)]
+    return [(f, tuple(box), text) for f, box, text in zip(tr.frame_indices(), tr.boxes.tolist(), tr.texts)]
 
 
 def ref_pred_by_frame(tracks):
@@ -448,8 +447,8 @@ def box_lists(draw, coord):
     n = draw(st.integers(min_value=0, max_value=6))
     pool = draw(st.lists(coord, min_size=2, max_size=6))  # few values, so corners repeat
     pick = st.sampled_from(pool)
-    return [BBox(draw(pick), draw(pick), draw(pick), draw(pick)) if draw(st.booleans())
-            else BBox(*sorted([draw(coord), draw(coord)]), *sorted([draw(coord), draw(coord)]))
+    return [(draw(pick), draw(pick), draw(pick), draw(pick)) if draw(st.booleans())
+            else (*sorted([draw(coord), draw(coord)]), *sorted([draw(coord), draw(coord)]))
             for _ in range(n)]
 
 
@@ -459,7 +458,7 @@ def box_lists(draw, coord):
     st.tuples(box_lists(float_coord), box_lists(float_coord)),
 ))
 # positive overlap extents whose product underflows to 0 (a zero union)
-@example(([BBox(0.0, 0.0, 3e-180, 3e-180)], [BBox(0.0, 0.0, 3e-180, 3e-180), BBox(0.0, 0.0, 1.0, 1.0)]))
+@example(([(0.0, 0.0, 3e-180, 3e-180)], [(0.0, 0.0, 3e-180, 3e-180), (0.0, 0.0, 1.0, 1.0)]))
 def test_iou_matrix_equals_scalar_iou_bitwise(boxes):
     a, b = boxes
     m = iou_matrix(box_array(a), box_array(b))
@@ -478,7 +477,7 @@ def test_iou_matrix_int_arrays():
 
 def test_iou_matrix_empty_inputs():
     assert iou_matrix(np.zeros((0, 4)), np.ones((3, 4))).shape == (0, 3)
-    assert iou_matrix(box_array([BBox(0, 0, 1, 1)]), box_array([])).shape == (1, 0)
+    assert iou_matrix(box_array([(0, 0, 1, 1)]), box_array([])).shape == (1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +491,7 @@ def test_nms_equals_reference(corners_scores, threshold):
     # 5x5 boxes on a coarse grid with three score levels: heavy overlap and equal scores
     instances = []
     for x, y, score in corners_scores:
-        record = DetectionRecord(0, np.zeros(2), BBox(x, y, x + 5, y + 5), score)
+        record = DetectionRecord(0, np.zeros(2), (x, y, x + 5, y + 5), score)
         instances.append(ScoredInstance(record=record, recomputed_score=score, fused_score=score))
     assert [id(k) for k in nms(instances, threshold)] == [id(k) for k in ref_nms(instances, threshold)]
 
@@ -516,8 +515,8 @@ def test_greedy_matches_equal_reference_under_ties(data):
        st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=0, max_size=5))
 def test_assign_targets_equal_reference(pred_corners, gt_corners):
     # 4x4 boxes on a coarse grid: duplicate records and contested argmaxes are common
-    pred = [BBox(x, y, x + 4, y + 4) for x, y in pred_corners]
-    gt = {10 * (k + 1): BBox(x, y, x + 4, y + 4) for k, (x, y) in enumerate(gt_corners)}
+    pred = [(x, y, x + 4, y + 4) for x, y in pred_corners]
+    gt = {10 * (k + 1): (x, y, x + 4, y + 4) for k, (x, y) in enumerate(gt_corners)}
     assert assign_targets(pred, gt) == ref_assign_targets(pred, gt)
 
 
@@ -536,9 +535,9 @@ def _stream(seed: int, ties: bool):
             for rec in frame.records[:3]:
                 b = rec.box
                 extra.append(DetectionRecord(rec.frame_index, rec.query.copy(),
-                                             BBox(b.x_min + 300, b.y_min, b.x_max + 300, b.y_max), rec.score, text=rec.text))
+                                             (b[0] + 300, b[1], b[2] + 300, b[3]), rec.score, text=rec.text))
             if frame.frame_index % 4 == 0:
-                extra.append(DetectionRecord(frame.frame_index, np.zeros(cfg.d_q), BBox(1, 1, 20, 20), 0.95))
+                extra.append(DetectionRecord(frame.frame_index, np.zeros(cfg.d_q), (1, 1, 20, 20), 0.95))
             frame.records += extra
     return frames, gts
 
@@ -595,7 +594,7 @@ def _assert_columns_equal_reference(tracks, recorded, min_track_len):
     for tr in tracks:
         frames, records, scores, _ = zip(*want[tr.track_id])
         assert tr.frames.dtype == np.int64 and tr.frame_indices() == list(frames)
-        assert tr.boxes.dtype == np.float64 and tr.boxes.tolist() == [rec.box.as_list() for rec in records]
+        assert tr.boxes.dtype == np.float64 and tr.boxes.tolist() == [list(rec.box) for rec in records]
         assert tr.scores.dtype == np.float64 and tr.scores.tolist() == list(scores)
         assert tr.polygons == [rec.polygon for rec in records]
         assert tr.texts == [rec.text for rec in records]
@@ -634,7 +633,7 @@ def test_stream_outcomes_equal_reference(variant, use_lt, ties):
 # ---------------------------------------------------------------------------
 # the metrics on random sequences
 
-grid_box = st.builds(lambda x, y, w, h: BBox(x, y, x + w, y + h),
+grid_box = st.builds(lambda x, y, w, h: (x, y, x + w, y + h),
                      st.integers(0, 4), st.integers(0, 2), st.integers(2, 4), st.integers(2, 3))
 
 
@@ -662,7 +661,7 @@ def eval_sequence(draw):
             on_gt = [tr.frames[f].box for tr in gts if f in tr.frames]
             if on_gt and draw(st.sampled_from([True, True, False])):
                 b, dx = draw(st.sampled_from(on_gt)), draw(st.sampled_from([0, 0, 1]))
-                box = BBox(b.x_min + dx, b.y_min, b.x_max + dx, b.y_max)
+                box = (b[0] + dx, b[1], b[2] + dx, b[3])
             else:
                 box = draw(grid_box)
             entries.append((f, box, 0.9, draw(st.sampled_from(["ab", "cd", None]))))

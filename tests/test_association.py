@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qtrack.association import MemoryBank, TrackerConfig, associate_frame, nms, track_sequence
-from qtrack.data_io import BBox, DetectionRecord
+from qtrack.data_io import DetectionRecord
 from qtrack.matcher import MatcherVariant
 from qtrack.model import TrackerModel
 from qtrack.rescoring import ScoredInstance, filter_instances
@@ -17,7 +17,7 @@ def _instance(query, box=(0, 0, 10, 10), score=0.9, frame=0):
     record = DetectionRecord(
         frame_index=frame,
         query=np.asarray(query, dtype=np.float64),
-        box=BBox(*box),
+        box=tuple(box),
         score=score,
     )
     return ScoredInstance(record=record, recomputed_score=score, fused_score=score)

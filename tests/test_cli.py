@@ -7,7 +7,6 @@ import pytest
 
 from qtrack.cli import main
 from qtrack.data_io import (
-    BBox,
     GroundTruthEntry,
     GroundTruthTrack,
     read_trajectories,
@@ -99,7 +98,7 @@ def test_eval_trajectories_against_themselves(tmp_path, capsys):
     as_gt = [
         GroundTruthTrack(
             track_id=t.track_id,
-            frames={f: GroundTruthEntry(box=BBox(*box), text=text or "")
+            frames={f: GroundTruthEntry(box=tuple(box), text=text or "")
                     for f, box, text in zip(t.frame_indices(), t.boxes.tolist(), t.texts)},
         )
         for t in tracks
@@ -118,14 +117,14 @@ def test_eval_trajectories_against_themselves(tmp_path, capsys):
     ([], [0, 1], None, 0.0),  # predictions but no ground truth: MOTA is undefined
 ])
 def test_eval_degenerate_sequences(tmp_path, capsys, gt_frames, pred_frames, mota, idf1):
-    box = BBox(0.0, 0.0, 40.0, 20.0)
+    box = (0.0, 0.0, 40.0, 20.0)
     gt = [GroundTruthTrack(track_id=1, frames={f: GroundTruthEntry(box=box, text="a") for f in gt_frames})]
     ann = tmp_path / "ann.json"
     write_annotations(ann, gt if gt_frames else [])
     traj = tmp_path / "t.jsonl"
     traj.write_text("".join(json.dumps(row) + "\n" for row in [
         {"format": "qtrack-traj/1", "video": ""},
-        *({"track": 1, "frame": f, "box": box.as_list(), "score": 0.9} for f in pred_frames),
+        *({"track": 1, "frame": f, "box": list(box), "score": 0.9} for f in pred_frames),
     ]))
     assert main(["eval", "--annotations", str(ann), "--trajectories", str(traj)]) == 0
     out = capsys.readouterr().out.strip().splitlines()
@@ -178,7 +177,7 @@ def test_stats_histograms(tmp_path):
     ann = tmp_path / "a.json"
     track = GroundTruthTrack(
         track_id=1,
-        frames={f: GroundTruthEntry(box=BBox(0, 0, 5, 5), text="hey") for f in range(3)},
+        frames={f: GroundTruthEntry(box=(0, 0, 5, 5), text="hey") for f in range(3)},
     )
     write_annotations(ann, [track])
     out = tmp_path / "stats"
@@ -236,6 +235,29 @@ def _json_error(capsys) -> str:
     return json.loads(err.strip().splitlines()[-1])["error"]
 
 
+@pytest.mark.parametrize("command, config, message", [
+    ("train", {"train": {"iterations": 1.5}}, "bad config section 'train': field 'iterations' must be an integer"),
+    ("train", {"train": {"clip_len": 2.5}}, "bad config section 'train': field 'clip_len' must be an integer"),
+    ("train", {"train": {"learning_rate": "0.1"}}, "bad config section 'train': field 'learning_rate' must be a number"),
+    ("train", {"train": {"learning_rate": 2**1100}}, "bad config section 'train': field 'learning_rate' must be a number"),
+    ("train", {"loss": {"lambda_res": True}}, "bad config section 'loss': field 'lambda_res' must be a number"),
+    ("train", {"model": {"d_e": 7.5}}, "bad config section 'model': field 'd_e' must be an integer"),
+    ("train", {"model": {"heads": True}}, "bad config section 'model': field 'heads' must be an integer"),
+    ("gen", {"synth": {"frames": 2.5}}, "bad config section 'synth': field 'frames' must be an integer"),
+    ("gen", {"synth": {"canvas": 5}}, "bad config section 'synth': field 'canvas' must be a list of 2 numbers"),
+    ("gen", {"synth": {"canvas": [640, False]}}, "bad config section 'synth': field 'canvas' must be a list of 2 numbers"),
+    ("track", {"tracker": {"use_lt": "no"}}, "bad config section 'tracker': field 'use_lt' must be a boolean"),
+    ("track", {"tracker": {"history_depth": 1.0}}, "bad config section 'tracker': field 'history_depth' must be an integer"),
+])
+def test_config_value_of_wrong_type_is_json_error(tmp_path, capsys, command, config, message):
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(config))
+    inputs = {"gen": [], "train": ["--data", str(tmp_path)],
+              "track": ["--checkpoint", str(tmp_path / "m.json"), "--stream", str(tmp_path / "s.jsonl")]}
+    assert main([command, "--config", str(cfg_path), *inputs[command], "--out", str(tmp_path / "o")]) == 1
+    assert _json_error(capsys) == message
+
+
 def test_track_stream_box_not_a_list_is_json_error(tmp_path, capsys):
     data = _gen(tmp_path, frames=4, tracks=2, seed=8)
     stream = data / "stream.jsonl"
@@ -277,7 +299,7 @@ def test_eval_trajectory_without_score_is_json_error(tmp_path, capsys):
     assert f"{traj}:3" in error and "'score'" in error
 
 
-@pytest.mark.parametrize("query", [{"a": 1}, [1, "x"], [[1], 2]])
+@pytest.mark.parametrize("query", [{"a": 1}, [1, "x"], [[1], 2], ["0.5", 0], [True, 0], [2**1100, 0]])
 def test_track_stream_query_not_numbers_is_json_error(tmp_path, capsys, query):
     data = _gen(tmp_path, frames=4, tracks=2, seed=8)
     stream = data / "stream.jsonl"

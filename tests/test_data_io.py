@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from qtrack.data_io import (
     AnnotationFormatError,
-    BBox,
     DataFormatError,
     GroundTruthEntry,
     GroundTruthTrack,
@@ -126,7 +125,8 @@ def test_stream_polygon_envelope_must_match_box(tmp_path):
         parse_detection_stream(path)
 
 
-@pytest.mark.parametrize("query", [[1, "x", 0, 0], {"a": 1}, [[1], 2, 0, 0], "abcd"])
+@pytest.mark.parametrize("query", [[1, "x", 0, 0], {"a": 1}, [[1], 2, 0, 0], "abcd",
+                                   ["0.5", 0, 0, 0], [True, 0, 0, 0], [2**1100, 0, 0, 0]])
 def test_stream_query_not_a_flat_list_of_numbers_names_file_and_line(tmp_path, query):
     path = tmp_path / "s.jsonl"
     _write_lines(path, HEADER, _record(), _record(query=query))
@@ -335,11 +335,11 @@ def test_annotations_unknown_category_rejected(tmp_path):
 def test_annotations_round_trip(tmp_path):
     tracks = [
         GroundTruthTrack(track_id=2, category="other", frames={
-            4: GroundTruthEntry(box=BBox(1, 1, 9, 5), text="zz"),
+            4: GroundTruthEntry(box=(1, 1, 9, 5), text="zz"),
         }),
         GroundTruthTrack(track_id=1, category="alphanumeric", frames={
-            0: GroundTruthEntry(box=BBox(0, 0, 5, 5), text="hi"),
-            1: GroundTruthEntry(box=BBox(1, 0, 6, 5), text="hi"),
+            0: GroundTruthEntry(box=(0, 0, 5, 5), text="hi"),
+            1: GroundTruthEntry(box=(1, 0, 6, 5), text="hi"),
         }),
     ]
     path = tmp_path / "a.json"
@@ -347,7 +347,7 @@ def test_annotations_round_trip(tmp_path):
     parsed = parse_annotations(path)
     assert [t.track_id for t in parsed] == [1, 2]
     assert parsed[1].category == "other"
-    assert parsed[0].frames[1].box == BBox(1, 0, 6, 5)
+    assert parsed[0].frames[1].box == (1, 0, 6, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -550,14 +550,14 @@ def test_trajectory_frames_must_increase_within_a_track(tmp_path):
 
 
 def test_iou_basic():
-    assert iou(BBox(0, 0, 2, 2), BBox(0, 0, 2, 2)) == 1.0
-    assert iou(BBox(0, 0, 1, 1), BBox(5, 5, 6, 6)) == 0.0
-    assert iou(BBox(0, 0, 2, 2), BBox(1, 1, 3, 3)) == pytest.approx(1 / 7)
+    assert iou((0, 0, 2, 2), (0, 0, 2, 2)) == 1.0
+    assert iou((0, 0, 1, 1), (5, 5, 6, 6)) == 0.0
+    assert iou((0, 0, 2, 2), (1, 1, 3, 3)) == pytest.approx(1 / 7)
 
 
 def test_polygon_envelope():
     env = polygon_envelope([(1, 2), (5, 0), (3, 7)])
-    assert env == BBox(1, 0, 5, 7)
+    assert env == (1, 0, 5, 7)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qtrack.data_io import (
-    BBox,
+    Box,
     GroundTruthEntry,
     GroundTruthTrack,
     TrajectoryOutput,
@@ -17,9 +17,9 @@ from qtrack.data_io import (
 from qtrack.metrics import EvalConfig, clear_mot, detection_prf, idf1
 
 
-def _box(i: int) -> BBox:
+def _box(i: int) -> Box:
     # disjoint slots along the x axis
-    return BBox(i * 100.0, 0.0, i * 100.0 + 50.0, 30.0)
+    return (i * 100.0, 0.0, i * 100.0 + 50.0, 30.0)
 
 
 def _gt(track_id, frames, slot=0, text="word", category="alphanumeric"):
@@ -31,7 +31,7 @@ def _gt(track_id, frames, slot=0, text="word", category="alphanumeric"):
 
 
 def _traj(track_id, rows):
-    """A trajectory from (frame, BBox, score, text) rows."""
+    """A trajectory from (frame, box, score, text) rows."""
     frames, boxes, scores, texts = zip(*rows) if rows else ((),) * 4
     return TrajectoryOutput(track_id, np.array(frames, dtype=np.int64), box_array(boxes),
                             np.array(scores, dtype=np.float64), [None] * len(frames), list(texts))
@@ -155,7 +155,7 @@ def lane_tracks(draw):
         category = draw(st.sampled_from(["alphanumeric", "alphanumeric", "other"]))
         frames = draw(st.lists(st.integers(0, 12), min_size=1, max_size=8, unique=True))
         tracks.append(GroundTruthTrack(k + 1, category, {
-            f: GroundTruthEntry(BBox(k * 100.0 + dx, 0.0, k * 100.0 + dx + 50.0, 30.0), draw(st.sampled_from(["ab", "cd"])))
+            f: GroundTruthEntry((k * 100.0 + dx, 0.0, k * 100.0 + dx + 50.0, 30.0), draw(st.sampled_from(["ab", "cd"])))
             for f, dx in zip(frames, draw(st.lists(st.integers(0, 20), min_size=len(frames), max_size=len(frames))))}))
     return tracks
 
@@ -213,7 +213,7 @@ def _idf1_brute_force(gt_tracks, pred_tracks, thr=0.5):
         hits = 0
         for f, box in zip(p.frame_indices(), p.boxes.tolist()):
             entry = g.frames.get(f)
-            if entry is not None and iou(entry.box, BBox(*box)) >= thr:
+            if entry is not None and iou(entry.box, tuple(box)) >= thr:
                 hits += 1
         return hits
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qtrack.data_io import BBox, DetectionFrame, DetectionRecord
+from qtrack.data_io import DetectionFrame, DetectionRecord
 from qtrack.rescoring import RescoringHead, ScoredInstance, filter_instances, fuse_scores, rescore
 
 
@@ -13,7 +13,7 @@ def _record(query, score=0.5, frame=0):
     return DetectionRecord(
         frame_index=frame,
         query=np.asarray(query, dtype=np.float64),
-        box=BBox(0, 0, 10, 10),
+        box=(0, 0, 10, 10),
         score=score,
     )
 

@@ -136,5 +136,5 @@ def test_boxes_stay_on_canvas():
     w, h = cfg.canvas
     for t in gts:
         for e in t.frames.values():
-            assert 0 <= e.box.x_min < e.box.x_max <= w
-            assert 0 <= e.box.y_min < e.box.y_max <= h
+            assert 0 <= e.box[0] < e.box[2] <= w
+            assert 0 <= e.box[1] < e.box[3] <= h

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qtrack.autodiff import ARRAY, Tensor
-from qtrack.data_io import BBox, iou
+from qtrack.data_io import iou
 from qtrack.matcher import MatcherVariant
 from qtrack.model import TrackerModel
 from qtrack.synth import SynthConfig, generate_sequence
@@ -17,14 +17,13 @@ from qtrack.training import (
     TrainConfig,
     Video,
     assign_targets,
+    association_loss,
     build_clip,
     combine_losses,
     focal_cost,
     hungarian_match,
-    long_term_loss,
     matching_cost,
     rescoring_loss,
-    short_term_loss,
     total_loss,
     train,
     warmup_cosine_lr,
@@ -45,9 +44,9 @@ def brute_force_min_cost(cost: np.ndarray) -> float:
 
 
 def test_iou_examples():
-    assert iou(BBox(0, 0, 4, 4), BBox(0, 0, 4, 4)) == 1.0
-    assert iou(BBox(0, 0, 1, 1), BBox(2, 2, 3, 3)) == 0.0
-    assert iou(BBox(0, 0, 2, 2), BBox(1, 1, 3, 3)) == pytest.approx(1 / 7, abs=1e-12)
+    assert iou((0, 0, 4, 4), (0, 0, 4, 4)) == 1.0
+    assert iou((0, 0, 1, 1), (2, 2, 3, 3)) == 0.0
+    assert iou((0, 0, 2, 2), (1, 1, 3, 3)) == pytest.approx(1 / 7, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -55,27 +54,27 @@ def test_iou_examples():
 
 
 def test_assign_absent_track_stays_unassigned():
-    assert assign_targets([BBox(0, 0, 5, 5)], {}) == {}
-    result = assign_targets([], {1: BBox(0, 0, 5, 5)})
+    assert assign_targets([(0, 0, 5, 5)], {}) == {}
+    result = assign_targets([], {1: (0, 0, 5, 5)})
     assert result == {1: None}
 
 
 def test_assign_low_iou_gives_none():
     # best IoU 0.4 < 0.5
-    preds = [BBox(0, 0, 10, 4)]
-    gts = {7: BBox(0, 0, 10, 10)}
+    preds = [(0, 0, 10, 4)]
+    gts = {7: (0, 0, 10, 10)}
     assert assign_targets(preds, gts) == {7: None}
 
 
 def test_assign_argmax_picks_best():
-    preds = [BBox(0, 0, 10, 6), BBox(0, 0, 10, 8)]  # IoUs 0.6 and 0.8
-    gts = {1: BBox(0, 0, 10, 10)}
+    preds = [(0, 0, 10, 6), (0, 0, 10, 8)]  # IoUs 0.6 and 0.8
+    gts = {1: (0, 0, 10, 10)}
     assert assign_targets(preds, gts) == {1: 1}
 
 
 def test_assign_collision_resolved_by_higher_iou():
-    preds = [BBox(0, 0, 10, 10), BBox(0, 0, 8, 10)]
-    gts = {1: BBox(0, 0, 10, 10), 2: BBox(0, 0, 9, 10)}
+    preds = [(0, 0, 10, 10), (0, 0, 8, 10)]
+    gts = {1: (0, 0, 10, 10), 2: (0, 0, 9, 10)}
     # both argmax to pred 0; track 1 wins (IoU 1.0 > 0.9), track 2 falls to pred 1
     result = assign_targets(preds, gts)
     assert result == {1: 0, 2: 1}
@@ -90,21 +89,21 @@ def test_assign_collision_resolved_by_higher_iou():
 
 def test_matching_cost_classification_only_columns_identical():
     cfg = LossConfig(cost_box_weight=0.0)
-    cost = matching_cost(np.array([0.3, 0.9]), [BBox(0, 0, 1, 1)] * 2, [BBox(0, 0, 1, 1), BBox(1, 1, 2, 2)], cfg)
+    cost = matching_cost(np.array([0.3, 0.9]), np.array([(0, 0, 1, 1)] * 2), np.array([(0, 0, 1, 1), (1, 1, 2, 2)]), cfg)
     np.testing.assert_allclose(cost[:, 0], cost[:, 1])
 
 
 def test_matching_cost_identical_box_zero_class_weight():
     cfg = LossConfig(cost_class_weight=0.0)
-    cost = matching_cost(np.array([0.5]), [BBox(0, 0, 1, 1)], [BBox(0, 0, 1, 1)], cfg)
+    cost = matching_cost(np.array([0.5]), np.array([(0, 0, 1, 1)]), np.array([(0, 0, 1, 1)]), cfg)
     np.testing.assert_allclose(cost, 0.0)
 
 
 def test_matching_cost_direct_evaluation():
     cfg = LossConfig(cost_class_weight=2.0, cost_box_weight=5.0)
-    pred = BBox(0.0, 0.0, 1.0, 1.0)
-    gt = BBox(0.025, 0.0, 1.025, 1.05)  # L1 over corners = 0.025*2 + 0.05 = 0.1
-    cost = matching_cost(np.array([0.8]), [pred], [gt], cfg)
+    pred = (0.0, 0.0, 1.0, 1.0)
+    gt = (0.025, 0.0, 1.025, 1.05)  # L1 over corners = 0.025*2 + 0.05 = 0.1
+    cost = matching_cost(np.array([0.8]), np.array([pred]), np.array([gt]), cfg)
     alpha, gamma = 0.25, 2.0
     cls = alpha * 0.2**gamma * -math.log(0.8 + 1e-12) - (1 - alpha) * 0.8**gamma * -math.log(0.2 + 1e-12)
     np.testing.assert_allclose(cost[0, 0], 2.0 * cls + 5.0 * 0.1, atol=1e-9)
@@ -112,7 +111,7 @@ def test_matching_cost_direct_evaluation():
 
 def test_matching_cost_class_term_alone():
     cfg = LossConfig(cost_class_weight=1.0, cost_box_weight=0.0)
-    cost = matching_cost(np.array([0.8]), [BBox(0, 0, 1, 1)], [BBox(0, 0, 1, 1)], cfg)
+    cost = matching_cost(np.array([0.8]), np.array([(0, 0, 1, 1)]), np.array([(0, 0, 1, 1)]), cfg)
     alpha, gamma = 0.25, 2.0
     cls = alpha * 0.2**gamma * -math.log(0.8 + 1e-12) - (1 - alpha) * 0.8**gamma * -math.log(0.2 + 1e-12)
     np.testing.assert_allclose(cost[0, 0], cls, atol=1e-12)
@@ -188,48 +187,48 @@ def _probs(rows):
 
 def test_short_term_loss_perfect_targets():
     g = _probs([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    loss = short_term_loss([g], [[(0, [0]), (1, [1])]])
+    loss = association_loss([g], [[(0, [0]), (1, [1])]])
     assert float(loss.value) == 0.0
 
 
 def test_short_term_loss_half_probability():
     g = _probs([[0.5, 0.3, 0.2]])
-    loss = short_term_loss([g], [[(0, [0])]])
+    loss = association_loss([g], [[(0, [0])]])
     assert float(loss.value) == pytest.approx(math.log(2.0), abs=1e-12)
 
 
 def test_short_term_loss_null_target():
     g = _probs([[0.3, 0.7]])
-    loss = short_term_loss([g], [[(0, None)]])
+    loss = association_loss([g], [[(0, None)]])
     assert float(loss.value) == pytest.approx(-math.log(0.7), abs=1e-12)
 
 
 def test_short_term_loss_absent_track_contributes_nothing():
     g = _probs([[0.5, 0.5]])
-    assert float(short_term_loss([g], [[]]).value) == 0.0
-    assert float(short_term_loss([], []).value) == 0.0
+    assert float(association_loss([g], [[]]).value) == 0.0
+    assert float(association_loss([], []).value) == 0.0
 
 
 def test_long_term_loss_single_appearance_targets_null():
     g = _probs([[0.2, 0.8]])
-    loss = long_term_loss([g], [[(0, None)]])
+    loss = association_loss([g], [[(0, None)]])
     assert float(loss.value) == pytest.approx(-math.log(0.8), abs=1e-12)
 
 
 def test_long_term_loss_own_column_mass():
     # own-column probability 0.75 -> -ln 0.75
     g = _probs([[0.75, 0.15, 0.10]])
-    loss = long_term_loss([g], [[(0, [0])]])
+    loss = association_loss([g], [[(0, [0])]])
     assert float(loss.value) == pytest.approx(-math.log(0.75), abs=1e-12)
     # mass summed over multiple own columns
     g2 = _probs([[0.5, 0.25, 0.25]])
-    loss2 = long_term_loss([g2], [[(0, [0, 1])]])
+    loss2 = association_loss([g2], [[(0, [0, 1])]])
     assert float(loss2.value) == pytest.approx(-math.log(0.75), abs=1e-12)
 
 
 def test_long_term_loss_perfect_separation_limit():
     g = _probs([[0.9999999, 0.0000001]])
-    loss = long_term_loss([g], [[(0, [0])]])
+    loss = association_loss([g], [[(0, [0])]])
     assert float(loss.value) < 1e-6
 
 
@@ -249,7 +248,7 @@ def test_argmax_invariant_under_row_scaling():
 
 
 # ---------------------------------------------------------------------------
-# total loss over real batches
+# total loss over real clips
 
 
 def _video(seed=0, frames=6, tracks=2, **kw):
@@ -260,32 +259,32 @@ def _video(seed=0, frames=6, tracks=2, **kw):
 
 def test_total_loss_zero_when_unweighted_and_no_tracks():
     video = _video(frames=3, tracks=0, fp_rate=1.5)
-    batch = build_clip(video, 0, 3)
+    clip = build_clip(video, 0, 3)
     model = TrackerModel.create(MatcherVariant.CROSS_ATTN, d_q=8, d_e=8)
     cfg = LossConfig(lambda_res=0.0)
-    breakdown = total_loss(batch, model, cfg)
+    breakdown = total_loss(clip, model, cfg)
     assert float(breakdown.association.value) == 0.0
     assert float(breakdown.total.value) == 0.0
 
 
 def test_total_loss_near_zero_for_perfect_similarity_association():
     video = _video(frames=3, tracks=1)
-    batch = build_clip(video, 0, 3)
+    clip = build_clip(video, 0, 3)
     model = TrackerModel.create(MatcherVariant.SIMILARITY, d_q=8)
     cfg = LossConfig(lambda_res=0.0)
-    breakdown = total_loss(batch, model, cfg)
+    breakdown = total_loss(clip, model, cfg)
     # identical embeddings: target logits saturate, loss approaches zero
     assert 0.0 < float(breakdown.total.value) < 1e-3
 
 
 def test_total_loss_component_sum_oracle():
     video = _video(seed=3, frames=3, tracks=3, noise_sigma=0.1, fp_rate=1.0)
-    batch = build_clip(video, 0, 3)
+    clip = build_clip(video, 0, 3)
     model = TrackerModel.create(MatcherVariant.CROSS_ATTN, d_q=8, d_e=8, seed=1)
     cfg = LossConfig()
-    joint = total_loss(batch, model, cfg)
-    res_only = total_loss(batch, model, LossConfig(lambda_res=1.0, lambda_asso=0.0))
-    asso_only = total_loss(batch, model, LossConfig(lambda_res=0.0, lambda_asso=1.0))
+    joint = total_loss(clip, model, cfg)
+    res_only = total_loss(clip, model, LossConfig(lambda_res=1.0, lambda_asso=0.0))
+    asso_only = total_loss(clip, model, LossConfig(lambda_res=0.0, lambda_asso=1.0))
     expected = cfg.lambda_res * float(res_only.total.value) + cfg.lambda_asso * float(asso_only.total.value)
     assert float(joint.total.value) == pytest.approx(expected, rel=1e-12)
     # breakdown additivity
@@ -301,13 +300,38 @@ def test_total_loss_component_sum_oracle():
 
 def test_build_clip_assigns_every_present_track_at_zero_noise():
     video = _video(seed=4, frames=5, tracks=3)
-    batch = build_clip(video, 0, 5)
-    for t, frame in enumerate(batch.frames):
+    clip = build_clip(video, 0, 5)
+    for t, frame in enumerate(clip):
         assert sorted(frame.assignments) == [1, 2, 3]
         # detector boxes equal ground truth, so matched boxes coincide
         for k, i in frame.assignments.items():
             gt = next(tr for tr in video.tracks if tr.track_id == k).frames[t].box
             assert iou(video.frames[t].records[i].box, gt) == 1.0
+
+
+def _divided_per_corner(boxes, sx, sy):
+    """Each corner divided by its scale as a scalar, as the clip's boxes were once built."""
+    return np.array([[b[0] / sx, b[1] / sy, b[2] / sx, b[3] / sy] for b in boxes]).reshape(-1, 4)
+
+
+@pytest.mark.parametrize("with_canvas", [True, False])
+def test_build_clip_boxes_equal_per_corner_division(with_canvas):
+    video = _video(seed=5, frames=7, tracks=3, noise_sigma=0.1, miss_prob=0.3, fp_rate=1.0, canvas=(300.0, 900.0))
+    if with_canvas:
+        sx, sy = video.canvas
+        assert sx != sy
+    else:
+        video.canvas = None  # the joint extent of every box in the video
+        boxes = [r.box for f in video.frames for r in f.records]
+        boxes += [e.box for tr in video.tracks for e in tr.frames.values()]
+        sx = sy = max(1.0, *(b[2] for b in boxes), *(b[3] for b in boxes))
+    clip = build_clip(video, 1, 5)
+    tracks = sorted(video.tracks, key=lambda tr: tr.track_id)
+    for frame, clip_frame in zip(video.frames[1:6], clip):
+        gt = [tr.frames[frame.frame_index].box for tr in tracks if frame.frame_index in tr.frames]
+        assert clip_frame.boxes.shape == (len(frame.records), 4) and clip_frame.gt_boxes.shape == (len(gt), 4)
+        assert np.array_equal(clip_frame.boxes, _divided_per_corner([r.box for r in frame.records], sx, sy))
+        assert np.array_equal(clip_frame.gt_boxes, _divided_per_corner(gt, sx, sy))
 
 
 def test_build_clip_rejects_overrun():
@@ -422,9 +446,9 @@ def test_train_is_deterministic():
 
 def test_backward_fills_every_parameter_gradient():
     video = _video(seed=9, frames=3, tracks=2, fp_rate=0.5)
-    batch = build_clip(video, 0, 3)
+    clip = build_clip(video, 0, 3)
     model = TrackerModel.create(MatcherVariant.TRANSFORMER, d_q=8, d_e=8, seed=5)
-    breakdown = total_loss(batch, model, LossConfig())
+    breakdown = total_loss(clip, model, LossConfig())
     breakdown.total.backward()
     for p in model.parameters():
         assert p.grad is not None
