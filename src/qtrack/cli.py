@@ -103,17 +103,9 @@ def _dataclass_section(config: dict, name: str, cls):
         raise CliError(f"bad config section {name!r}: {exc}") from None
 
 
-def _tracker_config(config: dict, args) -> TrackerConfig:
-    cfg = _dataclass_section(config, "tracker", TrackerConfig)
-    if getattr(args, "theta", None) is not None:
-        cfg.assoc_threshold = args.theta
-    if getattr(args, "history", None) is not None:
-        cfg.history_depth = args.history
-    if getattr(args, "min_track_len", None) is not None:
-        cfg.min_track_len = args.min_track_len
-    if getattr(args, "st_only", False):
-        cfg.use_lt = False
-    return TrackerConfig(**dataclasses.asdict(cfg))  # revalidate after overrides
+def _override(cfg, **flags):
+    """`cfg` with each flag that was given replacing its field, validated again."""
+    return dataclasses.replace(cfg, **{k: v for k, v in flags.items() if v is not None})
 
 
 def _model_settings(config: dict, args) -> dict:
@@ -125,6 +117,8 @@ def _model_settings(config: dict, args) -> dict:
         settings["seed"] = args.seed
     if settings["variant"] not in VARIANTS:
         raise CliError(f"variant must be one of {VARIANTS}, got {settings['variant']!r}")
+    if settings["seed"] < 0:
+        raise CliError("bad config section 'model': seed must be >= 0")
     return settings
 
 
@@ -146,9 +140,7 @@ def _ensure_out(path: str) -> Path:
 
 def cmd_gen(args) -> int:
     config = _load_config(args.config)
-    synth_cfg = _dataclass_section(config, "synth", SynthConfig)
-    if args.seed is not None:
-        synth_cfg.seed = args.seed
+    synth_cfg = _override(_dataclass_section(config, "synth", SynthConfig), seed=args.seed)
     out = _ensure_out(args.out)
     header, frames, tracks = generate_sequence(synth_cfg)
     write_detection_stream(out / "stream.jsonl", header, frames)
@@ -181,27 +173,14 @@ def _discover_videos(data_dir: str) -> list[Video]:
 
 def cmd_train(args) -> int:
     config = _load_config(args.config)
-    train_cfg = _dataclass_section(config, "train", TrainConfig)
+    train_cfg = _override(_dataclass_section(config, "train", TrainConfig), iterations=args.iterations, seed=args.seed)
     loss_cfg = _dataclass_section(config, "loss", LossConfig)
-    if args.iterations is not None:
-        train_cfg.iterations = args.iterations
-    if args.seed is not None:
-        train_cfg.seed = args.seed
     settings = _model_settings(config, args)
 
     videos = _discover_videos(args.data)
-    d_q = None
-    for video in videos:
-        for frame in video.frames:
-            for rec in frame.records:
-                d_q = rec.query.size
-                break
-            if d_q:
-                break
-        if d_q:
-            break
-    if d_q is not None:
-        settings["d_q"] = d_q
+    first = next((rec for video in videos for frame in video.frames for rec in frame.records), None)
+    if first is not None:
+        settings["d_q"] = first.query.size
 
     model = TrackerModel.create(
         variant=settings["variant"], d_q=settings["d_q"], d_e=settings["d_e"],
@@ -230,7 +209,10 @@ def cmd_train(args) -> int:
 
 def cmd_track(args) -> int:
     config = _load_config(args.config)
-    tracker_cfg = _tracker_config(config, args)
+    tracker_cfg = _override(
+        _dataclass_section(config, "tracker", TrackerConfig), assoc_threshold=args.theta,
+        history_depth=args.history, min_track_len=args.min_track_len, use_lt=False if args.st_only else None,
+    )
     model = load_checkpoint(args.checkpoint)
     header, frames = parse_detection_stream(args.stream)
     if header.d_q != model.d_q:

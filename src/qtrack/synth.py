@@ -12,6 +12,7 @@ assignment is unambiguous at zero noise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +57,10 @@ class SynthConfig:
                 raise ValueError(f"{name} must be in [0,1]")
         if self.noise_sigma < 0 or self.fp_rate < 0:
             raise ValueError("noise_sigma and fp_rate must be nonnegative")
+        if not (len(self.canvas) == 2 and all(0 < c < math.inf for c in self.canvas)):
+            raise ValueError(f"canvas must be two finite positive numbers, got {list(self.canvas)}")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 def _unit(v: np.ndarray) -> np.ndarray:

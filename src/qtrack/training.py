@@ -4,9 +4,11 @@ Each iteration samples a contiguous clip of B frames from one video,
 matches detections to ground truth (min-cost bipartite matching for the
 rescoring focal loss, per-frame best-IoU assignment for the association
 losses), and takes one decoupled-weight-decay adaptive-moment step with
-a linear-warmup cosine-decay learning rate. A clip is a list of
-`ClipFrame`s, whose detection and ground-truth boxes are (n, 4) arrays
-normalized by the canvas.
+a linear-warmup cosine-decay learning rate. The short- and long-term
+association losses are one cross-entropy: each row of a match matrix
+pays -log of its mass on a 0/1 target mask, its own track's columns or
+else the null column. A clip is a list of `ClipFrame`s, whose detection
+and ground-truth boxes are (n, 4) arrays normalized by the canvas.
 """
 
 from __future__ import annotations
@@ -79,6 +81,8 @@ class TrainConfig:
             raise ValueError("clip_len must be >= 2 (association needs two frames)")
         if self.iterations < 0 or self.warmup_steps < 0:
             raise ValueError("iterations and warmup_steps must be nonnegative")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass
@@ -224,41 +228,21 @@ def rescoring_loss(matched: Tensor, unmatched: Tensor, cfg: LossConfig) -> Tenso
     return pos + neg
 
 
-def _masked_row_loss(probs: Tensor, row_targets: list[tuple[int, list[int] | None]]) -> Tensor:
-    """-sum log of the probability mass each listed row assigns to its target columns.
-
-    A None (or empty) target means the null column, which is always
-    the last one.
-    """
-    if not row_targets:
-        return Tensor(0.0)
-    n, m = probs.shape
-    mask = np.zeros((n, m))
-    rows = []
-    for r, cols in row_targets:
-        rows.append(r)
-        if cols is None or len(cols) == 0:
-            mask[r, m - 1] = 1.0
-        else:
-            mask[r, cols] = 1.0
-    masses = sum_(probs * Tensor(mask), axis=1)
-    picked = take_rows(masses, np.array(rows, dtype=np.intp))
-    return -sum_(log(picked))
+def _target_mask(tracks, other_tracks) -> np.ndarray:
+    """(n, m + 1) 0/1 targets: row i marks its own track's columns among `other_tracks`, else the null (last) one."""
+    own = np.equal.outer(tracks, other_tracks)
+    return np.column_stack([own, ~own.any(axis=1)]).astype(np.float64)
 
 
-def association_loss(clip_G: list[Tensor], targets: list[list[tuple[int, list[int] | None]]]) -> Tensor:
-    """Negative log of the mass each instance row assigns to its target columns, summed over matrices.
+def association_loss(probs: Tensor, mask: np.ndarray) -> Tensor:
+    """Negative log of the probability mass each row assigns to its target columns, summed over rows.
 
-    ``clip_G[i]`` is a match-probability matrix of a frame's instances:
+    ``probs`` is a match-probability matrix of a frame's instances:
     against the previous frame (short-term) or against the clip's other
-    frames (long-term). ``targets[i]`` lists (row, target columns): the
-    row's own track in the previous frame, or all of its own track's
-    other-frame columns; None for the null column.
+    frames (long-term), its last column the null one. ``mask`` is 1 on
+    each row's targets: its own track's columns, or the null column.
     """
-    total = Tensor(0.0)
-    for probs, row_targets in zip(clip_G, targets):
-        total = total + _masked_row_loss(probs, row_targets)
-    return total
+    return -sum_(log(sum_(probs * Tensor(mask), axis=1)))
 
 
 def combine_losses(l_res: Tensor, l_asso: Tensor, cfg: LossConfig) -> Tensor:
@@ -273,78 +257,43 @@ def total_loss(clip: list[ClipFrame], model: TrackerModel, cfg: LossConfig) -> L
     """
     l_res = Tensor(0.0)
     for frame in clip:
-        p = len(frame.boxes)
+        p, g = len(frame.boxes), len(frame.gt_boxes)
         if p == 0:
             continue
         probs = sigmoid(matmul(Tensor(frame.queries), model.rescore_weight) + model.rescore_bias)
-        if len(frame.gt_boxes):
+        matched = np.zeros(p, dtype=bool)
+        if p < g:
+            matched[:] = True  # fewer detections than ground truths: every record is a positive
+        elif g:
             cost = matching_cost(probs.value, frame.boxes, frame.gt_boxes, cfg)
-            if p >= len(frame.gt_boxes):
-                matched_rows = sorted(r for r, _ in hungarian_match(cost).pairs)
-            else:
-                # fewer detections than ground truths: every record is a positive
-                matched_rows = sorted(c for _, c in hungarian_match(cost.T).pairs)
-        else:
-            matched_rows = []
-        matched = set(matched_rows)
-        unmatched_rows = [i for i in range(p) if i not in matched]
+            matched[[r for r, _ in hungarian_match(cost).pairs]] = True
         l_res = l_res + rescoring_loss(
-            take_rows(probs, np.array(matched_rows, dtype=np.intp)),
-            take_rows(probs, np.array(unmatched_rows, dtype=np.intp)),
-            cfg,
+            take_rows(probs, np.flatnonzero(matched)), take_rows(probs, np.flatnonzero(~matched)), cfg
         )
 
     # embeddings of the ground-truth-assigned instances, one row set per frame
-    frame_tracks: list[list[int]] = []
-    frame_emb: list[Tensor | None] = []
-    for frame in clip:
-        tracks = sorted(k for k, i in frame.assignments.items() if i is not None)
-        frame_tracks.append(tracks)
-        if tracks:
-            rows = np.stack([frame.queries[frame.assignments[k]] for k in tracks])
-            frame_emb.append(embed(TAPE, Tensor(rows), model.matcher))
-        else:
-            frame_emb.append(None)
+    frame_tracks = [sorted(k for k, i in frame.assignments.items() if i is not None) for frame in clip]
+    frame_emb = [
+        embed(TAPE, Tensor(frame.queries[[frame.assignments[k] for k in tracks]]), model.matcher) if tracks else None
+        for frame, tracks in zip(clip, frame_tracks)
+    ]
+    empty = Tensor(np.zeros((0, model.d_e)))
 
-    d_e = model.d_e
-    empty = Tensor(np.zeros((0, d_e)))
+    def term(t: int, hist_frames: list[int], branch: str) -> Tensor:
+        """Association loss of frame t's rows against the instances of `hist_frames`."""
+        rows = [frame_emb[s] for s in hist_frames if frame_emb[s] is not None]
+        hist = empty if not rows else rows[0] if len(rows) == 1 else concat_rows(rows)
+        _, probs = association(TAPE, frame_emb[t], hist, model.matcher, branch)
+        other = [k for s in hist_frames for k in frame_tracks[s]]
+        return association_loss(probs, _target_mask(frame_tracks[t], other))
 
-    st_G: list[Tensor] = []
-    st_targets: list[list[tuple[int, list[int] | None]]] = []
-    for t in range(1, len(clip)):
-        cur, prev = frame_emb[t], frame_emb[t - 1]
-        if cur is None:
-            continue
-        _, probs = association(TAPE, cur, prev if prev is not None else empty, model.matcher, "st")
-        prev_tracks = frame_tracks[t - 1]
-        rows = []
-        for r, k in enumerate(frame_tracks[t]):
-            cols = [prev_tracks.index(k)] if k in prev_tracks else None
-            rows.append((r, cols))
-        st_G.append(probs)
-        st_targets.append(rows)
-    l_st = association_loss(st_G, st_targets)
-
-    lt_G: list[Tensor] = []
-    lt_targets: list[list[tuple[int, list[int] | None]]] = []
+    # each loss starts at zero and adds its frames left to right: the bits depend on that order
+    l_st, l_lt = Tensor(0.0), Tensor(0.0)
     for t in range(len(clip)):
-        cur = frame_emb[t]
-        if cur is None:
-            continue
-        other_emb = [frame_emb[s] for s in range(len(clip)) if s != t and frame_emb[s] is not None]
-        other_tracks = np.array([k for s in range(len(clip)) if s != t for k in frame_tracks[s]])
-        if other_emb:
-            hist = concat_rows(other_emb) if len(other_emb) > 1 else other_emb[0]
-        else:
-            hist = empty
-        _, probs = association(TAPE, cur, hist, model.matcher, "lt")
-        rows = []
-        for r, k in enumerate(frame_tracks[t]):
-            cols = np.flatnonzero(other_tracks == k)
-            rows.append((r, cols if cols.size else None))
-        lt_G.append(probs)
-        lt_targets.append(rows)
-    l_lt = association_loss(lt_G, lt_targets)
+        if frame_emb[t] is not None:
+            if t > 0:
+                l_st = l_st + term(t, [t - 1], "st")
+            l_lt = l_lt + term(t, [s for s in range(len(clip)) if s != t], "lt")
 
     l_asso = l_st + l_lt
     return LossBreakdown(

@@ -3,7 +3,9 @@
 `iou_matrix` must equal `iou` bit for bit, and NMS, both association
 stages, the memory bank, target assignment and the CLEAR-MOT / IDF1
 pairings must give exactly the outcomes of the per-pair Python loops
-and the dict-of-lists bank kept below as references. The reference association runs the matcher through the
+and the dict-of-lists bank kept below as references, and the training loss
+must give the values and gradients of the per-row target lists it was
+once built from. The reference association runs the matcher through the
 autodiff tape, so the same streams also hold the plain-array inference
 forward to the tape bit for bit. The streams are seeded and small; the
 grid covers every matcher variant, the long-term stage on and off, and
@@ -28,7 +30,7 @@ from qtrack.association import (
     nms,
     track_sequence,
 )
-from qtrack.autodiff import TAPE, Tensor
+from qtrack.autodiff import TAPE, Tensor, concat_rows, log, matmul, sigmoid, sum_, take_rows
 from qtrack.data_io import (
     DetectionFrame,
     DetectionRecord,
@@ -59,7 +61,19 @@ from qtrack.metrics import (
 from qtrack.model import TrackerModel
 from qtrack.rescoring import ScoredInstance, filter_instances
 from qtrack.synth import SynthConfig, degrade_scores, generate_sequence
-from qtrack.training import ASSIGN_IOU_MIN, assign_targets
+from qtrack.training import (
+    ASSIGN_IOU_MIN,
+    LossBreakdown,
+    LossConfig,
+    Video,
+    assign_targets,
+    build_clip,
+    combine_losses,
+    hungarian_match,
+    matching_cost,
+    rescoring_loss,
+    total_loss,
+)
 
 # ---------------------------------------------------------------------------
 # references: the scalar loops as they were before the array kernels
@@ -215,6 +229,110 @@ def ref_assign_targets(pred_boxes, gt_boxes):
         pending = sorted(next_pending)
     return result
 
+
+def ref_masked_row_loss(probs, row_targets):
+    if not row_targets:
+        return Tensor(0.0)
+    n, m = probs.shape
+    mask = np.zeros((n, m))
+    rows = []
+    for r, cols in row_targets:
+        rows.append(r)
+        if cols is None or len(cols) == 0:
+            mask[r, m - 1] = 1.0
+        else:
+            mask[r, cols] = 1.0
+    masses = sum_(probs * Tensor(mask), axis=1)
+    picked = take_rows(masses, np.array(rows, dtype=np.intp))
+    return -sum_(log(picked))
+
+
+def ref_association_loss(clip_G, targets):
+    total = Tensor(0.0)
+    for probs, row_targets in zip(clip_G, targets):
+        total = total + ref_masked_row_loss(probs, row_targets)
+    return total
+
+
+def ref_total_loss(clip, model, cfg):
+    """The training loss as it was: per-row `(row, [cols] | None)` target lists, ST and LT written twice."""
+    l_res = Tensor(0.0)
+    for frame in clip:
+        p = len(frame.boxes)
+        if p == 0:
+            continue
+        probs = sigmoid(matmul(Tensor(frame.queries), model.rescore_weight) + model.rescore_bias)
+        if len(frame.gt_boxes):
+            cost = matching_cost(probs.value, frame.boxes, frame.gt_boxes, cfg)
+            if p >= len(frame.gt_boxes):
+                matched_rows = sorted(r for r, _ in hungarian_match(cost).pairs)
+            else:
+                matched_rows = sorted(c for _, c in hungarian_match(cost.T).pairs)
+        else:
+            matched_rows = []
+        matched = set(matched_rows)
+        unmatched_rows = [i for i in range(p) if i not in matched]
+        l_res = l_res + rescoring_loss(
+            take_rows(probs, np.array(matched_rows, dtype=np.intp)),
+            take_rows(probs, np.array(unmatched_rows, dtype=np.intp)),
+            cfg,
+        )
+
+    frame_tracks = []
+    frame_emb = []
+    for frame in clip:
+        tracks = sorted(k for k, i in frame.assignments.items() if i is not None)
+        frame_tracks.append(tracks)
+        if tracks:
+            rows = np.stack([frame.queries[frame.assignments[k]] for k in tracks])
+            frame_emb.append(embed(TAPE, Tensor(rows), model.matcher))
+        else:
+            frame_emb.append(None)
+    empty = Tensor(np.zeros((0, model.d_e)))
+
+    st_G, st_targets = [], []
+    for t in range(1, len(clip)):
+        cur, prev = frame_emb[t], frame_emb[t - 1]
+        if cur is None:
+            continue
+        _, probs = association(TAPE, cur, prev if prev is not None else empty, model.matcher, "st")
+        prev_tracks = frame_tracks[t - 1]
+        rows = []
+        for r, k in enumerate(frame_tracks[t]):
+            cols = [prev_tracks.index(k)] if k in prev_tracks else None
+            rows.append((r, cols))
+        st_G.append(probs)
+        st_targets.append(rows)
+    l_st = ref_association_loss(st_G, st_targets)
+
+    lt_G, lt_targets = [], []
+    for t in range(len(clip)):
+        cur = frame_emb[t]
+        if cur is None:
+            continue
+        other_emb = [frame_emb[s] for s in range(len(clip)) if s != t and frame_emb[s] is not None]
+        other_tracks = np.array([k for s in range(len(clip)) if s != t for k in frame_tracks[s]])
+        if other_emb:
+            hist = concat_rows(other_emb) if len(other_emb) > 1 else other_emb[0]
+        else:
+            hist = empty
+        _, probs = association(TAPE, cur, hist, model.matcher, "lt")
+        rows = []
+        for r, k in enumerate(frame_tracks[t]):
+            cols = np.flatnonzero(other_tracks == k)
+            rows.append((r, cols if cols.size else None))
+        lt_G.append(probs)
+        lt_targets.append(rows)
+    l_lt = ref_association_loss(lt_G, lt_targets)
+
+    l_asso = l_st + l_lt
+    return LossBreakdown(
+        total=combine_losses(l_res, l_asso, cfg),
+        rescoring=l_res,
+        association=l_asso,
+        short_term=l_st,
+        long_term=l_lt,
+    )
 
 def ref_norm_text(text):
     return (text or "").strip().lower()
@@ -628,6 +746,67 @@ def test_stream_outcomes_equal_reference(variant, use_lt, ties):
             assert assign_targets(boxes, present) == ref_assign_targets(boxes, present)
     assert totals["st"] > 0
     assert (totals["lt"] > 0) == use_lt
+
+
+# ---------------------------------------------------------------------------
+# the training loss against the per-row target lists
+
+
+def _loss_clips(seed: int, canvas: bool):
+    """Seeded clips, and the cases of their frames that the loss treats apart."""
+    cfg = SynthConfig(frames=9, tracks=3, d_q=8, noise_sigma=0.2, miss_prob=0.3, fp_rate=1.0, seed=seed)
+    header, frames, gts = generate_sequence(cfg)
+    video = Video(f"v{seed}", frames, gts, header.canvas if canvas else None)
+    clips = [build_clip(video, 0, 6), build_clip(video, 3, 6)]
+    # frame 0 keeps only clutter: no assigned track at the first frame
+    frames[0].records = [r for r in frames[0].records if r.text is None]
+    frames[3].records = []  # no records, so no assigned track, in the middle
+    for tr in gts:
+        del tr.frames[5]  # records but no ground truth: every record a negative
+    frames[6].records = frames[6].records[:1]  # fewer records than ground truths
+    frames[8].records = []  # and no assigned track at the last frame
+    clips.append(build_clip(video, 0, 9))
+    cases = set()
+    for clip in clips:
+        for t, frame in enumerate(clip):
+            p, g = len(frame.boxes), len(frame.gt_boxes)
+            if p == 0:
+                cases.add("no records")
+            elif g == 0:
+                cases.add("no ground truth")
+            elif p < g:
+                cases.add("p < g")
+            if not frame.assignments:
+                cases.add("unassigned " + ("first" if t == 0 else "last" if t == len(clip) - 1 else "middle"))
+    return clips, cases
+
+
+def _loss_bits(loss_fn, clip, model):
+    """Bytes of the loss terms and of every parameter gradient after backward()."""
+    params = model.parameters()
+    for p in params:
+        p.zero_grad()
+    out = loss_fn(clip, model, LossConfig())
+    out.total.backward()
+    terms = [out.total, out.rescoring, out.association, out.short_term, out.long_term]
+    return [t.value.tobytes() for t in terms] + [None if p.grad is None else p.grad.tobytes() for p in params]
+
+
+@pytest.mark.parametrize("canvas", [True, False])
+@pytest.mark.parametrize("variant", list(MatcherVariant))
+def test_total_loss_equals_reference_bitwise(variant, canvas):
+    model = TrackerModel.create(variant, d_q=8, d_e=8, heads=2, seed=3)
+    rng = np.random.default_rng(4)
+    for t in model.parameters():  # a trained head and non-trivial matcher weights
+        t.value[...] = rng.normal(scale=0.5, size=t.shape)
+    covered = set()
+    for seed in range(3):
+        clips, cases = _loss_clips(seed, canvas)
+        covered |= cases
+        for clip in clips:
+            assert _loss_bits(total_loss, clip, model) == _loss_bits(ref_total_loss, clip, model)
+    assert covered == {"no records", "no ground truth", "p < g",
+                       "unassigned first", "unassigned middle", "unassigned last"}
 
 
 # ---------------------------------------------------------------------------

@@ -258,6 +258,35 @@ def test_config_value_of_wrong_type_is_json_error(tmp_path, capsys, command, con
     assert _json_error(capsys) == message
 
 
+@pytest.mark.parametrize("command, config, flags, message", [
+    ("train", {}, ["--iterations", "-3"], "iterations and warmup_steps must be nonnegative"),
+    ("train", {}, ["--seed", "-1"], "seed must be >= 0"),
+    ("train", {"train": {"seed": -1}}, [], "bad config section 'train': seed must be >= 0"),
+    ("train", {"model": {"seed": -1}}, [], "bad config section 'model': seed must be >= 0"),
+    ("gen", {}, ["--seed", "-1"], "seed must be >= 0"),
+    ("gen", {"synth": {"seed": -1}}, [], "bad config section 'synth': seed must be >= 0"),
+    ("gen", {"synth": {"canvas": [0, 5]}}, [],
+     "bad config section 'synth': canvas must be two finite positive numbers, got [0, 5]"),
+    ("gen", {"synth": {"canvas": [10, -5]}}, [],
+     "bad config section 'synth': canvas must be two finite positive numbers, got [10, -5]"),
+    ("gen", {"synth": {"canvas": [float("inf"), 5.0]}}, [],
+     "bad config section 'synth': canvas must be two finite positive numbers, got [inf, 5.0]"),
+    ("track", {}, ["--history", "0"], "history_depth must be >= 1"),
+    ("track", {}, ["--theta", "1.5"], "assoc_threshold must be in (0,1), got 1.5"),
+    ("track", {}, ["--min-track-len", "0"], "min_track_len must be >= 1"),
+])
+def test_invalid_setting_is_json_error(tmp_path, capsys, command, config, flags, message):
+    """A value out of its field's range fails before any work, from a flag or from the config file."""
+    data = _gen(tmp_path) if command == "train" else tmp_path
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(config))
+    inputs = {"gen": [], "train": ["--data", str(data)],
+              "track": ["--checkpoint", str(tmp_path / "m.json"), "--stream", str(tmp_path / "s.jsonl")]}
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg_path), *inputs[command], *flags, "--out", str(out)]) == 1
+    assert _json_error(capsys) == message
+    assert not out.exists()
+
 def test_track_stream_box_not_a_list_is_json_error(tmp_path, capsys):
     data = _gen(tmp_path, frames=4, tracks=2, seed=8)
     stream = data / "stream.jsonl"

@@ -8,11 +8,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qtrack.data_io import (
+    BOX_TYPES,
+    CATEGORIES,
+    POLYGON_POINTS,
+    QUAD_POINTS,
     AnnotationFormatError,
     DataFormatError,
+    DetectionFrame,
+    DetectionRecord,
     GroundTruthEntry,
     GroundTruthTrack,
     StreamFormatError,
+    StreamHeader,
     TrajectoryOutput,
     iou,
     parse_annotations,
@@ -544,6 +551,79 @@ def test_trajectory_frames_must_increase_within_a_track(tmp_path):
         read_trajectories(path)
     assert str(err.value) == f"{path}:5: frame 5 not increasing within track 2"
 
+
+# ---------------------------------------------------------------------------
+# streams and annotations through their files
+
+finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
+stripped = st.text(max_size=8).map(str.strip)  # the parsers trim texts
+
+
+@st.composite
+def box_and_polygon(draw, points):
+    """A box of positive extent and a polygon of `points` points whose envelope it is."""
+    x0, x1 = sorted(draw(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=2, unique=True)))
+    y0, y1 = sorted(draw(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=2, unique=True)))
+    inner = st.tuples(st.floats(x0, x1), st.floats(y0, y1))
+    return (x0, y0, x1, y1), [(x0, y0), *draw(st.lists(inner, min_size=points - 2, max_size=points - 2)), (x1, y1)]
+
+
+@st.composite
+def streams(draw):
+    """A header and increasing frames, some without records, of valid records."""
+    positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+    header = StreamHeader(d_q=draw(st.integers(1, 4)), video=draw(st.text(max_size=6)),
+                          canvas=draw(st.one_of(st.none(), st.tuples(positive, positive))))
+    frames = []
+    for f in sorted(draw(st.sets(st.integers(0, 2**63 - 1), max_size=4))):
+        records = []
+        for _ in range(draw(st.integers(0, 3))):
+            box, polygon = draw(box_and_polygon(draw(st.integers(3, 5))))
+            query = np.array(draw(st.lists(finite, min_size=header.d_q, max_size=header.d_q)), dtype=np.float64)
+            records.append(DetectionRecord(f, query, box, draw(st.floats(0.0, 1.0)),
+                                           draw(st.sampled_from([None, polygon])), draw(st.one_of(st.none(), stripped))))
+        frames.append(DetectionFrame(f, records))
+    return header, frames
+
+
+@settings(max_examples=150)
+@given(streams())
+def test_stream_survives_write_and_parse(tmp_path_factory, stream):
+    header, frames = stream
+    path = tmp_path_factory.mktemp("stream") / "s.jsonl"
+    write_detection_stream(path, header, frames)
+    parsed_header, parsed = parse_detection_stream(path)
+    assert parsed_header == header
+    written = [f for f in frames if f.records]  # a frame without records writes no line
+    assert [f.frame_index for f in parsed] == [f.frame_index for f in written]
+    for a, b in zip(written, parsed):
+        assert len(a.records) == len(b.records)
+        for ra, rb in zip(a.records, b.records):
+            assert (ra.frame_index, ra.box, ra.score, ra.polygon, ra.text) == \
+                (rb.frame_index, rb.box, rb.score, rb.polygon, rb.text)
+            assert np.array_equal(ra.query, rb.query)  # the dataclass == cannot compare arrays
+
+
+@st.composite
+def annotation_tracks(draw):
+    """Tracks with unique int64 ids, each present in some frames, with valid geometry."""
+    tracks = []
+    for track_id in draw(st.lists(st.integers(-2**63, 2**63 - 1), unique=True, max_size=3)):
+        frames = {}
+        for f in draw(st.sets(st.integers(0, 2**63 - 1), min_size=1, max_size=3)):
+            box_type = draw(st.sampled_from(BOX_TYPES))
+            box, polygon = draw(box_and_polygon(QUAD_POINTS if box_type == "quadrilateral" else POLYGON_POINTS))
+            frames[f] = GroundTruthEntry(box, draw(stripped), box_type, draw(st.sampled_from([None, polygon])))
+        tracks.append(GroundTruthTrack(track_id, draw(st.sampled_from(CATEGORIES)), frames))
+    return tracks
+
+
+@settings(max_examples=150)
+@given(annotation_tracks(), st.text(max_size=6))
+def test_annotations_survive_write_and_parse(tmp_path_factory, tracks, video):
+    path = tmp_path_factory.mktemp("ann") / "a.json"
+    write_annotations(path, tracks, video=video)
+    assert parse_annotations(path) == sorted(tracks, key=lambda t: t.track_id)
 
 # ---------------------------------------------------------------------------
 # geometry helpers

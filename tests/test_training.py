@@ -16,6 +16,7 @@ from qtrack.training import (
     LossConfig,
     TrainConfig,
     Video,
+    _target_mask,
     assign_targets,
     association_loss,
     build_clip,
@@ -185,50 +186,59 @@ def _probs(rows):
     return Tensor(np.asarray(rows, dtype=np.float64))
 
 
+def test_target_mask_marks_own_columns_else_null():
+    assert _target_mask([1, 2, 3], [2, 3, 3, 5]).tolist() == [
+        [0.0, 0.0, 0.0, 0.0, 1.0],
+        [1.0, 0.0, 0.0, 0.0, 0.0],
+        [0.0, 1.0, 1.0, 0.0, 0.0],
+    ]
+    assert _target_mask([4], []).tolist() == [[1.0]]  # no history rows: only the null column
+    assert _target_mask([], [1]).shape == (0, 2)
+
 def test_short_term_loss_perfect_targets():
     g = _probs([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    loss = association_loss([g], [[(0, [0]), (1, [1])]])
+    loss = association_loss(g, np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
     assert float(loss.value) == 0.0
 
 
 def test_short_term_loss_half_probability():
     g = _probs([[0.5, 0.3, 0.2]])
-    loss = association_loss([g], [[(0, [0])]])
+    loss = association_loss(g, np.array([[1.0, 0.0, 0.0]]))
     assert float(loss.value) == pytest.approx(math.log(2.0), abs=1e-12)
 
 
 def test_short_term_loss_null_target():
     g = _probs([[0.3, 0.7]])
-    loss = association_loss([g], [[(0, None)]])
+    loss = association_loss(g, np.array([[0.0, 1.0]]))
     assert float(loss.value) == pytest.approx(-math.log(0.7), abs=1e-12)
 
 
 def test_short_term_loss_absent_track_contributes_nothing():
-    g = _probs([[0.5, 0.5]])
-    assert float(association_loss([g], [[]]).value) == 0.0
-    assert float(association_loss([], []).value) == 0.0
+    g = _probs(np.zeros((0, 2)))  # no instance of the frame has an assigned track
+    assert float(association_loss(g, np.zeros((0, 2))).value) == 0.0
+    assert float(association_loss(g, _target_mask([], [7])).value) == 0.0
 
 
 def test_long_term_loss_single_appearance_targets_null():
     g = _probs([[0.2, 0.8]])
-    loss = association_loss([g], [[(0, None)]])
+    loss = association_loss(g, _target_mask([3], [4]))  # seen once: its target is the null column
     assert float(loss.value) == pytest.approx(-math.log(0.8), abs=1e-12)
 
 
 def test_long_term_loss_own_column_mass():
     # own-column probability 0.75 -> -ln 0.75
     g = _probs([[0.75, 0.15, 0.10]])
-    loss = association_loss([g], [[(0, [0])]])
+    loss = association_loss(g, np.array([[1.0, 0.0, 0.0]]))
     assert float(loss.value) == pytest.approx(-math.log(0.75), abs=1e-12)
     # mass summed over multiple own columns
     g2 = _probs([[0.5, 0.25, 0.25]])
-    loss2 = association_loss([g2], [[(0, [0, 1])]])
+    loss2 = association_loss(g2, _target_mask([3], [3, 3]))
     assert float(loss2.value) == pytest.approx(-math.log(0.75), abs=1e-12)
 
 
 def test_long_term_loss_perfect_separation_limit():
     g = _probs([[0.9999999, 0.0000001]])
-    loss = association_loss([g], [[(0, [0])]])
+    loss = association_loss(g, np.array([[1.0, 0.0]]))
     assert float(loss.value) < 1e-6
 
 
