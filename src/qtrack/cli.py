@@ -30,7 +30,7 @@ from .data_io import (
     write_trajectories,
 )
 from .metrics import EvalConfig, clear_mot
-from .model import TrackerModel, load_checkpoint, save_checkpoint
+from .model import VARIANTS, TrackerModel, load_checkpoint, save_checkpoint
 from .synth import SynthConfig, generate_sequence
 from .training import LossConfig, TrainConfig, Video, train
 
@@ -38,7 +38,6 @@ log = logging.getLogger("qtrack.cli")
 
 MODEL_DEFAULTS = {"variant": "crossattn", "d_q": 16, "d_e": 32, "heads": 1,
                   "temperature": 0.1, "null_logit": 0.0, "seed": 0}
-VARIANTS = ("transformer", "similarity", "ffn", "crossattn")
 
 
 class CliError(Exception):

@@ -5,6 +5,10 @@ Detection streams are line-delimited JSON: a header object first
 are a single JSON document keyed by track. Trajectory output is again
 line-delimited JSON, one line per (track, frame), ordered so writes are
 reproducible byte for byte.
+All three writers format their lines directly, floats by
+`float.__repr__`, and write the same bytes as `json.dumps` (for
+annotations, `json.dump(doc, fh, indent=1)`); a value that is not a
+float or a str falls back to the encoder itself.
 A box is the corner tuple (x_min, y_min, x_max, y_max), many boxes an
 (n, 4) float64 array. A trajectory is held as columns
 (`TrajectoryOutput`) from the tracker through the file to the metrics,
@@ -56,6 +60,7 @@ BOX_TYPES = ("quadrilateral", "polygon")
 POLYGON_POINTS = 14  # curved-text annotation convention
 QUAD_POINTS = 4
 INT64_END = 2**63  # integer fields lie in [-INT64_END, INT64_END)
+_repr = float.__repr__  # a float's JSON spelling, save inf and nan, for subclasses such as np.float64 too
 
 
 class DataFormatError(ValueError):
@@ -315,8 +320,13 @@ def _stream_record(line: str, d_q: int) -> DetectionRecord:
 
 def _read_jsonl(path, fmt: str, error: type[DataFormatError]) -> tuple[dict, list[tuple[int, str]]]:
     """The header object of a .jsonl file that declares `fmt`, and its other nonblank lines, numbered."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        lines = data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:  # the line of the first bad byte, as `splitlines` counts lines
+        lineno = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        raise error(f"{path}:{lineno}: not UTF-8 ({exc})") from None
     if not lines:
         raise error(f"{path}: empty file, header expected")
     try:
@@ -362,25 +372,42 @@ def parse_detection_stream(path) -> tuple[StreamHeader, list[DetectionFrame]]:
     return header, frames
 
 
-def write_detection_stream(path, header: StreamHeader, frames: list[DetectionFrame]) -> None:
+def _json_floats(text: str) -> str:
+    """`text` of float reprs with inf and nan spelled as JSON spells them, Infinity and NaN."""
+    return text.replace("inf", "Infinity").replace("nan", "NaN") if "n" in text else text
+
+
+def write_detection_stream(path, header: StreamHeader, frames: Iterable[DetectionFrame]) -> None:
+    """The header, then one line per record: the bytes `json.dumps` writes, one write per frame."""
+    head: dict = {"format": STREAM_FORMAT, "d_q": header.d_q, "video": header.video}
+    if header.canvas is not None:
+        head["canvas"] = [header.canvas[0], header.canvas[1]]
     with open(path, "w", encoding="utf-8") as fh:
-        head: dict = {"format": STREAM_FORMAT, "d_q": header.d_q, "video": header.video}
-        if header.canvas is not None:
-            head["canvas"] = [header.canvas[0], header.canvas[1]]
         fh.write(json.dumps(head) + "\n")
-        for frame in frames:
-            for rec in frame.records:
-                row: dict = {
-                    "frame": frame.frame_index,
-                    "box": list(rec.box),
-                    "score": rec.score,
-                    "query": [float(v) for v in rec.query],
-                }
-                if rec.polygon is not None:
-                    row["poly"] = [[x, y] for x, y in rec.polygon]
-                if rec.text is not None:
-                    row["text"] = rec.text
-                fh.write(json.dumps(row) + "\n")
+        for frame in frames:  # may be a one-pass iterator
+            if frame.records:  # a frame without records writes no line
+                start = '{"frame": ' + json.dumps(frame.frame_index) + ', "box": ['
+                fh.write("".join([_stream_line(start, frame.frame_index, rec) for rec in frame.records]))
+
+
+def _stream_line(start: str, frame_index, rec: DetectionRecord) -> str:
+    query = np.asarray(rec.query, dtype=np.float64).tolist()  # floats, as `float(v)` makes them
+    try:  # float.__repr__ takes only floats, so an int or a bool falls back to the encoder
+        nums = (", ".join(map(_repr, rec.box)) + '], "score": ' + _repr(rec.score)
+                + ', "query": [' + ", ".join(map(repr, query)) + "]")
+        if rec.polygon is not None:
+            nums += ', "poly": [' + ", ".join([f"[{_repr(x)}, {_repr(y)}]" for x, y in rec.polygon]) + "]"
+        line = start + _json_floats(nums)
+        if rec.text is not None:
+            line += ', "text": ' + encode_basestring_ascii(rec.text)
+        return line + "}\n"
+    except TypeError:
+        row: dict = {"frame": frame_index, "box": list(rec.box), "score": rec.score, "query": query}
+        if rec.polygon is not None:
+            row["poly"] = [[x, y] for x, y in rec.polygon]
+        if rec.text is not None:
+            row["text"] = rec.text
+        return json.dumps(row) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -477,19 +504,50 @@ def parse_annotations(path) -> list[GroundTruthTrack]:
 
 
 def write_annotations(path, tracks: list[GroundTruthTrack], video: str = "") -> None:
-    doc = {"video": video, "tracks": []}
-    for track in sorted(tracks, key=lambda t: t.track_id):
-        frames = {}
-        for frame_idx in track.present_frames():
-            entry = track.frames[frame_idx]
-            row: dict = {"box": list(entry.box), "text": entry.text, "box_type": entry.box_type}
-            if entry.polygon is not None:
-                row["poly"] = [[x, y] for x, y in entry.polygon]
-            frames[str(frame_idx)] = row
-        doc["tracks"].append({"id": track.track_id, "category": track.category, "frames": frames})
+    """The document, tracks by ascending id: the bytes `json.dump(doc, fh, indent=1)` writes, in one write."""
+    tracks = sorted(tracks, key=attrgetter("track_id"))
+    try:
+        text = ('{\n "video": ' + encode_basestring_ascii(video) + ',\n "tracks": '
+                + _block([_track_block(tr) for tr in tracks], "  ") + "\n}\n")
+    except TypeError:  # a number that is not a float, or a text that is not a str: the encoder's own spelling
+        doc = {"video": video, "tracks": [{"id": tr.track_id, "category": tr.category,
+                                           "frames": {str(f): _entry_row(tr.frames[f]) for f in tr.present_frames()}}
+                                          for tr in tracks]}
+        text = json.dumps(doc, indent=1) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+        fh.write(text)
+
+
+def _entry_row(entry: GroundTruthEntry) -> dict:
+    row: dict = {"box": list(entry.box), "text": entry.text, "box_type": entry.box_type}
+    if entry.polygon is not None:
+        row["poly"] = [[x, y] for x, y in entry.polygon]
+    return row
+
+
+def _block(items: list[str], pad: str, brackets: str = "[]") -> str:
+    """A JSON array (or object) of formatted `items` as `indent=1` lays it out, its items indented by `pad`."""
+    if not items:
+        return brackets
+    return brackets[0] + "\n" + pad + (",\n" + pad).join(items) + "\n" + pad[1:] + brackets[1]
+
+
+def _float_block(values, pad: str) -> str:
+    return _json_floats(_block(list(map(_repr, values)), pad))
+
+
+def _track_block(track: GroundTruthTrack) -> str:
+    frames = []
+    for f in track.present_frames():
+        entry = track.frames[f]
+        item = (encode_basestring_ascii(str(f)) + ': {\n     "box": ' + _float_block(entry.box, "      ")
+                + ',\n     "text": ' + encode_basestring_ascii(entry.text)
+                + ',\n     "box_type": ' + encode_basestring_ascii(entry.box_type))
+        if entry.polygon is not None:
+            item += ',\n     "poly": ' + _block([_float_block((x, y), "       ") for x, y in entry.polygon], "      ")
+        frames.append(item + "\n    }")
+    return ('{\n   "id": ' + json.dumps(track.track_id) + ',\n   "category": ' + encode_basestring_ascii(track.category)
+            + ',\n   "frames": ' + _block(frames, "    ", "{}") + "\n  }")
 
 
 # ---------------------------------------------------------------------------
@@ -506,8 +564,7 @@ def write_trajectories(tracks: list[TrajectoryOutput], path, video: str = "") ->
                     f'"box": [{x0!r}, {y0!r}, {x1!r}, {y1!r}], "score": {s!r}')
             if poly is not None:
                 line += ', "poly": [' + ", ".join([f"[{x!r}, {y!r}]" for x, y in poly]) + "]"
-            if "n" in line:  # a float that repr spells inf or nan, and JSON Infinity or NaN
-                line = line.replace("inf", "Infinity").replace("nan", "NaN")
+            line = _json_floats(line)  # the text, which may hold "inf", comes after
             if text is not None:
                 line += ', "text": ' + encode_basestring_ascii(text)
             lines.append(line + "}")

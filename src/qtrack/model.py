@@ -4,23 +4,27 @@ Checkpoints are a single JSON document: a header describing the
 architecture followed by one flat parameter array in declared order
 (rescoring weight, rescoring bias, shared FFN, ST branch, LT branch).
 Python's JSON float repr round-trips doubles exactly, so save/load is
-bit-exact.
+bit-exact. Loading checks every field before it builds the model, and a
+malformed file raises `DataFormatError` naming it.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import Tensor
+from .data_io import DataFormatError
 from .matcher import DEFAULT_NULL_LOGIT, DEFAULT_TEMPERATURE, MatcherParams, MatcherVariant, count_parameters
 from .rescoring import RescoringHead
 
 __all__ = ["TrackerModel", "save_checkpoint", "load_checkpoint"]
 
 CHECKPOINT_FORMAT = "qtrack-model/1"
+VARIANTS = tuple(v.value for v in MatcherVariant)
 
 
 @dataclass
@@ -94,25 +98,20 @@ def save_checkpoint(model: TrackerModel, path) -> None:
 
 
 def load_checkpoint(path) -> TrackerModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError(f"{path}: not a {CHECKPOINT_FORMAT} checkpoint")
+    """The model a checkpoint describes; a malformed file raises `DataFormatError` naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except ValueError as exc:  # not UTF-8, not JSON, or an integer past the digit limit
+        raise DataFormatError(f"{path}: bad checkpoint JSON ({exc})") from None
+    if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
+        raise DataFormatError(f"{path}: not a {CHECKPOINT_FORMAT} checkpoint")
+    flat = _checked_params(path, doc)
     model = TrackerModel.create(
-        variant=doc["variant"],
-        d_q=int(doc["d_q"]),
-        d_e=int(doc["d_e"]),
-        heads=int(doc["heads"]),
-        temperature=float(doc["temperature"]),
-        null_logit=float(doc["null_logit"]),
+        variant=doc["variant"], d_q=doc["d_q"], d_e=doc["d_e"], heads=doc["heads"],
+        temperature=float(doc["temperature"]), null_logit=float(doc["null_logit"]),
     )
-    flat = np.asarray(doc["params"], dtype=np.float64)
-    expected = model.num_parameters()
-    if flat.size != expected:
-        raise ValueError(f"{path}: checkpoint carries {flat.size} parameters, model needs {expected}")
-    sanity = count_parameters(model.variant, model.d_q, model.d_e, model.matcher.heads)
-    head_size = model.d_q + 1
-    if expected != sanity + head_size:  # pragma: no cover - structural self-check
+    if model.num_parameters() != flat.size:  # pragma: no cover - structural self-check
         raise AssertionError("parameter layout out of sync with count_parameters")
     offset = 0
     for p in model.parameters():
@@ -120,3 +119,37 @@ def load_checkpoint(path) -> TrackerModel:
         p.value[...] = flat[offset:offset + n].reshape(p.value.shape)
         offset += n
     return model
+
+
+def _checked_params(path, doc: dict) -> np.ndarray:
+    """The flat parameters, once every header field the model is built from has been checked."""
+    def bad(problem: str) -> DataFormatError:
+        return DataFormatError(f"{path}: {problem}")
+
+    for key in ("d_q", "d_e", "heads"):
+        if type(doc.get(key)) is not int or doc[key] < 1:
+            raise bad(f"field {key!r} must be a positive integer")
+    if doc["d_e"] % doc["heads"]:
+        raise bad(f"heads {doc['heads']} do not divide d_e {doc['d_e']}")
+    if doc.get("variant") not in VARIANTS:
+        raise bad(f"field 'variant' must be one of {list(VARIANTS)}")
+    for key in ("temperature", "null_logit"):
+        value = doc.get(key)
+        if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+            raise bad(f"field {key!r} must be a finite number")
+    if not doc["temperature"] > 0:
+        raise bad("field 'temperature' must be positive")
+    raw = doc.get("params")
+    if type(raw) is not list or not {int, float}.issuperset(map(type, raw)):
+        raise bad("field 'params' must be a list of numbers")
+    # counted before any array is built, so a huge dimension allocates nothing
+    expected = count_parameters(doc["variant"], doc["d_q"], doc["d_e"], doc["heads"]) + doc["d_q"] + 1
+    if len(raw) != expected:
+        raise bad(f"checkpoint carries {len(raw)} parameters, model needs {expected}")
+    try:
+        flat = np.array(raw, dtype=np.float64)
+    except OverflowError:  # an integer beyond float range
+        flat = None
+    if flat is None or not np.isfinite(flat).all():
+        raise bad("field 'params' holds a non-finite value")
+    return flat

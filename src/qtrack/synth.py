@@ -52,9 +52,11 @@ class SynthConfig:
             raise ValueError("frames must be >= 1")
         if self.tracks < 0 or self.d_q < 2:
             raise ValueError("need tracks >= 0 and d_q >= 2")
-        for name in ("miss_prob", "degrade_fraction"):
+        for name in ("miss_prob", "degrade_fraction", "degrade_floor"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must be in [0,1]")
+        if not 0.0 <= self.step < math.inf:
+            raise ValueError("step must be a finite number >= 0")
         if self.noise_sigma < 0 or self.fp_rate < 0:
             raise ValueError("noise_sigma and fp_rate must be nonnegative")
         if not (len(self.canvas) == 2 and all(0 < c < math.inf for c in self.canvas)):

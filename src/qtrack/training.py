@@ -81,6 +81,9 @@ class TrainConfig:
             raise ValueError("clip_len must be >= 2 (association needs two frames)")
         if self.iterations < 0 or self.warmup_steps < 0:
             raise ValueError("iterations and warmup_steps must be nonnegative")
+        for name in ("learning_rate", "weight_decay"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be a finite number >= 0")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 
@@ -242,6 +245,8 @@ def association_loss(probs: Tensor, mask: np.ndarray) -> Tensor:
     frames (long-term), its last column the null one. ``mask`` is 1 on
     each row's targets: its own track's columns, or the null column.
     """
+    if mask.shape != probs.shape:
+        raise ValueError(f"target mask of shape {mask.shape} for probabilities of shape {probs.shape}")
     return -sum_(log(sum_(probs * Tensor(mask), axis=1)))
 
 

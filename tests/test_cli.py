@@ -274,6 +274,17 @@ def test_config_value_of_wrong_type_is_json_error(tmp_path, capsys, command, con
     ("track", {}, ["--history", "0"], "history_depth must be >= 1"),
     ("track", {}, ["--theta", "1.5"], "assoc_threshold must be in (0,1), got 1.5"),
     ("track", {}, ["--min-track-len", "0"], "min_track_len must be >= 1"),
+    ("gen", {"synth": {"step": -1.0}}, [], "bad config section 'synth': step must be a finite number >= 0"),
+    ("gen", {"synth": {"step": float("inf")}}, [], "bad config section 'synth': step must be a finite number >= 0"),
+    ("gen", {"synth": {"degrade_floor": -1.0, "degrade_fraction": 0.5}}, [],
+     "bad config section 'synth': degrade_floor must be in [0,1]"),
+    ("gen", {"synth": {"degrade_floor": 1.5}}, [], "bad config section 'synth': degrade_floor must be in [0,1]"),
+    ("train", {"train": {"learning_rate": -1.0}}, [],
+     "bad config section 'train': learning_rate must be a finite number >= 0"),
+    ("train", {"train": {"weight_decay": -5.0}}, [],
+     "bad config section 'train': weight_decay must be a finite number >= 0"),
+    ("train", {"train": {"learning_rate": float("nan")}}, [],
+     "bad config section 'train': learning_rate must be a finite number >= 0"),
 ])
 def test_invalid_setting_is_json_error(tmp_path, capsys, command, config, flags, message):
     """A value out of its field's range fails before any work, from a flag or from the config file."""
@@ -393,3 +404,46 @@ def test_eval_annotation_frame_key_not_canonical_is_json_error(tmp_path, capsys)
     traj.write_text(json.dumps({"format": "qtrack-traj/1", "video": ""}) + "\n")
     assert main(["eval", "--annotations", str(ann), "--trajectories", str(traj)]) == 1
     assert _json_error(capsys) == f"{ann}: track #0: frame key '03' is not an integer"
+
+
+def test_track_checkpoint_without_dimensions_is_json_error(tmp_path, capsys):
+    data = _gen(tmp_path, frames=4, tracks=2, seed=8)
+    ckpt = tmp_path / "model.json"
+    ckpt.write_text(json.dumps({"format": "qtrack-model/1", "variant": "ffn"}))
+    out = tmp_path / "o"
+    assert main(["track", "--checkpoint", str(ckpt), "--stream", str(data / "stream.jsonl"), "--out", str(out)]) == 1
+    assert _json_error(capsys) == f"{ckpt}: field 'd_q' must be a positive integer"
+    assert not out.exists()
+
+
+def _spoil_line(path, lineno):
+    """`path` with a byte that is not UTF-8 in the middle of line `lineno`."""
+    lines = path.read_bytes().split(b"\n")
+    lines[lineno - 1] = lines[lineno - 1][:10] + b"\xff" + lines[lineno - 1][10:]
+    path.write_bytes(b"\n".join(lines))
+
+
+def test_track_stream_not_utf8_names_file_and_line(tmp_path, capsys):
+    data = _gen(tmp_path, frames=4, tracks=2, seed=8)
+    stream = data / "stream.jsonl"
+    _spoil_line(stream, 4)
+    ckpt = tmp_path / "model.json"
+    save_checkpoint(TrackerModel.create(MatcherVariant.SIMILARITY, d_q=16), ckpt)
+    assert main(["track", "--checkpoint", str(ckpt), "--stream", str(stream), "--out", str(tmp_path / "o")]) == 1
+    offset = sum(len(line) + 1 for line in stream.read_bytes().split(b"\n")[:3]) + 10
+    assert _json_error(capsys) == (f"{stream}:4: not UTF-8 ('utf-8' codec can't decode byte 0xff "
+                                   f"in position {offset}: invalid start byte)")
+
+
+def test_eval_trajectories_not_utf8_names_file_and_line(tmp_path, capsys):
+    data = _gen(tmp_path, frames=4, tracks=2, seed=8)
+    traj = tmp_path / "t.jsonl"
+    traj.write_text("\n".join([
+        json.dumps({"format": "qtrack-traj/1", "video": ""}),
+        json.dumps({"track": 1, "frame": 0, "box": [0, 0, 5, 5], "score": 0.9}),
+        json.dumps({"track": 1, "frame": 1, "box": [0, 0, 5, 5], "score": 0.9, "text": "ab"}),
+    ]) + "\r\n")
+    _spoil_line(traj, 3)
+    assert main(["eval", "--annotations", str(data / "annotations.json"), "--trajectories", str(traj)]) == 1
+    error = _json_error(capsys)
+    assert error.startswith(f"{traj}:3: not UTF-8 (") and "0xff" in error

@@ -1,4 +1,4 @@
-"""Stream/annotation/trajectory parsing, validation and round trips."""
+"""Stream/annotation/trajectory parsing, validation and round trips; checkpoints under any JSON."""
 
 import json
 
@@ -30,6 +30,7 @@ from qtrack.data_io import (
     write_detection_stream,
     write_trajectories,
 )
+from qtrack.model import load_checkpoint
 
 HEADER = {"format": "qtrack-det/1", "d_q": 4, "video": "v"}
 
@@ -626,6 +627,177 @@ def test_annotations_survive_write_and_parse(tmp_path_factory, tracks, video):
     assert parse_annotations(path) == sorted(tracks, key=lambda t: t.track_id)
 
 # ---------------------------------------------------------------------------
+# the stream and annotation writers write what `json` writes
+
+
+def ref_write_detection_stream(path, header, frames):
+    """The stream writer as it was: one `json.dumps` of a dict per record."""
+    with open(path, "w", encoding="utf-8") as fh:
+        head = {"format": "qtrack-det/1", "d_q": header.d_q, "video": header.video}
+        if header.canvas is not None:
+            head["canvas"] = [header.canvas[0], header.canvas[1]]
+        fh.write(json.dumps(head) + "\n")
+        for frame in frames:
+            for rec in frame.records:
+                row = {"frame": frame.frame_index, "box": list(rec.box), "score": rec.score,
+                       "query": [float(v) for v in rec.query]}
+                if rec.polygon is not None:
+                    row["poly"] = [[x, y] for x, y in rec.polygon]
+                if rec.text is not None:
+                    row["text"] = rec.text
+                fh.write(json.dumps(row) + "\n")
+
+
+def ref_write_annotations(path, tracks, video=""):
+    """The annotation writer as it was: one `json.dump` of the document, indented by one space."""
+    doc = {"video": video, "tracks": []}
+    for track in sorted(tracks, key=lambda t: t.track_id):
+        frames = {}
+        for frame_idx in track.present_frames():
+            entry = track.frames[frame_idx]
+            row = {"box": list(entry.box), "text": entry.text, "box_type": entry.box_type}
+            if entry.polygon is not None:
+                row["poly"] = [[x, y] for x, y in entry.polygon]
+            frames[str(frame_idx)] = row
+        doc["tracks"].append({"id": track.track_id, "category": track.category, "frames": frames})
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
+
+
+def _same_stream_bytes(path, header, frames):
+    """Both writers on `frames`, the new one through a one-pass iterator: their bytes are equal."""
+    write_detection_stream(path / "got.jsonl", header, iter(frames))
+    ref_write_detection_stream(path / "want.jsonl", header, frames)
+    got = (path / "got.jsonl").read_bytes()
+    assert got == (path / "want.jsonl").read_bytes()
+    return got
+
+
+def _same_annotation_bytes(path, tracks, video):
+    write_annotations(path / "got.json", tracks, video=video)
+    ref_write_annotations(path / "want.json", tracks, video=video)
+    got = (path / "got.json").read_bytes()
+    assert got == (path / "want.json").read_bytes()
+    return got
+
+
+def _edge_box(k):
+    return tuple(EDGE_FLOATS[(k + c) % len(EDGE_FLOATS)] for c in range(4))
+
+
+def _edge_polygon(k):
+    return [(EDGE_FLOATS[k], -1.5), (2.0, EDGE_FLOATS[-k]), (1e-7, 3.0)]
+
+
+def test_stream_bytes_equal_json_dumps_on_edge_values(tmp_path):
+    n = len(EDGE_FLOATS)
+    edge = [DetectionRecord(0, np.array(EDGE_FLOATS[k:] + EDGE_FLOATS[:k]), _edge_box(k), EDGE_FLOATS[-k],
+                            None if k % 3 else _edge_polygon(k), EDGE_TEXTS[k % len(EDGE_TEXTS)]) for k in range(n)]
+    f64 = tuple(np.float64(v) for v in (0.1, 2.5, 1 / 3, 1e300))
+    other = [
+        DetectionRecord(2, np.arange(3), (0, 0, 10, 10), 1, [(0, 0), (10, 0), (10, 10)], "int"),
+        DetectionRecord(2, np.array([0.1, -2.5, 1e38], dtype=np.float32), f64, f64[0], [f64[:2]] * 3, "np"),
+        DetectionRecord(2, [1, 0.5, 2**70], (0.0, 0, 1.5, True), False, None, None),
+        DetectionRecord(2, np.zeros(0), (0.5, 0.5, 1.5, 1.5), 0.5, None, "inf nan"),
+    ]
+    nan = DetectionRecord(9, np.array([np.nan]), (float("inf"),) * 4, float("nan"), None, "inf nan")
+    frames = [DetectionFrame(0, edge), DetectionFrame(1, []), DetectionFrame(np.int64(2), []),
+              DetectionFrame(2, other), DetectionFrame(9, [nan])]
+    got = _same_stream_bytes(tmp_path, StreamHeader(3, "vidéo \"1\"", (640.0, 480.0)), frames)
+    assert b"Infinity" in got and b"NaN" in got and b'"text": "inf nan"' in got
+    assert b'"box": [0, 0, 10, 10], "score": 1, "query": [0.0, 1.0, 2.0]' in got  # an int stays an int
+    assert b"np.float64" not in got
+    assert got.count(b"\n") == 1 + n + len(other) + 1  # no line for an empty frame
+    empty = _same_stream_bytes(tmp_path, StreamHeader(1, ""), [])
+    assert empty == b'{"format": "qtrack-det/1", "d_q": 1, "video": ""}\n'
+
+
+def _entries(boxes, texts, polygons=None):
+    polygons = polygons or [None] * len(boxes)
+    return {f: GroundTruthEntry(box, text, BOX_TYPES[f % 2], poly)
+            for f, (box, text, poly) in enumerate(zip(boxes, texts, polygons))}
+
+
+@pytest.mark.parametrize("tracks", [
+    [],  # "tracks": []
+    [GroundTruthTrack(5, "other", {})],  # "frames": {}
+    [GroundTruthTrack(3, "alphanumeric", _entries([_edge_box(k) for k in range(len(EDGE_TEXTS))],
+                                                  [t or "" for t in EDGE_TEXTS],
+                                                  [_edge_polygon(k) if k % 2 else None for k in range(len(EDGE_TEXTS))])),
+     GroundTruthTrack(-2, "other", _entries([(0.5, 0.5, 1.5, 1.5)], ["inf nan"], [[]]))],
+    [GroundTruthTrack(1, "other", _entries([(0, 0, 10, 10), (0.5, 1, 2.5, 3.0)], ["int", "mixed"]))],
+    [GroundTruthTrack(1, "other", _entries([tuple(np.float64(v) for v in (0.1, 0.2, 1 / 3, 1e300))], ["np"]))],
+    [GroundTruthTrack(1, "other", _entries([(0.0, 0.0, 1.0, 1.0)], [None]))],
+    [GroundTruthTrack(1, "other", {np.int64(4): GroundTruthEntry((0.0, 0.0, 1.0, 1.0), "x")}),
+     GroundTruthTrack(0, "other", {-3: GroundTruthEntry((0.0, 0.0, 1.0, 1.0), "y")})],
+    [GroundTruthTrack(True, "other", {})],
+], ids=["no-tracks", "no-frames", "edge-floats", "int", "np-float64", "none-text", "np-int64-key", "bool-id"])
+def test_annotation_bytes_equal_json_dump_on_edge_values(tmp_path, tracks):
+    got = _same_annotation_bytes(tmp_path, tracks, "vidéo \"1\"")
+    assert b"np.float64" not in got
+
+
+floats_any = st.floats(width=64)
+numbers = st.one_of(floats_any, floats_any.map(np.float64), st.integers(-2**70, 2**70))
+queries = st.one_of(
+    st.lists(floats_any, max_size=4).map(lambda v: np.array(v, dtype=np.float64)),
+    st.lists(st.floats(width=32), max_size=4).map(lambda v: np.array(v, dtype=np.float32)),
+    st.lists(st.integers(-2**63, 2**63 - 1), max_size=4).map(lambda v: np.array(v, dtype=np.int64)),
+    st.lists(floats_any | st.integers(-2**70, 2**70), max_size=4),
+)
+edge_texts = st.one_of(st.sampled_from(EDGE_TEXTS), st.text(max_size=6))
+
+
+@st.composite
+def any_numbers(draw):
+    """Floats only, so that the writers take their direct path, or any JSON numbers."""
+    return draw(st.sampled_from([floats_any, numbers]))
+
+
+@st.composite
+def written_streams(draw):
+    """Frames of records of any numbers, queries of any dtype, any text; empty frames and any frame index."""
+    num = draw(any_numbers())
+    header = StreamHeader(draw(st.integers(1, 4)), draw(edge_texts),
+                          draw(st.one_of(st.none(), st.tuples(floats_any, floats_any))))
+    frames = []
+    for f in draw(st.lists(st.integers(-2**63, 2**63 - 1), max_size=4)):
+        records = [DetectionRecord(f, draw(queries), tuple(draw(st.lists(num, min_size=4, max_size=4))), draw(num),
+                                   draw(st.one_of(st.none(), st.lists(st.tuples(num, num), max_size=4))),
+                                   draw(st.one_of(st.none(), edge_texts)))
+                   for _ in range(draw(st.integers(0, 3)))]
+        frames.append(DetectionFrame(f, records))
+    return header, frames
+
+
+@settings(max_examples=150)
+@given(written_streams())
+def test_stream_bytes_equal_json_dumps(tmp_path_factory, stream):
+    _same_stream_bytes(tmp_path_factory.mktemp("stream"), *stream)
+
+
+@st.composite
+def written_annotations(draw):
+    """Tracks of any int ids and frames, boxes and polygons of any numbers, any text."""
+    num = draw(any_numbers())
+    tracks = []
+    for track_id in draw(st.lists(st.integers(-2**63, 2**63 - 1), unique=True, max_size=3)):
+        frames = {f: GroundTruthEntry(tuple(draw(st.lists(num, min_size=4, max_size=4))), draw(edge_texts),
+                                      draw(st.sampled_from(BOX_TYPES)),
+                                      draw(st.one_of(st.none(), st.lists(st.tuples(num, num), max_size=4))))
+                  for f in draw(st.sets(st.integers(-2**63, 2**63 - 1), max_size=3))}
+        tracks.append(GroundTruthTrack(track_id, draw(st.sampled_from(CATEGORIES)), frames))
+    return tracks
+
+
+@settings(max_examples=150)
+@given(written_annotations(), edge_texts)
+def test_annotation_bytes_equal_json_dump(tmp_path_factory, tracks, video):
+    _same_annotation_bytes(tmp_path_factory.mktemp("ann"), tracks, video)
+
+
+# ---------------------------------------------------------------------------
 # geometry helpers
 
 
@@ -665,7 +837,10 @@ VALID_FILES = {
         {"id": 1, "category": "alphanumeric",
          "frames": {"0": {"box": [0, 0, 10, 10], "text": "ab", "box_type": "quadrilateral", "poly": SQUARE}}},
     ]}),
+    "checkpoint": (load_checkpoint, {"format": "qtrack-model/1", "variant": "ffn", "d_q": 2, "d_e": 2, "heads": 1,
+                                     "temperature": 0.1, "null_logit": 0, "params": [0.5] * 14 + [1]}),
 }
+ONE_DOCUMENT = ("annotations", "checkpoint")  # the other kinds are JSON lines
 
 
 def _replace_one_node(draw, value, top=False):
@@ -682,7 +857,7 @@ def _replace_one_node(draw, value, top=False):
 def mutated_files(draw):
     """(kind, content): a valid file with one node replaced; for JSON lines, a node of a line or a whole line."""
     kind = draw(st.sampled_from(sorted(VALID_FILES)))
-    return kind, _replace_one_node(draw, VALID_FILES[kind][1], top=kind != "annotations")
+    return kind, _replace_one_node(draw, VALID_FILES[kind][1], top=kind not in ONE_DOCUMENT)
 
 
 BIG = 2**1024  # an integer beyond float range
@@ -696,10 +871,12 @@ TRAJ_HEADER = VALID_FILES["trajectories"][1][0]
 @example(("stream", [HEADER, _record(box=[0, 0, BIG, 10])]))
 @example(("trajectories", [TRAJ_HEADER, {"track": 1, "frame": 0, "box": [0, 0, 10, 10], "score": BIG}]))
 @example(("annotations", {"tracks": [{"id": 1, "frames": {"0": {"box": [0, 0, 10, 10], "poly": [[BIG, 0]] * 4}}}]}))
+@example(("checkpoint", {"format": "qtrack-model/1", "variant": "ffn"}))
+@example(("checkpoint", {**VALID_FILES["checkpoint"][1], "d_e": 2**40}))
 def test_parsers_raise_only_data_format_error_on_any_json(tmp_path_factory, file):
     kind, content = file
     path = tmp_path_factory.mktemp(kind) / "f.json"
-    if kind == "annotations":
+    if kind in ONE_DOCUMENT:
         path.write_text(json.dumps(content))
     else:
         path.write_text("\n".join(json.dumps(line) for line in content) + "\n")
@@ -713,9 +890,10 @@ def test_parsers_raise_only_data_format_error_on_any_json(tmp_path_factory, file
     (parse_detection_stream, '{"format": "qtrack-det/1", "d_q": 4}\n{"frame": %s}\n'),
     (read_trajectories, '{"format": "qtrack-traj/1", "video": %s}\n'),
     (parse_annotations, '{"tracks": [%s]}'),
+    (load_checkpoint, '{"format": "qtrack-model/1", "d_q": %s}'),
 ])
 def test_parsers_name_the_file_for_an_integer_past_the_digit_limit(tmp_path, parse, text):
     path = tmp_path / "f.json"
     path.write_text(text % ("9" * 5000))  # valid JSON that `json.loads` refuses with a bare ValueError
-    with pytest.raises(DataFormatError, match="bad (record |header )?JSON"):
+    with pytest.raises(DataFormatError, match="bad (record |header |checkpoint )?JSON"):
         parse(path)

@@ -1,8 +1,11 @@
 """Model assembly and bit-exact checkpoint round trips."""
 
+import json
+
 import numpy as np
 import pytest
 
+from qtrack.data_io import DataFormatError
 from qtrack.matcher import MatcherVariant, count_parameters
 from qtrack.model import TrackerModel, load_checkpoint, save_checkpoint
 
@@ -61,10 +64,55 @@ def test_load_rejects_wrong_size(tmp_path):
     model = TrackerModel.create(MatcherVariant.FFN, d_q=4, d_e=4)
     path = tmp_path / "m.json"
     save_checkpoint(model, path)
-    import json
-
     doc = json.loads(path.read_text())
     doc["params"] = doc["params"][:-1]
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError):
+        load_checkpoint(path)
+
+
+MISSING = object()
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("d_q", MISSING, "field 'd_q' must be a positive integer"),
+    ("d_e", 4.0, "field 'd_e' must be a positive integer"),
+    ("heads", True, "field 'heads' must be a positive integer"),
+    ("d_q", 0, "field 'd_q' must be a positive integer"),
+    ("heads", 3, "heads 3 do not divide d_e 4"),
+    ("variant", "lstm", "field 'variant' must be one of ['transformer', 'similarity', 'ffn', 'crossattn']"),
+    ("variant", MISSING, "field 'variant' must be one of ['transformer', 'similarity', 'ffn', 'crossattn']"),
+    ("temperature", "0.1", "field 'temperature' must be a finite number"),
+    ("temperature", float("inf"), "field 'temperature' must be a finite number"),
+    ("temperature", 0, "field 'temperature' must be positive"),
+    ("null_logit", False, "field 'null_logit' must be a finite number"),
+    ("null_logit", 2**1024, "field 'null_logit' must be a finite number"),
+    ("params", {"a": 1}, "field 'params' must be a list of numbers"),
+    ("params", [True] * 35, "field 'params' must be a list of numbers"),
+    ("params", [0.5] * 34, "checkpoint carries 34 parameters, model needs 35"),
+    ("params", [0.5] * 34 + [float("nan")], "field 'params' holds a non-finite value"),
+    ("params", [0.5] * 34 + [2**1024], "field 'params' holds a non-finite value"),
+], ids=["no-d_q", "d_e-float", "heads-bool", "d_q-zero", "heads-not-dividing", "variant-unknown", "no-variant",
+        "temperature-string", "temperature-inf", "temperature-zero", "null_logit-bool", "null_logit-huge",
+        "params-object", "params-bools", "params-count", "params-nan", "params-huge"])
+def test_load_names_the_file_and_the_bad_field(tmp_path, field, value, message):
+    path = tmp_path / "m.json"
+    save_checkpoint(TrackerModel.create(MatcherVariant.FFN, d_q=2, d_e=4, heads=2), path)
+    doc = json.loads(path.read_text())
+    assert len(doc["params"]) == 35
+    if value is MISSING:
+        del doc[field]
+    else:
+        doc[field] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataFormatError) as err:
+        load_checkpoint(path)
+    assert str(err.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("content", [b'{"format": "qtrack-model/1",', b'{"format": "qtrack-\xff"}', b"[1, 2]"])
+def test_load_names_the_file_of_a_document_that_is_no_checkpoint(tmp_path, content):
+    path = tmp_path / "m.json"
+    path.write_bytes(content)
+    with pytest.raises(DataFormatError, match=f"^{path}: "):
         load_checkpoint(path)

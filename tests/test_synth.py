@@ -138,3 +138,14 @@ def test_boxes_stay_on_canvas():
         for e in t.frames.values():
             assert 0 <= e.box[0] < e.box[2] <= w
             assert 0 <= e.box[1] < e.box[3] <= h
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("step", -1.0, "step must be a finite number >= 0"),
+    ("step", float("nan"), "step must be a finite number >= 0"),
+    ("degrade_floor", -0.5, r"degrade_floor must be in \[0,1\]"),
+    ("degrade_floor", 1.5, r"degrade_floor must be in \[0,1\]"),
+])
+def test_config_rejects_step_and_floor_out_of_range(field, value, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        SynthConfig(**{field: value})

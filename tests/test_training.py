@@ -236,6 +236,19 @@ def test_long_term_loss_own_column_mass():
     assert float(loss2.value) == pytest.approx(-math.log(0.75), abs=1e-12)
 
 
+@pytest.mark.parametrize("mask", [_target_mask([3], []), np.ones((2, 2)), np.ones(2)])
+def test_association_loss_rejects_a_mask_of_another_shape(mask):
+    with pytest.raises(ValueError, match="target mask of shape"):
+        association_loss(_probs([[0.2, 0.8]]), mask)
+
+
+@pytest.mark.parametrize("field, value", [("learning_rate", -1.0), ("weight_decay", -5.0),
+                                          ("learning_rate", float("inf")), ("weight_decay", float("nan"))])
+def test_train_config_rejects_rates_out_of_range(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be a finite number >= 0$"):
+        TrainConfig(**{field: value})
+
+
 def test_long_term_loss_perfect_separation_limit():
     g = _probs([[0.9999999, 0.0000001]])
     loss = association_loss(g, np.array([[1.0, 0.0]]))
