@@ -84,6 +84,8 @@ def _load_config(path: str | None) -> dict:
         raise CliError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise CliError(f"bad config JSON in {path}: {exc.msg}") from None
+    except ValueError as exc:  # not UTF-8, or an integer past the digit limit
+        raise CliError(f"bad config JSON in {path}: {exc}") from None
     if not isinstance(doc, dict):
         raise CliError("config root must be an object")
     unknown = set(doc) - {"model", "synth", "tracker", "train", "loss"}
@@ -181,12 +183,18 @@ def cmd_train(args) -> int:
     if first is not None:
         settings["d_q"] = first.query.size
 
-    model = TrackerModel.create(
-        variant=settings["variant"], d_q=settings["d_q"], d_e=settings["d_e"],
-        heads=settings["heads"], temperature=settings["temperature"],
-        null_logit=settings["null_logit"], seed=settings["seed"],
-    )
-    result = train(model, videos, train_cfg, loss_cfg)
+    try:
+        model = TrackerModel.create(
+            variant=settings["variant"], d_q=settings["d_q"], d_e=settings["d_e"],
+            heads=settings["heads"], temperature=settings["temperature"],
+            null_logit=settings["null_logit"], seed=settings["seed"],
+        )
+    except ValueError as exc:
+        raise CliError(f"bad config section 'model': {exc}") from None
+    try:
+        result = train(model, videos, train_cfg, loss_cfg)
+    except FloatingPointError as exc:  # the loss diverged; its message names the iteration
+        raise CliError(str(exc)) from None
     out = _ensure_out(args.out)
     save_checkpoint(model, out / "model.json")
     with open(out / "loss_history.csv", "w", newline="", encoding="utf-8") as fh:

@@ -8,7 +8,10 @@ reproducible byte for byte.
 All three writers format their lines directly, floats by
 `float.__repr__`, and write the same bytes as `json.dumps` (for
 annotations, `json.dump(doc, fh, indent=1)`); a value that is not a
-float or a str falls back to the encoder itself.
+float or a str falls back to the encoder itself. The readers decode
+each line with the decoder's scanner alone and call `json.loads` only
+when the scanner fails or leaves part of the line, so every value and
+every error message is the decoder's own.
 A box is the corner tuple (x_min, y_min, x_max, y_max), many boxes an
 (n, 4) float64 array. A trajectory is held as columns
 (`TrajectoryOutput`) from the tracker through the file to the metrics,
@@ -19,12 +22,13 @@ strings; integer fields are JSON integers that fit in int64.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -229,14 +233,18 @@ def _json_message(exc: ValueError) -> str:
     return exc.msg if isinstance(exc, json.JSONDecodeError) else str(exc)
 
 
-def _record_object(line: str) -> dict:
+_scan_once = json.JSONDecoder().scan_once  # the scanner `json.loads` runs, without its whitespace steps
+
+
+def _decode(line: str):
+    """`json.loads(line)`: the scanner alone when one value fills the line, else the decoder, for its errors."""
     try:
-        raw = json.loads(line)
-    except ValueError as exc:
-        raise _Invalid(f"bad record JSON ({_json_message(exc)})") from None
-    if not isinstance(raw, dict):
-        raise _Invalid("record must be an object")
-    return raw
+        value, end = _scan_once(line, 0)
+        if end == len(line):
+            return value
+    except (StopIteration, ValueError):
+        pass
+    return json.loads(line)
 
 
 # The types of a JSON number: a numeric string or a boolean is not one,
@@ -265,13 +273,20 @@ def _parse_float(raw, name: str) -> float:
     raise _Invalid(f"field {name!r} must be a number, got {raw!r}")
 
 
-def _parse_query(raw) -> np.ndarray:
-    try:
-        if type(raw) is list and _NUMBER_TYPES.issuperset(map(type, raw)):
-            return np.array(raw, dtype=np.float64)
-    except OverflowError:
-        pass
-    raise _Invalid("field 'query' must be a list of numbers")
+def _parse_query(raw, d_q: int) -> np.ndarray:
+    query = None
+    if type(raw) is list and _NUMBER_TYPES.issuperset(map(type, raw)):
+        try:
+            query = np.array(raw, dtype=np.float64)
+        except OverflowError:  # an integer beyond float range
+            pass
+    if query is None:
+        raise _Invalid("field 'query' must be a list of numbers")
+    if len(raw) != d_q:
+        raise _Invalid(f"field 'query' has dim {len(raw)}, header d_q is {d_q}")
+    if not all(map(math.isfinite, raw)):  # each value fits a float: the array took it
+        raise _Invalid("field 'query' contains non-finite values")
+    return query
 
 
 def _parse_polygon(raw) -> list[tuple[float, float]]:
@@ -292,56 +307,74 @@ def _check_envelope(polygon, box: Box) -> None:
         raise _Invalid("polygon envelope does not match box")
 
 
-def _stream_record(line: str, d_q: int) -> DetectionRecord:
-    raw = _record_object(line)
-    for key in ("frame", "box", "score", "query"):
-        if key not in raw:
-            raise _Invalid(f"missing field {key!r}")
-    frame_idx = raw["frame"]
+def _stream_record(raw: dict, d_q: int) -> DetectionRecord:
+    try:
+        frame_idx, box, score, query = raw["frame"], raw["box"], raw["score"], raw["query"]
+    except KeyError as exc:  # the first missing field, in this order
+        raise _Invalid(f"missing field {exc.args[0]!r}") from None
     if type(frame_idx) is not int or not 0 <= frame_idx < INT64_END:
         raise _Invalid("field 'frame' must be a nonnegative integer")
-    box = x_min, y_min, x_max, y_max = _box_corners(raw["box"])
+    corners = x_min, y_min, x_max, y_max = _box_corners(box)
     if not (x_min < x_max and y_min < y_max):
-        raise _Invalid(f"field 'box' is degenerate ({raw['box']})")
-    score = _parse_float(raw["score"], "score")
+        raise _Invalid(f"field 'box' is degenerate ({box})")
+    if type(score) is not float:
+        score = _parse_float(score, "score")
     if not 0.0 <= score <= 1.0:
         raise _Invalid(f"field 'score' out of range [0,1] ({score})")
-    query = _parse_query(raw["query"])
-    if query.size != d_q:
-        raise _Invalid(f"field 'query' has dim {query.size}, header d_q is {d_q}")
-    if not np.isfinite(query).all():
-        raise _Invalid("field 'query' contains non-finite values")
-    polygon = None
-    if raw.get("poly") is not None:
-        polygon = _parse_polygon(raw["poly"])
-        _check_envelope(polygon, box)
-    return DetectionRecord(frame_idx, query, box, score, polygon, _norm_text(raw.get("text")))
+    query = _parse_query(query, d_q)
+    polygon = raw.get("poly")
+    if polygon is not None:
+        polygon = _parse_polygon(polygon)
+        _check_envelope(polygon, corners)
+    return DetectionRecord(frame_idx, query, corners, score, polygon, _norm_text(raw.get("text")))
 
 
-def _read_jsonl(path, fmt: str, error: type[DataFormatError]) -> tuple[dict, list[tuple[int, str]]]:
-    """The header object of a .jsonl file that declares `fmt`, and its other nonblank lines, numbered."""
+def _read_jsonl(path, fmt: str, error: type[DataFormatError]) -> tuple[dict, Iterator[tuple[int, dict]]]:
+    """The header object of a .jsonl file that declares `fmt`, and its other nonblank lines' objects, numbered.
+
+    A line ends at "\\n", a trailing "\\r" dropped, as JSON Lines defines it:
+    U+2028 and the other breaks that `str.splitlines` knows may stand raw
+    inside a JSON string. The body is decoded as it is iterated.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        lines = data.decode("utf-8").splitlines()
-    except UnicodeDecodeError as exc:  # the line of the first bad byte, as `splitlines` counts lines
-        lineno = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
         raise error(f"{path}:{lineno}: not UTF-8 ({exc})") from None
-    if not lines:
+    if not text:
         raise error(f"{path}: empty file, header expected")
+    lines = text.split("\n")
+    if "\r" in text:
+        lines = [line[:-1] if line.endswith("\r") else line for line in lines]
     try:
-        head = json.loads(lines[0])
+        head = _decode(lines[0])
     except ValueError as exc:
         raise error(f"{path}:1: bad header JSON ({_json_message(exc)})") from None
     if not isinstance(head, dict) or head.get("format") != fmt:
         raise error(f"{path}:1: header must declare format {fmt!r}")
-    return head, [(lineno, line) for lineno, line in enumerate(lines[1:], start=2) if line.strip()]
+    return head, _body_objects(path, lines, error)
+
+
+def _body_objects(path, lines: list[str], error: type[DataFormatError]) -> Iterator[tuple[int, dict]]:
+    for lineno, line in enumerate(lines[1:], start=2):
+        try:
+            raw = _decode(line)
+        except ValueError as exc:
+            if not line.strip():  # a blank line
+                continue
+            raise error(f"{path}:{lineno}: bad record JSON ({_json_message(exc)})") from None
+        if type(raw) is not dict:
+            raise error(f"{path}:{lineno}: record must be an object")
+        yield lineno, raw
 
 
 def parse_detection_stream(path) -> tuple[StreamHeader, list[DetectionFrame]]:
     """Read a .jsonl detection stream, validating and grouping records by frame."""
-    head, lines = _read_jsonl(path, STREAM_FORMAT, StreamFormatError)
-    if type(head.get("d_q")) is not int or not 0 < head["d_q"] < INT64_END:
+    head, body = _read_jsonl(path, STREAM_FORMAT, StreamFormatError)
+    d_q = head.get("d_q")
+    if type(d_q) is not int or not 0 < d_q < INT64_END:
         raise StreamFormatError(f"{path}:1: header field d_q must be a positive integer")
     canvas = None
     if "canvas" in head:
@@ -351,24 +384,25 @@ def parse_detection_stream(path) -> tuple[StreamHeader, list[DetectionFrame]]:
                 and all(type(v) in (int, float) and 0 < v <= sys.float_info.max for v in c)):
             raise StreamFormatError(f"{path}:1: header field canvas must be [width, height]")
         canvas = (float(c[0]), float(c[1]))
-    header = StreamHeader(d_q=head["d_q"], video=str(head.get("video", "")), canvas=canvas)
+    header = StreamHeader(d_q, str(head.get("video", "")), canvas)
 
     frames: list[DetectionFrame] = []
-    current: DetectionFrame | None = None
-    for lineno, line in lines:
+    records: list[DetectionRecord] = []
+    current = -1  # frame indices are nonnegative
+    for lineno, raw in body:
         try:
-            record = _stream_record(line, header.d_q)
+            record = _stream_record(raw, d_q)
         except _Invalid as exc:
             raise StreamFormatError(f"{path}:{lineno}: {exc}") from None
         frame_idx = record.frame_index
-        if current is None or frame_idx != current.frame_index:
-            if current is not None and frame_idx < current.frame_index:
+        if frame_idx != current:
+            if frame_idx < current:
                 raise StreamFormatError(
-                    f"{path}:{lineno}: frame index {frame_idx} after {current.frame_index}, stream must be monotone"
+                    f"{path}:{lineno}: frame index {frame_idx} after {current}, stream must be monotone"
                 )
-            current = DetectionFrame(frame_index=frame_idx)
-            frames.append(current)
-        current.records.append(record)
+            current, records = frame_idx, []
+            frames.append(DetectionFrame(frame_idx, records))
+        records.append(record)
     return header, frames
 
 
@@ -452,7 +486,8 @@ def parse_annotations(path) -> list[GroundTruthTrack]:
         frames_raw = raw.get("frames")
         if not isinstance(frames_raw, dict) or not frames_raw:
             raise AnnotationFormatError(f"{where}: needs at least one present frame")
-        track = GroundTruthTrack(track_id=track_id, category=category)
+        track = GroundTruthTrack(track_id, category)
+        entries = track.frames
         for key, entry in frames_raw.items():
             try:
                 frame_idx = int(key)
@@ -465,10 +500,12 @@ def parse_annotations(path) -> list[GroundTruthTrack]:
                 raise AnnotationFormatError(f"{where}: negative frame index {frame_idx}")
             if frame_idx >= INT64_END:
                 raise AnnotationFormatError(f"{where}: frame index {frame_idx} out of range")
-            if not isinstance(entry, dict) or "box" not in entry:
-                raise AnnotationFormatError(f"{where}: frame {frame_idx}: missing field 'box'")
             try:
-                box = x_min, y_min, x_max, y_max = _box_corners(entry["box"])
+                box = entry["box"]
+            except (TypeError, KeyError):  # no object, or no box in it
+                raise AnnotationFormatError(f"{where}: frame {frame_idx}: missing field 'box'") from None
+            try:
+                box = x_min, y_min, x_max, y_max = _box_corners(box)
             except _Invalid as exc:
                 raise AnnotationFormatError(f"{where}: frame {frame_idx}: {exc}") from None
             if not (x_min < x_max and y_min < y_max):
@@ -476,10 +513,10 @@ def parse_annotations(path) -> list[GroundTruthTrack]:
             box_type = entry.get("box_type", "quadrilateral")
             if box_type not in BOX_TYPES:
                 raise AnnotationFormatError(f"{where}: frame {frame_idx}: unknown box_type {box_type!r}")
-            polygon = None
-            if entry.get("poly") is not None:
+            polygon = entry.get("poly")
+            if polygon is not None:
                 try:
-                    polygon = _parse_polygon(entry["poly"])
+                    polygon = _parse_polygon(polygon)
                 except _Invalid as exc:
                     raise AnnotationFormatError(f"{where}: {exc}") from None
                 expected = QUAD_POINTS if box_type == "quadrilateral" else POLYGON_POINTS
@@ -492,14 +529,9 @@ def parse_annotations(path) -> list[GroundTruthTrack]:
                     _check_envelope(polygon, box)
                 except _Invalid as exc:
                     raise AnnotationFormatError(f"{where}: frame {frame_idx}: {exc}") from None
-            track.frames[frame_idx] = GroundTruthEntry(
-                box=box,
-                text=_norm_text(entry.get("text", "")) or "",
-                box_type=box_type,
-                polygon=polygon,
-            )
+            entries[frame_idx] = GroundTruthEntry(box, _norm_text(entry.get("text", "")) or "", box_type, polygon)
         tracks.append(track)
-    tracks.sort(key=lambda t: t.track_id)
+    tracks.sort(key=attrgetter("track_id"))
     return tracks
 
 
@@ -574,12 +606,12 @@ def write_trajectories(tracks: list[TrajectoryOutput], path, video: str = "") ->
 
 def read_trajectories(path) -> list[TrajectoryOutput]:
     """Trajectories by ascending track id; lines of different tracks may interleave."""
-    _, lines = _read_jsonl(path, TRAJ_FORMAT, DataFormatError)
+    _, body = _read_jsonl(path, TRAJ_FORMAT, DataFormatError)
     track, frame, corners, scores, polygons, texts = [], [], [], [], [], []
     last_frame: dict[int, int] = {}  # per track
-    for lineno, line in lines:
+    for lineno, raw in body:
         try:
-            track_id, frame_idx, box, score, polygon, text = _trajectory_row(line)
+            track_id, frame_idx, box, score, polygon, text = _trajectory_row(raw)
         except _Invalid as exc:
             raise DataFormatError(f"{path}:{lineno}: {exc}") from None
         if frame_idx <= last_frame.get(track_id, frame_idx - 1):
@@ -596,18 +628,21 @@ def read_trajectories(path) -> list[TrajectoryOutput]:
                               np.array(scores, dtype=np.float64), polygons, texts)
 
 
-def _trajectory_row(line: str):
+def _trajectory_row(raw: dict):
     """(track id, frame, box corners, score, polygon, text) of one trajectory line."""
-    raw = _record_object(line)
     track_id = raw.get("track")
     frame_idx = raw.get("frame")
     if not (type(track_id) is type(frame_idx) is int
-            and -INT64_END <= min(track_id, frame_idx) <= max(track_id, frame_idx) < INT64_END):
+            and -INT64_END <= track_id < INT64_END and -INT64_END <= frame_idx < INT64_END):
         raise _Invalid("fields 'track' and 'frame' must be integers")
-    for key in ("box", "score"):
-        if key not in raw:
-            raise _Invalid(f"missing field {key!r}")
-    box = _box_corners(raw["box"])
-    polygon = _parse_polygon(raw["poly"]) if raw.get("poly") is not None else None
-    score = _parse_float(raw["score"], "score")
+    try:
+        box, score = raw["box"], raw["score"]
+    except KeyError as exc:  # the first missing field, in this order
+        raise _Invalid(f"missing field {exc.args[0]!r}") from None
+    box = _box_corners(box)
+    polygon = raw.get("poly")
+    if polygon is not None:
+        polygon = _parse_polygon(polygon)
+    if type(score) is not float:
+        score = _parse_float(score, "score")
     return track_id, frame_idx, box, score, polygon, _norm_text(raw.get("text"))

@@ -11,6 +11,7 @@ malformed file raises `DataFormatError` naming it.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -44,7 +45,16 @@ class TrackerModel:
         null_logit: float = DEFAULT_NULL_LOGIT,
         seed: int = 0,
     ) -> "TrackerModel":
-        """Fresh model; the rescoring head starts neutral (zero weight and bias)."""
+        """Fresh model; the rescoring head starts neutral (zero weight and bias).
+
+        A temperature that is not a finite positive number, or a null logit
+        that is not finite, raises `ValueError` in `load_checkpoint`'s words.
+        """
+        for name, value in (("temperature", temperature), ("null_logit", null_logit)):
+            if not math.isfinite(value):
+                raise ValueError(f"field {name!r} must be a finite number")
+        if not temperature > 0:
+            raise ValueError("field 'temperature' must be positive")
         rng = np.random.default_rng(seed)
         matcher = MatcherParams.create(
             MatcherVariant(variant), d_q=d_q, d_e=d_e, heads=heads,

@@ -56,12 +56,26 @@ def fuse_scores(c_o: float, c_r: float) -> float:
 
 
 def filter_instances(frame: DetectionFrame, head: RescoringHead, detect_threshold: float) -> list[ScoredInstance]:
-    """Rescore every record and keep those with fused score >= threshold, order preserved."""
+    """Rescore every record and keep those with fused score >= threshold, order preserved.
+
+    The frame's logits are one stacked product, (1, d_q) @ (d_q, 1) per
+    record: the bits of each record's own `q @ w`, which a plain `Q @ w`
+    does not promise.
+    """
     if not 0.0 <= detect_threshold <= 1.0:
         raise ValueError(f"detect_threshold must be in [0,1], got {detect_threshold}")
+    records = frame.records
+    for record in records:
+        if record.query.shape != head.weight.shape:
+            rescore(record, head)  # raises the dimension error, naming this record's shape
+    if not records:
+        return []
+    queries = np.array([record.query for record in records])
+    logits = np.matmul(queries[:, None, :], head.weight[:, None]).ravel().tolist()
     kept = []
-    for record in frame.records:
-        inst = ScoredInstance.build(record, rescore(record, head))
-        if inst.fused_score >= detect_threshold:
-            kept.append(inst)
+    for record, logit in zip(records, logits):
+        c_r = stable_sigmoid(logit + head.bias)
+        c_f = fuse_scores(record.score, c_r)
+        if c_f >= detect_threshold:
+            kept.append(ScoredInstance(record, c_r, c_f))
     return kept

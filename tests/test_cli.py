@@ -285,6 +285,14 @@ def test_config_value_of_wrong_type_is_json_error(tmp_path, capsys, command, con
      "bad config section 'train': weight_decay must be a finite number >= 0"),
     ("train", {"train": {"learning_rate": float("nan")}}, [],
      "bad config section 'train': learning_rate must be a finite number >= 0"),
+    ("train", {"model": {"temperature": 0}}, [], "bad config section 'model': field 'temperature' must be positive"),
+    ("train", {"model": {"temperature": -1}}, [], "bad config section 'model': field 'temperature' must be positive"),
+    ("train", {"model": {"temperature": float("inf")}}, [],
+     "bad config section 'model': field 'temperature' must be a finite number"),
+    ("train", {"model": {"null_logit": float("nan")}}, [],
+     "bad config section 'model': field 'null_logit' must be a finite number"),
+    ("train", {"model": {"null_logit": float("-inf")}}, [],
+     "bad config section 'model': field 'null_logit' must be a finite number"),
 ])
 def test_invalid_setting_is_json_error(tmp_path, capsys, command, config, flags, message):
     """A value out of its field's range fails before any work, from a flag or from the config file."""
@@ -447,3 +455,24 @@ def test_eval_trajectories_not_utf8_names_file_and_line(tmp_path, capsys):
     assert main(["eval", "--annotations", str(data / "annotations.json"), "--trajectories", str(traj)]) == 1
     error = _json_error(capsys)
     assert error.startswith(f"{traj}:3: not UTF-8 (") and "0xff" in error
+
+
+def test_train_loss_that_goes_non_finite_is_json_error(tmp_path, capsys):
+    data = _gen(tmp_path)
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps({"train": {"learning_rate": 1e300}}))
+    out = tmp_path / "o"
+    with pytest.warns(RuntimeWarning):  # numpy's overflow on the way
+        code = main(["train", "--config", str(cfg_path), "--data", str(data), "--iterations", "5", "--out", str(out)])
+    assert code == 1
+    assert _json_error(capsys) == "non-finite loss at iteration 1"
+    assert not out.exists()
+
+
+def test_config_not_utf8_names_the_file(tmp_path, capsys):
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_bytes(b'{"synth": {"frames": 8, "x": "\xff"}}')
+    assert main(["gen", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+    assert _json_error(capsys) == (f"bad config JSON in {cfg_path}: 'utf-8' codec can't decode byte 0xff "
+                                   "in position 30: invalid start byte")
+    assert not (tmp_path / "o").exists()

@@ -1,6 +1,9 @@
 """Stream/annotation/trajectory parsing, validation and round trips; checkpoints under any JSON."""
 
+import dataclasses
 import json
+import re
+import struct
 
 import numpy as np
 import pytest
@@ -31,6 +34,8 @@ from qtrack.data_io import (
     write_trajectories,
 )
 from qtrack.model import load_checkpoint
+
+import reference_readers
 
 HEADER = {"format": "qtrack-det/1", "d_q": 4, "video": "v"}
 
@@ -897,3 +902,224 @@ def test_parsers_name_the_file_for_an_integer_past_the_digit_limit(tmp_path, par
     path.write_text(text % ("9" * 5000))  # valid JSON that `json.loads` refuses with a bare ValueError
     with pytest.raises(DataFormatError, match="bad (record |header |checkpoint )?JSON"):
         parse(path)
+
+
+# ---------------------------------------------------------------------------
+# lines end at "\n" only
+
+
+LINE_BREAKS_JSON_ALLOWS = ["\u2028", "\u2029", "\u0085"]  # `str.splitlines` breaks at them; JSON takes them raw
+
+
+@pytest.mark.parametrize("char", LINE_BREAKS_JSON_ALLOWS)
+def test_stream_text_may_hold_a_raw_line_separator(tmp_path, char):
+    path = tmp_path / "s.jsonl"
+    rows = [HEADER, _record(text=f"a{char}b"), _record(frame=1, text="c")]
+    path.write_text("\n".join(json.dumps(row, ensure_ascii=False) for row in rows) + "\n", encoding="utf-8")
+    assert char in path.read_text(encoding="utf-8")
+    _, frames = parse_detection_stream(path)
+    assert [rec.text for frame in frames for rec in frame.records] == [f"a{char}b", "c"]
+
+
+@pytest.mark.parametrize("char", LINE_BREAKS_JSON_ALLOWS)
+def test_trajectory_text_may_hold_a_raw_line_separator(tmp_path, char):
+    path = tmp_path / "t.jsonl"
+    rows = [{"format": "qtrack-traj/1", "video": ""},
+            {"track": 1, "frame": 0, "box": [0, 0, 1, 1], "score": 0.5, "text": f"{char}x{char}"},
+            {"track": 1, "frame": 1, "box": [0, 0, 1, 1], "score": 0.5, "text": "y"}]
+    path.write_text("\n".join(json.dumps(row, ensure_ascii=False) for row in rows) + "\n", encoding="utf-8")
+    (track,) = read_trajectories(path)
+    assert track.texts == [f"{char}x{char}".strip(), "y"]
+
+
+def test_crlf_files_read_as_lf_files(tmp_path):
+    stream = [HEADER, _record(text="a"), _record(frame=2, poly=[[0, 0], [10, 0], [10, 10]])]
+    traj = [{"format": "qtrack-traj/1", "video": "v"}, {"track": 3, "frame": 0, "box": [0, 0, 1, 1], "score": 0.5}]
+    for name, rows, read in (("s", stream, parse_detection_stream), ("t", traj, read_trajectories)):
+        lf, crlf = tmp_path / f"{name}-lf.jsonl", tmp_path / f"{name}-crlf.jsonl"
+        lf.write_bytes(("\n".join(map(json.dumps, rows)) + "\n").encode())
+        crlf.write_bytes(("\r\n".join(map(json.dumps, rows)) + "\r\n").encode())
+        assert _canon(read(crlf)) == _canon(read(lf))
+
+
+def test_crlf_file_errors_name_the_same_line(tmp_path):
+    path = tmp_path / "s.jsonl"
+    path.write_bytes("\r\n".join([json.dumps(HEADER), json.dumps(_record()), "", json.dumps(_record(score=2))]).encode())
+    with pytest.raises(StreamFormatError) as err:
+        parse_detection_stream(path)
+    assert str(err.value) == f"{path}:4: field 'score' out of range [0,1] (2.0)"
+
+
+def test_not_utf8_line_is_counted_by_newlines(tmp_path):
+    path = tmp_path / "s.jsonl"
+    body = "\n".join(json.dumps(row, ensure_ascii=False) for row in [HEADER, _record(text="a b\u0085c"), _record()])
+    path.write_bytes(body.encode() + b"\n" + b'{"frame": \xff}\n')
+    with pytest.raises(StreamFormatError, match=rf"^{re.escape(str(path))}:4: not UTF-8 \("):
+        parse_detection_stream(path)
+
+
+# ---------------------------------------------------------------------------
+# the readers against their earlier selves, value for value and error for error
+
+
+def _canon(value):
+    """`value` as nested tuples that are equal only if the types, the float bits and the order are."""
+    if isinstance(value, np.ndarray):
+        return ("ndarray", value.dtype.str, value.shape, value.tobytes())
+    if dataclasses.is_dataclass(value):
+        return (type(value).__name__, *(_canon(getattr(value, f.name)) for f in dataclasses.fields(value)))
+    if isinstance(value, (list, tuple)):
+        return (type(value).__name__, *map(_canon, value))
+    if isinstance(value, dict):
+        return ("dict", *((_canon(k), _canon(v)) for k, v in value.items()))
+    if isinstance(value, float):
+        return (type(value).__name__, struct.pack("<d", value))
+    return (type(value).__name__, value)
+
+
+def _outcome(read, path):
+    try:
+        return "value", _canon(read(path))
+    except Exception as exc:  # noqa: BLE001 - any exception, its type and message compared
+        return "error", type(exc), str(exc)
+
+
+POLY14 = [[0, 0], [5, 0], [10, 0], [10, 2], [10, 4], [10, 6], [10, 8], [10, 10], [8, 10], [6, 10], [4, 10], [2, 10],
+          [0, 10], [0, 5]]
+DIFF_FILES = {
+    "stream": (parse_detection_stream, reference_readers.parse_detection_stream, [
+        {**HEADER, "canvas": [640, 480.5]},
+        _record(text=" ab "),
+        _record(box=[0.5, 1, 10.25, 12], score=1, query=[0.25, -1, 2.5e-3, 1e300]),
+        _record(frame=2, poly=SQUARE, text="c"),
+        _record(frame=3, box=[1.5, 0.5, 9.75, 10.5], score=0.0, query=[0.0, -0.0, 5e-324, 7]),
+    ]),
+    "trajectories": (read_trajectories, reference_readers.read_trajectories, [
+        {"format": "qtrack-traj/1", "video": "v"},
+        {"track": 2, "frame": 0, "box": [0, 0, 10, 10], "score": 0.9, "text": "ab"},
+        {"track": 1, "frame": 0, "box": [0.5, 0.5, 10.5, 10.5], "score": 0.25},
+        {"track": 2, "frame": 3, "box": [1, 1, 11, 11], "score": 1, "poly": SQUARE},
+        {"track": 1, "frame": 1, "box": [0.5, 0.5, 10.5, 10.5], "score": 0.5, "text": None},
+    ]),
+    "annotations": (parse_annotations, reference_readers.parse_annotations, {"video": "v", "tracks": [
+        {"id": 7, "frames": {"3": {"box": [0, 0, 10, 10], "text": " x "},
+                             "1": {"box": [0.5, 0, 10, 10.5], "box_type": "quadrilateral"}}},
+        {"id": -2, "category": "other",
+         "frames": {"0": {"box": [0, 0, 10, 10], "text": "ab", "box_type": "quadrilateral", "poly": SQUARE},
+                    "5": {"box": [0, 0, 10, 10], "box_type": "polygon", "poly": POLY14, "text": None}}},
+    ]}),
+}
+PADS = st.text(alphabet=" \t", max_size=3)
+
+
+@st.composite
+def edited_jsonl(draw, rows):
+    """`rows` as JSON lines (LF or CRLF), one truncated, padded, ended by CRLF or after a blank line, perhaps no last newline."""
+    lines = [json.dumps(row) for row in rows]
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    k = draw(st.integers(0, len(lines) - 1))
+    edit = draw(st.sampled_from(["none", "truncate", "pad", "blank"] + ["cr"] * (newline == "\n")))
+    if edit == "truncate":
+        lines[k] = lines[k][:draw(st.integers(0, len(lines[k])))]
+    elif edit == "pad":
+        lines[k] = draw(PADS) + lines[k] + draw(PADS)
+    elif edit == "blank":
+        lines.insert(k, draw(PADS))
+    elif edit == "cr":
+        lines[k] += "\r"  # one CRLF line in an LF file
+    return newline.join(lines) + draw(st.sampled_from([newline, ""]))
+
+
+def _node_paths(value, path=()):
+    """The path of every node of a JSON value, the root's first."""
+    yield path
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield from _node_paths(child, (*path, key))
+
+
+def _edited(value, path, edit):
+    """`value` with `edit` applied to the container that holds the node at `path`, copying only that branch."""
+    copy = dict(value) if isinstance(value, dict) else list(value)
+    if len(path) > 1:
+        copy[path[0]] = _edited(value[path[0]], path[1:], edit)
+    else:
+        edit(copy, path[0])
+    return copy
+
+
+NEAR_MISSES = [0, -1, 1, 2, 0.5, 1.5, -0.0, 10, 2**63, -2**63 - 1, 2**1024, 1e300, float("inf"), float("nan"), True,
+               "0.5", "", [], {}, None, [0, 0, 10, 10], [10, 0, 0, 10], [[0, 0], [1, 1]], "polygon", "other"]
+NEAR_MISS_KEYS = ["01", "-1", " 1", "+1", "1.0", "9223372036854775808", "frame", "box", "score", "poly", "x"]
+
+
+def _rename(container, key, new_key):
+    if isinstance(container, dict):
+        container[new_key] = container.pop(key)
+
+
+def _node(value, path):
+    for key in path:
+        value = value[key]
+    return value
+
+
+@st.composite
+def edited_files(draw):
+    """(kind, text): a valid file with up to three nodes under one drawn node replaced, deleted or renamed, then
+    its lines or text edited. Edits that meet in one record show which of its checks comes first."""
+    kind = draw(st.sampled_from(sorted(DIFF_FILES)))
+    content = DIFF_FILES[kind][2]
+    objects = [p for p in _node_paths(content) if isinstance(_node(content, p), dict)]  # records, tracks, entries
+    arrays = [p for p in _node_paths(content) if isinstance(_node(content, p), list)]
+    focus = draw(st.sampled_from(objects) | st.sampled_from(arrays))
+    for _ in range(draw(st.integers(0, 3))):
+        below = list(_node_paths(_node(content, focus)))[1:]
+        if not below:
+            break
+        children = [p for p in below if len(p) == 1]  # a record's fields, most often
+        path = (*focus, *draw(st.sampled_from(children) | st.sampled_from(below)))
+        op = draw(st.sampled_from(["replace", "replace", "delete", "rename"]))
+        if op == "replace":
+            new = draw(json_values | st.sampled_from(NEAR_MISSES))
+            content = _edited(content, path, lambda c, k: c.__setitem__(k, new))
+        elif op == "delete":
+            content = _edited(content, path, lambda c, k: c.__delitem__(k))
+        else:
+            new_key = draw(st.text(max_size=3) | st.sampled_from(NEAR_MISS_KEYS))
+            content = _edited(content, path, lambda c, k: _rename(c, k, new_key))
+    if kind != "annotations":
+        return kind, draw(edited_jsonl(content))
+    text = json.dumps(content, indent=draw(st.sampled_from([None, 1])))
+    if draw(st.integers(0, 4)) == 0:
+        text = text[:draw(st.integers(0, len(text)))]
+    return kind, draw(PADS) + text + draw(PADS)
+
+
+def _jsonl(*rows):
+    return "".join(json.dumps(row) + "\n" for row in rows)
+
+
+@settings(max_examples=1000)
+@given(edited_files())
+@example(("stream", _jsonl(HEADER, {"score": "x", "query": [1, 2]})))
+@example(("stream", _jsonl(HEADER, {**_record(score="x"), "box": None})))
+@example(("stream", _jsonl(HEADER, _record(box=[0, 0, 0, 1], score=2, query=[1]))))
+@example(("stream", _jsonl(HEADER, _record(query=[BIG, 1]))))
+@example(("stream", _jsonl(HEADER, _record(query=[float("inf")] * 3, poly=[[0, 0]]))))
+@example(("trajectories", _jsonl(TRAJ_HEADER, {"track": 1, "frame": 0, "box": [0, 0, 1, 1], "score": "x", "poly": 5})))
+@example(("annotations", json.dumps({"tracks": [{"id": 1, "frames": {"0": {"box": None}}}]})))
+@example(("annotations", json.dumps({"tracks": [{"id": 1, "frames": {"0": {"box": [0, 0, 1, 1], "box_type": "polygon",
+                                                                          "poly": [[0, 0]] * 4}}}]})))
+@example(("stream", '{"format": "qtrack-det/1", "d_q": 4}\n  \n{"frame": 0, "box": [0, 0, 1, 1]}\n'))
+@example(("stream", '{"format": "qtrack-det/1", "d_q": 4}\n{"frame": 0, "box": [0, 0, 1, 1], "score": 0.5, '
+                    '"query": [1, 2, 3, 1e999]} x\n'))
+@example(("trajectories", '{"format": "qtrack-traj/1"}\n {"track": 1, "frame": 0, "box": [0, 0, 1, 1], "score": 0.5}\n'))
+@example(("trajectories", '\ufeff{"format": "qtrack-traj/1"}\n'))
+@example(("annotations", '{"tracks": [{"id": 1, "frames": {"0": {"box": [0, 0, 1, 1], "box": 2}}}], "tracks": 1'))
+def test_readers_match_their_earlier_selves(tmp_path_factory, file):
+    kind, text = file
+    path = tmp_path_factory.mktemp(kind) / "f.json"
+    path.write_bytes(text.encode())
+    read, reference, _ = DIFF_FILES[kind]
+    assert _outcome(read, path) == _outcome(reference, path)

@@ -104,3 +104,65 @@ def test_classifier_initialization_reproduces_scores():
         q = rng.normal(size=5)
         expected = 1.0 / (1.0 + math.exp(-(q @ w + b)))
         assert rescore(_record(q), head) == pytest.approx(expected, abs=1e-15)
+
+
+@pytest.mark.parametrize("n", [1, 3, 8, 60, 200])
+@pytest.mark.parametrize("d_q", [2, 16, 32, 64])
+def test_stacked_logits_equal_per_record_dot_bitwise(n, d_q):
+    """`filter_instances` takes a frame's logits from one stacked product; they must be each `q @ w`, bit for bit."""
+    rng = np.random.default_rng(100 * n + d_q)
+    for scale in (1e-3, 1.0, 1e3):
+        queries, weight = rng.normal(size=(n, d_q)) * scale, rng.normal(size=d_q)
+        stacked = np.matmul(queries[:, None, :], weight[:, None]).ravel()
+        assert stacked.tobytes() == np.array([q @ weight for q in queries]).tobytes()
+
+
+def ref_filter_instances(frame, head, detect_threshold):
+    """The per-record filter, as it was before the frame's logits became one product."""
+    if not 0.0 <= detect_threshold <= 1.0:
+        raise ValueError(f"detect_threshold must be in [0,1], got {detect_threshold}")
+    kept = []
+    for record in frame.records:
+        inst = ScoredInstance.build(record, rescore(record, head))
+        if inst.fused_score >= detect_threshold:
+            kept.append(inst)
+    return kept
+
+
+def _fields(instances):
+    return [(id(i.record), np.float64(i.recomputed_score).tobytes(), np.float64(i.fused_score).tobytes())
+            for i in instances]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_filter_equals_per_record_reference(seed):
+    """Frames where the threshold drops some records and rescoring rescues others (c_o < threshold <= c_r)."""
+    rng = np.random.default_rng(seed)
+    d_q = int(rng.choice([2, 16, 32]))
+    head = RescoringHead(weight=rng.normal(size=d_q), bias=float(rng.normal()))
+    dropped = rescued = 0
+    for n in (0, 1, 5, 40):
+        scores = rng.choice([0.3, 0.5, 0.8, *rng.uniform(0, 1, size=5)], size=n)  # some exactly at a threshold
+        frame = DetectionFrame(seed, [_record(rng.normal(size=d_q), score=float(s)) for s in scores])
+        for threshold in (0.0, 0.3, 0.5, 0.8, 1.0):
+            got, want = filter_instances(frame, head, threshold), ref_filter_instances(frame, head, threshold)
+            assert _fields(got) == _fields(want)
+            dropped += n - len(got)
+            rescued += sum(i.record.score < threshold <= i.recomputed_score for i in got)
+    assert dropped and rescued
+
+
+@pytest.mark.parametrize("queries", [
+    [[0.0, 1.0], [1.0, 2.0, 3.0]],
+    [[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]],
+    [[0.0, 1.0], [[0.0, 1.0]]],
+    [[0.0, 1.0], 5.0],
+], ids=["one-longer", "all-longer", "one-2d", "one-scalar"])
+def test_filter_dimension_error_equals_per_record_reference(queries):
+    frame = DetectionFrame(0, [_record(q) for q in queries])
+    head = RescoringHead(weight=np.zeros(2))
+    with pytest.raises(ValueError) as want:
+        ref_filter_instances(frame, head, 0.5)
+    with pytest.raises(ValueError) as got:
+        filter_instances(frame, head, 0.5)
+    assert str(got.value) == str(want.value)
