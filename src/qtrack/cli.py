@@ -1,11 +1,13 @@
 """Command-line entry point: generate, train, track, evaluate, inspect.
 
-Configuration comes from an optional JSON file (sections "model",
-"synth", "tracker", "train", "loss") with command-line flags winning
-over file values. Every command that produces files echoes its
-effective configuration into the output directory so a run can be
-reproduced from its artifacts alone. Verbosity is controlled by the
-QTRACK_LOG environment variable (DEBUG, INFO, WARNING, ...).
+`gen`, `train` and `track` take an optional JSON config file (sections
+"model", "synth", "tracker", "train", "loss"), with command-line flags
+winning over file values. Each section is built and checked by its
+dataclass (`ModelConfig`, `SynthConfig`, `TrackerConfig`, `TrainConfig`,
+`LossConfig`), and so are the flags. Every command that produces files
+echoes its effective configuration into the output directory so a run
+can be reproduced from its artifacts alone. Verbosity is controlled by
+the QTRACK_LOG environment variable (DEBUG, INFO, WARNING, ...).
 """
 
 from __future__ import annotations
@@ -30,14 +32,11 @@ from .data_io import (
     write_trajectories,
 )
 from .metrics import EvalConfig, clear_mot
-from .model import VARIANTS, TrackerModel, load_checkpoint, save_checkpoint
+from .model import VARIANTS, ModelConfig, TrackerModel, load_checkpoint, save_checkpoint
 from .synth import SynthConfig, generate_sequence
 from .training import LossConfig, TrainConfig, Video, train
 
 log = logging.getLogger("qtrack.cli")
-
-MODEL_DEFAULTS = {"variant": "crossattn", "d_q": 16, "d_e": 32, "heads": 1,
-                  "temperature": 0.1, "null_logit": 0.0, "seed": 0}
 
 
 class CliError(Exception):
@@ -53,11 +52,12 @@ def _is_number(value) -> bool:
     return type(value) is float or (type(value) is int and abs(value) <= sys.float_info.max)
 
 
-def _section(config: dict, name: str, defaults: dict) -> dict:
-    """The section's values, each of its field's JSON type; strings are checked by the caller."""
+def _dataclass_section(config: dict, name: str, cls):
+    """The section as a `cls`: each value of its field's JSON type, then checked by `cls` (strings only there)."""
     raw = config.get(name, {})
     if not isinstance(raw, dict):
         raise CliError(f"config section {name!r} must be an object")
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
     unknown = set(raw) - set(defaults)
     if unknown:
         raise CliError(f"config section {name!r} has unknown keys: {sorted(unknown)}")
@@ -71,7 +71,13 @@ def _section(config: dict, name: str, defaults: dict) -> dict:
             ok = kind is str or type(value) is kind
         if not ok:
             raise CliError(f"bad config section {name!r}: field {key!r} must be {_KINDS[kind]}")
-    return dict(raw)
+    kwargs = dict(raw)
+    if name == "synth" and "canvas" in kwargs:
+        kwargs["canvas"] = tuple(kwargs["canvas"])
+    try:
+        return cls(**kwargs)
+    except (TypeError, ValueError) as exc:
+        raise CliError(f"bad config section {name!r}: {exc}") from None
 
 
 def _load_config(path: str | None) -> dict:
@@ -94,33 +100,9 @@ def _load_config(path: str | None) -> dict:
     return doc
 
 
-def _dataclass_section(config: dict, name: str, cls):
-    kwargs = _section(config, name, {f.name: f.default for f in dataclasses.fields(cls)})
-    if name == "synth" and "canvas" in kwargs:
-        kwargs["canvas"] = tuple(kwargs["canvas"])
-    try:
-        return cls(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise CliError(f"bad config section {name!r}: {exc}") from None
-
-
 def _override(cfg, **flags):
     """`cfg` with each flag that was given replacing its field, validated again."""
     return dataclasses.replace(cfg, **{k: v for k, v in flags.items() if v is not None})
-
-
-def _model_settings(config: dict, args) -> dict:
-    settings = dict(MODEL_DEFAULTS)
-    settings.update(_section(config, "model", MODEL_DEFAULTS))
-    if getattr(args, "variant", None) is not None:
-        settings["variant"] = args.variant
-    if getattr(args, "seed", None) is not None:
-        settings["seed"] = args.seed
-    if settings["variant"] not in VARIANTS:
-        raise CliError(f"variant must be one of {VARIANTS}, got {settings['variant']!r}")
-    if settings["seed"] < 0:
-        raise CliError("bad config section 'model': seed must be >= 0")
-    return settings
 
 
 def _echo_config(out_dir: Path, payload: dict) -> None:
@@ -153,44 +135,43 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _discover_videos(data_dir: str) -> list[Video]:
+def _discover_videos(data_dir: str) -> tuple[list[Video], int]:
+    """The stream/annotation pairs under `data_dir`, and the query dimension every stream header declares."""
     root = Path(data_dir)
     if not root.exists():
         raise CliError(f"data directory not found: {data_dir}")
     videos = []
+    first = None  # (path, d_q) of the first stream
     for stream_path in sorted(root.rglob("stream.jsonl")):
         ann_path = stream_path.parent / "annotations.json"
         if not ann_path.exists():
             raise CliError(f"{stream_path} has no sibling annotations.json")
         header, frames = parse_detection_stream(stream_path)
+        if first is None:
+            first = (stream_path, header.d_q)
+        elif header.d_q != first[1]:
+            raise CliError(f"{stream_path}: stream d_q {header.d_q} does not match d_q {first[1]} of {first[0]}")
         tracks = parse_annotations(ann_path)
         videos.append(
             Video(name=str(stream_path.parent), frames=frames, tracks=tracks, canvas=header.canvas)
         )
-    if not videos:
+    if first is None:
         raise CliError(f"no stream.jsonl found under {data_dir}")
-    return videos
+    return videos, first[1]
 
 
 def cmd_train(args) -> int:
     config = _load_config(args.config)
     train_cfg = _override(_dataclass_section(config, "train", TrainConfig), iterations=args.iterations, seed=args.seed)
     loss_cfg = _dataclass_section(config, "loss", LossConfig)
-    settings = _model_settings(config, args)
+    model_cfg = _override(_dataclass_section(config, "model", ModelConfig), variant=args.variant, seed=args.seed)
 
-    videos = _discover_videos(args.data)
-    first = next((rec for video in videos for frame in video.frames for rec in frame.records), None)
-    if first is not None:
-        settings["d_q"] = first.query.size
-
-    try:
-        model = TrackerModel.create(
-            variant=settings["variant"], d_q=settings["d_q"], d_e=settings["d_e"],
-            heads=settings["heads"], temperature=settings["temperature"],
-            null_logit=settings["null_logit"], seed=settings["seed"],
-        )
+    videos, d_q = _discover_videos(args.data)
+    try:  # the model's d_q is the data's
+        model_cfg = dataclasses.replace(model_cfg, d_q=d_q)
     except ValueError as exc:
         raise CliError(f"bad config section 'model': {exc}") from None
+    model = TrackerModel.create(**dataclasses.asdict(model_cfg))
     try:
         result = train(model, videos, train_cfg, loss_cfg)
     except FloatingPointError as exc:  # the loss diverged; its message names the iteration
@@ -204,7 +185,7 @@ def cmd_train(args) -> int:
             writer.writerow([i, repr(value)])
     _echo_config(out, {
         "command": "train",
-        "model": settings,
+        "model": dataclasses.asdict(model_cfg),
         "train": dataclasses.asdict(train_cfg),
         "loss": dataclasses.asdict(loss_cfg),
         "data": str(args.data),
@@ -310,17 +291,18 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qtrack", description="video text tracking pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def config_flag(p):
         p.add_argument("--config", help="JSON config file; flags override its values")
-        p.add_argument("--seed", type=int, help="seed override")
 
     p = sub.add_parser("gen", help="write a synthetic stream + annotations")
-    common(p)
+    config_flag(p)
+    p.add_argument("--seed", type=int, help="synth seed override")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("train", help="train a model on stream/annotation pairs")
-    common(p)
+    config_flag(p)
+    p.add_argument("--seed", type=int, help="seed override for training and model initialization")
     p.add_argument("--data", required=True, help="directory scanned for stream.jsonl + annotations.json")
     p.add_argument("--out", required=True)
     p.add_argument("--variant", choices=VARIANTS)
@@ -328,7 +310,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("track", help="run the tracker over a detection stream")
-    common(p)
+    config_flag(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--stream", required=True)
     p.add_argument("--out", required=True)
@@ -340,7 +322,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_track)
 
     p = sub.add_parser("eval", help="score trajectories against annotations")
-    common(p)
     p.add_argument("--annotations", required=True)
     p.add_argument("--trajectories", required=True)
     p.add_argument("--mode", choices=("tracking", "spotting"), default="tracking")
@@ -348,7 +329,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("stats", help="emit per-frame instance and text-length histograms")
-    common(p)
     p.add_argument("--annotations", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_stats)

@@ -53,10 +53,6 @@ __all__ = [
     "count_parameters",
 ]
 
-DEFAULT_TEMPERATURE = 0.1
-DEFAULT_NULL_LOGIT = 0.0
-
-
 class MatcherVariant(str, Enum):
     TRANSFORMER = "transformer"
     SIMILARITY = "similarity"
@@ -88,36 +84,29 @@ class MatcherParams:
     variant: MatcherVariant
     d_q: int
     d_e: int
-    heads: int = 1
-    temperature: float = DEFAULT_TEMPERATURE
-    null_logit: float = DEFAULT_NULL_LOGIT
+    heads: int
+    temperature: float
+    null_logit: float
     shared_ffn: FfnParams | None = None
     st: BranchParams | None = None
     lt: BranchParams | None = None
 
     @classmethod
-    def create(
-        cls,
-        variant: MatcherVariant,
-        d_q: int,
-        d_e: int,
-        heads: int = 1,
-        temperature: float = DEFAULT_TEMPERATURE,
-        null_logit: float = DEFAULT_NULL_LOGIT,
-        rng: np.random.Generator | None = None,
-    ) -> "MatcherParams":
-        variant = MatcherVariant(variant)
-        rng = rng if rng is not None else np.random.default_rng(0)
-        if variant is MatcherVariant.SIMILARITY:
-            # raw queries are the embeddings, so the two dims must agree
-            return cls(variant=variant, d_q=d_q, d_e=d_q, heads=heads, temperature=temperature, null_logit=null_logit)
+    def create(cls, config) -> "MatcherParams":
+        """Fresh weights for a checked `model.ModelConfig`, drawn from a generator seeded with its `seed`."""
+        variant = MatcherVariant(config.variant)
+        rng = np.random.default_rng(config.seed)
+        d_q, d_e, heads = config.d_q, config.d_e, config.heads
+        settings = (variant, d_q, d_e, heads, config.temperature, config.null_logit)
+        if variant is MatcherVariant.SIMILARITY:  # the raw queries are the embeddings
+            return cls(*settings)
         shared = FfnParams.create(d_q, d_e, d_e, rng)
         if variant is MatcherVariant.FFN:
-            return cls(variant, d_q, d_e, heads, temperature, null_logit, shared, None, None)
+            return cls(*settings, shared)
         if variant is MatcherVariant.CROSS_ATTN:
             st = BranchParams(attn=AttentionParams.create(d_e, heads, rng))
             lt = BranchParams(attn=AttentionParams.create(d_e, heads, rng))
-            return cls(variant, d_q, d_e, heads, temperature, null_logit, shared, st, lt)
+            return cls(*settings, shared, st, lt)
         st = BranchParams(
             encoder=TransformerLayerParams.create(d_e, heads, rng),
             decoder=TransformerLayerParams.create(d_e, heads, rng),
@@ -126,7 +115,7 @@ class MatcherParams:
             encoder=TransformerLayerParams.create(d_e, heads, rng),
             decoder=TransformerLayerParams.create(d_e, heads, rng),
         )
-        return cls(variant, d_q, d_e, heads, temperature, null_logit, shared, st, lt)
+        return cls(*settings, shared, st, lt)
 
     def branch(self, name: str) -> BranchParams | None:
         if name == "st":

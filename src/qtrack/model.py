@@ -1,17 +1,19 @@
 """Full trainable model: rescoring head plus matcher, with checkpoint round-trip.
 
-Checkpoints are a single JSON document: a header describing the
-architecture followed by one flat parameter array in declared order
-(rescoring weight, rescoring bias, shared FFN, ST branch, LT branch).
-Python's JSON float repr round-trips doubles exactly, so save/load is
-bit-exact. Loading checks every field before it builds the model, and a
-malformed file raises `DataFormatError` naming it.
+`ModelConfig` holds the model's settings, from the config file's `model`
+section or from a checkpoint's header, and is the one place they are
+defaulted and checked. Checkpoints are a single JSON document: a header
+describing the architecture followed by one flat parameter array in
+declared order (rescoring weight, rescoring bias, shared FFN, ST branch,
+LT branch). Python's JSON float repr round-trips doubles exactly, so
+save/load is bit-exact. Loading checks every field before it builds the
+model, and a malformed file raises `DataFormatError` naming it.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
-import math
 import sys
 from dataclasses import dataclass
 
@@ -19,13 +21,52 @@ import numpy as np
 
 from .autodiff import Tensor
 from .data_io import DataFormatError
-from .matcher import DEFAULT_NULL_LOGIT, DEFAULT_TEMPERATURE, MatcherParams, MatcherVariant, count_parameters
+from .matcher import MatcherParams, MatcherVariant, count_parameters
 from .rescoring import RescoringHead
 
-__all__ = ["TrackerModel", "save_checkpoint", "load_checkpoint"]
+__all__ = ["ModelConfig", "TrackerModel", "save_checkpoint", "load_checkpoint"]
 
 CHECKPOINT_FORMAT = "qtrack-model/1"
 VARIANTS = tuple(v.value for v in MatcherVariant)
+
+
+@dataclass
+class ModelConfig:
+    """The settings a model is built with, checked on construction.
+
+    A bad value raises `ValueError` worded as `load_checkpoint` reports a
+    bad header field. The checks apply to the model that will be built:
+    a similarity matcher embeds the raw queries, so its `d_e` is `d_q`.
+    """
+
+    variant: str = "crossattn"
+    d_q: int = 16
+    d_e: int = 32
+    heads: int = 1
+    temperature: float = 0.1
+    null_logit: float = 0.0
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        for key in ("d_q", "d_e", "heads"):
+            value = getattr(self, key)
+            if type(value) is not int or value < 1:
+                raise ValueError(f"field {key!r} must be a positive integer")
+        if self.variant == MatcherVariant.SIMILARITY:
+            self.d_e = self.d_q
+        if self.d_e % self.heads:
+            raise ValueError(f"heads {self.heads} do not divide d_e {self.d_e}")
+        if self.variant not in VARIANTS:
+            raise ValueError(f"field 'variant' must be one of {list(VARIANTS)}")
+        for key in ("temperature", "null_logit"):
+            value = getattr(self, key)
+            if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+                raise ValueError(f"field {key!r} must be a finite number")
+        if not self.temperature > 0:
+            raise ValueError("field 'temperature' must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+        self.temperature, self.null_logit = float(self.temperature), float(self.null_logit)
 
 
 @dataclass
@@ -35,35 +76,16 @@ class TrackerModel:
     matcher: MatcherParams
 
     @classmethod
-    def create(
-        cls,
-        variant: MatcherVariant | str,
-        d_q: int,
-        d_e: int = 32,
-        heads: int = 1,
-        temperature: float = DEFAULT_TEMPERATURE,
-        null_logit: float = DEFAULT_NULL_LOGIT,
-        seed: int = 0,
-    ) -> "TrackerModel":
-        """Fresh model; the rescoring head starts neutral (zero weight and bias).
+    def create(cls, variant: MatcherVariant | str, d_q: int, **settings) -> "TrackerModel":
+        """Fresh model; `settings` are the other `ModelConfig` fields, and a bad one raises its `ValueError`.
 
-        A temperature that is not a finite positive number, or a null logit
-        that is not finite, raises `ValueError` in `load_checkpoint`'s words.
+        The rescoring head starts neutral (zero weight and bias).
         """
-        for name, value in (("temperature", temperature), ("null_logit", null_logit)):
-            if not math.isfinite(value):
-                raise ValueError(f"field {name!r} must be a finite number")
-        if not temperature > 0:
-            raise ValueError("field 'temperature' must be positive")
-        rng = np.random.default_rng(seed)
-        matcher = MatcherParams.create(
-            MatcherVariant(variant), d_q=d_q, d_e=d_e, heads=heads,
-            temperature=temperature, null_logit=null_logit, rng=rng,
-        )
+        config = ModelConfig(variant, d_q, **settings)
         return cls(
-            rescore_weight=Tensor(np.zeros(d_q)),
+            rescore_weight=Tensor(np.zeros(config.d_q)),
             rescore_bias=Tensor(np.asarray(0.0)),
-            matcher=matcher,
+            matcher=MatcherParams.create(config),
         )
 
     @property
@@ -116,11 +138,12 @@ def load_checkpoint(path) -> TrackerModel:
         raise DataFormatError(f"{path}: bad checkpoint JSON ({exc})") from None
     if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise DataFormatError(f"{path}: not a {CHECKPOINT_FORMAT} checkpoint")
-    flat = _checked_params(path, doc)
-    model = TrackerModel.create(
-        variant=doc["variant"], d_q=doc["d_q"], d_e=doc["d_e"], heads=doc["heads"],
-        temperature=float(doc["temperature"]), null_logit=float(doc["null_logit"]),
-    )
+    try:
+        config = ModelConfig(*map(doc.get, ("variant", "d_q", "d_e", "heads", "temperature", "null_logit")))
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
+    flat = _checked_params(path, doc.get("params"), config)
+    model = TrackerModel.create(**dataclasses.asdict(config))
     if model.num_parameters() != flat.size:  # pragma: no cover - structural self-check
         raise AssertionError("parameter layout out of sync with count_parameters")
     offset = 0
@@ -131,29 +154,15 @@ def load_checkpoint(path) -> TrackerModel:
     return model
 
 
-def _checked_params(path, doc: dict) -> np.ndarray:
-    """The flat parameters, once every header field the model is built from has been checked."""
+def _checked_params(path, raw, config: ModelConfig) -> np.ndarray:
+    """The flat parameters, checked against the model `config` describes."""
     def bad(problem: str) -> DataFormatError:
         return DataFormatError(f"{path}: {problem}")
 
-    for key in ("d_q", "d_e", "heads"):
-        if type(doc.get(key)) is not int or doc[key] < 1:
-            raise bad(f"field {key!r} must be a positive integer")
-    if doc["d_e"] % doc["heads"]:
-        raise bad(f"heads {doc['heads']} do not divide d_e {doc['d_e']}")
-    if doc.get("variant") not in VARIANTS:
-        raise bad(f"field 'variant' must be one of {list(VARIANTS)}")
-    for key in ("temperature", "null_logit"):
-        value = doc.get(key)
-        if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
-            raise bad(f"field {key!r} must be a finite number")
-    if not doc["temperature"] > 0:
-        raise bad("field 'temperature' must be positive")
-    raw = doc.get("params")
     if type(raw) is not list or not {int, float}.issuperset(map(type, raw)):
         raise bad("field 'params' must be a list of numbers")
     # counted before any array is built, so a huge dimension allocates nothing
-    expected = count_parameters(doc["variant"], doc["d_q"], doc["d_e"], doc["heads"]) + doc["d_q"] + 1
+    expected = count_parameters(config.variant, config.d_q, config.d_e, config.heads) + config.d_q + 1
     if len(raw) != expected:
         raise bad(f"checkpoint carries {len(raw)} parameters, model needs {expected}")
     try:

@@ -1,9 +1,15 @@
 """End-to-end command-line behavior."""
 
+import contextlib
 import csv
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qtrack.cli import main
 from qtrack.data_io import (
@@ -13,7 +19,7 @@ from qtrack.data_io import (
     write_annotations,
 )
 from qtrack.matcher import MatcherVariant
-from qtrack.model import TrackerModel, save_checkpoint
+from qtrack.model import VARIANTS, TrackerModel, load_checkpoint, save_checkpoint
 
 
 def _gen(tmp_path, name="data", seed=0, frames=8, tracks=2, extra=None):
@@ -293,6 +299,13 @@ def test_config_value_of_wrong_type_is_json_error(tmp_path, capsys, command, con
      "bad config section 'model': field 'null_logit' must be a finite number"),
     ("train", {"model": {"null_logit": float("-inf")}}, [],
      "bad config section 'model': field 'null_logit' must be a finite number"),
+    ("train", {"model": {"heads": 0}}, [], "bad config section 'model': field 'heads' must be a positive integer"),
+    ("train", {"model": {"d_e": 0}}, [], "bad config section 'model': field 'd_e' must be a positive integer"),
+    ("train", {"model": {"heads": -1}}, [], "bad config section 'model': field 'heads' must be a positive integer"),
+    ("train", {"model": {"variant": "similarity", "heads": 3}}, [],
+     "bad config section 'model': heads 3 do not divide d_e 16"),
+    ("train", {"model": {"variant": "lstm"}}, [],
+     "bad config section 'model': field 'variant' must be one of ['transformer', 'similarity', 'ffn', 'crossattn']"),
 ])
 def test_invalid_setting_is_json_error(tmp_path, capsys, command, config, flags, message):
     """A value out of its field's range fails before any work, from a flag or from the config file."""
@@ -305,6 +318,73 @@ def test_invalid_setting_is_json_error(tmp_path, capsys, command, config, flags,
     assert main([command, "--config", str(cfg_path), *inputs[command], *flags, "--out", str(out)]) == 1
     assert _json_error(capsys) == message
     assert not out.exists()
+
+@pytest.fixture(scope="module")
+def small_data(tmp_path_factory):
+    """A training directory of 4-dimensional queries and one of 6-dimensional ones, by d_q."""
+    root = tmp_path_factory.mktemp("small")
+    return {d_q: _gen(root, f"d{d_q}", frames=4, tracks=2, extra={"d_q": d_q}) for d_q in (4, 6)}
+
+
+_MODEL_SECTIONS = st.fixed_dictionaries({}, optional={
+    "variant": st.sampled_from([*VARIANTS, "lstm"]),
+    "d_q": st.integers(-1, 8),
+    "d_e": st.integers(-1, 8),
+    "heads": st.integers(-1, 5),
+})
+
+
+@settings(max_examples=80, deadline=None)
+@example(data_d_q=6, section={"variant": "similarity", "heads": 4})  # 4 divides d_e 32, not the built d_e 6
+@example(data_d_q=4, section={"d_q": 6, "d_e": 6, "heads": 3})  # the section's d_q gives way to the data's
+@example(data_d_q=4, section={"heads": 0})
+@given(data_d_q=st.sampled_from([4, 6]), section=_MODEL_SECTIONS)
+def test_train_writes_only_checkpoints_that_load(small_data, data_d_q, section):
+    """Any `model` section either trains a model that `load_checkpoint` reads back, or is one JSON error line."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path, out = Path(tmp) / "c.json", Path(tmp) / "o"
+        cfg_path.write_text(json.dumps({"model": section, "train": {"iterations": 1, "clip_len": 2}}))
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main(["train", "--config", str(cfg_path), "--data", str(small_data[data_d_q]), "--out", str(out)])
+        if code == 0:
+            model = load_checkpoint(out / "model.json")
+            echoed = json.loads((out / "config.json").read_text())["model"]
+            assert model.variant == echoed["variant"] and model.d_q == echoed["d_q"] == data_d_q
+            assert (model.d_e, model.matcher.heads) == (echoed["d_e"], echoed["heads"])
+        else:
+            assert code == 1
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and set(json.loads(lines[0])) == {"error"}
+            assert not out.exists()
+
+
+def test_train_streams_that_declare_different_d_q_is_json_error(tmp_path, capsys):
+    root = tmp_path / "data"
+    root.mkdir()
+    _gen(root, "a", extra={"d_q": 8})
+    _gen(root, "b")
+    out = tmp_path / "o"
+    assert main(["train", "--data", str(root), "--out", str(out)]) == 1
+    a, b = root / "a" / "stream.jsonl", root / "b" / "stream.jsonl"
+    assert _json_error(capsys) == f"{b}: stream d_q 16 does not match d_q 8 of {a}"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["track", "--seed", "3", "--checkpoint", "m.json", "--stream", "s.jsonl", "--out", "o"],
+    ["eval", "--seed", "3", "--annotations", "a.json", "--trajectories", "t.jsonl"],
+    ["eval", "--config", "c.json", "--annotations", "a.json", "--trajectories", "t.jsonl"],
+    ["stats", "--seed", "3", "--annotations", "a.json", "--out", "o"],
+    ["stats", "--config", "nothere.json", "--annotations", "a.json", "--out", "o"],
+], ids=["track-seed", "eval-seed", "eval-config", "stats-seed", "stats-config"])
+def test_flag_the_command_does_not_read_is_rejected(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {argv[1]} {argv[2]}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
 
 def test_track_stream_box_not_a_list_is_json_error(tmp_path, capsys):
     data = _gen(tmp_path, frames=4, tracks=2, seed=8)

@@ -11,6 +11,7 @@ from qtrack.matcher import (
     embed_queries,
     matcher_forward,
 )
+from qtrack.model import ModelConfig
 from qtrack.numerics import ffn
 
 ALL_VARIANTS = list(MatcherVariant)
@@ -18,7 +19,7 @@ PARAMETRIC = [MatcherVariant.TRANSFORMER, MatcherVariant.FFN, MatcherVariant.CRO
 
 
 def _params(variant, d_q=6, d_e=6, seed=0, **kw):
-    return MatcherParams.create(variant, d_q=d_q, d_e=d_e, rng=np.random.default_rng(seed), **kw)
+    return MatcherParams.create(ModelConfig(variant, d_q=d_q, d_e=d_e, seed=seed, **kw))
 
 
 def _rows(rng, n, d):
