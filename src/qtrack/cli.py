@@ -52,8 +52,8 @@ def _is_number(value) -> bool:
     return type(value) is float or (type(value) is int and abs(value) <= sys.float_info.max)
 
 
-def _dataclass_section(config: dict, name: str, cls):
-    """The section as a `cls`: each value of its field's JSON type, then checked by `cls` (strings only there)."""
+def _section(config: dict, name: str, cls) -> dict:
+    """The section's values, each of its field's JSON type; their ranges are checked by `cls`."""
     raw = config.get(name, {})
     if not isinstance(raw, dict):
         raise CliError(f"config section {name!r} must be an object")
@@ -74,10 +74,20 @@ def _dataclass_section(config: dict, name: str, cls):
     kwargs = dict(raw)
     if name == "synth" and "canvas" in kwargs:
         kwargs["canvas"] = tuple(kwargs["canvas"])
+    return kwargs
+
+
+def _build(name: str, cls, kwargs: dict, **fields):
+    """`cls` built once from the section's `kwargs`, each given field in place of its value."""
+    kwargs = {**kwargs, **{k: v for k, v in fields.items() if v is not None}}
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:
         raise CliError(f"bad config section {name!r}: {exc}") from None
+
+
+def _dataclass_section(config: dict, name: str, cls):
+    return _build(name, cls, _section(config, name, cls))
 
 
 def _load_config(path: str | None) -> dict:
@@ -164,13 +174,11 @@ def cmd_train(args) -> int:
     config = _load_config(args.config)
     train_cfg = _override(_dataclass_section(config, "train", TrainConfig), iterations=args.iterations, seed=args.seed)
     loss_cfg = _dataclass_section(config, "loss", LossConfig)
-    model_cfg = _override(_dataclass_section(config, "model", ModelConfig), variant=args.variant, seed=args.seed)
+    model_section = _section(config, "model", ModelConfig)
 
     videos, d_q = _discover_videos(args.data)
-    try:  # the model's d_q is the data's
-        model_cfg = dataclasses.replace(model_cfg, d_q=d_q)
-    except ValueError as exc:
-        raise CliError(f"bad config section 'model': {exc}") from None
+    # Built once, with the flags and the data's d_q, so its checks see the model that is trained.
+    model_cfg = _build("model", ModelConfig, model_section, variant=args.variant, seed=args.seed, d_q=d_q)
     model = TrackerModel.create(**dataclasses.asdict(model_cfg))
     try:
         result = train(model, videos, train_cfg, loss_cfg)

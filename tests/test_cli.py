@@ -19,7 +19,7 @@ from qtrack.data_io import (
     write_annotations,
 )
 from qtrack.matcher import MatcherVariant
-from qtrack.model import VARIANTS, TrackerModel, load_checkpoint, save_checkpoint
+from qtrack.model import VARIANTS, ModelConfig, TrackerModel, load_checkpoint, save_checkpoint
 
 
 def _gen(tmp_path, name="data", seed=0, frames=8, tracks=2, extra=None):
@@ -335,27 +335,37 @@ _MODEL_SECTIONS = st.fixed_dictionaries({}, optional={
 
 
 @settings(max_examples=80, deadline=None)
-@example(data_d_q=6, section={"variant": "similarity", "heads": 4})  # 4 divides d_e 32, not the built d_e 6
-@example(data_d_q=4, section={"d_q": 6, "d_e": 6, "heads": 3})  # the section's d_q gives way to the data's
-@example(data_d_q=4, section={"heads": 0})
-@given(data_d_q=st.sampled_from([4, 6]), section=_MODEL_SECTIONS)
-def test_train_writes_only_checkpoints_that_load(small_data, data_d_q, section):
-    """Any `model` section either trains a model that `load_checkpoint` reads back, or is one JSON error line."""
+@example(data_d_q=6, section={"variant": "similarity", "heads": 4}, flag=None)  # 4 divides d_e 32, not the built d_e 6
+@example(data_d_q=6, section={"variant": "similarity", "heads": 3}, flag=None)  # 3 divides the built d_e 6, not 16
+@example(data_d_q=6, section={"heads": 3}, flag="similarity")  # 3 divides the built d_e 6, not 32
+@example(data_d_q=4, section={"variant": "similarity"}, flag="crossattn")  # d_e 32, not the default d_q 16
+@example(data_d_q=4, section={"variant": "similarity", "d_e": 8}, flag="crossattn")  # the section's d_e, not d_q
+@example(data_d_q=4, section={"d_q": 6, "d_e": 6, "heads": 3}, flag=None)  # the section's d_q gives way to the data's
+@example(data_d_q=4, section={"heads": 0}, flag=None)
+@given(data_d_q=st.sampled_from([4, 6]), section=_MODEL_SECTIONS, flag=st.sampled_from([None, *VARIANTS]))
+def test_train_writes_only_checkpoints_that_load(small_data, data_d_q, section, flag):
+    """A `model` section (and `--variant`) trains a model that `load_checkpoint` reads back exactly when its settings are valid."""
+    settings_ = {**section, "d_q": data_d_q, **({"variant": flag} if flag else {})}
+    variant = settings_.get("variant", "crossattn")
     with tempfile.TemporaryDirectory() as tmp:
         cfg_path, out = Path(tmp) / "c.json", Path(tmp) / "o"
         cfg_path.write_text(json.dumps({"model": section, "train": {"iterations": 1, "clip_len": 2}}))
+        flags = ["--variant", flag] if flag else []
         with contextlib.redirect_stderr(io.StringIO()) as err:
-            code = main(["train", "--config", str(cfg_path), "--data", str(small_data[data_d_q]), "--out", str(out)])
+            code = main(["train", "--config", str(cfg_path), "--data", str(small_data[data_d_q]), *flags, "--out", str(out)])
         if code == 0:
             model = load_checkpoint(out / "model.json")
             echoed = json.loads((out / "config.json").read_text())["model"]
-            assert model.variant == echoed["variant"] and model.d_q == echoed["d_q"] == data_d_q
-            assert (model.d_e, model.matcher.heads) == (echoed["d_e"], echoed["heads"])
+            assert model.variant == echoed["variant"] == variant and model.d_q == echoed["d_q"] == data_d_q
+            assert model.d_e == echoed["d_e"] == (data_d_q if variant == "similarity" else settings_.get("d_e", 32))
+            assert model.matcher.heads == echoed["heads"] == settings_.get("heads", 1)
         else:
             assert code == 1
             lines = err.getvalue().splitlines()
             assert len(lines) == 1 and set(json.loads(lines[0])) == {"error"}
             assert not out.exists()
+            with pytest.raises(ValueError):  # rejected only when the settings the model is built with are invalid
+                ModelConfig(**settings_)
 
 
 def test_train_streams_that_declare_different_d_q_is_json_error(tmp_path, capsys):
