@@ -115,16 +115,20 @@ def nms(instances: list[ScoredInstance], iou_threshold: float) -> list[ScoredIns
         return list(instances)
     boxes = box_array(inst.record.box for inst in instances)
     overlaps = iou_matrix(boxes, boxes) >= iou_threshold
-    np.fill_diagonal(overlaps, False)
+    overlaps.flat[::n + 1] = False  # the diagonal: a box does not suppress itself
     # A box that overlaps no other box is kept and suppresses nothing, so
     # only the others go through the greedy pass.
-    keep = ~overlaps.any(axis=1)
+    crowded = np.logical_or.reduce(overlaps, axis=1)
+    contested = crowded.nonzero()[0].tolist()
+    if not contested:
+        return list(instances)
+    keep = ~crowded
     suppressed = np.zeros(n, dtype=bool)
-    for i in sorted(np.flatnonzero(~keep).tolist(), key=lambda i: (-instances[i].fused_score, i)):
+    for i in sorted(contested, key=lambda i: (-instances[i].fused_score, i)):
         if not suppressed[i]:
             keep[i] = True
             suppressed |= overlaps[i]
-    return [inst for inst, k in zip(instances, keep) if k]
+    return [inst for inst, k in zip(instances, keep.tolist()) if k]
 
 
 def _greedy_matches(prob: np.ndarray, threshold: float) -> list[tuple[int, int, float]]:
@@ -135,7 +139,7 @@ def _greedy_matches(prob: np.ndarray, threshold: float) -> list[tuple[int, int, 
     outcome is deterministic.
     """
     flat = prob.ravel()
-    cand = np.flatnonzero(flat >= threshold)
+    cand = (flat >= threshold).nonzero()[0]
     cand = cand[np.argsort(-flat[cand], kind="stable")]
     n_rows, n_cols = prob.shape
     free_rows = [True] * n_rows
@@ -167,14 +171,14 @@ def associate_frame(
     if n == 0:
         return AssociationOutcome([], [], [], np.zeros((0, model.d_e)))
 
-    queries = np.stack([inst.record.query for inst in instances])
+    queries = np.array([inst.record.query for inst in instances])
     current = embed_queries(queries, model.matcher)
 
     st_matches: list[tuple[int, int, float]] = []
 
     # Stage 1: trajectories seen in the previous frame, through their row
     # from that frame.
-    prev = np.flatnonzero(bank.frame == frame_index - 1)
+    prev = (bank.frame == frame_index - 1).nonzero()[0]
     if len(prev):
         prev_tracks = bank.track[prev].tolist()
         _, st = matcher_forward(current, bank.embeddings[prev], model.matcher, branch="st")
@@ -193,7 +197,7 @@ def associate_frame(
         free = ~claimed[bank.track]
         track = bank.track[free]
         if len(track):
-            starts = np.flatnonzero(np.concatenate(([True], track[1:] != track[:-1])))
+            starts = np.concatenate(([True], track[1:] != track[:-1])).nonzero()[0]
             lt_tracks = track[starts].tolist()
             _, lt = matcher_forward(current[leftovers], bank.embeddings[free], model.matcher, branch="lt")
             per_track = np.maximum.reduceat(lt[:, :-1], starts, axis=1)

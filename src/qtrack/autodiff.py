@@ -20,6 +20,15 @@ op's forward is plain arithmetic (row softmax, unit rows, layer norm),
 it computes its value with the array op's function, so the two tables
 agree bit for bit by construction.
 
+Tracking runs the array table on a few rows per frame, where the cost
+is numpy's per-call overhead, not arithmetic. So the array ops call
+the ufunc reductions (``np.add.reduce``, ``np.maximum.reduce``) in
+place of the ``.sum`` / ``.max`` wrappers and do their arithmetic in
+place, by one rule: an ``ARRAY`` op writes in place only into arrays it
+allocated itself, never into its arguments. The tape shares these
+functions and keeps the intermediates they return for its backward
+pass, so an op does not modify an array once it has returned it.
+
 Training's cost is mostly per-node bookkeeping, not arithmetic, so the
 tape records as few nodes as the gradients' bits allow. A linear layer
 is one ``linear`` node, not a product node and a bias node; a
@@ -233,7 +242,7 @@ def linear(x, w, b) -> Tensor:
         _accum(w, x.value.T @ g)
         _accum(b, _unbroadcast(g, b.value.shape))
 
-    return Tensor(x.value @ w.value + b.value, (x, w, b), bw)
+    return Tensor(_affine(x.value, w.value, b.value), (x, w, b), bw)
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -403,20 +412,28 @@ def take_cols(a: Tensor, start: int, stop: int) -> Tensor:
     return Tensor(out, (a,), bw)
 
 
+def _tape_scores_with_null(sims: Tensor, scale: float, null_logit: float) -> Tensor:
+    """`sims * scale` joined to a constant `null_logit` column: a product, a constant and a concatenation node."""
+    return concat_cols([sims * scale, Tensor(np.full((sims.shape[0], 1), null_logit))])
+
+
 # ---------------------------------------------------------------------------
 # plain-array forwards and the two op tables
 
 
 def _softmax_rows(a: np.ndarray) -> np.ndarray:
-    e = np.exp(a - a.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
+    e = a - np.maximum.reduce(a, axis=1, keepdims=True)
+    np.exp(e, out=e)
+    e /= np.add.reduce(e, axis=1, keepdims=True)
+    return e
 
 
 def _unit_rows_or_zero(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(rows scaled to unit L2 norm, the norms); a zero row is divided by inf, so it and its gradient stay 0."""
     # `np.linalg.norm(a, axis=1)` of a real array is this reduction.
-    n = np.sqrt(np.add.reduce(a * a, axis=1, keepdims=True))
-    n = np.where(n != 0.0, n, np.inf)
+    n = np.add.reduce(a * a, axis=1, keepdims=True)
+    np.sqrt(n, out=n)
+    n[n == 0.0] = np.inf
     return a / n, n
 
 
@@ -424,10 +441,33 @@ def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> tuple[np.n
     """(output, normalized rows, 1 / row std) of layer norm, with 1e-8 added to the variance."""
     # `sum / d` is numpy's own `mean`, minus its dispatch overhead.
     d = x.shape[1]
-    xc = x - x.sum(axis=1, keepdims=True) / d
-    inv = 1.0 / np.sqrt((xc * xc).sum(axis=1, keepdims=True) / d + 1e-8)
-    y = xc * inv
-    return y * gain + bias, y, inv
+    mean = np.add.reduce(x, axis=1, keepdims=True)
+    mean /= d
+    y = x - mean
+    inv = np.add.reduce(y * y, axis=1, keepdims=True)
+    inv /= d
+    inv += 1e-8
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    y *= inv
+    out = y * gain
+    out += bias
+    return out, y, inv
+
+
+def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    out = x @ w
+    out += b
+    return out
+
+
+def _scores_with_null(sims: np.ndarray, scale: float, null_logit: float) -> np.ndarray:
+    """`sims * scale` with a constant column of `null_logit` appended, written into one array."""
+    n, m = sims.shape
+    out = np.empty((n, m + 1))
+    np.multiply(sims, scale, out=out[:, :m])
+    out[:, m] = null_logit
+    return out
 
 
 # The ops a block calls besides `@`, `+`, `*` and `.T`. `linear` and
@@ -435,13 +475,14 @@ def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> tuple[np.n
 # them themselves, so the array table pays no per-weight call.
 ARRAY = SimpleNamespace(
     const=lambda value: value,
-    linear=lambda x, w, b: x @ w.value + b.value,
+    linear=lambda x, w, b: _affine(x, w.value, b.value),
     relu=lambda a: a * (a > 0),
     softmax_rows=_softmax_rows,
     layer_norm=lambda x, ln: _layer_norm(x, ln.gain.value, ln.bias.value)[0],
     cols=lambda a, start, stop: a[:, start:stop],
     concat_cols=lambda parts: np.concatenate(parts, axis=1),
     unit_rows_or_zero=lambda a: _unit_rows_or_zero(a)[0],
+    scores_with_null=_scores_with_null,
 )
 TAPE = SimpleNamespace(
     const=Tensor,
@@ -452,4 +493,5 @@ TAPE = SimpleNamespace(
     cols=lambda a, start, stop: a if start == 0 and stop == a.shape[1] else take_cols(a, start, stop),
     concat_cols=concat_cols,
     unit_rows_or_zero=l2_normalize_rows_or_zero,
+    scores_with_null=_tape_scores_with_null,
 )

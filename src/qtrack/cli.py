@@ -295,8 +295,18 @@ def cmd_stats(args) -> int:
 # argument plumbing
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors raise `CliError`, so they end, like bad input, in one JSON line and exit code 1.
+
+    Subcommand parsers are made with the parent's class, so they raise too.
+    """
+
+    def error(self, message):
+        raise CliError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="qtrack", description="video text tracking pipeline")
+    parser = _Parser(prog="qtrack", description="video text tracking pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def config_flag(p):
@@ -346,9 +356,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     level = os.environ.get("QTRACK_LOG", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING), format="%(name)s %(levelname)s %(message)s")
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except (CliError, DataFormatError, ValueError, OSError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)

@@ -110,11 +110,13 @@ def iou_matrix(a, b) -> np.ndarray:
     """Pairwise IoU of (n, 4) and (m, 4) box arrays as an (n, m) matrix.
 
     Inputs are cast to float64 first, as the parsers cast box values.
-    Either side may have 0 rows.
+    Either side may have 0 rows. Passing the same array as both sides
+    (as NMS does) casts it and takes its areas once.
     """
+    same = b is a
     a = np.asarray(a, dtype=np.float64).reshape(-1, 4)
-    b = np.asarray(b, dtype=np.float64).reshape(-1, 4)
-    return _iou_columns(*(a[:, k, None] for k in range(4)), *b.T)
+    b = a if same else np.asarray(b, dtype=np.float64).reshape(-1, 4)
+    return _iou_columns(*(a[:, k, None] for k in range(4)), *b.T, same=same)
 
 
 def iou_pairs(a, b) -> np.ndarray:
@@ -122,21 +124,27 @@ def iou_pairs(a, b) -> np.ndarray:
     return _iou_columns(*a.T, *b.T)
 
 
-def _iou_columns(ax0, ay0, ax1, ay1, bx0, by0, bx1, by1) -> np.ndarray:
+def _iou_columns(ax0, ay0, ax1, ay1, bx0, by0, bx1, by1, same: bool = False) -> np.ndarray:
     """The one IoU kernel, on corner columns that broadcast against each other.
 
     Repeats the float operations of `iou` in the same order, so every
-    value equals the scalar result bit for bit.
+    value equals the scalar result bit for bit. With `same`, the `a`
+    corners are the `b` corners as one column each, so both sides share
+    one area computation.
     """
-    ix = np.minimum(ax1, bx1) - np.maximum(ax0, bx0)
-    iy = np.minimum(ay1, by1) - np.maximum(ay0, by0)
-    area_a = np.maximum(0.0, ax1 - ax0) * np.maximum(0.0, ay1 - ay0)
+    ix = np.minimum(ax1, bx1)
+    ix -= np.maximum(ax0, bx0)
+    iy = np.minimum(ay1, by1)
+    iy -= np.maximum(ay0, by0)
     area_b = np.maximum(0.0, bx1 - bx0) * np.maximum(0.0, by1 - by0)
+    area_a = area_b[:, None] if same else np.maximum(0.0, ax1 - ax0) * np.maximum(0.0, ay1 - ay0)
     # 0 unless both extents are positive and their product does not underflow
-    inter = np.maximum(ix, 0.0) * np.maximum(iy, 0.0)
-    hit = inter > 0.0
+    inter = np.maximum(ix, 0.0, out=ix)
+    inter *= np.maximum(iy, 0.0, out=iy)
+    union = area_a + area_b
+    union -= inter
     out = np.zeros(inter.shape)
-    np.divide(inter, area_a + area_b - inter, out=out, where=hit)
+    np.divide(inter, union, out=out, where=inter > 0.0)
     return out
 
 

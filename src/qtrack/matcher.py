@@ -187,9 +187,7 @@ def association(o, current, history, params: MatcherParams, branch: str):
     else:  # pragma: no cover - enum is closed
         raise ValueError(f"unknown variant {variant}")
 
-    scaled = sims * (1.0 / params.temperature)
-    null = o.const(np.full((n_cur, 1), params.null_logit))
-    scores = o.concat_cols([scaled, null])
+    scores = o.scores_with_null(sims, 1.0 / params.temperature, params.null_logit)
     return scores, o.softmax_rows(scores)
 
 

@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import logging
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -98,10 +100,24 @@ class MatchResult:
 
 @dataclass
 class Video:
+    """One training video: its detection stream, its ground truth and the canvas that scales its boxes.
+
+    Its tracks are indexed by frame on first use, so they must not change after the first clip is built.
+    """
+
     name: str
     frames: list[DetectionFrame]
     tracks: list[GroundTruthTrack]
     canvas: tuple[float, float] | None = None
+
+    @cached_property
+    def present_tracks(self) -> dict[int, list[GroundTruthTrack]]:
+        """Frame index -> the tracks present in that frame, in track order; built on first use."""
+        index = defaultdict(list)
+        for tr in self.tracks:
+            for f in tr.frames:
+                index[f].append(tr)
+        return index
 
 
 @dataclass
@@ -341,11 +357,8 @@ def build_clip(video: Video, start: int, length: int) -> list[ClipFrame]:
     clip = []
     for frame in frames:
         boxes = box_array(r.box for r in frame.records)
-        gt_map = {
-            tr.track_id: tr.frames[frame.frame_index].box
-            for tr in video.tracks
-            if frame.frame_index in tr.frames
-        }
+        t = frame.frame_index
+        gt_map = {tr.track_id: tr.frames[t].box for tr in video.present_tracks.get(t, ())}
         assignments = {
             k: i for k, i in assign_targets(boxes, gt_map).items() if i is not None
         }

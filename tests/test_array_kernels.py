@@ -9,7 +9,10 @@ once built from. The reference association runs the matcher through the
 autodiff tape, so the same streams also hold the plain-array inference
 forward to the tape bit for bit. The streams are seeded and small; the
 grid covers every matcher variant, the long-term stage on and off, and
-forced ties.
+forced ties. Since the tape takes its values from the array ops, the
+plain-array forward is also held to `reference_matcher`, the ops frozen
+as they were before they wrote into their own temporaries, which
+catches a drift both tables share.
 """
 
 import struct
@@ -21,6 +24,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
+import reference_matcher
 from qtrack.association import (
     AssociationOutcome,
     MemoryBank,
@@ -614,6 +618,41 @@ def test_nms_equals_reference(corners_scores, threshold):
     assert [id(k) for k in nms(instances, threshold)] == [id(k) for k in ref_nms(instances, threshold)]
 
 
+@st.composite
+def crowded_frames(draw):
+    """Boxes built from earlier ones: duplicates, boxes nested inside them and boxes touching their right edge."""
+    boxes = []
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.sampled_from(["fresh", "duplicate", "nested", "touching"]) if boxes else st.just("fresh"))
+        if kind == "fresh":
+            x, y = draw(st.integers(0, 12)), draw(st.integers(0, 12))
+            boxes.append((x, y, x + draw(st.integers(0, 8)), y + draw(st.integers(0, 8))))
+            continue
+        x0, y0, x1, y1 = draw(st.sampled_from(boxes))
+        if kind == "duplicate":
+            boxes.append((x0, y0, x1, y1))
+        elif kind == "nested":
+            inset = draw(st.sampled_from([0.0, 0.25, 0.5, 1.0]))
+            boxes.append((x0 + inset, y0 + inset, max(x0 + inset, x1 - inset), max(y0 + inset, y1 - inset)))
+        else:
+            boxes.append((x1, y0, x1 + draw(st.integers(0, 8)), y1))
+    scores = draw(st.lists(st.sampled_from([0.2, 0.5, 0.9]), min_size=len(boxes), max_size=len(boxes)))
+    return boxes, scores
+
+
+@settings(max_examples=300)
+@given(crowded_frames(), st.sampled_from([0.3, 0.5, 1.0]))
+def test_nms_drops_as_scalar_greedy_reference(frame, threshold):
+    boxes, scores = frame
+    same = box_array(boxes)
+    m = iou_matrix(same, same)
+    assert m.shape == (len(boxes), len(boxes))
+    assert [[_bits(float(v)) for v in row] for row in m.tolist()] == [[_bits(float(iou(a, b))) for b in boxes] for a in boxes]
+    instances = [ScoredInstance(record=DetectionRecord(0, np.zeros(2), box, score), recomputed_score=score,
+                                fused_score=score) for box, score in zip(boxes, scores)]
+    assert [id(k) for k in nms(instances, threshold)] == [id(k) for k in ref_nms(instances, threshold)]
+
+
 @settings(max_examples=200)
 @given(st.data())
 def test_greedy_matches_equal_reference_under_ties(data):
@@ -765,6 +804,8 @@ def _loss_clips(seed: int, canvas: bool):
         del tr.frames[5]  # records but no ground truth: every record a negative
     frames[6].records = frames[6].records[:1]  # fewer records than ground truths
     frames[8].records = []  # and no assigned track at the last frame
+    # a video indexes its tracks by frame on first use, so changed tracks make a new video
+    video = Video(video.name, frames, gts, video.canvas)
     clips.append(build_clip(video, 0, 9))
     cases = set()
     for clip in clips:
@@ -923,6 +964,39 @@ def test_plain_matcher_equals_tape_bitwise(variant, heads, branch, shape):
     assert scores.shape == probs.shape == (n_cur, n_hist + 1)
     assert np.array_equal(scores, ref_scores.value)
     assert np.array_equal(probs, ref_probs.value)
+
+
+def _bytes(a: np.ndarray) -> tuple:
+    return a.shape, a.dtype, a.tobytes()
+
+
+zero_rows = st.sets(st.integers(0, 90), max_size=3)
+
+
+@settings(max_examples=150)
+@given(st.sampled_from(list(MatcherVariant)), st.sampled_from([1, 2, 4]), st.sampled_from(["st", "lt"]),
+       st.integers(0, 6), st.integers(0, 90), zero_rows, zero_rows, st.sampled_from([0.0, -0.0]),
+       st.sampled_from([1e-3, 1.0, 1e3]), st.integers(0, 2**32 - 1))
+# one current row: the products take BLAS's matrix-vector path
+@example(MatcherVariant.TRANSFORMER, 2, "st", 1, 7, {0}, {3}, -0.0, 1.0, 0)
+def test_array_matcher_equals_frozen_reference_bitwise(variant, heads, branch, n_cur, n_hist,
+                                                       zero_cur, zero_hist, zero, scale, seed):
+    params = TrackerModel.create(variant, d_q=8, d_e=8, heads=heads, seed=3).matcher
+    rng = np.random.default_rng(seed)
+    for t in params.tensors():  # non-trivial biases and layer-norm gains too
+        t.value[...] = rng.normal(scale=0.5, size=t.shape)
+    queries = rng.normal(size=(n_cur, 8))
+    current = rng.normal(scale=scale, size=(n_cur, 8))
+    history = rng.normal(size=(n_hist, 8))
+    current[[i for i in zero_cur if i < n_cur]] = zero
+    history[[i for i in zero_hist if i < n_hist]] = zero
+    given_bytes = [_bytes(x) for x in (queries, current, history)]
+
+    assert _bytes(embed_queries(queries, params)) == _bytes(reference_matcher.embed_queries(queries, params))
+    got = matcher_forward(current, history, params, branch=branch)
+    want = reference_matcher.matcher_forward(current, history, params, branch=branch)
+    assert [_bytes(x) for x in got] == [_bytes(x) for x in want]
+    assert [_bytes(x) for x in (queries, current, history)] == given_bytes
 
 
 def test_tracking_builds_no_tensor(monkeypatch):

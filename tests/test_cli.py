@@ -389,11 +389,32 @@ def test_train_streams_that_declare_different_d_q_is_json_error(tmp_path, capsys
 ], ids=["track-seed", "eval-seed", "eval-config", "stats-seed", "stats-config"])
 def test_flag_the_command_does_not_read_is_rejected(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
-    assert f"unrecognized arguments: {argv[1]} {argv[2]}" in capsys.readouterr().err
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == f"qtrack: unrecognized arguments: {argv[1]} {argv[2]}"
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "qtrack: the following arguments are required: command"),
+    (["track", "--out", "o"], "qtrack track: the following arguments are required: --checkpoint, --stream"),
+    (["gen", "--seed", "abc", "--out", "o"], "qtrack gen: argument --seed: invalid int value: 'abc'"),
+], ids=["no-command", "missing-flag", "bad-int"])
+def test_usage_error_is_json_error(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == message
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["track", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: qtrack track")
 
 
 def test_track_stream_box_not_a_list_is_json_error(tmp_path, capsys):
