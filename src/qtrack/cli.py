@@ -177,6 +177,8 @@ def cmd_train(args) -> int:
     model_section = _section(config, "model", ModelConfig)
 
     videos, d_q = _discover_videos(args.data)
+    if model_section.get("d_q", d_q) != d_q:
+        raise CliError(f"bad config section 'model': d_q {model_section['d_q']} does not match the streams' d_q {d_q}")
     # Built once, with the flags and the data's d_q, so its checks see the model that is trained.
     model_cfg = _build("model", ModelConfig, model_section, variant=args.variant, seed=args.seed, d_q=d_q)
     model = TrackerModel.create(**dataclasses.asdict(model_cfg))

@@ -603,7 +603,10 @@ def write_trajectories(tracks: list[TrajectoryOutput], path, video: str = "") ->
             line = (f'{{"track": {tr.track_id}, "frame": {f}, '
                     f'"box": [{x0!r}, {y0!r}, {x1!r}, {y1!r}], "score": {s!r}')
             if poly is not None:
-                line += ', "poly": [' + ", ".join([f"[{x!r}, {y!r}]" for x, y in poly]) + "]"
+                try:  # float.__repr__ spells a float subclass such as np.float64 as a float, and takes nothing else
+                    line += ', "poly": [' + ", ".join([f"[{_repr(x)}, {_repr(y)}]" for x, y in poly]) + "]"
+                except TypeError:  # an int: the encoder's own spelling, which `_json_floats` leaves as it is
+                    line += ', "poly": ' + json.dumps([[x, y] for x, y in poly])
             line = _json_floats(line)  # the text, which may hold "inf", comes after
             if text is not None:
                 line += ', "text": ' + encode_basestring_ascii(text)

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
+from operator import itemgetter
 
 import numpy as np
 
@@ -25,16 +27,33 @@ from .data_io import (
     GroundTruthTrack,
     StreamHeader,
     box_array,
-    iou_matrix,
 )
+from .metrics import _hit_mask
 
 __all__ = ["SynthConfig", "generate_sequence", "degrade_scores"]
 
 TEXT_DIRECTION_WEIGHT = 0.55  # share of each latent along the common text axis
+MAX_CANVAS_SIDE = 2.0**52  # the largest canvas side on which no box degenerates; see `SynthConfig`
 
 
 @dataclass
 class SynthConfig:
+    """A synthetic video's settings, checked on construction.
+
+    A canvas side is at most MAX_CANVAS_SIDE = 2**52, so that every box
+    keeps a positive width and height. Proof: a box is a center c plus
+    and minus a half-extent e, with 7.5 <= e <= 45 (half the smallest
+    clutter height, half the largest track width). Every center lies in
+    [0, side], up to rounding, so |c +- e| < 2**53, where the float
+    spacing is at most 1 and rounding moves each corner by at most 0.5.
+    The two corners thus differ by at least 2e - 1 >= 14, and their
+    float difference is a positive extent of at most 2e + 1 <= 91. The
+    product of two such extents neither underflows nor overflows, so
+    the IoU of a box with itself is exactly 1.0: the union 2A - A is A
+    again. On a side near 1e20 the spacing is 16384, and both corners
+    of a box round to one float.
+    """
+
     frames: int = 30
     canvas: tuple[float, float] = (640.0, 480.0)
     tracks: int = 3
@@ -61,12 +80,14 @@ class SynthConfig:
             raise ValueError("noise_sigma and fp_rate must be nonnegative")
         if not (len(self.canvas) == 2 and all(0 < c < math.inf for c in self.canvas)):
             raise ValueError(f"canvas must be two finite positive numbers, got {list(self.canvas)}")
+        if max(self.canvas) > MAX_CANVAS_SIDE:
+            raise ValueError(f"canvas sides must be at most 2**52, got {list(self.canvas)}")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
-    return v / np.linalg.norm(v)
+    return v / math.sqrt(v.dot(v))  # what `np.linalg.norm` computes for a 1-D real vector, without its wrapper
 
 
 def _track_latent(rng: np.random.Generator, d_q: int) -> np.ndarray:
@@ -83,70 +104,72 @@ def _clutter_latent(rng: np.random.Generator, d_q: int) -> np.ndarray:
 
 
 def generate_sequence(cfg: SynthConfig) -> tuple[StreamHeader, list[DetectionFrame], list[GroundTruthTrack]]:
-    """One synthetic video: header, per-frame detections and ground-truth tracks."""
+    """One synthetic video: header, per-frame detections and ground-truth tracks.
+
+    Every value is a draw of one seeded generator, taken in a fixed
+    order: per track its latent, size and start; then per frame, per
+    track, its step, miss, query noise and score, then the clutter. The
+    crushed scores are drawn last, from a second generator on
+    `seed + 1`. The arithmetic on the draws is float arithmetic in a
+    fixed order, so a seed gives the same bytes on every run.
+    """
     rng = np.random.default_rng(cfg.seed)
     w, h = cfg.canvas
+    degrade = cfg.degrade_fraction > 0
 
     latents = [_track_latent(rng, cfg.d_q) for _ in range(cfg.tracks)]
-    sizes = [(rng.uniform(40.0, 90.0), rng.uniform(20.0, 50.0)) for _ in range(cfg.tracks)]
-    centers = [
-        np.array([rng.uniform(0.15 * w, 0.85 * w), rng.uniform(0.15 * h, 0.85 * h)])
-        for _ in range(cfg.tracks)
-    ]
+    halves = [(rng.uniform(40.0, 90.0) / 2, rng.uniform(20.0, 50.0) / 2) for _ in range(cfg.tracks)]
+    centers = [(rng.uniform(0.15 * w, 0.85 * w), rng.uniform(0.15 * h, 0.85 * h)) for _ in range(cfg.tracks)]
 
     tracks = [
         GroundTruthTrack(track_id=k + 1, category="alphanumeric") for k in range(cfg.tracks)
     ]
+    texts = [f"WORD{k + 1}" for k in range(cfg.tracks)]
     frames: list[DetectionFrame] = []
+    boxes: list[Box] = []  # the ground truth, frame by frame
+    # The records that may overlap ground truth, in stream order: a true
+    # detection's box is its own ground-truth box, with an IoU of exactly
+    # 1.0 (`SynthConfig`), so only the clutter at `clutter` is tested.
+    candidates: list[DetectionRecord] = []
+    clutter: list[int] = []
     for t in range(cfg.frames):
-        frame = DetectionFrame(frame_index=t)
+        records: list[DetectionRecord] = []
         for k in range(cfg.tracks):
-            bw, bh = sizes[k]
+            (cx, cy), (ex, ey) = centers[k], halves[k]
             if t > 0:
-                centers[k] = centers[k] + rng.uniform(-cfg.step, cfg.step, size=2)
+                dx, dy = rng.uniform(-cfg.step, cfg.step, size=2).tolist()
                 # reflect so the box stays fully inside the canvas
-                centers[k][0] = _reflect(centers[k][0], bw / 2, w - bw / 2)
-                centers[k][1] = _reflect(centers[k][1], bh / 2, h - bh / 2)
-            box = (
-                centers[k][0] - bw / 2,
-                centers[k][1] - bh / 2,
-                centers[k][0] + bw / 2,
-                centers[k][1] + bh / 2,
-            )
-            text = f"WORD{k + 1}"
-            tracks[k].frames[t] = GroundTruthEntry(box=box, text=text)
+                cx, cy = centers[k] = _reflect(cx + dx, ex, w - ex), _reflect(cy + dy, ey, h - ey)
+            box = (cx - ex, cy - ey, cx + ex, cy + ey)
+            boxes.append(box)
+            tracks[k].frames[t] = GroundTruthEntry(box=box, text=texts[k])
             if rng.random() < cfg.miss_prob:
                 continue
             if cfg.noise_sigma > 0:
                 query = _unit(latents[k] + rng.normal(scale=cfg.noise_sigma, size=cfg.d_q))
             else:
                 query = latents[k].copy()
-            frame.records.append(
-                DetectionRecord(
-                    frame_index=t,
-                    query=query,
-                    box=box,
-                    score=float(rng.uniform(0.7, 1.0)),
-                    text=text,
-                )
-            )
+            records.append(DetectionRecord(t, query, box, rng.uniform(0.7, 1.0), text=texts[k]))
+        if degrade:
+            candidates += records
         for _ in range(int(rng.poisson(cfg.fp_rate))):
             fw, fh = rng.uniform(30.0, 80.0), rng.uniform(15.0, 40.0)
             cx, cy = rng.uniform(fw / 2, w - fw / 2), rng.uniform(fh / 2, h - fh / 2)
-            frame.records.append(
-                DetectionRecord(
-                    frame_index=t,
-                    query=_clutter_latent(rng, cfg.d_q),
-                    box=(cx - fw / 2, cy - fh / 2, cx + fw / 2, cy + fh / 2),
-                    score=float(rng.uniform(0.3, 0.7)),
-                )
-            )
-        frames.append(frame)
+            box = (cx - fw / 2, cy - fh / 2, cx + fw / 2, cy + fh / 2)
+            records.append(DetectionRecord(t, _clutter_latent(rng, cfg.d_q), box, rng.uniform(0.3, 0.7)))
+            if degrade:
+                clutter.append(len(candidates))
+                candidates.append(records[-1])
+        frames.append(DetectionFrame(t, records))
 
-    if cfg.degrade_fraction > 0:
-        frames = degrade_scores(
-            frames, tracks, cfg.degrade_fraction, cfg.degrade_floor, seed=cfg.seed + 1
+    if degrade:
+        hit = np.ones(len(candidates), dtype=bool)
+        hit[clutter] = _hit_mask(
+            np.array([candidates[i].frame_index for i in clutter], dtype=np.int64),
+            box_array(candidates[i].box for i in clutter),
+            np.repeat(np.arange(cfg.frames), cfg.tracks), box_array(boxes), 0.5,
         )
+        _crush(list(compress(candidates, hit.tolist())), cfg.degrade_fraction, cfg.degrade_floor, cfg.seed + 1)
     header = StreamHeader(d_q=cfg.d_q, video=f"synth-{cfg.seed}", canvas=cfg.canvas)
     return header, frames, tracks
 
@@ -171,40 +194,31 @@ def degrade_scores(
     Exactly round(fraction * n) of the records overlapping ground truth
     (IoU >= 0.5 against any same-frame box) get their score resampled
     in [0, floor]; clutter records are untouched. Simulates a frozen
-    spotter losing confidence on video frames.
+    spotter losing confidence on video frames. Returns new frames of
+    new records; `frames` is left as it is.
     """
     if not 0.0 <= fraction <= 1.0:
         raise ValueError("fraction must be in [0,1]")
-    gt_boxes: dict[int, list[Box]] = {}
-    for tr in gt_tracks:
-        for f, entry in tr.frames.items():
-            gt_boxes.setdefault(f, []).append(entry.box)
-
     out = [
-        DetectionFrame(
-            frame_index=f.frame_index,
-            records=[
-                DetectionRecord(
-                    frame_index=r.frame_index,
-                    query=r.query.copy(),
-                    box=r.box,
-                    score=r.score,
-                    polygon=r.polygon,
-                    text=r.text,
-                )
-                for r in f.records
-            ],
-        )
+        DetectionFrame(f.frame_index, [
+            DetectionRecord(r.frame_index, r.query.copy(), r.box, r.score, r.polygon, r.text) for r in f.records
+        ])
         for f in frames
     ]
-    candidates: list[DetectionRecord] = []
-    for frame in out:
-        gt = box_array(gt_boxes.get(frame.frame_index, []))
-        hit = (iou_matrix(box_array(r.box for r in frame.records), gt) >= 0.5).any(axis=1)
-        candidates += [rec for rec, h in zip(frame.records, hit) if h]
+    gt = sorted(((f, entry.box) for tr in gt_tracks for f, entry in tr.frames.items()), key=itemgetter(0))
+    records = [(f.frame_index, r) for f in out for r in f.records]
+    hit = _hit_mask(
+        np.array([f for f, _ in records], dtype=np.int64), box_array(r.box for _, r in records),
+        np.array([f for f, _ in gt], dtype=np.int64), box_array(box for _, box in gt), 0.5,
+    )
+    _crush([r for _, r in compress(records, hit.tolist())], fraction, floor, seed)
+    return out
+
+
+def _crush(candidates: list[DetectionRecord], fraction: float, floor: float, seed: int) -> None:
+    """Resample in [0, floor], in place, the scores of a seeded round(fraction * n) of the `candidates`."""
     k = round(fraction * len(candidates))
     rng = np.random.default_rng(seed)
     chosen = rng.choice(len(candidates), size=k, replace=False) if k else []
     for i in chosen:
         candidates[int(i)].score = float(rng.uniform(0.0, floor))
-    return out

@@ -277,6 +277,8 @@ def test_config_value_of_wrong_type_is_json_error(tmp_path, capsys, command, con
      "bad config section 'synth': canvas must be two finite positive numbers, got [10, -5]"),
     ("gen", {"synth": {"canvas": [float("inf"), 5.0]}}, [],
      "bad config section 'synth': canvas must be two finite positive numbers, got [inf, 5.0]"),
+    ("gen", {"synth": {"frames": 3, "tracks": 2, "canvas": [1e20, 1e20], "seed": 1}}, [],
+     "bad config section 'synth': canvas sides must be at most 2**52, got [1e+20, 1e+20]"),
     ("track", {}, ["--history", "0"], "history_depth must be >= 1"),
     ("track", {}, ["--theta", "1.5"], "assoc_threshold must be in (0,1), got 1.5"),
     ("track", {}, ["--min-track-len", "0"], "min_track_len must be >= 1"),
@@ -340,12 +342,17 @@ _MODEL_SECTIONS = st.fixed_dictionaries({}, optional={
 @example(data_d_q=6, section={"heads": 3}, flag="similarity")  # 3 divides the built d_e 6, not 32
 @example(data_d_q=4, section={"variant": "similarity"}, flag="crossattn")  # d_e 32, not the default d_q 16
 @example(data_d_q=4, section={"variant": "similarity", "d_e": 8}, flag="crossattn")  # the section's d_e, not d_q
-@example(data_d_q=4, section={"d_q": 6, "d_e": 6, "heads": 3}, flag=None)  # the section's d_q gives way to the data's
+@example(data_d_q=4, section={"d_q": 6, "d_e": 6, "heads": 3}, flag=None)  # a section d_q that is not the data's
+@example(data_d_q=4, section={"d_q": 4}, flag=None)  # the data's d_q, given again
 @example(data_d_q=4, section={"heads": 0}, flag=None)
 @given(data_d_q=st.sampled_from([4, 6]), section=_MODEL_SECTIONS, flag=st.sampled_from([None, *VARIANTS]))
 def test_train_writes_only_checkpoints_that_load(small_data, data_d_q, section, flag):
-    """A `model` section (and `--variant`) trains a model that `load_checkpoint` reads back exactly when its settings are valid."""
+    """A `model` section (and `--variant`) trains a model that `load_checkpoint` reads back exactly when its settings are valid.
+
+    A section `d_q` other than the streams' is an error of its own.
+    """
     settings_ = {**section, "d_q": data_d_q, **({"variant": flag} if flag else {})}
+    other_d_q = section.get("d_q", data_d_q) != data_d_q
     variant = settings_.get("variant", "crossattn")
     with tempfile.TemporaryDirectory() as tmp:
         cfg_path, out = Path(tmp) / "c.json", Path(tmp) / "o"
@@ -354,6 +361,7 @@ def test_train_writes_only_checkpoints_that_load(small_data, data_d_q, section, 
         with contextlib.redirect_stderr(io.StringIO()) as err:
             code = main(["train", "--config", str(cfg_path), "--data", str(small_data[data_d_q]), *flags, "--out", str(out)])
         if code == 0:
+            assert not other_d_q
             model = load_checkpoint(out / "model.json")
             echoed = json.loads((out / "config.json").read_text())["model"]
             assert model.variant == echoed["variant"] == variant and model.d_q == echoed["d_q"] == data_d_q
@@ -364,8 +372,12 @@ def test_train_writes_only_checkpoints_that_load(small_data, data_d_q, section, 
             lines = err.getvalue().splitlines()
             assert len(lines) == 1 and set(json.loads(lines[0])) == {"error"}
             assert not out.exists()
-            with pytest.raises(ValueError):  # rejected only when the settings the model is built with are invalid
-                ModelConfig(**settings_)
+            if other_d_q:
+                assert json.loads(lines[0])["error"] == (
+                    f"bad config section 'model': d_q {section['d_q']} does not match the streams' d_q {data_d_q}")
+            else:
+                with pytest.raises(ValueError):  # rejected only when the settings the model is built with are invalid
+                    ModelConfig(**settings_)
 
 
 def test_train_streams_that_declare_different_d_q_is_json_error(tmp_path, capsys):

@@ -34,6 +34,7 @@ from qtrack.data_io import (
     write_trajectories,
 )
 from qtrack.model import load_checkpoint
+from qtrack.synth import SynthConfig, generate_sequence
 
 import reference_readers
 
@@ -467,13 +468,17 @@ def test_trajectory_bytes_equal_json_dumps_on_edge_values(tmp_path):
     boxes = [[EDGE_FLOATS[(k + c) % n] for c in range(4)] for k in range(n)]
     polygons = [None if k % 3 else [(EDGE_FLOATS[k], -1.5), (2.0, EDGE_FLOATS[-k]), (1e-7, 3.0)] for k in range(n)]
     texts = [EDGE_TEXTS[k % len(EDGE_TEXTS)] for k in range(n)]
+    f64 = [(np.float64(0.1), np.float64(-0.0)), (np.float64(1e300), np.float64(np.inf)), (np.float64(2.5), 3.0)]
     tracks = [_columns(9, list(range(n)), boxes, EDGE_FLOATS[::-1], polygons, texts),
-              _columns(-3, [-7, 2], [[1, 2, 3, 4], [0.5, 0.25, 1e300, 2e300]], [0.0, 1.0], texts=["a", None])]
+              _columns(-3, [-7, 2], [[1, 2, 3, 4], [0.5, 0.25, 1e300, 2e300]], [0.0, 1.0], texts=["a", None]),
+              _columns(4, [0, 1], [[0, 0, 5, 5]] * 2, [0.5, 0.5], [[(0, 0), (5, 0), (5, 5)], f64])]
     got, want = tmp_path / "got.jsonl", tmp_path / "want.jsonl"
     write_trajectories(tracks, got, video="vidéo \"1\"")
     ref_write_trajectories(tracks, want, video="vidéo \"1\"")
     assert got.read_bytes() == want.read_bytes()
     assert b"Infinity" in got.read_bytes() and b"NaN" in got.read_bytes()
+    assert b'"poly": [[0, 0], [5, 0], [5, 5]]' in got.read_bytes()  # an int stays an int
+    assert b"np.float64" not in got.read_bytes()
 
 
 texts = st.one_of(st.none(), st.text(max_size=8).map(str.strip))
@@ -741,6 +746,36 @@ def _entries(boxes, texts, polygons=None):
 def test_annotation_bytes_equal_json_dump_on_edge_values(tmp_path, tracks):
     got = _same_annotation_bytes(tmp_path, tracks, "vidéo \"1\"")
     assert b"np.float64" not in got
+
+
+def test_writers_spell_np_float64_as_float(tmp_path):
+    """Boxes, scores, query entries and polygon points of `np.float64` write the bytes that `float`s write."""
+    header, frames, tracks = generate_sequence(SynthConfig(frames=4, tracks=3, d_q=4, noise_sigma=0.1, fp_rate=1.5,
+                                                           degrade_fraction=0.5, seed=2))
+    assert all(type(v) is float for f in frames for r in f.records for v in (*r.box, r.score))
+
+    def corners(box):
+        return [(box[0], box[1]), (box[2], box[1]), (box[2], box[3]), (box[0], box[3])]
+
+    def written(twin):
+        """The three files written from the generated values, each passed through `twin`."""
+        records = [DetectionRecord(r.frame_index, [twin(v) for v in r.query.tolist()], tuple(map(twin, r.box)),
+                                   twin(r.score), [tuple(map(twin, p)) for p in corners(r.box)], r.text)
+                   for f in frames for r in f.records]
+        gt = [GroundTruthTrack(tr.track_id, tr.category, {
+            t: GroundTruthEntry(tuple(map(twin, e.box)), e.text, "polygon", [tuple(map(twin, p)) for p in corners(e.box)])
+            for t, e in tr.frames.items()}) for tr in tracks]
+        outs = [_columns(k, [r.frame_index], [r.box], [r.score], [r.polygon]) for k, r in enumerate(records)]
+        assert (type(records[0].score), type(records[0].query[0]), type(gt[0].frames[0].polygon[0][0])) == (twin,) * 3
+        paths = tmp_path / "stream.jsonl", tmp_path / "annotations.json", tmp_path / "trajectories.jsonl"
+        write_detection_stream(paths[0], header, [DetectionFrame(r.frame_index, [r]) for r in records])
+        write_annotations(paths[1], gt, video=header.video)
+        write_trajectories(outs, paths[2], video=header.video)
+        return [path.read_bytes() for path in paths]
+
+    got, want = written(np.float64), written(float)
+    assert got == want
+    assert all(b"np.float64" not in text for text in got)
 
 
 floats_any = st.floats(width=64)

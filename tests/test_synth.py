@@ -1,11 +1,27 @@
-"""Synthetic sequence generator: determinism, noise knobs, parser round trip."""
+"""Synthetic sequence generator: determinism, noise knobs, parser round trip, and its frozen reference."""
+
+import copy
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qtrack.data_io import iou, parse_detection_stream, write_detection_stream
+from qtrack.data_io import (
+    DetectionFrame,
+    DetectionRecord,
+    GroundTruthEntry,
+    GroundTruthTrack,
+    iou,
+    parse_detection_stream,
+    write_annotations,
+    write_detection_stream,
+)
 from qtrack.synth import SynthConfig, degrade_scores, generate_sequence
 from qtrack.training import assign_targets
+
+import reference_synth
 
 
 def test_noiseless_single_track_queries_identical():
@@ -149,3 +165,128 @@ def test_boxes_stay_on_canvas():
 def test_config_rejects_step_and_floor_out_of_range(field, value, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         SynthConfig(**{field: value})
+
+
+def test_canvas_sides_are_bounded_so_boxes_keep_their_extent():
+    """Sides up to 2**52 pass, and on them every box has a positive width and height; the next float is refused."""
+    side = 2.0**52
+    cfg = SynthConfig(frames=6, tracks=4, canvas=(side, side), fp_rate=2.0, degrade_fraction=1.0, step=1e16, seed=3)
+    _, frames, gts = generate_sequence(cfg)
+    boxes = [r.box for f in frames for r in f.records] + [e.box for t in gts for e in t.frames.values()]
+    assert len(boxes) > 24 and all(x0 < x1 and y0 < y1 for x0, y0, x1, y1 in boxes)
+    assert all(iou(box, box) == 1.0 for box in boxes)
+    _same_sequence(reference_synth.generate_sequence(cfg), generate_sequence(cfg))
+    for canvas in ((math.nextafter(side, math.inf), 1.0), (640.0, 2**52 + 1)):
+        with pytest.raises(ValueError, match=r"^canvas sides must be at most 2\*\*52, got \["):
+            SynthConfig(canvas=canvas)
+
+
+# ---------------------------------------------------------------------------
+# the generator and `degrade_scores` against their frozen reference
+
+
+def _bits(values) -> list:
+    """Floats as their exact hex spelling, so -0.0 and 0.0 differ; an int as it is."""
+    return [float.hex(v) if isinstance(v, float) else v for v in values]
+
+
+def _same_records(got: list[DetectionFrame], want: list[DetectionFrame]) -> None:
+    assert [f.frame_index for f in got] == [f.frame_index for f in want]
+    for a, b in zip(got, want):
+        assert len(a.records) == len(b.records)
+        for r, s in zip(a.records, b.records):
+            assert (r.frame_index, r.polygon, r.text) == (s.frame_index, s.polygon, s.text)
+            assert r.query.dtype == s.query.dtype and r.query.tobytes() == s.query.tobytes()
+            assert _bits(r.box) == _bits(s.box) and float.hex(r.score) == float.hex(s.score)
+
+
+def _same_sequence(want, got, tmp_path=None) -> None:
+    """`got` holds what `want` holds, bit for bit, as Python floats, and writes the same bytes."""
+    (header, frames, gts), (ref_header, ref_frames, ref_gts) = got, want
+    assert header == ref_header
+    _same_records(frames, ref_frames)
+    assert all(type(v) is float for f in frames for r in f.records for v in (*r.box, r.score))
+    records = [r for f in frames for r in f.records]
+    assert len({id(r) for r in records}) == len(records)  # each record its own, to shift or crush
+    assert [(t.track_id, t.category, sorted(t.frames)) for t in gts] == [
+        (t.track_id, t.category, sorted(t.frames)) for t in ref_gts]
+    for t, u in zip(gts, ref_gts):
+        for f, e in t.frames.items():
+            assert (e.text, e.box_type, e.polygon) == (u.frames[f].text, u.frames[f].box_type, u.frames[f].polygon)
+            assert _bits(e.box) == _bits(u.frames[f].box)
+    if tmp_path is not None:
+        written = []
+        for name, (h, fs, ts) in (("got", got), ("want", want)):
+            write_detection_stream(tmp_path / f"{name}.jsonl", h, fs)
+            write_annotations(tmp_path / f"{name}.json", ts, video=h.video)
+            written.append(((tmp_path / f"{name}.jsonl").read_bytes(), (tmp_path / f"{name}.json").read_bytes()))
+        assert written[0] == written[1]
+
+
+@st.composite
+def synth_configs(draw):
+    """Configs of every branch: no noise, no misses or all, no crushing or all, no movement or folds over the canvas.
+
+    A canvas may be narrower than some track boxes (a center is then held
+    in the middle), and with no clutter, narrower than every box.
+    """
+    fp_rate = draw(st.sampled_from([0.0, 0.5, 2.0]))
+    canvas = draw(st.sampled_from(["wide", "narrow"] + (["tiny"] if fp_rate == 0 else [])))
+    w, h = {"wide": (st.floats(200.0, 2000.0), st.floats(150.0, 1500.0)),
+            "narrow": (st.floats(80.0, 95.0), st.floats(40.0, 55.0)),
+            "tiny": (st.floats(1.0, 30.0), st.floats(1.0, 15.0))}[canvas]
+    between = st.floats(0.05, 0.95)
+    step = draw(st.sampled_from(["still", "walk", "fold"]))
+    return SynthConfig(
+        frames=draw(st.integers(1, 12)), tracks=draw(st.integers(0, 12)), d_q=draw(st.integers(2, 6)),
+        canvas=(draw(w), draw(h)),
+        noise_sigma=draw(st.sampled_from([0.0, 0.05, 0.5])),
+        miss_prob=draw(st.one_of(st.sampled_from([0.0, 1.0]), between)),
+        fp_rate=fp_rate,
+        degrade_fraction=draw(st.one_of(st.sampled_from([0.0, 1.0]), between)),
+        degrade_floor=draw(st.sampled_from([0.0, 0.1, 1.0])),
+        step={"still": 0.0, "walk": draw(st.floats(0.5, 30.0)), "fold": draw(st.floats(5e3, 1e5))}[step],
+        seed=draw(st.integers(0, 2**32)),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(cfg=synth_configs())
+def test_generate_sequence_equals_frozen_reference(tmp_path_factory, cfg):
+    _same_sequence(reference_synth.generate_sequence(cfg), generate_sequence(cfg), tmp_path_factory.mktemp("gen"))
+
+
+POOL = [(0.0, 0.0, 10.0, 10.0), (0.0, 0.0, 10.0, 10.0), (1.0, 0.0, 11.0, 10.0), (4.0, 4.0, 14.0, 14.0),
+        (0.0, 0.0, 5.0, 10.0), (20.0, 20.0, 30.0, 25.0), (3, 3, 13, 13), (0.5, 0.5, 0.5, 3.0)]
+
+
+@st.composite
+def scored_frames(draw):
+    """Hand-built frames and ground truth: frame gaps, repeated and unordered frames, empty frames, tracks that skip frames.
+
+    A record's own frame index may differ from its frame's, which is the one that places it.
+    """
+    boxes = st.sampled_from(POOL)
+    frames = [DetectionFrame(f, [DetectionRecord(draw(st.sampled_from([f, f + 1])), np.array(draw(st.lists(st.floats(-1, 1), min_size=2, max_size=2))),
+                                                 draw(boxes), draw(st.floats(0, 1)),
+                                                 draw(st.one_of(st.none(), st.just([(0.0, 0.0), (1.0, 1.0)]))),
+                                                 draw(st.one_of(st.none(), st.just("AB"))))
+                                 for _ in range(draw(st.integers(0, 4)))])
+              for f in draw(st.lists(st.integers(0, 9), max_size=6))]
+    gts = [GroundTruthTrack(k + 1, "alphanumeric", {f: GroundTruthEntry(draw(boxes), "AB")
+                                                    for f in draw(st.sets(st.integers(0, 9), max_size=6))})
+           for k in range(draw(st.integers(0, 3)))]
+    return frames, gts
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=scored_frames(), fraction=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0, 1)),
+       floor=st.floats(0, 1), seed=st.integers(0, 2**32))
+def test_degrade_scores_equals_frozen_reference(data, fraction, floor, seed):
+    frames, gts = data
+    before = copy.deepcopy(frames)
+    got = degrade_scores(frames, gts, fraction, floor, seed)
+    _same_records(frames, before)  # the input is left as it was
+    _same_records(got, reference_synth.degrade_scores(frames, gts, fraction, floor, seed))
+    given_ = {id(r) for f in frames for r in f.records} | {id(r.query) for f in frames for r in f.records}
+    assert not any(id(r) in given_ or id(r.query) in given_ for f in got for r in f.records)
