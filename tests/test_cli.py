@@ -277,8 +277,6 @@ def test_config_value_of_wrong_type_is_json_error(tmp_path, capsys, command, con
      "bad config section 'synth': canvas must be two finite positive numbers, got [10, -5]"),
     ("gen", {"synth": {"canvas": [float("inf"), 5.0]}}, [],
      "bad config section 'synth': canvas must be two finite positive numbers, got [inf, 5.0]"),
-    ("gen", {"synth": {"frames": 3, "tracks": 2, "canvas": [1e20, 1e20], "seed": 1}}, [],
-     "bad config section 'synth': canvas sides must be at most 2**52, got [1e+20, 1e+20]"),
     ("track", {}, ["--history", "0"], "history_depth must be >= 1"),
     ("track", {}, ["--theta", "1.5"], "assoc_threshold must be in (0,1), got 1.5"),
     ("track", {}, ["--min-track-len", "0"], "min_track_len must be >= 1"),
@@ -308,6 +306,8 @@ def test_config_value_of_wrong_type_is_json_error(tmp_path, capsys, command, con
      "bad config section 'model': heads 3 do not divide d_e 16"),
     ("train", {"model": {"variant": "lstm"}}, [],
      "bad config section 'model': field 'variant' must be one of ['transformer', 'similarity', 'ffn', 'crossattn']"),
+    ("gen", {"synth": {"frames": 3, "tracks": 2, "canvas": [1e20, 1e20], "seed": 1}}, [],
+     "bad config section 'synth': canvas sides must be at most 2**52, got [1e+20, 1e+20]"),
 ])
 def test_invalid_setting_is_json_error(tmp_path, capsys, command, config, flags, message):
     """A value out of its field's range fails before any work, from a flag or from the config file."""
