@@ -18,6 +18,7 @@ from .data_io import (
 from .matcher import (
     MatcherParams,
     MatcherVariant,
+    PackedMatcher,
     count_parameters,
     embed_queries,
     matcher_forward,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data_io import DetectionFrame, TrajectoryOutput, box_array, group_trajectories, iou_matrix
-from .matcher import embed_queries, matcher_forward
+from .matcher import PackedMatcher, embed_queries, matcher_forward
 from .model import TrackerModel
 from .rescoring import ScoredInstance, filter_instances
 
@@ -56,18 +56,28 @@ class TrackerConfig:
 class MemoryBank:
     """Embeddings of the live trajectories from the last H frames.
 
-    One row per (trajectory, frame): `embeddings` (R, d_e) with the
-    `track` and `frame` of each row. Rows are grouped by ascending track
-    id, oldest first within a track, which is the order the long-term
-    stage reads them in. A trajectory leaves the bank with its last row.
+    One row per (trajectory, frame): `rows` with the `track` and `frame`
+    of each row. A row is the trajectory's embedding at that frame
+    (`embeddings`, its first d_e columns), followed by whatever the
+    bank's `matcher` keeps beside it (`PackedMatcher.rows`); a bank made
+    without a matcher holds the embeddings alone. Rows are grouped by
+    ascending track id, oldest first within a track, which is the order
+    the long-term stage reads them in. A trajectory leaves the bank with
+    its last row.
     """
 
-    def __init__(self, horizon: int, d_e: int):
+    def __init__(self, horizon: int, d_e: int, matcher: PackedMatcher | None = None):
         self.horizon = horizon
-        self.embeddings = np.zeros((0, d_e))
+        self.d_e = d_e
+        self.matcher = matcher  # the tracking run's packed matcher, which `associate_frame` uses
+        self.rows = np.zeros((0, d_e if matcher is None else matcher.width))
         self.track = np.zeros(0, dtype=np.int64)
         self.frame = np.zeros(0, dtype=np.int64)
         self.next_id = 1
+
+    @property
+    def embeddings(self) -> np.ndarray:
+        return self.rows[:, :self.d_e]
 
     def track_ids(self) -> list[int]:
         return np.unique(self.track).tolist()
@@ -83,17 +93,18 @@ class MemoryBank:
         self.next_id += count
         return list(range(first, self.next_id))
 
-    def update(self, frame: int, track_ids: list[int], embeddings: np.ndarray) -> None:
+    def update(self, frame: int, track_ids: list[int], rows: np.ndarray) -> None:
         """Add one row per trajectory seen at `frame`, then drop rows at or before frame - H.
 
-        The stable sort by track id puts each new row last in its track.
+        `rows` are as wide as the bank's. The stable sort by track id puts
+        each new row last in its track.
         """
         keep = self.frame > frame - self.horizon
         track = np.concatenate((self.track[keep], np.asarray(track_ids, dtype=np.int64)))
         order = np.argsort(track, kind="stable")
         self.track = track[order]
         self.frame = np.concatenate((self.frame[keep], np.full(len(track_ids), frame)))[order]
-        self.embeddings = np.concatenate((self.embeddings[keep], embeddings))[order]
+        self.rows = np.concatenate((self.rows[keep], rows))[order]
 
 
 @dataclass
@@ -104,6 +115,11 @@ class AssociationOutcome:
     lt_matches: list[tuple[int, int, float]]
     new_tracks: list[int]  # instance indices that found no trajectory
     embeddings: np.ndarray  # (n, d_e) rows aligned with the input instances
+    rows: np.ndarray | None = None  # their bank rows (`PackedMatcher.rows`); the embeddings when None
+
+    def __post_init__(self) -> None:
+        if self.rows is None:
+            self.rows = self.embeddings
 
 
 def nms(instances: list[ScoredInstance], iou_threshold: float) -> list[ScoredInstance]:
@@ -164,15 +180,17 @@ def associate_frame(
 
     Each stage keeps the pairs whose probability reaches the threshold
     and assigns them greedily: highest probability first, ties to the
-    lower instance index, then the lower track id. The bank is not
-    modified; the caller applies the outcome.
+    lower instance index, then the lower track id. The matcher is the
+    bank's, or `model.matcher` packed for this call when the bank has
+    none. The bank is not modified; the caller applies the outcome.
     """
     n = len(instances)
     if n == 0:
-        return AssociationOutcome([], [], [], np.zeros((0, model.d_e)))
+        return AssociationOutcome([], [], [], np.zeros((0, model.d_e)), np.zeros((0, bank.rows.shape[1])))
 
+    matcher = bank.matcher if bank.matcher is not None else PackedMatcher(model.matcher)
     queries = np.array([inst.record.query for inst in instances])
-    current = embed_queries(queries, model.matcher)
+    current = matcher.rows(embed_queries(queries, matcher))
 
     st_matches: list[tuple[int, int, float]] = []
 
@@ -181,7 +199,7 @@ def associate_frame(
     prev = (bank.frame == frame_index - 1).nonzero()[0]
     if len(prev):
         prev_tracks = bank.track[prev].tolist()
-        _, st = matcher_forward(current, bank.embeddings[prev], model.matcher, branch="st")
+        _, st = matcher_forward(current, bank.rows[prev], matcher, branch="st")
         st_matches = [(i, prev_tracks[c], p) for i, c, p in _greedy_matches(st[:, :-1], config.assoc_threshold)]
 
     matched = {i for i, _, _ in st_matches}
@@ -199,7 +217,7 @@ def associate_frame(
         if len(track):
             starts = np.concatenate(([True], track[1:] != track[:-1])).nonzero()[0]
             lt_tracks = track[starts].tolist()
-            _, lt = matcher_forward(current[leftovers], bank.embeddings[free], model.matcher, branch="lt")
+            _, lt = matcher_forward(current[leftovers], bank.rows[free], matcher, branch="lt")
             per_track = np.maximum.reduceat(lt[:, :-1], starts, axis=1)
             lt_matches = [
                 (leftovers[r], lt_tracks[c], p) for r, c, p in _greedy_matches(per_track, config.assoc_threshold)
@@ -207,7 +225,7 @@ def associate_frame(
 
     matched.update(i for i, _, _ in lt_matches)
     new_tracks = [i for i in leftovers if i not in matched]
-    return AssociationOutcome(st_matches, lt_matches, new_tracks, current)
+    return AssociationOutcome(st_matches, lt_matches, new_tracks, current[:, :model.d_e], current)
 
 
 def track_sequence(
@@ -218,9 +236,9 @@ def track_sequence(
     """Run the full per-frame pipeline and return finalized trajectories.
 
     Deterministic: identical frames, model and config produce identical
-    trajectory ids and contents.
+    trajectory ids and contents. The matcher is packed once, for the run.
     """
-    bank = MemoryBank(config.history_depth, model.d_e)
+    bank = MemoryBank(config.history_depth, model.d_e, PackedMatcher(model.matcher))
     head = model.rescoring_head()
     track_ids, frame_ids, records, scores = [], [], [], []  # one row per (trajectory, frame)
 
@@ -231,7 +249,7 @@ def track_sequence(
 
         assignments = [(i, tid) for i, tid, _ in outcome.st_matches + outcome.lt_matches]
         assignments += zip(outcome.new_tracks, bank.new_ids(len(outcome.new_tracks)))
-        bank.update(t, [tid for _, tid in assignments], outcome.embeddings[[i for i, _ in assignments]])
+        bank.update(t, [tid for _, tid in assignments], outcome.rows[[i for i, _ in assignments]])
 
         track_ids += [tid for _, tid in assignments]
         frame_ids += [t] * len(assignments)

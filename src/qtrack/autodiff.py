@@ -14,20 +14,23 @@ holds dL/dvalue with the same shape as ``value``.
 The blocks in ``numerics`` and ``matcher`` are written once against an
 op table: ``TAPE`` runs them on tensors and records the graph that
 training differentiates; ``ARRAY`` runs them on plain float64 arrays
-and builds nothing, for tracking. Products, sums, scaling and
-transposes are ``@``, ``+``, ``*`` and ``.T`` in both. Where a tape
-op's forward is plain arithmetic (row softmax, unit rows, layer norm),
-it computes its value with the array op's function, so the two tables
-agree bit for bit by construction.
+and builds nothing. Products, sums, scaling and transposes are ``@``,
+``+``, ``*`` and ``.T`` in both. Where a tape op's forward is plain
+arithmetic (rectifier, row softmax, unit rows, layer norm), it computes
+its value with the array op's function, so the two tables agree bit for
+bit by construction. Tracking runs ``matcher.PackedMatcher``, which
+calls these same functions on plain copies of the weights.
 
-Tracking runs the array table on a few rows per frame, where the cost
-is numpy's per-call overhead, not arithmetic. So the array ops call
-the ufunc reductions (``np.add.reduce``, ``np.maximum.reduce``) in
-place of the ``.sum`` / ``.max`` wrappers and do their arithmetic in
-place, by one rule: an ``ARRAY`` op writes in place only into arrays it
-allocated itself, never into its arguments. The tape shares these
-functions and keeps the intermediates they return for its backward
-pass, so an op does not modify an array once it has returned it.
+The plain-array functions run on a few rows per tracked frame, where
+the cost is numpy's per-call overhead, not arithmetic. So they call the
+ufunc reductions (``np.add.reduce``, ``np.maximum.reduce``) in place of
+the ``.sum`` / ``.max`` wrappers, take the cheaper of two calls that
+give the same bits (the rectifier as ``copysign(maximum(h, 0), h)``;
+no masked assignment when no row norm is zero), and do their arithmetic
+in place, by one rule: a function writes in place only into arrays it
+allocated itself, never into its arguments. The tape keeps the
+intermediates they return for its backward pass, so a function does not
+modify an array once it has returned it.
 
 Training's cost is mostly per-node bookkeeping, not arithmetic, so the
 tape records as few nodes as the gradients' bits allow. A linear layer
@@ -256,12 +259,11 @@ def transpose(a: Tensor) -> Tensor:
 
 def relu(a: Tensor) -> Tensor:
     a = _wrap(a)
-    mask = a.value > 0
 
     def bw(g):
-        _accum(a, g * mask)
+        _accum(a, g * (a.value > 0))
 
-    return Tensor(a.value * mask, (a,), bw)
+    return Tensor(_relu(a.value), (a,), bw)
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -433,12 +435,23 @@ def _unit_rows_or_zero(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # `np.linalg.norm(a, axis=1)` of a real array is this reduction.
     n = np.add.reduce(a * a, axis=1, keepdims=True)
     np.sqrt(n, out=n)
-    n[n == 0.0] = np.inf
+    if not n.all():
+        n[n == 0.0] = np.inf
     return a / n, n
 
 
-def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(output, normalized rows, 1 / row std) of layer norm, with 1e-8 added to the variance."""
+def _relu(a: np.ndarray) -> np.ndarray:
+    """`a * (a > 0)` bit for bit on finite entries, signed zeros included, in two cheaper calls."""
+    out = np.maximum(a, 0.0)
+    return np.copysign(out, a, out=out)
+
+
+def _normalize_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rows scaled to zero mean and unit variance, 1 / row std), with 1e-8 added to the variance.
+
+    Each row's result depends on that row alone, so the normalization of
+    a row computed in one batch serves every later batch that holds it.
+    """
     # `sum / d` is numpy's own `mean`, minus its dispatch overhead.
     d = x.shape[1]
     mean = np.add.reduce(x, axis=1, keepdims=True)
@@ -450,6 +463,12 @@ def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> tuple[np.n
     np.sqrt(inv, out=inv)
     np.divide(1.0, inv, out=inv)
     y *= inv
+    return y, inv
+
+
+def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(output, normalized rows, 1 / row std) of layer norm."""
+    y, inv = _normalize_rows(x)
     out = y * gain
     out += bias
     return out, y, inv
@@ -476,7 +495,7 @@ def _scores_with_null(sims: np.ndarray, scale: float, null_logit: float) -> np.n
 ARRAY = SimpleNamespace(
     const=lambda value: value,
     linear=lambda x, w, b: _affine(x, w.value, b.value),
-    relu=lambda a: a * (a > 0),
+    relu=_relu,
     softmax_rows=_softmax_rows,
     layer_norm=lambda x, ln: _layer_norm(x, ln.gain.value, ln.bias.value)[0],
     cols=lambda a, start, stop: a[:, start:stop],

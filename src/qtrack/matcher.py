@@ -17,20 +17,39 @@ probability distribution over "history rows + start a new trajectory".
 The short-term and long-term branches own separate attention weights
 but share one embedding FFN.
 
-``embed`` and ``association`` are written once against an op table.
-Training runs them with ``autodiff.TAPE`` and differentiates the graph;
-tracking calls ``embed_queries`` and ``matcher_forward``, which run them
-with ``autodiff.ARRAY`` on plain arrays and build no autodiff graph.
+``embed`` and ``association`` are written once against an op table;
+training runs them on ``autodiff.TAPE`` and differentiates the graph.
+Tracking runs ``PackedMatcher``, built once per run: the same float
+operations in the same order on plain copies of the weights, so it
+gives the tape's values bit for bit, with three differences in how it
+gets there. It looks up no op table and no ``Tensor.value``; it
+projects with fused weights, [W_q|W_k|W_v] for self-attention and
+[W_k|W_v] for memory, where the BLAS kernel gives the fused blocks the
+separate products' bits; and for the transformer it reads each row's
+first layer norm from a normalization computed once per row, when the
+row is embedded. ``embed_queries`` and ``matcher_forward`` run it, and
+the tests hold it to the tape and to a frozen copy of the earlier
+plain-array forward.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .autodiff import ARRAY, Tensor
+from .autodiff import (
+    Tensor,
+    _affine,
+    _layer_norm,
+    _normalize_rows,
+    _relu,
+    _scores_with_null,
+    _softmax_rows,
+    _unit_rows_or_zero,
+)
 from .numerics import (
     AttentionParams,
     FfnParams,
@@ -49,6 +68,7 @@ __all__ = [
     "embed",
     "embed_queries",
     "association",
+    "PackedMatcher",
     "matcher_forward",
     "count_parameters",
 ]
@@ -143,8 +163,11 @@ def embed(o, queries, params: MatcherParams):
     return ffn(o, queries, params.shared_ffn)
 
 
-def embed_queries(queries: np.ndarray, params: MatcherParams) -> np.ndarray:
-    """Map instance queries (n, d_q) to association embeddings (n, d_e) as plain arrays."""
+def embed_queries(queries: np.ndarray, params: MatcherParams | PackedMatcher) -> np.ndarray:
+    """Map instance queries (n, d_q) to association embeddings (n, d_e) as plain arrays.
+
+    `params` is a `PackedMatcher`, or `MatcherParams` packed for this call.
+    """
     queries = np.asarray(queries, dtype=np.float64)
     if queries.ndim != 2:
         raise ValueError("queries must be a 2D matrix")
@@ -152,7 +175,7 @@ def embed_queries(queries: np.ndarray, params: MatcherParams) -> np.ndarray:
         return np.zeros((0, params.d_e))
     if queries.shape[1] != params.d_q:
         raise ValueError(f"query dim {queries.shape[1]} does not match matcher d_q {params.d_q}")
-    return embed(ARRAY, queries, params)
+    return _packed(params).embed(queries)
 
 
 def association(o, current, history, params: MatcherParams, branch: str):
@@ -191,14 +214,196 @@ def association(o, current, history, params: MatcherParams, branch: str):
     return scores, o.softmax_rows(scores)
 
 
+# ---------------------------------------------------------------------------
+# the tracking forward: `association` on plain arrays, with fused projections
+
+
+FUSED_PANEL = 8  # fuse projections only at widths that are a multiple of this; see `_Attention`
+
+
+def _ffn_arrays(p: FfnParams) -> tuple[np.ndarray, ...]:
+    return tuple(t.value.copy() for t in p.tensors())
+
+
+def _ffn(x: np.ndarray, w: tuple[np.ndarray, ...]) -> np.ndarray:
+    w1, b1, w2, b2 = w
+    return _affine(_relu(_affine(x, w1, b1)), w2, b2)
+
+
+def _cosines(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return _unit_rows_or_zero(a)[0] @ _unit_rows_or_zero(b)[0].T
+
+
+class _Attention:
+    """One attention block as arrays, its projections fused: [W_q|W_k|W_v] and [W_k|W_v].
+
+    A fused product's column blocks are the separate products bit for
+    bit only when no block ends inside one of the BLAS kernel's column
+    panels: on OpenBLAS's x86-64 kernels, when d_model is a multiple of
+    8. At other widths (d_model 6, 20 or 28, say) the fused blocks'
+    last bits differ in some products, so the projections stay
+    separate there.
+    """
+
+    def __init__(self, p: AttentionParams):
+        wq, bq, wk, bk, wv, bv, wo, bo = (t.value.copy() for t in p.tensors())
+        self.d, self.heads = p.d_model, p.heads
+        self.scale = 1.0 / math.sqrt(self.d // self.heads)
+        self.wq, self.bq, self.wo, self.bo = wq, bq, wo, bo
+        if self.d % FUSED_PANEL == 0:
+            self.qkv = [(np.concatenate((wq, wk, wv), axis=1), np.concatenate((bq, bk, bv)))]
+            self.kv = [(np.concatenate((wk, wv), axis=1), np.concatenate((bk, bv)))]
+        else:
+            self.qkv, self.kv = [(wq, bq), (wk, bk), (wv, bv)], [(wk, bk), (wv, bv)]
+
+    def self_attend(self, x: np.ndarray) -> np.ndarray:
+        """`numerics.attention(o, x, x, x, p)`."""
+        return self._mix(*self.project(x, self.qkv))
+
+    def attend(self, x: np.ndarray, memory: np.ndarray) -> np.ndarray:
+        """`numerics.attention(o, x, memory, memory, p)`."""
+        return self._mix(_affine(x, self.wq, self.bq), *self.project(memory, self.kv))
+
+    def project(self, x: np.ndarray, groups: list[tuple[np.ndarray, np.ndarray]]) -> list[np.ndarray]:
+        """The d_model-column blocks of `x`'s products with each group of weights."""
+        blocks = []
+        for w, b in groups:
+            y = _affine(x, w, b)
+            blocks += [y[:, i:i + self.d] for i in range(0, y.shape[1], self.d)]
+        return blocks
+
+    def _mix(self, q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Each head's softmax(q k^T / sqrt(d_head)) v, heads side by side, then the output projection."""
+        if self.heads == 1:
+            mixed = self._weights(q, k) @ v
+        else:
+            dh = self.d // self.heads
+            heads = range(0, self.d, dh)
+            mixed = np.concatenate([self._weights(q[:, i:i + dh], k[:, i:i + dh]) @ v[:, i:i + dh] for i in heads],
+                                   axis=1)
+        return _affine(mixed, self.wo, self.bo)
+
+    def _weights(self, q: np.ndarray, k: np.ndarray) -> np.ndarray:
+        w = q @ k.T
+        w *= self.scale
+        return _softmax_rows(w)
+
+
+class _Layer:
+    """One pre-norm transformer layer as arrays; its first layer norm reads stored normalized rows."""
+
+    def __init__(self, p: TransformerLayerParams):
+        self.attn = _Attention(p.attn)
+        self.ln1 = p.ln1.gain.value.copy(), p.ln1.bias.value.copy()
+        self.ln2 = p.ln2.gain.value.copy(), p.ln2.bias.value.copy()
+        self.ffn = _ffn_arrays(p.ffn)
+
+    def encode(self, rows: np.ndarray) -> np.ndarray:
+        """`numerics.encoder_layer` on [x | normalized x] rows."""
+        return self._ffn_sublayer(self.attn.self_attend(self._ln1(rows)), rows)
+
+    def decode(self, rows: np.ndarray, memory: np.ndarray) -> np.ndarray:
+        """`numerics.decoder_layer` on [x | normalized x] rows against `memory`."""
+        return self._ffn_sublayer(self.attn.attend(self._ln1(rows), memory), rows)
+
+    def _ln1(self, rows: np.ndarray) -> np.ndarray:
+        gain, bias = self.ln1
+        out = rows[:, self.attn.d:] * gain
+        out += bias
+        return out
+
+    def _ffn_sublayer(self, attended: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        attended += rows[:, :self.attn.d]  # x + attention(...)
+        out = _ffn(_layer_norm(attended, *self.ln2)[0], self.ffn)
+        out += attended
+        return out
+
+
+class PackedMatcher:
+    """`MatcherParams` as plain arrays for tracking: `embed` and `association`'s values, bit for bit.
+
+    The weights are copied when it is built, so later training does not
+    reach it; tracking builds one per run. It runs on rows: an
+    embedding, and for the transformer its layer-norm normalization
+    beside it (`rows`). The normalization takes no parameters and
+    depends on its row alone, so one computed when a row is embedded
+    serves the first layer norm of both branches' encoder and decoder
+    for as long as the row is kept.
+    """
+
+    def __init__(self, params: MatcherParams):
+        self.variant = params.variant
+        self.d_q, self.d_e = params.d_q, params.d_e
+        self.scale = 1.0 / params.temperature
+        self.null_logit = params.null_logit
+        self.width = 2 * self.d_e if self.variant is MatcherVariant.TRANSFORMER else self.d_e
+        self.ffn = None if params.shared_ffn is None else _ffn_arrays(params.shared_ffn)
+        self.branches = {}
+        for name in ("st", "lt"):
+            b = params.branch(name)
+            if self.variant is MatcherVariant.CROSS_ATTN:
+                self.branches[name] = _Attention(b.attn)
+            elif self.variant is MatcherVariant.TRANSFORMER:
+                self.branches[name] = _Layer(b.encoder), _Layer(b.decoder)
+
+    def embed(self, queries: np.ndarray) -> np.ndarray:
+        """Embeddings (n, d_e) of queries (n, d_q)."""
+        return queries if self.ffn is None else _ffn(queries, self.ffn)
+
+    def rows(self, embeddings: np.ndarray) -> np.ndarray:
+        """The rows the forward reads: (n, width), the embeddings and, for the transformer, [embeddings | normalized]."""
+        if self.width == self.d_e:
+            return embeddings
+        return np.concatenate((embeddings, _normalize_rows(embeddings)[0]), axis=1)
+
+    def forward(self, current: np.ndarray, history: np.ndarray, branch: str) -> tuple[np.ndarray, np.ndarray]:
+        """(scores, probabilities) of `association` for current and history rows, each `rows` or bare embeddings."""
+        n_cur, n_hist = len(current), len(history)
+        if n_cur == 0:
+            empty = np.zeros((0, n_hist + 1))
+            return empty, empty
+        if n_hist == 0:
+            return np.full((n_cur, 1), self.null_logit), np.ones((n_cur, 1))
+        if self.variant is MatcherVariant.TRANSFORMER:
+            encoder, decoder = self._branch(branch)
+            encoded = encoder.encode(self._widened(history))
+            sims = _cosines(decoder.decode(self._widened(current), encoded), encoded)
+        elif self.variant is MatcherVariant.CROSS_ATTN:
+            attended = self._branch(branch).attend(current, history)
+            attended += current
+            sims = _cosines(attended, history)
+        else:
+            sims = _cosines(current, history)
+        scores = _scores_with_null(sims, self.scale, self.null_logit)
+        return scores, _softmax_rows(scores)
+
+    def _branch(self, name: str):
+        try:
+            return self.branches[name]
+        except KeyError:
+            raise ValueError(f"unknown branch {name!r}") from None
+
+    def _widened(self, rows: np.ndarray) -> np.ndarray:
+        return rows if rows.shape[1] == self.width else self.rows(rows)
+
+
+def _packed(params: MatcherParams | PackedMatcher) -> PackedMatcher:
+    return params if isinstance(params, PackedMatcher) else PackedMatcher(params)
+
+
 def matcher_forward(
     current: np.ndarray,
     history: np.ndarray,
-    params: MatcherParams,
+    params: MatcherParams | PackedMatcher,
     branch: str = "st",
 ) -> tuple[np.ndarray, np.ndarray]:
-    """`association` on plain (n_cur, d_e) and (n_hist, d_e) float64 arrays."""
-    return association(ARRAY, current, history, params, branch)
+    """`association`'s (scores, probabilities) on plain float64 arrays.
+
+    `params` is a `PackedMatcher`, or `MatcherParams` packed for this
+    call. `current` (n_cur rows) and `history` (n_hist rows) are
+    embeddings of width d_e or the matcher's `rows`.
+    """
+    return _packed(params).forward(current, history, branch)
 
 
 def count_parameters(variant: MatcherVariant, d_q: int, d_e: int, heads: int = 1) -> int:

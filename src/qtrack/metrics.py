@@ -88,8 +88,9 @@ def _gt_rows(tracks: list[GroundTruthTrack]):
 def _pairs(a_frame, a_box, b_frame, b_box, thr: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(i, j, IoU) of the rows i of `a` and j of `b` in one frame with IoU >= thr, ordered by (i, j).
 
-    Both sides are sorted by frame. The pairs are taken PAIR_BUDGET at a
-    time (or one `a` row at a time, if it has more).
+    `b` is sorted by frame; `a` may be in any order, since each `a` row
+    looks up its own frame's run of `b` rows. The pairs are taken
+    PAIR_BUDGET at a time (or one `a` row at a time, if it has more).
     """
     lo = np.searchsorted(b_frame, a_frame, "left")
     count = np.searchsorted(b_frame, a_frame, "right") - lo

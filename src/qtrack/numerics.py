@@ -5,10 +5,12 @@ Vectors and matrices are contiguous float64 numpy arrays. Each block
 encoder and decoder layers, the cosine matrix) is one forward whose
 first argument is an op table: ``autodiff.TAPE`` records the graph that
 training differentiates, ``autodiff.ARRAY`` runs the same operations on
-plain arrays for inference, which needs no gradient. Both tables run
-the same float operations in the same order, so the array output equals
-the tape's ``value`` bit for bit. ``check_gradients`` is the independent
-finite-difference oracle for every analytic gradient in the package.
+plain arrays and builds nothing. Both tables run the same float
+operations in the same order, so the array output equals the tape's
+``value`` bit for bit. Tracking runs neither: it runs
+``matcher.PackedMatcher``, which the tests hold to these blocks.
+``check_gradients`` is the independent finite-difference oracle for
+every analytic gradient in the package.
 """
 
 from __future__ import annotations

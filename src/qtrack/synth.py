@@ -51,7 +51,9 @@ class SynthConfig:
     product of two such extents neither underflows nor overflows, so
     the IoU of a box with itself is exactly 1.0: the union 2A - A is A
     again. On a side near 1e20 the spacing is 16384, and both corners
-    of a box round to one float.
+    of a box round to one float. (A clutter box drawn wider or taller
+    than the canvas is cut to span it, which happens only on sides
+    below 80, far from the bound.)
     """
 
     frames: int = 30
@@ -154,6 +156,7 @@ def generate_sequence(cfg: SynthConfig) -> tuple[StreamHeader, list[DetectionFra
             candidates += records
         for _ in range(int(rng.poisson(cfg.fp_rate))):
             fw, fh = rng.uniform(30.0, 80.0), rng.uniform(15.0, 40.0)
+            fw, fh = min(fw, w), min(fh, h)  # a canvas narrower than the box: the box spans it
             cx, cy = rng.uniform(fw / 2, w - fw / 2), rng.uniform(fh / 2, h - fh / 2)
             box = (cx - fw / 2, cy - fh / 2, cx + fw / 2, cy + fh / 2)
             records.append(DetectionRecord(t, _clutter_latent(rng, cfg.d_q), box, rng.uniform(0.3, 0.7)))

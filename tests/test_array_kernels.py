@@ -34,7 +34,19 @@ from qtrack.association import (
     nms,
     track_sequence,
 )
-from qtrack.autodiff import TAPE, Tensor, concat_rows, log, matmul, sigmoid, sum_, take_rows
+from qtrack.autodiff import (
+    TAPE,
+    Tensor,
+    _affine,
+    _layer_norm,
+    _relu,
+    concat_rows,
+    log,
+    matmul,
+    sigmoid,
+    sum_,
+    take_rows,
+)
 from qtrack.data_io import (
     DetectionFrame,
     DetectionRecord,
@@ -47,7 +59,10 @@ from qtrack.data_io import (
     write_detection_stream,
 )
 from qtrack.matcher import (
+    FUSED_PANEL,
     MatcherVariant,
+    PackedMatcher,
+    _Attention,
     association,
     embed,
     embed_queries,
@@ -63,6 +78,7 @@ from qtrack.metrics import (
     idf1,
 )
 from qtrack.model import TrackerModel
+from qtrack.numerics import AttentionParams
 from qtrack.rescoring import ScoredInstance, filter_instances
 from qtrack.synth import SynthConfig, degrade_scores, generate_sequence
 from qtrack.training import (
@@ -929,41 +945,48 @@ def test_degrade_scores_equal_reference(tmp_path, seed, fraction):
 # ---------------------------------------------------------------------------
 # the plain-array matcher forward against the tape
 
-# (current rows, history rows, all-zero current rows, all-zero history rows)
+# (current rows, history rows, all-zero current rows, all-zero history rows, their zero)
 MATCHER_SHAPES = {
-    "empty-current": (0, 4, (), ()),
-    "empty-history": (3, 0, (), ()),
-    "one-row": (1, 1, (), ()),
-    "several": (4, 6, (), ()),
-    "zero-rows": (4, 6, (1,), (0, 5)),
+    "empty-current": (0, 4, (), (), 0.0),
+    "empty-history": (3, 0, (), (), 0.0),
+    "one-row": (1, 1, (), (), 0.0),
+    "several": (4, 6, (), (), 0.0),
+    "zero-rows": (4, 6, (1,), (0, 5), 0.0),
+    # one row on a side: its products take BLAS's matrix-vector path
+    "one-current": (1, 6, (), (), 0.0),
+    "one-history": (4, 1, (), (), 0.0),
+    "negative-zero-rows": (4, 6, (1,), (0, 5), -0.0),
 }
 
 
 @pytest.mark.parametrize("shape", list(MATCHER_SHAPES))
 @pytest.mark.parametrize("branch", ["st", "lt"])
-@pytest.mark.parametrize("heads", [1, 2])
+@pytest.mark.parametrize("heads", [1, 2, 4])
 @pytest.mark.parametrize("variant", list(MatcherVariant))
 def test_plain_matcher_equals_tape_bitwise(variant, heads, branch, shape):
-    n_cur, n_hist, zero_cur, zero_hist = MATCHER_SHAPES[shape]
-    params = TrackerModel.create(variant, d_q=6, d_e=8, heads=heads, seed=2).matcher
+    """The packed forward equals the tape, on bare embeddings and on rows that carry their normalization."""
+    n_cur, n_hist, zero_cur, zero_hist, zero = MATCHER_SHAPES[shape]
+    params = TrackerModel.create(variant, d_q=8, d_e=8, heads=heads, seed=2).matcher
     rng = np.random.default_rng(5)
     for t in params.tensors():  # non-trivial biases and layer-norm gains too
         t.value[...] = rng.normal(scale=0.5, size=t.shape)
     d_e = params.d_e
 
-    queries = rng.normal(size=(n_cur, 6))
+    queries = rng.normal(size=(n_cur, 8))
     embedded = embed_queries(queries, params)
     assert np.array_equal(embedded, embed(TAPE, Tensor(queries), params).value)
 
     current = rng.normal(size=(n_cur, d_e))
     history = rng.normal(size=(n_hist, d_e))
-    current[list(zero_cur)] = 0.0
-    history[list(zero_hist)] = 0.0
-    scores, probs = matcher_forward(current, history, params, branch=branch)
+    current[list(zero_cur)] = zero
+    history[list(zero_hist)] = zero
     ref_scores, ref_probs = association(TAPE, Tensor(current), Tensor(history), params, branch)
-    assert scores.shape == probs.shape == (n_cur, n_hist + 1)
-    assert np.array_equal(scores, ref_scores.value)
-    assert np.array_equal(probs, ref_probs.value)
+    packed = PackedMatcher(params)
+    for cur, hist in ((current, history), (packed.rows(current), packed.rows(history))):
+        scores, probs = matcher_forward(cur, hist, packed, branch=branch)
+        assert scores.shape == probs.shape == (n_cur, n_hist + 1)
+        assert _bytes(scores) == _bytes(ref_scores.value)
+        assert _bytes(probs) == _bytes(ref_probs.value)
 
 
 def _bytes(a: np.ndarray) -> tuple:
@@ -976,27 +999,79 @@ zero_rows = st.sets(st.integers(0, 90), max_size=3)
 @settings(max_examples=150)
 @given(st.sampled_from(list(MatcherVariant)), st.sampled_from([1, 2, 4]), st.sampled_from(["st", "lt"]),
        st.integers(0, 6), st.integers(0, 90), zero_rows, zero_rows, st.sampled_from([0.0, -0.0]),
-       st.sampled_from([1e-3, 1.0, 1e3]), st.integers(0, 2**32 - 1))
-# one current row: the products take BLAS's matrix-vector path
-@example(MatcherVariant.TRANSFORMER, 2, "st", 1, 7, {0}, {3}, -0.0, 1.0, 0)
+       st.sampled_from([1e-3, 1.0, 1e3]), st.integers(0, 2**32 - 1), st.sampled_from([8, 8, 32, 12, 20]))
+# one current or one history row: the products take BLAS's matrix-vector path
+@example(MatcherVariant.TRANSFORMER, 2, "st", 1, 7, {0}, {3}, -0.0, 1.0, 0, 8)
+@example(MatcherVariant.TRANSFORMER, 4, "lt", 5, 1, {2}, set(), 0.0, 1.0, 1, 8)
+@example(MatcherVariant.CROSS_ATTN, 1, "st", 3, 1, set(), {0}, -0.0, 1e3, 2, 32)
+# widths whose projections stay separate (`FUSED_PANEL`)
+@example(MatcherVariant.TRANSFORMER, 4, "st", 1, 9, set(), set(), 0.0, 1.0, 3, 20)
+@example(MatcherVariant.CROSS_ATTN, 2, "lt", 4, 1, set(), set(), 0.0, 1.0, 4, 12)
 def test_array_matcher_equals_frozen_reference_bitwise(variant, heads, branch, n_cur, n_hist,
-                                                       zero_cur, zero_hist, zero, scale, seed):
-    params = TrackerModel.create(variant, d_q=8, d_e=8, heads=heads, seed=3).matcher
+                                                       zero_cur, zero_hist, zero, scale, seed, width):
+    """`MatcherParams` packed per call, and one packed matcher on stored rows, both give the reference's bytes."""
+    params = TrackerModel.create(variant, d_q=width, d_e=width, heads=heads, seed=3).matcher
     rng = np.random.default_rng(seed)
     for t in params.tensors():  # non-trivial biases and layer-norm gains too
         t.value[...] = rng.normal(scale=0.5, size=t.shape)
-    queries = rng.normal(size=(n_cur, 8))
-    current = rng.normal(scale=scale, size=(n_cur, 8))
-    history = rng.normal(size=(n_hist, 8))
+    queries = rng.normal(size=(n_cur, width))
+    current = rng.normal(scale=scale, size=(n_cur, width))
+    history = rng.normal(size=(n_hist, width))
     current[[i for i in zero_cur if i < n_cur]] = zero
     history[[i for i in zero_hist if i < n_hist]] = zero
     given_bytes = [_bytes(x) for x in (queries, current, history)]
 
     assert _bytes(embed_queries(queries, params)) == _bytes(reference_matcher.embed_queries(queries, params))
-    got = matcher_forward(current, history, params, branch=branch)
-    want = reference_matcher.matcher_forward(current, history, params, branch=branch)
-    assert [_bytes(x) for x in got] == [_bytes(x) for x in want]
+    want = [_bytes(x) for x in reference_matcher.matcher_forward(current, history, params, branch=branch)]
+    assert [_bytes(x) for x in matcher_forward(current, history, params, branch=branch)] == want
+    packed = PackedMatcher(params)
+    stored = matcher_forward(packed.rows(current), packed.rows(history), packed, branch=branch)
+    assert [_bytes(x) for x in stored] == want
     assert [_bytes(x) for x in (queries, current, history)] == given_bytes
+
+
+@given(st.integers(1, 40) | st.sampled_from([64, 129, 300]), st.integers(0, 12),
+       st.lists(st.integers(0, 11), max_size=12), zero_rows, st.sampled_from([0.0, -0.0]),
+       st.sampled_from([1e-3, 1.0, 1e3]), st.integers(0, 2**32 - 1))
+@example(32, 9, [4], set(), 0.0, 1.0, 0)  # one row: a reduction over a single row
+def test_stored_normalized_rows_equal_layer_norm_of_any_batch(d, n, subset, zeros, zero, scale, seed):
+    """A row's normalization computed in one batch is `_layer_norm`'s for every batch that holds the row."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(loc=rng.normal(), scale=scale, size=(n, d))
+    x[[i for i in zeros if i < n]] = zero
+    gain, bias = rng.normal(size=d), rng.normal(size=d)
+    stored = PackedMatcher(TrackerModel.create(MatcherVariant.TRANSFORMER, d_q=4, d_e=d, seed=0).matcher).rows(x)
+    subset = [i for i in subset if i < n]
+    assert _bytes(stored[:, :d]) == _bytes(x)
+    assert _bytes(stored[subset, d:]) == _bytes(_layer_norm(x[subset], gain, bias)[1])
+    assert _bytes(stored[:, d:]) == _bytes(_layer_norm(x, gain, bias)[1])
+
+
+@given(st.lists(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1.0, -1.0, 1e300, -1e300])
+                | st.floats(allow_nan=False, allow_infinity=False), min_size=0, max_size=40), st.integers(1, 4))
+def test_relu_equals_masked_product_bitwise(values, rows):
+    """The rectifier both op tables share is `h * (h > 0)` on every finite entry, signed zeros included."""
+    h = np.resize(np.array(values, dtype=np.float64), (rows, len(values)))
+    assert _bytes(_relu(h)) == _bytes(h * (h > 0))
+    assert _bytes(TAPE.relu(Tensor(h)).value) == _bytes(h * (h > 0))
+
+
+@given(st.integers(1, 40), st.integers(0, 9) | st.integers(10, 400), st.integers(0, 2**32 - 1))
+@example(32, 1, 0)  # one row at the benchmarks' width, fused
+@example(6, 1, 0)  # one row at a width whose fused blocks would differ in their last bits
+@example(20, 5, 0)  # several rows, likewise
+def test_packed_projections_equal_separate_products(d, n, seed):
+    """The packed q, k and v projections give the separate products' bits, fused or not."""
+    rng = np.random.default_rng(seed)
+    p = AttentionParams.create(d, 1, rng)
+    for t in p.tensors():
+        t.value[...] = rng.normal(size=t.shape)
+    x = rng.normal(size=(n, d))
+    packed = _Attention(p)
+    assert len(packed.qkv) == (1 if d % FUSED_PANEL == 0 else 3)
+    q, k, v = (_bytes(_affine(x, w.value, b.value)) for w, b in ((p.wq, p.bq), (p.wk, p.bk), (p.wv, p.bv)))
+    assert [_bytes(block.copy()) for block in packed.project(x, packed.qkv)] == [q, k, v]
+    assert [_bytes(block.copy()) for block in packed.project(x, packed.kv)] == [k, v]
 
 
 def test_tracking_builds_no_tensor(monkeypatch):

@@ -1,12 +1,14 @@
 """NMS, the memory bank, two-stage association and full sequence tracking."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qtrack.association import MemoryBank, TrackerConfig, associate_frame, nms, track_sequence
-from qtrack.data_io import DetectionRecord
+from qtrack.data_io import DetectionRecord, write_trajectories
 from qtrack.matcher import MatcherVariant
 from qtrack.model import TrackerModel
 from qtrack.rescoring import ScoredInstance, filter_instances
@@ -332,3 +334,45 @@ def test_tracker_config_validation():
         TrackerConfig(history_depth=0)
     with pytest.raises(ValueError):
         TrackerConfig(min_track_len=0)
+
+
+# ---------------------------------------------------------------------------
+# properties of whole runs
+
+
+_HEADED_MODELS = {(v, h): TrackerModel.create(v, d_q=8, d_e=8, heads=h, seed=4) for v in MatcherVariant for h in (1, 2)}
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    variant=st.sampled_from(list(MatcherVariant)),
+    heads=st.sampled_from([1, 2]),
+    use_lt=st.booleans(),
+    frames=st.integers(min_value=1, max_value=10),
+    tracks=st.integers(min_value=0, max_value=6),
+    fp_rate=st.sampled_from([0.0, 1.5]),
+    dropped=st.sets(st.integers(min_value=0, max_value=9), max_size=3),
+    min_len=st.integers(min_value=1, max_value=3),
+)
+def test_track_sequence_properties(tmp_path_factory, seed, variant, heads, use_lt, frames, tracks, fp_rate,
+                                   dropped, min_len):
+    """A one-pass iterator tracks like a list; ST alone links only adjacent frames; no detection is used twice."""
+    cfg = SynthConfig(frames=frames, tracks=tracks, d_q=8, noise_sigma=0.3, miss_prob=0.2, fp_rate=fp_rate, seed=seed)
+    _, stream, _ = generate_sequence(cfg)
+    stream = [f for f in stream if f.frame_index not in dropped]
+    model = _HEADED_MODELS[variant, heads]
+    config = TrackerConfig(history_depth=3, use_lt=use_lt, min_track_len=min_len)
+
+    tracks_out = track_sequence(stream, model, config)
+    out = tmp_path_factory.mktemp("tracks")
+    write_trajectories(tracks_out, out / "list.jsonl", video="v")
+    write_trajectories(track_sequence(iter(stream), model, config), out / "iter.jsonl", video="v")
+    assert (out / "iter.jsonl").read_bytes() == (out / "list.jsonl").read_bytes()
+
+    if not use_lt:
+        for tr in tracks_out:
+            assert np.all(np.diff(tr.frames) == 1)
+    # every trajectory row is a distinct detection: per frame, the rows' boxes are a sub-multiset of the records'
+    boxes = {f.frame_index: Counter(rec.box for rec in f.records) for f in stream}
+    used = Counter((f, tuple(box)) for tr in tracks_out for f, box in zip(tr.frames.tolist(), tr.boxes.tolist()))
+    assert all(n <= boxes[f][box] for (f, box), n in used.items())

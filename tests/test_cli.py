@@ -15,6 +15,7 @@ from qtrack.cli import main
 from qtrack.data_io import (
     GroundTruthEntry,
     GroundTruthTrack,
+    parse_detection_stream,
     read_trajectories,
     write_annotations,
 )
@@ -599,3 +600,17 @@ def test_config_not_utf8_names_the_file(tmp_path, capsys):
     assert _json_error(capsys) == (f"bad config JSON in {cfg_path}: 'utf-8' codec can't decode byte 0xff "
                                    "in position 30: invalid start byte")
     assert not (tmp_path / "o").exists()
+
+
+def test_gen_and_track_on_a_canvas_narrower_than_the_clutter(tmp_path):
+    """A clutter box wider or taller than the canvas spans it instead of failing the draw."""
+    data = _gen(tmp_path, frames=3, tracks=2, extra={"canvas": [30, 200], "fp_rate": 1.5, "seed": 1})
+    header, frames = parse_detection_stream(data / "stream.jsonl")
+    w, h = header.canvas
+    clutter = [rec.box for frame in frames for rec in frame.records if rec.text is None]
+    assert clutter  # the seed draws some, each at least 30 wide, so each spans the canvas
+    assert all(x0 == 0 and x1 == w and 0 <= y0 < y1 <= h for x0, y0, x1, y1 in clutter)
+    ckpt = tmp_path / "model.json"
+    save_checkpoint(TrackerModel.create(MatcherVariant.TRANSFORMER, d_q=16, d_e=8), ckpt)
+    assert main(["track", "--checkpoint", str(ckpt), "--stream", str(data / "stream.jsonl"),
+                 "--out", str(tmp_path / "tracked")]) == 0

@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qtrack import metrics
 from qtrack.data_io import (
     Box,
     GroundTruthEntry,
     GroundTruthTrack,
     TrajectoryOutput,
     box_array,
+    iou,
 )
 from qtrack.metrics import EvalConfig, clear_mot, detection_prf, idf1
 
@@ -308,3 +310,40 @@ def test_evaluate_sequences_single_matches_clear_mot():
     assert merged.mota == single.mota
     assert merged.idf1 == single.idf1
     assert merged.id_switches == single.id_switches
+
+
+# ---------------------------------------------------------------------------
+# the same-frame pairs
+
+
+@st.composite
+def _pair_sides(draw):
+    """Boxes in frames 0-4 on a few slots, jittered so that some pairs overlap and some do not."""
+    def rows(n):
+        frames = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+        boxes = [(s * 40.0 + dx, 0.0, s * 40.0 + dx + 50.0, 30.0)
+                 for s, dx in draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 30)), min_size=n, max_size=n))]
+        return np.array(frames, dtype=np.int64), box_array(boxes)
+
+    a_frame, a_box = rows(draw(st.integers(0, 12)))
+    b_frame, b_box = rows(draw(st.integers(0, 12)))
+    order = np.argsort(b_frame, kind="stable")
+    return a_frame, a_box, b_frame[order], b_box[order]
+
+
+@given(_pair_sides(), st.randoms(use_true_random=False), st.sampled_from([None, 1, 3]))
+def test_hit_mask_needs_only_b_sorted(sides, random, budget):
+    """Permuting the `a` rows permutes the mask the same way, and each entry is the per-pair test."""
+    a_frame, a_box, b_frame, b_box = sides
+    perm = list(range(len(a_frame)))
+    random.shuffle(perm)
+    saved = metrics.PAIR_BUDGET
+    metrics.PAIR_BUDGET = budget or saved  # small budgets split the pairs into several chunks
+    try:
+        mask = metrics._hit_mask(a_frame, a_box, b_frame, b_box, 0.5)
+        permuted = metrics._hit_mask(a_frame[perm], a_box[perm], b_frame, b_box, 0.5)
+    finally:
+        metrics.PAIR_BUDGET = saved
+    assert permuted.tolist() == mask[perm].tolist()
+    assert mask.tolist() == [any(fb == fa and iou(tuple(a), tuple(b)) >= 0.5 for fb, b in zip(b_frame, b_box))
+                             for fa, a in zip(a_frame, a_box)]
