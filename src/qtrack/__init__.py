@@ -26,7 +26,7 @@ from .matcher import (
 from .metrics import EvalConfig, MotReport, clear_mot, detection_prf, idf1
 from .model import ModelConfig, TrackerModel, load_checkpoint, save_checkpoint
 from .rescoring import RescoringHead, ScoredInstance, filter_instances, fuse_scores, rescore
-from .synth import SynthConfig, degrade_scores, generate_sequence
+from .synth import SynthConfig, generate_sequence
 from .training import (
     LossConfig,
     TrainConfig,

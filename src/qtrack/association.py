@@ -57,27 +57,21 @@ class MemoryBank:
     """Embeddings of the live trajectories from the last H frames.
 
     One row per (trajectory, frame): `rows` with the `track` and `frame`
-    of each row. A row is the trajectory's embedding at that frame
-    (`embeddings`, its first d_e columns), followed by whatever the
-    bank's `matcher` keeps beside it (`PackedMatcher.rows`); a bank made
-    without a matcher holds the embeddings alone. Rows are grouped by
-    ascending track id, oldest first within a track, which is the order
-    the long-term stage reads them in. A trajectory leaves the bank with
-    its last row.
+    of each row. A row is the `matcher`'s row for the trajectory's
+    embedding at that frame (`PackedMatcher.rows`): the embedding in its
+    first d_e columns, followed by whatever the matcher keeps beside it.
+    Rows are grouped by ascending track id, oldest first within a track,
+    which is the order the long-term stage reads them in. A trajectory
+    leaves the bank with its last row.
     """
 
-    def __init__(self, horizon: int, d_e: int, matcher: PackedMatcher | None = None):
+    def __init__(self, horizon: int, matcher: PackedMatcher):
         self.horizon = horizon
-        self.d_e = d_e
         self.matcher = matcher  # the tracking run's packed matcher, which `associate_frame` uses
-        self.rows = np.zeros((0, d_e if matcher is None else matcher.width))
+        self.rows = np.zeros((0, matcher.width))
         self.track = np.zeros(0, dtype=np.int64)
         self.frame = np.zeros(0, dtype=np.int64)
         self.next_id = 1
-
-    @property
-    def embeddings(self) -> np.ndarray:
-        return self.rows[:, :self.d_e]
 
     def track_ids(self) -> list[int]:
         return np.unique(self.track).tolist()
@@ -85,7 +79,7 @@ class MemoryBank:
     def entries(self, track_id: int) -> np.ndarray:
         """The trajectory's embedding rows, oldest first."""
         lo, hi = np.searchsorted(self.track, (track_id, track_id + 1))
-        return self.embeddings[lo:hi]
+        return self.rows[lo:hi, :self.matcher.d_e]
 
     def new_ids(self, count: int) -> list[int]:
         """Ids for `count` new trajectories, increasing and never reused."""
@@ -114,12 +108,7 @@ class AssociationOutcome:
     st_matches: list[tuple[int, int, float]]  # (instance index, track id, probability)
     lt_matches: list[tuple[int, int, float]]
     new_tracks: list[int]  # instance indices that found no trajectory
-    embeddings: np.ndarray  # (n, d_e) rows aligned with the input instances
-    rows: np.ndarray | None = None  # their bank rows (`PackedMatcher.rows`); the embeddings when None
-
-    def __post_init__(self) -> None:
-        if self.rows is None:
-            self.rows = self.embeddings
+    rows: np.ndarray  # (n, width) bank rows (`PackedMatcher.rows`) aligned with the input instances
 
 
 def nms(instances: list[ScoredInstance], iou_threshold: float) -> list[ScoredInstance]:
@@ -181,14 +170,15 @@ def associate_frame(
     Each stage keeps the pairs whose probability reaches the threshold
     and assigns them greedily: highest probability first, ties to the
     lower instance index, then the lower track id. The matcher is the
-    bank's, or `model.matcher` packed for this call when the bank has
-    none. The bank is not modified; the caller applies the outcome.
+    bank's, packed once for the run; `model` is not read, and stays in
+    the signature for callers that bind the arguments by position. The
+    bank is not modified; the caller applies the outcome.
     """
     n = len(instances)
     if n == 0:
-        return AssociationOutcome([], [], [], np.zeros((0, model.d_e)), np.zeros((0, bank.rows.shape[1])))
+        return AssociationOutcome([], [], [], np.zeros((0, bank.rows.shape[1])))
 
-    matcher = bank.matcher if bank.matcher is not None else PackedMatcher(model.matcher)
+    matcher = bank.matcher
     queries = np.array([inst.record.query for inst in instances])
     current = matcher.rows(embed_queries(queries, matcher))
 
@@ -225,7 +215,7 @@ def associate_frame(
 
     matched.update(i for i, _, _ in lt_matches)
     new_tracks = [i for i in leftovers if i not in matched]
-    return AssociationOutcome(st_matches, lt_matches, new_tracks, current[:, :model.d_e], current)
+    return AssociationOutcome(st_matches, lt_matches, new_tracks, current)
 
 
 def track_sequence(
@@ -238,7 +228,7 @@ def track_sequence(
     Deterministic: identical frames, model and config produce identical
     trajectory ids and contents. The matcher is packed once, for the run.
     """
-    bank = MemoryBank(config.history_depth, model.d_e, PackedMatcher(model.matcher))
+    bank = MemoryBank(config.history_depth, PackedMatcher(model.matcher))
     head = model.rescoring_head()
     track_ids, frame_ids, records, scores = [], [], [], []  # one row per (trajectory, frame)
 

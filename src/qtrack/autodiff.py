@@ -12,14 +12,13 @@ Leaf tensors double as parameters: after ``backward()``, ``grad``
 holds dL/dvalue with the same shape as ``value``.
 
 The blocks in ``numerics`` and ``matcher`` are written once against an
-op table: ``TAPE`` runs them on tensors and records the graph that
-training differentiates; ``ARRAY`` runs them on plain float64 arrays
-and builds nothing. Products, sums, scaling and transposes are ``@``,
-``+``, ``*`` and ``.T`` in both. Where a tape op's forward is plain
+op table, ``TAPE``, which runs them on tensors and records the graph
+that training differentiates; products, sums, scaling and transposes
+are ``@``, ``+``, ``*`` and ``.T``. Where a tape op's forward is plain
 arithmetic (rectifier, row softmax, unit rows, layer norm), it computes
-its value with the array op's function, so the two tables agree bit for
-bit by construction. Tracking runs ``matcher.PackedMatcher``, which
-calls these same functions on plain copies of the weights.
+its value with a plain-array function below. Tracking runs
+``matcher.PackedMatcher``, which calls these same functions on plain
+copies of the weights, so the two agree bit for bit by construction.
 
 The plain-array functions run on a few rows per tracked frame, where
 the cost is numpy's per-call overhead, not arithmetic. So they call the
@@ -66,7 +65,6 @@ __all__ = [
     "concat_cols",
     "take_rows",
     "take_cols",
-    "ARRAY",
     "TAPE",
 ]
 
@@ -420,7 +418,7 @@ def _tape_scores_with_null(sims: Tensor, scale: float, null_logit: float) -> Ten
 
 
 # ---------------------------------------------------------------------------
-# plain-array forwards and the two op tables
+# plain-array forwards and the op table
 
 
 def _softmax_rows(a: np.ndarray) -> np.ndarray:
@@ -489,20 +487,8 @@ def _scores_with_null(sims: np.ndarray, scale: float, null_logit: float) -> np.n
     return out
 
 
-# The ops a block calls besides `@`, `+`, `*` and `.T`. `linear` and
-# `layer_norm` take parameter tensors (and `LayerNormParams`) and unwrap
-# them themselves, so the array table pays no per-weight call.
-ARRAY = SimpleNamespace(
-    const=lambda value: value,
-    linear=lambda x, w, b: _affine(x, w.value, b.value),
-    relu=_relu,
-    softmax_rows=_softmax_rows,
-    layer_norm=lambda x, ln: _layer_norm(x, ln.gain.value, ln.bias.value)[0],
-    cols=lambda a, start, stop: a[:, start:stop],
-    concat_cols=lambda parts: np.concatenate(parts, axis=1),
-    unit_rows_or_zero=lambda a: _unit_rows_or_zero(a)[0],
-    scores_with_null=_scores_with_null,
-)
+# The ops a block calls besides `@`, `+`, `*` and `.T`. `layer_norm`
+# takes `LayerNormParams` and unwraps them itself.
 TAPE = SimpleNamespace(
     const=Tensor,
     linear=linear,

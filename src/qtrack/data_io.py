@@ -40,6 +40,8 @@ __all__ = [
     "iou",
     "iou_matrix",
     "iou_pairs",
+    "frame_pairs",
+    "hit_mask",
     "box_array",
     "polygon_envelope",
     "DetectionRecord",
@@ -63,6 +65,7 @@ CATEGORIES = ("alphanumeric", "other")
 BOX_TYPES = ("quadrilateral", "polygon")
 POLYGON_POINTS = 14  # curved-text annotation convention
 QUAD_POINTS = 4
+PAIR_BUDGET = 4096  # same-frame pairs whose IoU is taken at once, so crowded frames stay small in memory
 INT64_END = 2**63  # integer fields lie in [-INT64_END, INT64_END)
 _repr = float.__repr__  # a float's JSON spelling, save inf and nan, for subclasses such as np.float64 too
 
@@ -146,6 +149,38 @@ def _iou_columns(ax0, ay0, ax1, ay1, bx0, by0, bx1, by1, same: bool = False) -> 
     out = np.zeros(inter.shape)
     np.divide(inter, union, out=out, where=inter > 0.0)
     return out
+
+
+def frame_pairs(a_frame, a_box, b_frame, b_box, thr: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(i, j, IoU) of the rows i of `a` and j of `b` in one frame with IoU >= thr, ordered by (i, j).
+
+    `b` is sorted by frame; `a` may be in any order, since each `a` row
+    looks up its own frame's run of `b` rows. The pairs are taken
+    PAIR_BUDGET at a time (or one `a` row at a time, if it has more).
+    """
+    lo = np.searchsorted(b_frame, a_frame, "left")
+    count = np.searchsorted(b_frame, a_frame, "right") - lo
+    end = np.cumsum(count)
+    found = [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0))]
+    start = 0
+    while start < len(a_frame):
+        before = end[start] - count[start]
+        stop = max(int(np.searchsorted(end, before + PAIR_BUDGET, "right")), start + 1)
+        c = count[start:stop]
+        i = np.repeat(np.arange(start, stop), c)
+        j = np.arange(before, end[stop - 1]) + np.repeat(lo[start:stop] - end[start:stop] + c, c)
+        overlap = iou_pairs(a_box[i], b_box[j])
+        hit = overlap >= thr
+        found.append((i[hit], j[hit], overlap[hit]))
+        start = stop
+    return tuple(np.concatenate(column) for column in zip(*found))
+
+
+def hit_mask(a_frame, a_box, b_frame, b_box, thr: float) -> np.ndarray:
+    """Whether each `a` row overlaps some `b` row of its frame at the threshold."""
+    mask = np.zeros(len(a_frame), dtype=bool)
+    mask[frame_pairs(a_frame, a_box, b_frame, b_box, thr)[0]] = True
+    return mask
 
 
 def polygon_envelope(points: Iterable[tuple[float, float]]) -> Box:

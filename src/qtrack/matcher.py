@@ -25,11 +25,11 @@ gives the tape's values bit for bit, with three differences in how it
 gets there. It looks up no op table and no ``Tensor.value``; it
 projects with fused weights, [W_q|W_k|W_v] for self-attention and
 [W_k|W_v] for memory, where the BLAS kernel gives the fused blocks the
-separate products' bits; and for the transformer it reads each row's
-first layer norm from a normalization computed once per row, when the
-row is embedded. ``embed_queries`` and ``matcher_forward`` run it, and
-the tests hold it to the tape and to a frozen copy of the earlier
-plain-array forward.
+separate products' bits; and it reads its own rows, where for the
+transformer each embedding keeps beside it the normalization of its
+first layer norm, computed once, when the row is embedded.
+``embed_queries`` and ``matcher_forward`` run it, and the tests hold it
+to the tape and to a frozen copy of the earlier plain-array forward.
 """
 
 from __future__ import annotations
@@ -163,19 +163,16 @@ def embed(o, queries, params: MatcherParams):
     return ffn(o, queries, params.shared_ffn)
 
 
-def embed_queries(queries: np.ndarray, params: MatcherParams | PackedMatcher) -> np.ndarray:
-    """Map instance queries (n, d_q) to association embeddings (n, d_e) as plain arrays.
-
-    `params` is a `PackedMatcher`, or `MatcherParams` packed for this call.
-    """
+def embed_queries(queries: np.ndarray, matcher: PackedMatcher) -> np.ndarray:
+    """Map instance queries (n, d_q) to association embeddings (n, d_e) as plain arrays."""
     queries = np.asarray(queries, dtype=np.float64)
     if queries.ndim != 2:
         raise ValueError("queries must be a 2D matrix")
     if queries.shape[0] == 0:
-        return np.zeros((0, params.d_e))
-    if queries.shape[1] != params.d_q:
-        raise ValueError(f"query dim {queries.shape[1]} does not match matcher d_q {params.d_q}")
-    return _packed(params).embed(queries)
+        return np.zeros((0, matcher.d_e))
+    if queries.shape[1] != matcher.d_q:
+        raise ValueError(f"query dim {queries.shape[1]} does not match matcher d_q {matcher.d_q}")
+    return matcher.embed(queries)
 
 
 def association(o, current, history, params: MatcherParams, branch: str):
@@ -357,7 +354,7 @@ class PackedMatcher:
         return np.concatenate((embeddings, _normalize_rows(embeddings)[0]), axis=1)
 
     def forward(self, current: np.ndarray, history: np.ndarray, branch: str) -> tuple[np.ndarray, np.ndarray]:
-        """(scores, probabilities) of `association` for current and history rows, each `rows` or bare embeddings."""
+        """(scores, probabilities) of `association` for current and history `rows`."""
         n_cur, n_hist = len(current), len(history)
         if n_cur == 0:
             empty = np.zeros((0, n_hist + 1))
@@ -366,8 +363,8 @@ class PackedMatcher:
             return np.full((n_cur, 1), self.null_logit), np.ones((n_cur, 1))
         if self.variant is MatcherVariant.TRANSFORMER:
             encoder, decoder = self._branch(branch)
-            encoded = encoder.encode(self._widened(history))
-            sims = _cosines(decoder.decode(self._widened(current), encoded), encoded)
+            encoded = encoder.encode(history)
+            sims = _cosines(decoder.decode(current, encoded), encoded)
         elif self.variant is MatcherVariant.CROSS_ATTN:
             attended = self._branch(branch).attend(current, history)
             attended += current
@@ -383,27 +380,19 @@ class PackedMatcher:
         except KeyError:
             raise ValueError(f"unknown branch {name!r}") from None
 
-    def _widened(self, rows: np.ndarray) -> np.ndarray:
-        return rows if rows.shape[1] == self.width else self.rows(rows)
-
-
-def _packed(params: MatcherParams | PackedMatcher) -> PackedMatcher:
-    return params if isinstance(params, PackedMatcher) else PackedMatcher(params)
-
 
 def matcher_forward(
     current: np.ndarray,
     history: np.ndarray,
-    params: MatcherParams | PackedMatcher,
+    matcher: PackedMatcher,
     branch: str = "st",
 ) -> tuple[np.ndarray, np.ndarray]:
     """`association`'s (scores, probabilities) on plain float64 arrays.
 
-    `params` is a `PackedMatcher`, or `MatcherParams` packed for this
-    call. `current` (n_cur rows) and `history` (n_hist rows) are
-    embeddings of width d_e or the matcher's `rows`.
+    `current` (n_cur rows) and `history` (n_hist rows) are the
+    matcher's `rows`.
     """
-    return _packed(params).forward(current, history, branch)
+    return matcher.forward(current, history, branch)
 
 
 def count_parameters(variant: MatcherVariant, d_q: int, d_e: int, heads: int = 1) -> int:

@@ -24,12 +24,11 @@ from itertools import chain
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .data_io import Box, GroundTruthTrack, TrajectoryOutput, box_array, iou_pairs
+from .data_io import Box, GroundTruthTrack, TrajectoryOutput, box_array, frame_pairs, hit_mask
 
 __all__ = ["EvalConfig", "MotReport", "clear_mot", "idf1", "detection_prf", "evaluate_sequences"]
 
 INVALID = 1e9  # cost placeholder for pairs below the overlap threshold
-PAIR_BUDGET = 4096  # same-frame pairs whose IoU is taken at once, so crowded frames stay small in memory
 
 
 @dataclass
@@ -85,38 +84,6 @@ def _gt_rows(tracks: list[GroundTruthTrack]):
                  box_array(e.box for tr in tracks for e in tr.frames.values()), sizes)
 
 
-def _pairs(a_frame, a_box, b_frame, b_box, thr: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(i, j, IoU) of the rows i of `a` and j of `b` in one frame with IoU >= thr, ordered by (i, j).
-
-    `b` is sorted by frame; `a` may be in any order, since each `a` row
-    looks up its own frame's run of `b` rows. The pairs are taken
-    PAIR_BUDGET at a time (or one `a` row at a time, if it has more).
-    """
-    lo = np.searchsorted(b_frame, a_frame, "left")
-    count = np.searchsorted(b_frame, a_frame, "right") - lo
-    end = np.cumsum(count)
-    found = [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0))]
-    start = 0
-    while start < len(a_frame):
-        before = end[start] - count[start]
-        stop = max(int(np.searchsorted(end, before + PAIR_BUDGET, "right")), start + 1)
-        c = count[start:stop]
-        i = np.repeat(np.arange(start, stop), c)
-        j = np.arange(before, end[stop - 1]) + np.repeat(lo[start:stop] - end[start:stop] + c, c)
-        overlap = iou_pairs(a_box[i], b_box[j])
-        hit = overlap >= thr
-        found.append((i[hit], j[hit], overlap[hit]))
-        start = stop
-    return tuple(np.concatenate(column) for column in zip(*found))
-
-
-def _hit_mask(a_frame, a_box, b_frame, b_box, thr: float) -> np.ndarray:
-    """Whether each `a` row overlaps some `b` row of its frame at the threshold."""
-    mask = np.zeros(len(a_frame), dtype=bool)
-    mask[_pairs(a_frame, a_box, b_frame, b_box, thr)[0]] = True
-    return mask
-
-
 class _Sequence:
     """One sequence as frame-sorted rows and its same-frame pairs at the threshold.
 
@@ -139,8 +106,8 @@ class _Sequence:
         p_order, self.p_frame, p_box, p_track = _rows(p_frame, p_box, [len(tr.frames) for tr in pred_tracks])
         self.p_id = np.array([tr.track_id for tr in pred_tracks], dtype=np.int64)[p_track]
         _, d_frame, d_box, _ = _gt_rows([tr for tr in gt_tracks if tr.category == "other"])
-        self.on_dontcare = _hit_mask(self.p_frame, p_box, d_frame, d_box, thr)
-        g, p, overlap = _pairs(self.g_frame, g_box, self.p_frame, p_box, thr)
+        self.on_dontcare = hit_mask(self.p_frame, p_box, d_frame, d_box, thr)
+        g, p, overlap = frame_pairs(self.g_frame, g_box, self.p_frame, p_box, thr)
         self.hits_valid = np.zeros(len(p_order), dtype=bool)
         self.hits_valid[p] = True  # at the threshold, whatever the texts
         if cfg.mode == "spotting":
@@ -322,7 +289,7 @@ def detection_prf(
     sizes = [len(boxes) for boxes in pred_boxes_by_frame.values()]
     _, p_frame, p_box, _ = _rows(np.repeat(np.array(list(pred_boxes_by_frame), dtype=np.int64), sizes),
                                  box_array(chain.from_iterable(pred_boxes_by_frame.values())), sizes)
-    g, p, overlap = _pairs(g_frame, g_box, p_frame, p_box, thr)
+    g, p, overlap = frame_pairs(g_frame, g_box, p_frame, p_box, thr)
     # rows are global, so pairs of different frames never compete and one order serves all frames
     used_g: set[int] = set()
     used = np.zeros(len(p_frame), dtype=bool)
@@ -332,7 +299,7 @@ def detection_prf(
             used[p[q]] = True
     tp = len(used_g)
     fn = len(g_frame) - tp
-    fp = int(np.count_nonzero(~used & ~_hit_mask(p_frame, p_box, d_frame, d_box, thr)))
+    fp = int(np.count_nonzero(~used & ~hit_mask(p_frame, p_box, d_frame, d_box, thr)))
 
     precision = tp / (tp + fp) if (tp + fp) > 0 else 0.0
     recall = tp / (tp + fn) if (tp + fn) > 0 else 0.0

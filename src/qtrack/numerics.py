@@ -3,12 +3,10 @@
 Vectors and matrices are contiguous float64 numpy arrays. Each block
 (two-layer feedforward, single-layer multi-head attention, the pre-norm
 encoder and decoder layers, the cosine matrix) is one forward whose
-first argument is an op table: ``autodiff.TAPE`` records the graph that
-training differentiates, ``autodiff.ARRAY`` runs the same operations on
-plain arrays and builds nothing. Both tables run the same float
-operations in the same order, so the array output equals the tape's
-``value`` bit for bit. Tracking runs neither: it runs
-``matcher.PackedMatcher``, which the tests hold to these blocks.
+first argument is an op table, ``autodiff.TAPE``, which records the
+graph that training differentiates. Tracking runs
+``matcher.PackedMatcher``, which the tests hold to these blocks bit for
+bit.
 ``check_gradients`` is the independent finite-difference oracle for
 every analytic gradient in the package.
 """
@@ -184,7 +182,7 @@ def stable_sigmoid(z: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# blocks, each written once against an op table `o` (`autodiff.TAPE` or `autodiff.ARRAY`)
+# blocks, each written once against an op table `o` (`autodiff.TAPE`)
 
 
 def ffn(o, x, params: FfnParams):

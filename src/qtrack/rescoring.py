@@ -34,14 +34,6 @@ class ScoredInstance:
     recomputed_score: float  # c_r
     fused_score: float  # c_f = max(c_o, c_r)
 
-    @classmethod
-    def build(cls, record: DetectionRecord, recomputed_score: float) -> "ScoredInstance":
-        return cls(
-            record=record,
-            recomputed_score=recomputed_score,
-            fused_score=fuse_scores(record.score, recomputed_score),
-        )
-
 
 def rescore(record: DetectionRecord, head: RescoringHead) -> float:
     """Recomputed confidence c_r = logistic(weight . query + bias), in (0, 1)."""

@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import compress
-from operator import itemgetter
 
 import numpy as np
 
@@ -27,10 +26,10 @@ from .data_io import (
     GroundTruthTrack,
     StreamHeader,
     box_array,
+    hit_mask,
 )
-from .metrics import _hit_mask
 
-__all__ = ["SynthConfig", "generate_sequence", "degrade_scores"]
+__all__ = ["SynthConfig", "generate_sequence"]
 
 TEXT_DIRECTION_WEIGHT = 0.55  # share of each latent along the common text axis
 MAX_CANVAS_SIDE = 2.0**52  # the largest canvas side on which no box degenerates; see `SynthConfig`
@@ -167,7 +166,7 @@ def generate_sequence(cfg: SynthConfig) -> tuple[StreamHeader, list[DetectionFra
 
     if degrade:
         hit = np.ones(len(candidates), dtype=bool)
-        hit[clutter] = _hit_mask(
+        hit[clutter] = hit_mask(
             np.array([candidates[i].frame_index for i in clutter], dtype=np.int64),
             box_array(candidates[i].box for i in clutter),
             np.repeat(np.arange(cfg.frames), cfg.tracks), box_array(boxes), 0.5,
@@ -183,39 +182,6 @@ def _reflect(x: float, lo: float, hi: float) -> float:
     span = hi - lo
     x = (x - lo) % (2 * span)
     return lo + (x if x <= span else 2 * span - x)
-
-
-def degrade_scores(
-    frames: list[DetectionFrame],
-    gt_tracks: list[GroundTruthTrack],
-    fraction: float,
-    floor: float,
-    seed: int = 0,
-) -> list[DetectionFrame]:
-    """Crush the original score of a seeded random share of true detections.
-
-    Exactly round(fraction * n) of the records overlapping ground truth
-    (IoU >= 0.5 against any same-frame box) get their score resampled
-    in [0, floor]; clutter records are untouched. Simulates a frozen
-    spotter losing confidence on video frames. Returns new frames of
-    new records; `frames` is left as it is.
-    """
-    if not 0.0 <= fraction <= 1.0:
-        raise ValueError("fraction must be in [0,1]")
-    out = [
-        DetectionFrame(f.frame_index, [
-            DetectionRecord(r.frame_index, r.query.copy(), r.box, r.score, r.polygon, r.text) for r in f.records
-        ])
-        for f in frames
-    ]
-    gt = sorted(((f, entry.box) for tr in gt_tracks for f, entry in tr.frames.items()), key=itemgetter(0))
-    records = [(f.frame_index, r) for f in out for r in f.records]
-    hit = _hit_mask(
-        np.array([f for f, _ in records], dtype=np.int64), box_array(r.box for _, r in records),
-        np.array([f for f, _ in gt], dtype=np.int64), box_array(box for _, box in gt), 0.5,
-    )
-    _crush([r for _, r in compress(records, hit.tolist())], fraction, floor, seed)
-    return out
 
 
 def _crush(candidates: list[DetectionRecord], fraction: float, floor: float, seed: int) -> None:

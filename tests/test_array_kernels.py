@@ -12,11 +12,11 @@ grid covers every matcher variant, the long-term stage on and off, and
 forced ties. Since the tape takes its values from the array ops, the
 plain-array forward is also held to `reference_matcher`, the ops frozen
 as they were before they wrote into their own temporaries, which
-catches a drift both tables share.
+catches a drift the tape and the plain-array forward share.
 """
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import pytest
@@ -80,7 +80,7 @@ from qtrack.metrics import (
 from qtrack.model import TrackerModel
 from qtrack.numerics import AttentionParams
 from qtrack.rescoring import ScoredInstance, filter_instances
-from qtrack.synth import SynthConfig, degrade_scores, generate_sequence
+from qtrack.synth import SynthConfig, generate_sequence
 from qtrack.training import (
     ASSIGN_IOU_MIN,
     LossBreakdown,
@@ -213,7 +213,7 @@ def ref_associate_frame(instances, bank, model, config, frame_index):
                     cols = [c for c, t in enumerate(row_tids) if t == tid]
                     candidates.append((float(probs[local_i, cols].max()), inst, tid))
             lt_matches = ref_greedy_assign(candidates, config.assoc_threshold, free_instances, set(lt_tracks))
-    return AssociationOutcome(st_matches, lt_matches, sorted(free_instances), current)
+    return AssociationOutcome(st_matches, lt_matches, sorted(free_instances), current)  # rows: bare embeddings
 
 
 def ref_assign_targets(pred_boxes, gt_boxes):
@@ -722,7 +722,7 @@ def _track_both(frames, model, config):
     of creation, its (frame, record, fused score, text with misreads)
     rows in order of recording.
     """
-    bank = MemoryBank(config.history_depth, model.d_e)
+    bank = MemoryBank(config.history_depth, PackedMatcher(model.matcher))
     ref_bank = RefMemoryBank(config.history_depth)
     head = model.rescoring_head()
     recorded: dict[int, list] = {}
@@ -737,21 +737,21 @@ def _track_both(frames, model, config):
         assert got.st_matches == want.st_matches
         assert got.lt_matches == want.lt_matches
         assert got.new_tracks == want.new_tracks
-        assert np.array_equal(got.embeddings, want.embeddings)
+        assert np.array_equal(got.rows[:, :model.d_e], want.rows)
         counts["st"] += len(got.st_matches)
         counts["lt"] += len(got.lt_matches)
         new_ids = bank.new_ids(len(got.new_tracks))
         assignments = [(i, tid) for i, tid, _ in got.st_matches + got.lt_matches]
         assignments += zip(got.new_tracks, new_ids)
-        bank.update(t, [tid for _, tid in assignments], got.embeddings[[i for i, _ in assignments]])
+        bank.update(t, [tid for _, tid in assignments], got.rows[[i for i, _ in assignments]])
         for i, tid, _ in want.st_matches + want.lt_matches:
-            ref_bank.append(tid, t, want.embeddings[i])
-        assert [ref_bank.new_track(t, want.embeddings[i]) for i in want.new_tracks] == new_ids
+            ref_bank.append(tid, t, want.rows[i])
+        assert [ref_bank.new_track(t, want.rows[i]) for i in want.new_tracks] == new_ids
         ref_bank.evict(t)
         want_rows = ref_bank.rows()
         assert bank.track.tolist() == [tid for tid, _, _ in want_rows]
         assert bank.frame.tolist() == [f for _, f, _ in want_rows]
-        assert np.array_equal(bank.embeddings, np.reshape([e for _, _, e in want_rows], (-1, model.d_e)))
+        assert np.array_equal(bank.rows[:, :model.d_e], np.reshape([e for _, _, e in want_rows], (-1, model.d_e)))
         for i, tid in assignments:
             rec = kept[i].record
             text = rec.text if (i + t) % 5 else "typo"  # some misreads for spotting mode
@@ -929,11 +929,11 @@ def test_metrics_equal_reference_on_random_sequences(seq_a, seq_b, threshold):
 @pytest.mark.parametrize("fraction", [0.1, 1.0])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_degrade_scores_equal_reference(tmp_path, seed, fraction):
+    """The generator's crushed stream is the per-pair loop's crush of its uncrushed stream."""
     # crowded frames with clutter, so records sit on both sides of IoU 0.5
     cfg = SynthConfig(frames=10, tracks=20, d_q=4, noise_sigma=0.1, miss_prob=0.2, fp_rate=4.0, seed=seed)
     header, frames, gts = generate_sequence(cfg)
-    frames.append(DetectionFrame(frame_index=cfg.frames))  # a frame with no records and no ground truth
-    got = degrade_scores(frames, gts, fraction, 0.1, seed=seed + 1)
+    got = generate_sequence(replace(cfg, degrade_fraction=fraction, degrade_floor=0.1))[1]
     want = ref_degrade_scores(frames, gts, fraction, 0.1, seed=seed + 1)
     write_detection_stream(tmp_path / "got.jsonl", header, got)
     write_detection_stream(tmp_path / "want.jsonl", header, want)
@@ -964,7 +964,7 @@ MATCHER_SHAPES = {
 @pytest.mark.parametrize("heads", [1, 2, 4])
 @pytest.mark.parametrize("variant", list(MatcherVariant))
 def test_plain_matcher_equals_tape_bitwise(variant, heads, branch, shape):
-    """The packed forward equals the tape, on bare embeddings and on rows that carry their normalization."""
+    """The packed forward, on rows that carry their normalization, equals the tape."""
     n_cur, n_hist, zero_cur, zero_hist, zero = MATCHER_SHAPES[shape]
     params = TrackerModel.create(variant, d_q=8, d_e=8, heads=heads, seed=2).matcher
     rng = np.random.default_rng(5)
@@ -972,8 +972,9 @@ def test_plain_matcher_equals_tape_bitwise(variant, heads, branch, shape):
         t.value[...] = rng.normal(scale=0.5, size=t.shape)
     d_e = params.d_e
 
+    packed = PackedMatcher(params)
     queries = rng.normal(size=(n_cur, 8))
-    embedded = embed_queries(queries, params)
+    embedded = embed_queries(queries, packed)
     assert np.array_equal(embedded, embed(TAPE, Tensor(queries), params).value)
 
     current = rng.normal(size=(n_cur, d_e))
@@ -981,12 +982,10 @@ def test_plain_matcher_equals_tape_bitwise(variant, heads, branch, shape):
     current[list(zero_cur)] = zero
     history[list(zero_hist)] = zero
     ref_scores, ref_probs = association(TAPE, Tensor(current), Tensor(history), params, branch)
-    packed = PackedMatcher(params)
-    for cur, hist in ((current, history), (packed.rows(current), packed.rows(history))):
-        scores, probs = matcher_forward(cur, hist, packed, branch=branch)
-        assert scores.shape == probs.shape == (n_cur, n_hist + 1)
-        assert _bytes(scores) == _bytes(ref_scores.value)
-        assert _bytes(probs) == _bytes(ref_probs.value)
+    scores, probs = matcher_forward(packed.rows(current), packed.rows(history), packed, branch=branch)
+    assert scores.shape == probs.shape == (n_cur, n_hist + 1)
+    assert _bytes(scores) == _bytes(ref_scores.value)
+    assert _bytes(probs) == _bytes(ref_probs.value)
 
 
 def _bytes(a: np.ndarray) -> tuple:
@@ -1009,7 +1008,7 @@ zero_rows = st.sets(st.integers(0, 90), max_size=3)
 @example(MatcherVariant.CROSS_ATTN, 2, "lt", 4, 1, set(), set(), 0.0, 1.0, 4, 12)
 def test_array_matcher_equals_frozen_reference_bitwise(variant, heads, branch, n_cur, n_hist,
                                                        zero_cur, zero_hist, zero, scale, seed, width):
-    """`MatcherParams` packed per call, and one packed matcher on stored rows, both give the reference's bytes."""
+    """The packed matcher, on the rows it stores, gives the reference's bytes."""
     params = TrackerModel.create(variant, d_q=width, d_e=width, heads=heads, seed=3).matcher
     rng = np.random.default_rng(seed)
     for t in params.tensors():  # non-trivial biases and layer-norm gains too
@@ -1021,10 +1020,9 @@ def test_array_matcher_equals_frozen_reference_bitwise(variant, heads, branch, n
     history[[i for i in zero_hist if i < n_hist]] = zero
     given_bytes = [_bytes(x) for x in (queries, current, history)]
 
-    assert _bytes(embed_queries(queries, params)) == _bytes(reference_matcher.embed_queries(queries, params))
-    want = [_bytes(x) for x in reference_matcher.matcher_forward(current, history, params, branch=branch)]
-    assert [_bytes(x) for x in matcher_forward(current, history, params, branch=branch)] == want
     packed = PackedMatcher(params)
+    assert _bytes(embed_queries(queries, packed)) == _bytes(reference_matcher.embed_queries(queries, params))
+    want = [_bytes(x) for x in reference_matcher.matcher_forward(current, history, params, branch=branch)]
     stored = matcher_forward(packed.rows(current), packed.rows(history), packed, branch=branch)
     assert [_bytes(x) for x in stored] == want
     assert [_bytes(x) for x in (queries, current, history)] == given_bytes
@@ -1050,7 +1048,7 @@ def test_stored_normalized_rows_equal_layer_norm_of_any_batch(d, n, subset, zero
 @given(st.lists(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1.0, -1.0, 1e300, -1e300])
                 | st.floats(allow_nan=False, allow_infinity=False), min_size=0, max_size=40), st.integers(1, 4))
 def test_relu_equals_masked_product_bitwise(values, rows):
-    """The rectifier both op tables share is `h * (h > 0)` on every finite entry, signed zeros included."""
+    """The tape's and the packed forward's rectifier is `h * (h > 0)` on every finite entry, signed zeros included."""
     h = np.resize(np.array(values, dtype=np.float64), (rows, len(values)))
     assert _bytes(_relu(h)) == _bytes(h * (h > 0))
     assert _bytes(TAPE.relu(Tensor(h)).value) == _bytes(h * (h > 0))

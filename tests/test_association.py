@@ -4,12 +4,12 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qtrack.association import MemoryBank, TrackerConfig, associate_frame, nms, track_sequence
-from qtrack.data_io import DetectionRecord, write_trajectories
-from qtrack.matcher import MatcherVariant
+from qtrack.data_io import DetectionFrame, DetectionRecord, write_trajectories
+from qtrack.matcher import MatcherVariant, PackedMatcher
 from qtrack.model import TrackerModel
 from qtrack.rescoring import ScoredInstance, filter_instances
 from qtrack.synth import SynthConfig, generate_sequence
@@ -32,6 +32,11 @@ def _unit(*values):
 
 def _similarity_model(d=4):
     return TrackerModel.create(MatcherVariant.SIMILARITY, d_q=d, d_e=d)
+
+
+def _bank(model, horizon=5):
+    """An empty bank on `model`'s packed matcher."""
+    return MemoryBank(horizon, PackedMatcher(model.matcher))
 
 
 def _new_track(bank, frame, embedding):
@@ -89,7 +94,7 @@ def test_nms_threshold_validation():
 
 
 def test_bank_eviction_and_finalization():
-    bank = MemoryBank(horizon=2, d_e=4)
+    bank = _bank(_similarity_model(), horizon=2)
     tid = _new_track(bank, 0, np.ones(4))
     bank.update(1, [tid], np.ones((1, 4)))
     assert bank.track_ids() == [tid]
@@ -100,13 +105,13 @@ def test_bank_eviction_and_finalization():
 
 
 def test_bank_ids_are_unique_and_increasing():
-    bank = MemoryBank(horizon=5, d_e=2)
+    bank = _bank(_similarity_model(d=2))
     ids = [_new_track(bank, 0, np.ones(2)) for _ in range(4)] + bank.new_ids(3)
     assert ids == sorted(set(ids))
 
 
 def test_bank_seen_at():
-    bank = MemoryBank(horizon=5, d_e=2)
+    bank = _bank(_similarity_model(d=2))
     a = _new_track(bank, 0, np.ones(2))
     b = _new_track(bank, 1, np.ones(2))
     bank.update(2, [a], np.full((1, 2), 2.0))
@@ -124,7 +129,7 @@ def test_bank_seen_at():
 
 def test_empty_bank_creates_new_tracks():
     model = _similarity_model()
-    bank = MemoryBank(horizon=5, d_e=4)
+    bank = _bank(model)
     instances = [_instance(_unit(1, 0, 0, 0)), _instance(_unit(0, 1, 0, 0), box=(20, 0, 30, 10))]
     outcome = associate_frame(instances, bank, model, TrackerConfig(), frame_index=0)
     assert outcome.st_matches == [] and outcome.lt_matches == []
@@ -133,7 +138,7 @@ def test_empty_bank_creates_new_tracks():
 
 def test_stage_ordering_st_wins_before_lt():
     model = _similarity_model()
-    bank = MemoryBank(horizon=5, d_e=4)
+    bank = _bank(model)
     q = _unit(1, 0, 0, 0)
     tid = _new_track(bank, 4, q)  # seen at t-1
     outcome = associate_frame([_instance(q, frame=5)], bank, model, TrackerConfig(), frame_index=5)
@@ -147,7 +152,7 @@ def test_stage_ordering_st_wins_before_lt():
 def test_lt_recovers_when_st_fails():
     """Low short-term probability, high long-term probability: the missed-detection path."""
     model = _similarity_model()
-    bank = MemoryBank(horizon=5, d_e=4)
+    bank = _bank(model)
     q = _unit(1, 0, 0, 0)
     # trajectory A was seen at t-1 but points the other way; B is older and matches
     a = _new_track(bank, 4, -q)
@@ -164,7 +169,7 @@ def test_lt_recovers_when_st_fails():
 def test_partition_and_one_instance_per_trajectory():
     rng = np.random.default_rng(0)
     model = _similarity_model(d=8)
-    bank = MemoryBank(horizon=5, d_e=8)
+    bank = _bank(model)
     for f in range(3):
         for _ in range(2):
             _new_track(bank, f, rng.normal(size=8))
@@ -184,7 +189,7 @@ def test_partition_and_one_instance_per_trajectory():
 
 def test_st_only_config_never_consults_lt():
     model = _similarity_model()
-    bank = MemoryBank(horizon=5, d_e=4)
+    bank = _bank(model)
     q = _unit(1, 0, 0, 0)
     _new_track(bank, 2, q)  # only reachable through the long-term stage
     cfg = TrackerConfig(use_lt=False)
@@ -250,7 +255,7 @@ def test_bank_never_holds_stale_embeddings():
     dets, _ = _noiseless_frames(frames=10, tracks=2, seed=3)
     model = _similarity_model(d=16)
     config = TrackerConfig()
-    bank = MemoryBank(config.history_depth, model.d_e)
+    bank = _bank(model, config.history_depth)
     head = model.rescoring_head()
     for frame in dets:
         kept = nms(filter_instances(frame, head, config.detect_threshold), config.nms_iou)
@@ -258,7 +263,7 @@ def test_bank_never_holds_stale_embeddings():
         assignments = [(i, tid) for i, tid, _ in outcome.st_matches + outcome.lt_matches]
         assignments += zip(outcome.new_tracks, bank.new_ids(len(outcome.new_tracks)))
         bank.update(frame.frame_index, [tid for _, tid in assignments],
-                    outcome.embeddings[[i for i, _ in assignments]])
+                    outcome.rows[[i for i, _ in assignments]])
         assert len(bank.frame) == 0 or bank.frame.min() > frame.frame_index - config.history_depth
 
 
@@ -279,7 +284,7 @@ def test_tracking_invariants_on_synthetic_streams(seed, variant, use_lt, history
     frames = [f for f in frames if f.frame_index not in dropped]  # gaps in the stream
     model = _MODELS[variant]
     config = TrackerConfig(history_depth=history, use_lt=use_lt)
-    bank = MemoryBank(config.history_depth, model.d_e)
+    bank = _bank(model, config.history_depth)
     head = model.rescoring_head()
     last_id = 0
     for frame in frames:
@@ -302,14 +307,14 @@ def test_tracking_invariants_on_synthetic_streams(seed, variant, use_lt, history
         last_id += len(new_ids)
         assignments = [(i, tid) for i, tid, _ in outcome.st_matches + outcome.lt_matches]
         assignments += zip(outcome.new_tracks, new_ids)
-        bank.update(t, [tid for _, tid in assignments], outcome.embeddings[[i for i, _ in assignments]])
+        bank.update(t, [tid for _, tid in assignments], outcome.rows[[i for i, _ in assignments]])
 
         # rows grouped by ascending track id, frames ascending within a track, none at or before t - H
         same_track = bank.track[1:] == bank.track[:-1]
         assert np.all(bank.track[1:] >= bank.track[:-1])
         assert np.all(bank.frame[1:][same_track] > bank.frame[:-1][same_track])
         assert np.all(bank.frame > t - history)
-        assert len(bank.track) == len(bank.frame) == len(bank.embeddings)
+        assert len(bank.track) == len(bank.frame) == len(bank.rows)
         assert sum(len(bank.entries(tid)) for tid in bank.track_ids()) == len(bank.track)
         assert set(bank.track[bank.frame == t].tolist()) == {tid for _, tid in assignments}
 
@@ -353,13 +358,34 @@ _HEADED_MODELS = {(v, h): TrackerModel.create(v, d_q=8, d_e=8, heads=h, seed=4) 
     fp_rate=st.sampled_from([0.0, 1.5]),
     dropped=st.sets(st.integers(min_value=0, max_value=9), max_size=3),
     min_len=st.integers(min_value=1, max_value=3),
+    hand=st.sets(st.sampled_from(["empty-frame", "same-box", "zero-query"])),
 )
+# hand-built frames, one at a time, and a one-frame stream
+@example(seed=1, variant=MatcherVariant.TRANSFORMER, heads=2, use_lt=True, frames=6, tracks=3, fp_rate=0.0,
+         dropped=set(), min_len=2, hand={"empty-frame"})
+@example(seed=2, variant=MatcherVariant.CROSS_ATTN, heads=1, use_lt=True, frames=6, tracks=3, fp_rate=1.5,
+         dropped=set(), min_len=1, hand={"same-box"})
+@example(seed=3, variant=MatcherVariant.FFN, heads=1, use_lt=False, frames=6, tracks=2, fp_rate=0.0,
+         dropped=set(), min_len=1, hand={"zero-query"})
+@example(seed=4, variant=MatcherVariant.SIMILARITY, heads=1, use_lt=True, frames=1, tracks=3, fp_rate=0.0,
+         dropped=set(), min_len=1, hand=set())
 def test_track_sequence_properties(tmp_path_factory, seed, variant, heads, use_lt, frames, tracks, fp_rate,
-                                   dropped, min_len):
-    """A one-pass iterator tracks like a list; ST alone links only adjacent frames; no detection is used twice."""
+                                   dropped, min_len, hand):
+    """A one-pass iterator tracks like a list; ST alone links only adjacent frames; no detection is used twice;
+    no trajectory is shorter than `min_track_len`."""
     cfg = SynthConfig(frames=frames, tracks=tracks, d_q=8, noise_sigma=0.3, miss_prob=0.2, fp_rate=fp_rate, seed=seed)
     _, stream, _ = generate_sequence(cfg)
     stream = [f for f in stream if f.frame_index not in dropped]
+    if "empty-frame" in hand:  # one inside the stream, if it has frames, and one after it
+        for frame in stream[len(stream) // 2:][:1]:
+            frame.records = []
+        stream.append(DetectionFrame(frames))
+    for frame in stream:
+        if "same-box" in hand and frame.records:  # a second record on the first one's box, with the same score
+            rec = frame.records[0]
+            frame.records.append(DetectionRecord(frame.frame_index, -rec.query, rec.box, rec.score))
+        if "zero-query" in hand:
+            frame.records.append(DetectionRecord(frame.frame_index, np.zeros(8), (1.0, 1.0, 20.0, 20.0), 0.95))
     model = _HEADED_MODELS[variant, heads]
     config = TrackerConfig(history_depth=3, use_lt=use_lt, min_track_len=min_len)
 
@@ -376,3 +402,4 @@ def test_track_sequence_properties(tmp_path_factory, seed, variant, heads, use_l
     boxes = {f.frame_index: Counter(rec.box for rec in f.records) for f in stream}
     used = Counter((f, tuple(box)) for tr in tracks_out for f, box in zip(tr.frames.tolist(), tr.boxes.tolist()))
     assert all(n <= boxes[f][box] for (f, box), n in used.items())
+    assert all(len(tr.frames) >= min_len for tr in tracks_out)

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from qtrack.autodiff import ARRAY
 from qtrack.matcher import (
     MatcherParams,
     MatcherVariant,
+    PackedMatcher,
     count_parameters,
     embed_queries,
     matcher_forward,
@@ -14,12 +14,24 @@ from qtrack.matcher import (
 from qtrack.model import ModelConfig
 from qtrack.numerics import ffn
 
+from reference_matcher import ARRAY
+
 ALL_VARIANTS = list(MatcherVariant)
 PARAMETRIC = [MatcherVariant.TRANSFORMER, MatcherVariant.FFN, MatcherVariant.CROSS_ATTN]
 
 
 def _params(variant, d_q=6, d_e=6, seed=0, **kw):
     return MatcherParams.create(ModelConfig(variant, d_q=d_q, d_e=d_e, seed=seed, **kw))
+
+
+def _embed(queries, params):
+    return embed_queries(queries, PackedMatcher(params))
+
+
+def _forward(current, history, params, branch="st"):
+    """`matcher_forward` on the packed matcher's rows of the `current` and `history` embeddings."""
+    packed = PackedMatcher(params)
+    return matcher_forward(packed.rows(current), packed.rows(history), packed, branch=branch)
 
 
 def _rows(rng, n, d):
@@ -39,7 +51,7 @@ def _normalized_rows(rng, n, d):
 
 def test_embed_zero_queries_is_empty():
     p = _params(MatcherVariant.FFN)
-    out = embed_queries(np.zeros((0, 6)), p)
+    out = _embed(np.zeros((0, 6)), p)
     assert len(out) == 0
     assert out.shape == (0, 6)
 
@@ -47,14 +59,14 @@ def test_embed_zero_queries_is_empty():
 def test_embed_similarity_is_identity():
     p = _params(MatcherVariant.SIMILARITY)
     q = np.random.default_rng(0).normal(size=(3, 6))
-    out = embed_queries(q, p)
+    out = _embed(q, p)
     np.testing.assert_array_equal(out, q)
 
 
 def test_embed_ffn_matches_straightline_oracle():
     p = _params(MatcherVariant.FFN, d_q=4, d_e=5, seed=3)
     q = np.random.default_rng(1).normal(size=(2, 4))
-    out = embed_queries(q, p)
+    out = _embed(q, p)
     f = p.shared_ffn
     expected = np.maximum(q @ f.w1.value + f.b1.value, 0.0) @ f.w2.value + f.b2.value
     np.testing.assert_allclose(out, expected, atol=1e-12)
@@ -64,7 +76,7 @@ def test_embed_ffn_matches_straightline_oracle():
 def test_embed_dimension_mismatch():
     p = _params(MatcherVariant.FFN, d_q=4, d_e=5)
     with pytest.raises(ValueError):
-        embed_queries(np.zeros((2, 7)), p)
+        _embed(np.zeros((2, 7)), p)
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +92,7 @@ def _sets(rng, n_cur, n_hist, d, normalized=False):
 def test_empty_history_forces_null(variant):
     p = _params(variant)
     cur, _ = _sets(np.random.default_rng(0), 3, 0, 6)
-    _, probs = matcher_forward(cur, np.zeros((0, 6)), p)
+    _, probs = _forward(cur, np.zeros((0, 6)), p)
     assert probs.shape == (3, 1)
     np.testing.assert_allclose(probs, 1.0)
 
@@ -89,7 +101,7 @@ def test_empty_history_forces_null(variant):
 def test_empty_current_gives_empty_matrix(variant):
     p = _params(variant)
     _, hist = _sets(np.random.default_rng(0), 0, 4, 6)
-    _, probs = matcher_forward(np.zeros((0, 6)), hist, p)
+    _, probs = _forward(np.zeros((0, 6)), hist, p)
     assert probs.shape == (0, 5)
 
 
@@ -106,7 +118,7 @@ def test_similarity_variant_picks_identical_embedding():
             v -= (v @ o) / (o @ o) * o
         others.append(v)
     hist_rows = np.vstack([others[0], target, others[1], others[2]])
-    _, probs = matcher_forward(target[None, :].copy(), hist_rows, p)
+    _, probs = _forward(target[None, :].copy(), hist_rows, p)
     row = probs[0]
     assert row.argmax() == 1  # the identical history column wins strictly
     assert row[1] > max(v for i, v in enumerate(row) if i != 1)
@@ -116,7 +128,7 @@ def test_similarity_variant_picks_identical_embedding():
 def test_rows_sum_to_one(variant):
     p = _params(variant)
     cur, hist = _sets(np.random.default_rng(3), 4, 5, 6)
-    _, probs = matcher_forward(cur, hist, p)
+    _, probs = _forward(cur, hist, p)
     np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
     assert probs.shape == (4, 6)  # null column appended
 
@@ -126,9 +138,9 @@ def test_history_permutation_permutes_columns(variant):
     rng = np.random.default_rng(4)
     p = _params(variant)
     cur, hist = _sets(rng, 3, 5, 6)
-    _, probs = matcher_forward(cur, hist, p)
+    _, probs = _forward(cur, hist, p)
     perm = rng.permutation(5)
-    _, probs_p = matcher_forward(cur, hist[perm], p)
+    _, probs_p = _forward(cur, hist[perm], p)
     np.testing.assert_allclose(probs_p[:, :5], probs[:, perm], atol=1e-10)
     np.testing.assert_allclose(probs_p[:, 5], probs[:, 5], atol=1e-10)
 
@@ -136,8 +148,8 @@ def test_history_permutation_permutes_columns(variant):
 def test_similarity_variant_bit_for_bit_deterministic():
     p = _params(MatcherVariant.SIMILARITY)
     cur, hist = _sets(np.random.default_rng(5), 3, 4, 6)
-    scores_a, probs_a = matcher_forward(cur, hist, p)
-    scores_b, probs_b = matcher_forward(cur, hist, p)
+    scores_a, probs_a = _forward(cur, hist, p)
+    scores_b, probs_b = _forward(cur, hist, p)
     assert np.array_equal(probs_a, probs_b)
     assert np.array_equal(scores_a, scores_b)
 
@@ -165,8 +177,8 @@ def test_transformer_degenerates_to_crossattn_with_identity_encoder():
             td.value[...] = ta.value
 
     cur, hist = _sets(rng, 3, 4, d, normalized=True)
-    _, probs_a = matcher_forward(cur, hist, pa)
-    _, probs_d = matcher_forward(cur, hist, pd)
+    _, probs_a = _forward(cur, hist, pa)
+    _, probs_d = _forward(cur, hist, pd)
     np.testing.assert_allclose(probs_a, probs_d, atol=1e-6)
 
 

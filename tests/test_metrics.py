@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qtrack import metrics
+from qtrack import data_io
 from qtrack.data_io import (
     Box,
     GroundTruthEntry,
@@ -337,13 +337,13 @@ def test_hit_mask_needs_only_b_sorted(sides, random, budget):
     a_frame, a_box, b_frame, b_box = sides
     perm = list(range(len(a_frame)))
     random.shuffle(perm)
-    saved = metrics.PAIR_BUDGET
-    metrics.PAIR_BUDGET = budget or saved  # small budgets split the pairs into several chunks
+    saved = data_io.PAIR_BUDGET
+    data_io.PAIR_BUDGET = budget or saved  # small budgets split the pairs into several chunks
     try:
-        mask = metrics._hit_mask(a_frame, a_box, b_frame, b_box, 0.5)
-        permuted = metrics._hit_mask(a_frame[perm], a_box[perm], b_frame, b_box, 0.5)
+        mask = data_io.hit_mask(a_frame, a_box, b_frame, b_box, 0.5)
+        permuted = data_io.hit_mask(a_frame[perm], a_box[perm], b_frame, b_box, 0.5)
     finally:
-        metrics.PAIR_BUDGET = saved
+        data_io.PAIR_BUDGET = saved
     assert permuted.tolist() == mask[perm].tolist()
     assert mask.tolist() == [any(fb == fa and iou(tuple(a), tuple(b)) >= 0.5 for fb, b in zip(b_frame, b_box))
                              for fa, a in zip(a_frame, a_box)]

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qtrack.autodiff import ARRAY, TAPE, Tensor, pow_const, sum_
+from qtrack.autodiff import TAPE, Tensor, pow_const, sum_
 from qtrack.numerics import (
     AttentionParams,
     FfnParams,
@@ -19,9 +19,11 @@ from qtrack.numerics import (
     ffn,
 )
 
+from reference_matcher import ARRAY
+
 
 def _on_both_tables(block, *arrays, **params):
-    """`block` run by the array table, after checking that the tape table gives the same bits."""
+    """`block` run by `reference_matcher`'s frozen array table, after checking that the tape gives the same bits."""
     got = block(ARRAY, *arrays, **params)
     assert np.array_equal(got, block(TAPE, *map(Tensor, arrays), **params).value)
     return got

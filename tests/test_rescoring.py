@@ -79,7 +79,8 @@ def test_fusion_monotonicity_property():
     head = RescoringHead(weight=rng.normal(size=4), bias=rng.normal())
     for _ in range(50):
         rec = _record(rng.normal(size=4), score=float(rng.uniform(0, 1)))
-        inst = ScoredInstance.build(rec, rescore(rec, head))
+        c_r = rescore(rec, head)
+        inst = ScoredInstance(rec, c_r, fuse_scores(rec.score, c_r))
         assert inst.fused_score >= rec.score
         assert inst.fused_score >= inst.recomputed_score
         assert inst.fused_score == max(rec.score, inst.recomputed_score)
@@ -123,7 +124,8 @@ def ref_filter_instances(frame, head, detect_threshold):
         raise ValueError(f"detect_threshold must be in [0,1], got {detect_threshold}")
     kept = []
     for record in frame.records:
-        inst = ScoredInstance.build(record, rescore(record, head))
+        c_r = rescore(record, head)
+        inst = ScoredInstance(record, c_r, fuse_scores(record.score, c_r))
         if inst.fused_score >= detect_threshold:
             kept.append(inst)
     return kept

@@ -1,7 +1,7 @@
 """Synthetic sequence generator: determinism, noise knobs, parser round trip, and its frozen reference."""
 
-import copy
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,15 +10,12 @@ from hypothesis import strategies as st
 
 from qtrack.data_io import (
     DetectionFrame,
-    DetectionRecord,
-    GroundTruthEntry,
-    GroundTruthTrack,
     iou,
     parse_detection_stream,
     write_annotations,
     write_detection_stream,
 )
-from qtrack.synth import SynthConfig, degrade_scores, generate_sequence
+from qtrack.synth import SynthConfig, generate_sequence
 from qtrack.training import assign_targets
 
 import reference_synth
@@ -81,60 +78,53 @@ def test_gt_assignment_recoverable_at_zero_noise():
             assert iou(boxes[i], gt_map[k]) == 1.0
 
 
+def _crushed_and_plain(cfg: SynthConfig, fraction: float, floor: float = 0.1):
+    """The frames of `cfg` with `fraction` of the true scores crushed to at most `floor`, and with none crushed."""
+    crushed = generate_sequence(replace(cfg, degrade_fraction=fraction, degrade_floor=floor))[1]
+    return crushed, generate_sequence(replace(cfg, degrade_fraction=0.0))[1]
+
+
 def test_degrade_fraction_zero_is_identity():
-    cfg = SynthConfig(frames=5, tracks=2, seed=5)
-    _, frames, gts = generate_sequence(cfg)
-    degraded = degrade_scores(frames, gts, 0.0, 0.1)
-    for a, b in zip(frames, degraded):
-        assert [r.score for r in a.records] == [r.score for r in b.records]
+    cfg = SynthConfig(frames=5, tracks=2, fp_rate=1.0, seed=5)
+    degraded, plain = _crushed_and_plain(cfg, 0.0, floor=1.0)
+    assert [[r.score for r in f.records] for f in degraded] == [[r.score for r in f.records] for f in plain]
+    assert all(r.score >= 0.7 for f in degraded for r in f.records if r.text is not None)  # as drawn
 
 
 def test_degrade_fraction_one_bounds_all_true_scores():
     cfg = SynthConfig(frames=5, tracks=2, fp_rate=1.0, seed=6)
-    _, frames, gts = generate_sequence(cfg)
-    degraded = degrade_scores(frames, gts, 1.0, 0.1, seed=9)
-    gt_boxes = {t.track_id: t for t in gts}
-    for frame in degraded:
-        for r in frame.records:
+    _, _, gts = generate_sequence(cfg)
+    degraded, plain = _crushed_and_plain(cfg, 1.0)
+    for frame, before in zip(degraded, plain):
+        for r, ro in zip(frame.records, before.records):
             overlapping = any(
-                frame.frame_index in t.frames and iou(r.box, t.frames[frame.frame_index].box) >= 0.5
-                for t in gt_boxes.values()
+                frame.frame_index in t.frames and iou(r.box, t.frames[frame.frame_index].box) >= 0.5 for t in gts
             )
             if overlapping:
                 assert r.score <= 0.1
             else:
-                assert r.score >= 0.3  # clutter untouched
+                assert r.score == ro.score >= 0.3  # clutter untouched
 
 
 def test_degrade_is_seeded_and_exact_count():
     cfg = SynthConfig(frames=20, tracks=5, seed=7)
-    _, frames, gts = generate_sequence(cfg)
-    n_true = sum(len(f.records) for f in frames)
-    a = degrade_scores(frames, gts, 0.5, 0.1, seed=11)
-    b = degrade_scores(frames, gts, 0.5, 0.1, seed=11)
+    a, plain = _crushed_and_plain(cfg, 0.5)
+    b, _ = _crushed_and_plain(cfg, 0.5)
+    n_true = sum(len(f.records) for f in plain)
     hits_a = [
         (f.frame_index, i)
-        for f, orig in zip(a, frames)
+        for f, orig in zip(a, plain)
         for i, (r, ro) in enumerate(zip(f.records, orig.records))
         if r.score != ro.score
     ]
     hits_b = [
         (f.frame_index, i)
-        for f, orig in zip(b, frames)
+        for f, orig in zip(b, plain)
         for i, (r, ro) in enumerate(zip(f.records, orig.records))
         if r.score != ro.score
     ]
     assert hits_a == hits_b
     assert len(hits_a) == round(0.5 * n_true)
-
-
-def test_degrade_does_not_mutate_input():
-    cfg = SynthConfig(frames=5, tracks=2, seed=8)
-    _, frames, gts = generate_sequence(cfg)
-    before = [[r.score for r in f.records] for f in frames]
-    degrade_scores(frames, gts, 1.0, 0.05)
-    after = [[r.score for r in f.records] for f in frames]
-    assert before == after
 
 
 def test_config_validation():
@@ -182,7 +172,7 @@ def test_canvas_sides_are_bounded_so_boxes_keep_their_extent():
 
 
 # ---------------------------------------------------------------------------
-# the generator and `degrade_scores` against their frozen reference
+# the generator against its frozen reference
 
 
 def _bits(values) -> list:
@@ -254,39 +244,3 @@ def synth_configs(draw):
 @given(cfg=synth_configs())
 def test_generate_sequence_equals_frozen_reference(tmp_path_factory, cfg):
     _same_sequence(reference_synth.generate_sequence(cfg), generate_sequence(cfg), tmp_path_factory.mktemp("gen"))
-
-
-POOL = [(0.0, 0.0, 10.0, 10.0), (0.0, 0.0, 10.0, 10.0), (1.0, 0.0, 11.0, 10.0), (4.0, 4.0, 14.0, 14.0),
-        (0.0, 0.0, 5.0, 10.0), (20.0, 20.0, 30.0, 25.0), (3, 3, 13, 13), (0.5, 0.5, 0.5, 3.0)]
-
-
-@st.composite
-def scored_frames(draw):
-    """Hand-built frames and ground truth: frame gaps, repeated and unordered frames, empty frames, tracks that skip frames.
-
-    A record's own frame index may differ from its frame's, which is the one that places it.
-    """
-    boxes = st.sampled_from(POOL)
-    frames = [DetectionFrame(f, [DetectionRecord(draw(st.sampled_from([f, f + 1])), np.array(draw(st.lists(st.floats(-1, 1), min_size=2, max_size=2))),
-                                                 draw(boxes), draw(st.floats(0, 1)),
-                                                 draw(st.one_of(st.none(), st.just([(0.0, 0.0), (1.0, 1.0)]))),
-                                                 draw(st.one_of(st.none(), st.just("AB"))))
-                                 for _ in range(draw(st.integers(0, 4)))])
-              for f in draw(st.lists(st.integers(0, 9), max_size=6))]
-    gts = [GroundTruthTrack(k + 1, "alphanumeric", {f: GroundTruthEntry(draw(boxes), "AB")
-                                                    for f in draw(st.sets(st.integers(0, 9), max_size=6))})
-           for k in range(draw(st.integers(0, 3)))]
-    return frames, gts
-
-
-@settings(max_examples=150, deadline=None)
-@given(data=scored_frames(), fraction=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0, 1)),
-       floor=st.floats(0, 1), seed=st.integers(0, 2**32))
-def test_degrade_scores_equals_frozen_reference(data, fraction, floor, seed):
-    frames, gts = data
-    before = copy.deepcopy(frames)
-    got = degrade_scores(frames, gts, fraction, floor, seed)
-    _same_records(frames, before)  # the input is left as it was
-    _same_records(got, reference_synth.degrade_scores(frames, gts, fraction, floor, seed))
-    given_ = {id(r) for f in frames for r in f.records} | {id(r.query) for f in frames for r in f.records}
-    assert not any(id(r) in given_ or id(r.query) in given_ for f in got for r in f.records)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from qtrack.autodiff import ARRAY, Tensor
+from qtrack.autodiff import Tensor
 from qtrack.data_io import iou
 from qtrack.matcher import MatcherVariant
 from qtrack.model import TrackerModel
@@ -29,6 +29,8 @@ from qtrack.training import (
     train,
     warmup_cosine_lr,
 )
+
+from reference_matcher import ARRAY
 
 
 def brute_force_min_cost(cost: np.ndarray) -> float:
