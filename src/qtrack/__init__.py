@@ -7,7 +7,6 @@ from .data_io import (
     GroundTruthTrack,
     StreamHeader,
     TrajectoryOutput,
-    iou,
     parse_annotations,
     parse_detection_stream,
     read_trajectories,

@@ -61,8 +61,10 @@ class MemoryBank:
     embedding at that frame (`PackedMatcher.rows`): the embedding in its
     first d_e columns, followed by whatever the matcher keeps beside it.
     Rows are grouped by ascending track id, oldest first within a track,
-    which is the order the long-term stage reads them in. A trajectory
-    leaves the bank with its last row.
+    which is the order the long-term stage reads them in. At frame t,
+    after `advance(t)`, the bank holds only rows of frames t - H ... t - 1,
+    whatever frames the stream skipped. A trajectory leaves the bank with
+    its last row.
     """
 
     def __init__(self, horizon: int, matcher: PackedMatcher):
@@ -87,18 +89,23 @@ class MemoryBank:
         self.next_id += count
         return list(range(first, self.next_id))
 
+    def advance(self, frame: int) -> None:
+        """Enter `frame`: drop the rows of frames before frame - H."""
+        keep = self.frame >= frame - self.horizon
+        if not keep.all():
+            self.track, self.frame, self.rows = self.track[keep], self.frame[keep], self.rows[keep]
+
     def update(self, frame: int, track_ids: list[int], rows: np.ndarray) -> None:
-        """Add one row per trajectory seen at `frame`, then drop rows at or before frame - H.
+        """Add one row per trajectory seen at `frame`.
 
         `rows` are as wide as the bank's. The stable sort by track id puts
         each new row last in its track.
         """
-        keep = self.frame > frame - self.horizon
-        track = np.concatenate((self.track[keep], np.asarray(track_ids, dtype=np.int64)))
+        track = np.concatenate((self.track, np.asarray(track_ids, dtype=np.int64)))
         order = np.argsort(track, kind="stable")
         self.track = track[order]
-        self.frame = np.concatenate((self.frame[keep], np.full(len(track_ids), frame)))[order]
-        self.rows = np.concatenate((self.rows[keep], rows))[order]
+        self.frame = np.concatenate((self.frame, np.full(len(track_ids), frame)))[order]
+        self.rows = np.concatenate((self.rows, rows))[order]
 
 
 @dataclass
@@ -234,6 +241,7 @@ def track_sequence(
 
     for frame in frames:
         t = frame.frame_index
+        bank.advance(t)
         kept = nms(filter_instances(frame, head, config.detect_threshold), config.nms_iou)
         outcome = associate_frame(kept, bank, model, config, frame_index=t)
 

@@ -11,14 +11,14 @@ in reverse topological order.
 Leaf tensors double as parameters: after ``backward()``, ``grad``
 holds dL/dvalue with the same shape as ``value``.
 
-The blocks in ``numerics`` and ``matcher`` are written once against an
-op table, ``TAPE``, which runs them on tensors and records the graph
-that training differentiates; products, sums, scaling and transposes
-are ``@``, ``+``, ``*`` and ``.T``. Where a tape op's forward is plain
-arithmetic (rectifier, row softmax, unit rows, layer norm), it computes
-its value with a plain-array function below. Tracking runs
-``matcher.PackedMatcher``, which calls these same functions on plain
-copies of the weights, so the two agree bit for bit by construction.
+The blocks in ``numerics`` and ``matcher`` call these ops by name on
+tensors, and so record the graph that training differentiates;
+products, sums, scaling and transposes are ``@``, ``+``, ``*`` and
+``.T``. Where an op's forward is plain arithmetic (rectifier, row
+softmax, unit rows, layer norm), it computes its value with a
+plain-array function below. Tracking runs ``matcher.PackedMatcher``,
+which calls these same functions on plain copies of the weights, so the
+two agree bit for bit by construction.
 
 The plain-array functions run on a few rows per tracked frame, where
 the cost is numpy's per-call overhead, not arithmetic. So they call the
@@ -42,8 +42,6 @@ time.
 
 from __future__ import annotations
 
-from types import SimpleNamespace
-
 import numpy as np
 
 __all__ = [
@@ -65,7 +63,6 @@ __all__ = [
     "concat_cols",
     "take_rows",
     "take_cols",
-    "TAPE",
 ]
 
 
@@ -401,7 +398,10 @@ def take_rows(a: Tensor, indices) -> Tensor:
 
 
 def take_cols(a: Tensor, start: int, stop: int) -> Tensor:
+    """Columns start:stop of a 2D tensor; the whole width is `a` itself, with no node."""
     a = _wrap(a)
+    if start == 0 and stop == a.value.shape[1]:
+        return a
     out = a.value[:, start:stop]
 
     def bw(g):
@@ -412,13 +412,8 @@ def take_cols(a: Tensor, start: int, stop: int) -> Tensor:
     return Tensor(out, (a,), bw)
 
 
-def _tape_scores_with_null(sims: Tensor, scale: float, null_logit: float) -> Tensor:
-    """`sims * scale` joined to a constant `null_logit` column: a product, a constant and a concatenation node."""
-    return concat_cols([sims * scale, Tensor(np.full((sims.shape[0], 1), null_logit))])
-
-
 # ---------------------------------------------------------------------------
-# plain-array forwards and the op table
+# plain-array forwards
 
 
 def _softmax_rows(a: np.ndarray) -> np.ndarray:
@@ -486,17 +481,3 @@ def _scores_with_null(sims: np.ndarray, scale: float, null_logit: float) -> np.n
     out[:, m] = null_logit
     return out
 
-
-# The ops a block calls besides `@`, `+`, `*` and `.T`. `layer_norm`
-# takes `LayerNormParams` and unwraps them itself.
-TAPE = SimpleNamespace(
-    const=Tensor,
-    linear=linear,
-    relu=relu,
-    softmax_rows=softmax_rows,
-    layer_norm=lambda x, ln: layer_norm_rows(x, ln.gain, ln.bias),
-    cols=lambda a, start, stop: a if start == 0 and stop == a.shape[1] else take_cols(a, start, stop),
-    concat_cols=concat_cols,
-    unit_rows_or_zero=l2_normalize_rows_or_zero,
-    scores_with_null=_tape_scores_with_null,
-)

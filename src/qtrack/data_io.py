@@ -37,7 +37,6 @@ __all__ = [
     "StreamFormatError",
     "AnnotationFormatError",
     "Box",
-    "iou",
     "iou_matrix",
     "iou_pairs",
     "frame_pairs",
@@ -89,21 +88,6 @@ class _Invalid(DataFormatError):
 Box = tuple[float, float, float, float]  # pixels: (x_min, y_min, x_max, y_max)
 
 
-def iou(a: Box, b: Box) -> float:
-    """Intersection area over union area of two boxes, in [0, 1]."""
-    ax0, ay0, ax1, ay1 = a
-    bx0, by0, bx1, by1 = b
-    ix = min(ax1, bx1) - max(ax0, bx0)
-    iy = min(ay1, by1) - max(ay0, by0)
-    if ix <= 0.0 or iy <= 0.0:
-        return 0.0
-    inter = ix * iy
-    if inter == 0.0:  # the product underflows, and so do both areas: no union to divide by
-        return 0.0
-    union = max(0.0, ax1 - ax0) * max(0.0, ay1 - ay0) + max(0.0, bx1 - bx0) * max(0.0, by1 - by0) - inter
-    return inter / union
-
-
 def box_array(boxes: Iterable[Box]) -> np.ndarray:
     """Boxes as an (n, 4) float64 array of (x_min, y_min, x_max, y_max) rows."""
     return np.fromiter(chain.from_iterable(boxes), np.float64).reshape(-1, 4)
@@ -130,10 +114,11 @@ def iou_pairs(a, b) -> np.ndarray:
 def _iou_columns(ax0, ay0, ax1, ay1, bx0, by0, bx1, by1, same: bool = False) -> np.ndarray:
     """The one IoU kernel, on corner columns that broadcast against each other.
 
-    Repeats the float operations of `iou` in the same order, so every
-    value equals the scalar result bit for bit. With `same`, the `a`
-    corners are the `b` corners as one column each, so both sides share
-    one area computation.
+    Repeats the float operations of the scalar `iou` in
+    `tests/reference_iou.py` in the same order, so every value equals
+    that reference's result bit for bit. With `same`, the `a` corners
+    are the `b` corners as one column each, so both sides share one
+    area computation.
     """
     ix = np.minimum(ax1, bx1)
     ix -= np.maximum(ax0, bx0)

@@ -17,17 +17,17 @@ probability distribution over "history rows + start a new trajectory".
 The short-term and long-term branches own separate attention weights
 but share one embedding FFN.
 
-``embed`` and ``association`` are written once against an op table;
-training runs them on ``autodiff.TAPE`` and differentiates the graph.
-Tracking runs ``PackedMatcher``, built once per run: the same float
-operations in the same order on plain copies of the weights, so it
-gives the tape's values bit for bit, with three differences in how it
-gets there. It looks up no op table and no ``Tensor.value``; it
-projects with fused weights, [W_q|W_k|W_v] for self-attention and
-[W_k|W_v] for memory, where the BLAS kernel gives the fused blocks the
-separate products' bits; and it reads its own rows, where for the
-transformer each embedding keeps beside it the normalization of its
-first layer norm, computed once, when the row is embedded.
+``embed`` and ``association`` run on ``autodiff`` tensors, and
+training differentiates the graph they record. Tracking runs
+``PackedMatcher``, built once per run: the same float operations in the
+same order on plain copies of the weights, so it gives the tape's
+values bit for bit, with three differences in how it gets there. It
+records no graph and reads no ``Tensor.value``; it projects with fused
+weights, [W_q|W_k|W_v] for self-attention and [W_k|W_v] for memory,
+where the BLAS kernel gives the fused blocks the separate products'
+bits; and it reads its own rows, where for the transformer each
+embedding keeps beside it the normalization of its first layer norm,
+computed once, when the row is embedded.
 ``embed_queries`` and ``matcher_forward`` run it, and the tests hold it
 to the tape and to a frozen copy of the earlier plain-array forward.
 """
@@ -49,6 +49,8 @@ from .autodiff import (
     _scores_with_null,
     _softmax_rows,
     _unit_rows_or_zero,
+    concat_cols,
+    softmax_rows,
 )
 from .numerics import (
     AttentionParams,
@@ -156,11 +158,11 @@ class MatcherParams:
         return out
 
 
-def embed(o, queries, params: MatcherParams):
-    """Association embeddings (n, d_e) of instance queries (n, d_q), on op table `o`."""
+def embed(queries: Tensor, params: MatcherParams) -> Tensor:
+    """Association embeddings (n, d_e) of instance queries (n, d_q)."""
     if params.variant is MatcherVariant.SIMILARITY:
         return queries
-    return ffn(o, queries, params.shared_ffn)
+    return ffn(queries, params.shared_ffn)
 
 
 def embed_queries(queries: np.ndarray, matcher: PackedMatcher) -> np.ndarray:
@@ -175,40 +177,40 @@ def embed_queries(queries: np.ndarray, matcher: PackedMatcher) -> np.ndarray:
     return matcher.embed(queries)
 
 
-def association(o, current, history, params: MatcherParams, branch: str):
+def association(current: Tensor, history: Tensor, params: MatcherParams, branch: str) -> tuple[Tensor, Tensor]:
     """Match each current row against the history rows + null: (scores, probabilities).
 
-    `current` has n_cur rows and `history` n_hist rows of width d_e, as
-    tensors or arrays to suit op table `o`; both results are
-    (n_cur, n_hist + 1). Empty history forces the whole probability
-    mass onto the null column; empty current yields empty matrices.
+    `current` has n_cur rows and `history` n_hist rows of width d_e;
+    both results are (n_cur, n_hist + 1). Empty history forces the whole
+    probability mass onto the null column; empty current yields empty
+    matrices.
     """
     n_cur = current.shape[0]
     n_hist = history.shape[0]
     if n_cur == 0:
-        empty = o.const(np.zeros((0, n_hist + 1)))
+        empty = Tensor(np.zeros((0, n_hist + 1)))
         return empty, empty
     if n_hist == 0:
-        scores = o.const(np.full((n_cur, 1), params.null_logit))
-        return scores, o.const(np.ones((n_cur, 1)))
+        scores = Tensor(np.full((n_cur, 1), params.null_logit))
+        return scores, Tensor(np.ones((n_cur, 1)))
 
     variant = params.variant
     if variant in (MatcherVariant.SIMILARITY, MatcherVariant.FFN):
-        sims = cosine_matrix(o, current, history)
+        sims = cosine_matrix(current, history)
     elif variant is MatcherVariant.CROSS_ATTN:
         b = params.branch(branch)
-        attended = current + attention(o, current, history, history, b.attn)
-        sims = cosine_matrix(o, attended, history)
+        attended = current + attention(current, history, history, b.attn)
+        sims = cosine_matrix(attended, history)
     elif variant is MatcherVariant.TRANSFORMER:
         b = params.branch(branch)
-        encoded = encoder_layer(o, history, b.encoder)
-        decoded = decoder_layer(o, current, encoded, b.decoder)
-        sims = cosine_matrix(o, decoded, encoded)
+        encoded = encoder_layer(history, b.encoder)
+        decoded = decoder_layer(current, encoded, b.decoder)
+        sims = cosine_matrix(decoded, encoded)
     else:  # pragma: no cover - enum is closed
         raise ValueError(f"unknown variant {variant}")
 
-    scores = o.scores_with_null(sims, 1.0 / params.temperature, params.null_logit)
-    return scores, o.softmax_rows(scores)
+    scores = concat_cols([sims * (1.0 / params.temperature), Tensor(np.full((n_cur, 1), params.null_logit))])
+    return scores, softmax_rows(scores)
 
 
 # ---------------------------------------------------------------------------
@@ -254,11 +256,11 @@ class _Attention:
             self.qkv, self.kv = [(wq, bq), (wk, bk), (wv, bv)], [(wk, bk), (wv, bv)]
 
     def self_attend(self, x: np.ndarray) -> np.ndarray:
-        """`numerics.attention(o, x, x, x, p)`."""
+        """`numerics.attention(x, x, x, p)`."""
         return self._mix(*self.project(x, self.qkv))
 
     def attend(self, x: np.ndarray, memory: np.ndarray) -> np.ndarray:
-        """`numerics.attention(o, x, memory, memory, p)`."""
+        """`numerics.attention(x, memory, memory, p)`."""
         return self._mix(_affine(x, self.wq, self.bq), *self.project(memory, self.kv))
 
     def project(self, x: np.ndarray, groups: list[tuple[np.ndarray, np.ndarray]]) -> list[np.ndarray]:

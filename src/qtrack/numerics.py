@@ -2,11 +2,10 @@
 
 Vectors and matrices are contiguous float64 numpy arrays. Each block
 (two-layer feedforward, single-layer multi-head attention, the pre-norm
-encoder and decoder layers, the cosine matrix) is one forward whose
-first argument is an op table, ``autodiff.TAPE``, which records the
-graph that training differentiates. Tracking runs
-``matcher.PackedMatcher``, which the tests hold to these blocks bit for
-bit.
+encoder and decoder layers, the cosine matrix) is one forward on
+``autodiff`` tensors, which records the graph that training
+differentiates. Tracking runs ``matcher.PackedMatcher``, which the
+tests hold to these blocks bit for bit.
 ``check_gradients`` is the independent finite-difference oracle for
 every analytic gradient in the package.
 """
@@ -18,7 +17,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import (
+    Tensor,
+    concat_cols,
+    l2_normalize_rows_or_zero,
+    layer_norm_rows,
+    linear,
+    relu,
+    softmax_rows,
+    take_cols,
+)
 
 __all__ = [
     "FfnParams",
@@ -182,47 +190,47 @@ def stable_sigmoid(z: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# blocks, each written once against an op table `o` (`autodiff.TAPE`)
+# blocks on tensors
 
 
-def ffn(o, x, params: FfnParams):
+def ffn(x: Tensor, params: FfnParams) -> Tensor:
     """Two-layer feedforward block on rows (or a single vector)."""
-    return o.linear(o.relu(o.linear(x, params.w1, params.b1)), params.w2, params.b2)
+    return linear(relu(linear(x, params.w1, params.b1)), params.w2, params.b2)
 
 
-def attention(o, queries, keys, values, params: AttentionParams):
+def attention(queries: Tensor, keys: Tensor, values: Tensor, params: AttentionParams) -> Tensor:
     """Scaled dot-product attention with head split/concat and output projection."""
     dh = params.d_model // params.heads
-    q = o.linear(queries, params.wq, params.bq)
-    k = o.linear(keys, params.wk, params.bk)
-    v = o.linear(values, params.wv, params.bv)
+    q = linear(queries, params.wq, params.bq)
+    k = linear(keys, params.wk, params.bk)
+    v = linear(values, params.wv, params.bv)
     scale = 1.0 / math.sqrt(dh)
     outs = []
     for i in range(params.heads):
         lo, hi = i * dh, (i + 1) * dh
-        weights = o.softmax_rows((o.cols(q, lo, hi) @ o.cols(k, lo, hi).T) * scale)
-        outs.append(weights @ o.cols(v, lo, hi))
-    mixed = outs[0] if params.heads == 1 else o.concat_cols(outs)
-    return o.linear(mixed, params.wo, params.bo)
+        weights = softmax_rows((take_cols(q, lo, hi) @ take_cols(k, lo, hi).T) * scale)
+        outs.append(weights @ take_cols(v, lo, hi))
+    mixed = outs[0] if params.heads == 1 else concat_cols(outs)
+    return linear(mixed, params.wo, params.bo)
 
 
-def encoder_layer(o, x, params: TransformerLayerParams):
-    t = o.layer_norm(x, params.ln1)
-    x = x + attention(o, t, t, t, params.attn)
-    return x + ffn(o, o.layer_norm(x, params.ln2), params.ffn)
+def encoder_layer(x: Tensor, params: TransformerLayerParams) -> Tensor:
+    t = layer_norm_rows(x, params.ln1.gain, params.ln1.bias)
+    x = x + attention(t, t, t, params.attn)
+    return x + ffn(layer_norm_rows(x, params.ln2.gain, params.ln2.bias), params.ffn)
 
 
-def decoder_layer(o, x, memory, params: TransformerLayerParams):
-    x = x + attention(o, o.layer_norm(x, params.ln1), memory, memory, params.attn)
-    return x + ffn(o, o.layer_norm(x, params.ln2), params.ffn)
+def decoder_layer(x: Tensor, memory: Tensor, params: TransformerLayerParams) -> Tensor:
+    x = x + attention(layer_norm_rows(x, params.ln1.gain, params.ln1.bias), memory, memory, params.attn)
+    return x + ffn(layer_norm_rows(x, params.ln2.gain, params.ln2.bias), params.ffn)
 
 
-def cosine_matrix(o, a, b):
+def cosine_matrix(a: Tensor, b: Tensor) -> Tensor:
     """Pairwise cosine similarities between the rows of a and the rows of b.
 
     A zero-norm row has similarity 0 to every row.
     """
-    return o.unit_rows_or_zero(a) @ o.unit_rows_or_zero(b).T
+    return l2_normalize_rows_or_zero(a) @ l2_normalize_rows_or_zero(b).T
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .autodiff import TAPE, Tensor, concat_rows, log, matmul, pow_const, sigmoid, sum_, take_rows
+from .autodiff import Tensor, concat_rows, log, matmul, pow_const, sigmoid, sum_, take_rows
 from .data_io import Box, DetectionFrame, GroundTruthTrack, box_array, iou_matrix
 from .matcher import association, embed
 from .model import TrackerModel
@@ -295,7 +295,7 @@ def total_loss(clip: list[ClipFrame], model: TrackerModel, cfg: LossConfig) -> L
     # embeddings of the ground-truth-assigned instances, one row set per frame
     frame_tracks = [sorted(k for k, i in frame.assignments.items() if i is not None) for frame in clip]
     frame_emb = [
-        embed(TAPE, Tensor(frame.queries[[frame.assignments[k] for k in tracks]]), model.matcher) if tracks else None
+        embed(Tensor(frame.queries[[frame.assignments[k] for k in tracks]]), model.matcher) if tracks else None
         for frame, tracks in zip(clip, frame_tracks)
     ]
     empty = Tensor(np.zeros((0, model.d_e)))
@@ -304,7 +304,7 @@ def total_loss(clip: list[ClipFrame], model: TrackerModel, cfg: LossConfig) -> L
         """Association loss of frame t's rows against the instances of `hist_frames`."""
         rows = [frame_emb[s] for s in hist_frames if frame_emb[s] is not None]
         hist = empty if not rows else rows[0] if len(rows) == 1 else concat_rows(rows)
-        _, probs = association(TAPE, frame_emb[t], hist, model.matcher, branch)
+        _, probs = association(frame_emb[t], hist, model.matcher, branch)
         other = [k for s in hist_frames for k in frame_tracks[s]]
         return association_loss(probs, _target_mask(frame_tracks[t], other))
 

@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 import reference_matcher
+from reference_iou import iou
 from qtrack.association import (
     AssociationOutcome,
     MemoryBank,
@@ -35,7 +36,6 @@ from qtrack.association import (
     track_sequence,
 )
 from qtrack.autodiff import (
-    TAPE,
     Tensor,
     _affine,
     _layer_norm,
@@ -43,6 +43,7 @@ from qtrack.autodiff import (
     concat_rows,
     log,
     matmul,
+    relu,
     sigmoid,
     sum_,
     take_rows,
@@ -54,7 +55,6 @@ from qtrack.data_io import (
     GroundTruthTrack,
     TrajectoryOutput,
     box_array,
-    iou,
     iou_matrix,
     write_detection_stream,
 )
@@ -163,10 +163,11 @@ class RefMemoryBank:
         track.last_seen = frame
 
     def evict(self, current_frame):
+        """Keep the entries of the last H frame indices before `current_frame`."""
         cutoff = current_frame - self.horizon
         dead = []
         for tid, track in self._tracks.items():
-            track.entries = [e for e in track.entries if e.frame > cutoff]
+            track.entries = [e for e in track.entries if e.frame >= cutoff]
             if not track.entries:
                 dead.append(tid)
         for tid in dead:
@@ -178,7 +179,7 @@ class RefMemoryBank:
 
 
 def ref_probabilities(model, current, history, branch):
-    return association(TAPE, Tensor(current), Tensor(history), model.matcher, branch)[1].value
+    return association(Tensor(current), Tensor(history), model.matcher, branch)[1].value
 
 
 def ref_associate_frame(instances, bank, model, config, frame_index):
@@ -186,7 +187,7 @@ def ref_associate_frame(instances, bank, model, config, frame_index):
     if n == 0:
         return AssociationOutcome([], [], [], np.zeros((0, model.d_e)))
     queries = np.stack([inst.record.query for inst in instances])
-    current = embed(TAPE, Tensor(queries), model.matcher).value
+    current = embed(Tensor(queries), model.matcher).value
     free_instances = set(range(n))
     st_matches = []
     prev_tracks = bank.seen_at(frame_index - 1)
@@ -305,7 +306,7 @@ def ref_total_loss(clip, model, cfg):
         frame_tracks.append(tracks)
         if tracks:
             rows = np.stack([frame.queries[frame.assignments[k]] for k in tracks])
-            frame_emb.append(embed(TAPE, Tensor(rows), model.matcher))
+            frame_emb.append(embed(Tensor(rows), model.matcher))
         else:
             frame_emb.append(None)
     empty = Tensor(np.zeros((0, model.d_e)))
@@ -315,7 +316,7 @@ def ref_total_loss(clip, model, cfg):
         cur, prev = frame_emb[t], frame_emb[t - 1]
         if cur is None:
             continue
-        _, probs = association(TAPE, cur, prev if prev is not None else empty, model.matcher, "st")
+        _, probs = association(cur, prev if prev is not None else empty, model.matcher, "st")
         prev_tracks = frame_tracks[t - 1]
         rows = []
         for r, k in enumerate(frame_tracks[t]):
@@ -336,7 +337,7 @@ def ref_total_loss(clip, model, cfg):
             hist = concat_rows(other_emb) if len(other_emb) > 1 else other_emb[0]
         else:
             hist = empty
-        _, probs = association(TAPE, cur, hist, model.matcher, "lt")
+        _, probs = association(cur, hist, model.matcher, "lt")
         rows = []
         for r, k in enumerate(frame_tracks[t]):
             cols = np.flatnonzero(other_tracks == k)
@@ -729,6 +730,8 @@ def _track_both(frames, model, config):
     counts = {"st": 0, "lt": 0}
     for frame in frames:
         t = frame.frame_index
+        bank.advance(t)
+        ref_bank.evict(t)
         scored = filter_instances(frame, head, config.detect_threshold)
         kept = nms(scored, config.nms_iou)
         assert [id(k) for k in kept] == [id(k) for k in ref_nms(scored, config.nms_iou)]
@@ -747,7 +750,6 @@ def _track_both(frames, model, config):
         for i, tid, _ in want.st_matches + want.lt_matches:
             ref_bank.append(tid, t, want.rows[i])
         assert [ref_bank.new_track(t, want.rows[i]) for i in want.new_tracks] == new_ids
-        ref_bank.evict(t)
         want_rows = ref_bank.rows()
         assert bank.track.tolist() == [tid for tid, _, _ in want_rows]
         assert bank.frame.tolist() == [f for _, f, _ in want_rows]
@@ -975,13 +977,13 @@ def test_plain_matcher_equals_tape_bitwise(variant, heads, branch, shape):
     packed = PackedMatcher(params)
     queries = rng.normal(size=(n_cur, 8))
     embedded = embed_queries(queries, packed)
-    assert np.array_equal(embedded, embed(TAPE, Tensor(queries), params).value)
+    assert np.array_equal(embedded, embed(Tensor(queries), params).value)
 
     current = rng.normal(size=(n_cur, d_e))
     history = rng.normal(size=(n_hist, d_e))
     current[list(zero_cur)] = zero
     history[list(zero_hist)] = zero
-    ref_scores, ref_probs = association(TAPE, Tensor(current), Tensor(history), params, branch)
+    ref_scores, ref_probs = association(Tensor(current), Tensor(history), params, branch)
     scores, probs = matcher_forward(packed.rows(current), packed.rows(history), packed, branch=branch)
     assert scores.shape == probs.shape == (n_cur, n_hist + 1)
     assert _bytes(scores) == _bytes(ref_scores.value)
@@ -1051,7 +1053,7 @@ def test_relu_equals_masked_product_bitwise(values, rows):
     """The tape's and the packed forward's rectifier is `h * (h > 0)` on every finite entry, signed zeros included."""
     h = np.resize(np.array(values, dtype=np.float64), (rows, len(values)))
     assert _bytes(_relu(h)) == _bytes(h * (h > 0))
-    assert _bytes(TAPE.relu(Tensor(h)).value) == _bytes(h * (h > 0))
+    assert _bytes(relu(Tensor(h)).value) == _bytes(h * (h > 0))
 
 
 @given(st.integers(1, 40), st.integers(0, 9) | st.integers(10, 400), st.integers(0, 2**32 - 1))

@@ -8,7 +8,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qtrack.association import MemoryBank, TrackerConfig, associate_frame, nms, track_sequence
-from qtrack.data_io import DetectionFrame, DetectionRecord, write_trajectories
+from qtrack.data_io import (
+    DetectionFrame,
+    DetectionRecord,
+    parse_detection_stream,
+    write_detection_stream,
+    write_trajectories,
+)
 from qtrack.matcher import MatcherVariant, PackedMatcher
 from qtrack.model import TrackerModel
 from qtrack.rescoring import ScoredInstance, filter_instances
@@ -99,7 +105,9 @@ def test_bank_eviction_and_finalization():
     bank.update(1, [tid], np.ones((1, 4)))
     assert bank.track_ids() == [tid]
     assert len(bank.entries(tid)) == 2
-    bank.update(3, [], np.zeros((0, 4)))  # rows at frames 0 and 1 are both at or before 3-2
+    bank.advance(3)  # frame 3 keeps frames 1 and 2: the row at frame 0 goes
+    assert bank.frame.tolist() == [1]
+    bank.advance(4)  # frames 2 and 3: so does the row at frame 1, the trajectory's last
     assert bank.track_ids() == []
     assert len(bank.entries(tid)) == 0
 
@@ -258,13 +266,14 @@ def test_bank_never_holds_stale_embeddings():
     bank = _bank(model, config.history_depth)
     head = model.rescoring_head()
     for frame in dets:
+        bank.advance(frame.frame_index)
+        assert len(bank.frame) == 0 or bank.frame.min() >= frame.frame_index - config.history_depth
         kept = nms(filter_instances(frame, head, config.detect_threshold), config.nms_iou)
         outcome = associate_frame(kept, bank, model, config, frame.frame_index)
         assignments = [(i, tid) for i, tid, _ in outcome.st_matches + outcome.lt_matches]
         assignments += zip(outcome.new_tracks, bank.new_ids(len(outcome.new_tracks)))
         bank.update(frame.frame_index, [tid for _, tid in assignments],
                     outcome.rows[[i for i, _ in assignments]])
-        assert len(bank.frame) == 0 or bank.frame.min() > frame.frame_index - config.history_depth
 
 
 _MODELS = {v: TrackerModel.create(v, d_q=8, d_e=8, seed=3) for v in MatcherVariant}
@@ -289,6 +298,8 @@ def test_tracking_invariants_on_synthetic_streams(seed, variant, use_lt, history
     last_id = 0
     for frame in frames:
         t = frame.frame_index
+        bank.advance(t)
+        assert np.all((bank.frame >= t - history) & (bank.frame < t))  # the last H frame indices, gaps or not
         kept = nms(filter_instances(frame, head, config.detect_threshold), config.nms_iou)
         outcome = associate_frame(kept, bank, model, config, t)
 
@@ -309,11 +320,10 @@ def test_tracking_invariants_on_synthetic_streams(seed, variant, use_lt, history
         assignments += zip(outcome.new_tracks, new_ids)
         bank.update(t, [tid for _, tid in assignments], outcome.rows[[i for i, _ in assignments]])
 
-        # rows grouped by ascending track id, frames ascending within a track, none at or before t - H
+        # rows grouped by ascending track id, frames ascending within a track
         same_track = bank.track[1:] == bank.track[:-1]
         assert np.all(bank.track[1:] >= bank.track[:-1])
         assert np.all(bank.frame[1:][same_track] > bank.frame[:-1][same_track])
-        assert np.all(bank.frame > t - history)
         assert len(bank.track) == len(bank.frame) == len(bank.rows)
         assert sum(len(bank.entries(tid)) for tid in bank.track_ids()) == len(bank.track)
         assert set(bank.track[bank.frame == t].tolist()) == {tid for _, tid in assignments}
@@ -403,3 +413,39 @@ def test_track_sequence_properties(tmp_path_factory, seed, variant, heads, use_l
     used = Counter((f, tuple(box)) for tr in tracks_out for f, box in zip(tr.frames.tolist(), tr.boxes.tolist()))
     assert all(n <= boxes[f][box] for (f, box), n in used.items())
     assert all(len(tr.frames) >= min_len for tr in tracks_out)
+
+
+@settings(max_examples=30)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    variant=st.sampled_from(list(MatcherVariant)),
+    history=st.integers(min_value=1, max_value=4),
+    dropped=st.sets(st.integers(min_value=0, max_value=19), max_size=8),
+)
+@example(seed=0, variant=MatcherVariant.SIMILARITY, history=1, dropped={3, 4})
+def test_lt_links_frames_at_most_history_depth_apart(seed, variant, history, dropped):
+    """A trajectory's last row is in the bank at frame t only if it is from frame t - H or later, so
+    consecutive frames of a trajectory differ by at most H, whatever frames the stream skips."""
+    cfg = SynthConfig(frames=20, tracks=3, d_q=8, noise_sigma=0.2, miss_prob=0.5, fp_rate=0.0, seed=seed)
+    _, frames, _ = generate_sequence(cfg)
+    frames = [f for f in frames if f.frame_index not in dropped]
+    config = TrackerConfig(history_depth=history, min_track_len=1)
+    for tr in track_sequence(frames, _MODELS[variant], config):
+        assert np.all(np.diff(tr.frames) <= history)
+
+
+@settings(max_examples=20)
+@given(seed=st.integers(min_value=0, max_value=10_000))
+@example(seed=0)
+def test_written_stream_tracks_like_frames_in_memory(tmp_path_factory, seed):
+    """The stream writer drops frames without records; tracking the parsed stream gives the same trajectory bytes."""
+    cfg = SynthConfig(frames=40, tracks=2, d_q=8, miss_prob=0.6, fp_rate=0.0, seed=seed)
+    header, frames, _ = generate_sequence(cfg)
+    out = tmp_path_factory.mktemp("stream")
+    write_detection_stream(out / "stream.jsonl", header, frames)
+    _, parsed = parse_detection_stream(out / "stream.jsonl")
+    model = _similarity_model(d=8)
+    config = TrackerConfig(history_depth=3, min_track_len=1)
+    write_trajectories(track_sequence(frames, model, config), out / "memory.jsonl", video="v")
+    write_trajectories(track_sequence(parsed, model, config), out / "parsed.jsonl", video="v")
+    assert (out / "parsed.jsonl").read_bytes() == (out / "memory.jsonl").read_bytes()

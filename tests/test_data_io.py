@@ -24,7 +24,6 @@ from qtrack.data_io import (
     StreamFormatError,
     StreamHeader,
     TrajectoryOutput,
-    iou,
     parse_annotations,
     parse_detection_stream,
     polygon_envelope,
@@ -37,6 +36,7 @@ from qtrack.model import load_checkpoint
 from qtrack.synth import SynthConfig, generate_sequence
 
 import reference_readers
+from reference_iou import iou
 
 HEADER = {"format": "qtrack-det/1", "d_q": 4, "video": "v"}
 

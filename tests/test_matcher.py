@@ -12,9 +12,8 @@ from qtrack.matcher import (
     matcher_forward,
 )
 from qtrack.model import ModelConfig
-from qtrack.numerics import ffn
 
-from reference_matcher import ARRAY
+import reference_matcher
 
 ALL_VARIANTS = list(MatcherVariant)
 PARAMETRIC = [MatcherVariant.TRANSFORMER, MatcherVariant.FFN, MatcherVariant.CROSS_ATTN]
@@ -70,7 +69,7 @@ def test_embed_ffn_matches_straightline_oracle():
     f = p.shared_ffn
     expected = np.maximum(q @ f.w1.value + f.b1.value, 0.0) @ f.w2.value + f.b2.value
     np.testing.assert_allclose(out, expected, atol=1e-12)
-    np.testing.assert_allclose(out, ffn(ARRAY, q, f), atol=1e-15)
+    np.testing.assert_allclose(out, reference_matcher.ffn(q, f), atol=1e-15)
 
 
 def test_embed_dimension_mismatch():

@@ -14,9 +14,10 @@ from qtrack.data_io import (
     GroundTruthTrack,
     TrajectoryOutput,
     box_array,
-    iou,
 )
 from qtrack.metrics import EvalConfig, clear_mot, detection_prf, idf1
+
+from reference_iou import iou
 
 
 def _box(i: int) -> Box:
@@ -200,8 +201,6 @@ def test_idf1_empty_predictions():
 
 
 def _idf1_brute_force(gt_tracks, pred_tracks, thr=0.5):
-    from qtrack.data_io import iou
-
     gts = [t for t in gt_tracks if t.category != "other"]
     preds = pred_tracks
     total_gt = sum(len(t.frames) for t in gts)

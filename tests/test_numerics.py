@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qtrack.autodiff import TAPE, Tensor, pow_const, sum_
+from qtrack.autodiff import Tensor, pow_const, softmax_rows, sum_
 from qtrack.numerics import (
     AttentionParams,
     FfnParams,
@@ -19,23 +19,23 @@ from qtrack.numerics import (
     ffn,
 )
 
-from reference_matcher import ARRAY
+import reference_matcher
 
 
-def _on_both_tables(block, *arrays, **params):
-    """`block` run by `reference_matcher`'s frozen array table, after checking that the tape gives the same bits."""
-    got = block(ARRAY, *arrays, **params)
-    assert np.array_equal(got, block(TAPE, *map(Tensor, arrays), **params).value)
+def _on_tape_and_reference(block, *arrays, **params):
+    """`reference_matcher`'s frozen array copy of `block`, after checking that `block` on the tape gives the same bits."""
+    got = getattr(reference_matcher, block.__name__)(*arrays, **params)
+    assert np.array_equal(got, block(*map(Tensor, arrays), **params).value)
     return got
 
 
 # ---------------------------------------------------------------------------
-# cosine similarity (the cosine matrix of single rows, on both op tables)
+# cosine similarity (the cosine matrix of single rows, on the tape and the reference)
 
 
 def _cosine(u, v):
     """`cosine_matrix` of one row against one row."""
-    return float(_on_both_tables(cosine_matrix, np.atleast_2d(u), np.atleast_2d(v))[0, 0])
+    return float(_on_tape_and_reference(cosine_matrix, np.atleast_2d(u), np.atleast_2d(v))[0, 0])
 
 
 def test_cosine_identical_vectors():
@@ -59,9 +59,9 @@ def test_cosine_zero_norm_returns_zero():
 
 def test_cosine_dimension_mismatch():
     with pytest.raises(ValueError):
-        cosine_matrix(ARRAY, np.ones((1, 3)), np.ones((1, 4)))
+        reference_matcher.cosine_matrix(np.ones((1, 3)), np.ones((1, 4)))
     with pytest.raises(ValueError):
-        cosine_matrix(TAPE, Tensor(np.ones((1, 3))), Tensor(np.ones((1, 4))))
+        cosine_matrix(Tensor(np.ones((1, 3))), Tensor(np.ones((1, 4))))
 
 
 def test_cosine_properties_random():
@@ -76,14 +76,14 @@ def test_cosine_properties_random():
 
 
 # ---------------------------------------------------------------------------
-# softmax (single rows through the row softmax, on both op tables)
+# softmax (single rows through the row softmax, on the tape and the reference)
 
 
 def _softmax(row):
     """The row softmax op of one row."""
     a = np.atleast_2d(np.asarray(row, dtype=np.float64))
-    got = ARRAY.softmax_rows(a)
-    assert np.array_equal(got, TAPE.softmax_rows(Tensor(a)).value)
+    got = reference_matcher.softmax_rows(a)
+    assert np.array_equal(got, softmax_rows(Tensor(a)).value)
     return got[0]
 
 
@@ -101,9 +101,9 @@ def test_softmax_hand_value():
 
 def test_softmax_empty_errors():
     with pytest.raises(ValueError):
-        ARRAY.softmax_rows(np.zeros((1, 0)))
+        reference_matcher.softmax_rows(np.zeros((1, 0)))
     with pytest.raises(ValueError):
-        TAPE.softmax_rows(Tensor(np.zeros((1, 0))))
+        softmax_rows(Tensor(np.zeros((1, 0))))
 
 
 def test_softmax_sum_and_shift_invariance():
@@ -117,7 +117,7 @@ def test_softmax_sum_and_shift_invariance():
 
 
 # ---------------------------------------------------------------------------
-# feedforward block (on both op tables)
+# feedforward block (on the tape and the reference)
 
 
 def _ffn(w1, b1, w2, b2):
@@ -126,13 +126,13 @@ def _ffn(w1, b1, w2, b2):
 
 def test_ffn_zero_weights_annihilate():
     p = _ffn(np.zeros((3, 4)), np.zeros(4), np.zeros((4, 3)), np.zeros(3))
-    np.testing.assert_allclose(_on_both_tables(ffn, np.array([1.0, -2.0, 5.0]), params=p), np.zeros(3))
+    np.testing.assert_allclose(_on_tape_and_reference(ffn, np.array([1.0, -2.0, 5.0]), params=p), np.zeros(3))
 
 
 def test_ffn_identity_composition():
     p = _ffn(np.eye(3), np.zeros(3), np.eye(3), np.zeros(3))
     x = np.array([0.5, 0.0, 2.0])  # nonnegative so the rectifier is transparent
-    np.testing.assert_allclose(_on_both_tables(ffn, x, params=p), x)
+    np.testing.assert_allclose(_on_tape_and_reference(ffn, x, params=p), x)
 
 
 def test_ffn_hand_computation():
@@ -145,19 +145,19 @@ def test_ffn_hand_computation():
     # hidden pre-activation: [1*1 + 2*0.5 + 0.1, 1*(-1) + 2*0.25 - 0.2] = [2.1, -0.7]
     # after rectifier: [2.1, 0.0]; output: 2.1*2 + 0*3 + 0.5 = 4.7
     p = _ffn(w1, b1, w2, b2)
-    np.testing.assert_allclose(_on_both_tables(ffn, x, params=p), [4.7])
+    np.testing.assert_allclose(_on_tape_and_reference(ffn, x, params=p), [4.7])
 
 
 def test_ffn_shape_mismatch():
     p = _ffn(np.zeros((3, 4)), np.zeros(4), np.zeros((4, 3)), np.zeros(3))
     with pytest.raises(ValueError):
-        ffn(ARRAY, np.ones(5), p)
+        reference_matcher.ffn(np.ones(5), p)
     with pytest.raises(ValueError):
-        ffn(TAPE, Tensor(np.ones(5)), p)
+        ffn(Tensor(np.ones(5)), p)
 
 
 # ---------------------------------------------------------------------------
-# attention block (on both op tables)
+# attention block (on the tape and the reference)
 
 
 def test_attention_single_key_ignores_query():
@@ -166,7 +166,7 @@ def test_attention_single_key_ignores_query():
     key = rng.normal(size=(1, 4))
     value = rng.normal(size=(1, 4))
     queries = rng.normal(size=(3, 4))
-    out = _on_both_tables(attention, queries, key, value, params=p)
+    out = _on_tape_and_reference(attention, queries, key, value, params=p)
     # softmax over one element is 1, so every query sees the projected value
     projected = (value @ p.wv.value + p.bv.value) @ p.wo.value + p.bo.value
     for row in out:
@@ -183,7 +183,7 @@ def test_attention_identical_keys_average_values():
     p.bo.value[...] = 0.0
     keys = np.tile(rng.normal(size=(1, 4)), (2, 1))
     values = rng.normal(size=(2, 4))
-    out = _on_both_tables(attention, rng.normal(size=(1, 4)), keys, values, params=p)
+    out = _on_tape_and_reference(attention, rng.normal(size=(1, 4)), keys, values, params=p)
     np.testing.assert_allclose(out[0], values.mean(axis=0), atol=1e-12)
 
 
@@ -209,7 +209,7 @@ def test_attention_matches_straightline_reimplementation():
         heads.append(w @ vp[:, sl])
     expected = np.concatenate(heads, axis=1) @ p.wo.value + p.bo.value
 
-    np.testing.assert_allclose(_on_both_tables(attention, q, k, v, params=p), expected, atol=1e-12)
+    np.testing.assert_allclose(_on_tape_and_reference(attention, q, k, v, params=p), expected, atol=1e-12)
 
 
 def test_attention_permutation_equivariance():
@@ -220,8 +220,8 @@ def test_attention_permutation_equivariance():
     v = rng.normal(size=(5, 4))
     perm = rng.permutation(5)
     np.testing.assert_allclose(
-        _on_both_tables(attention, q, k, v, params=p),
-        _on_both_tables(attention, q, k[perm], v[perm], params=p),
+        _on_tape_and_reference(attention, q, k, v, params=p),
+        _on_tape_and_reference(attention, q, k[perm], v[perm], params=p),
         atol=1e-12,
     )
 
@@ -233,7 +233,7 @@ def test_attention_layer_gradients():
     k = Tensor(rng.normal(size=(3, 4)))
 
     def loss():
-        out = attention(TAPE, q, k, k, p)
+        out = attention(q, k, k, p)
         return sum_(out * out)
 
     assert check_gradients(loss, p.tensors() + [q, k]) < 1e-6
@@ -247,8 +247,8 @@ def test_transformer_layer_gradients():
     c = Tensor(rng.normal(size=(2, 4)))
 
     def loss():
-        mem = encoder_layer(TAPE, h, enc)
-        out = decoder_layer(TAPE, c, mem, dec)
+        mem = encoder_layer(h, enc)
+        out = decoder_layer(c, mem, dec)
         return sum_(out * out)
 
     assert check_gradients(loss, enc.tensors() + dec.tensors()) < 1e-6

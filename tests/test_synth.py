@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from qtrack.data_io import (
     DetectionFrame,
-    iou,
     parse_detection_stream,
     write_annotations,
     write_detection_stream,
@@ -19,6 +18,7 @@ from qtrack.synth import SynthConfig, generate_sequence
 from qtrack.training import assign_targets
 
 import reference_synth
+from reference_iou import iou
 
 
 def test_noiseless_single_track_queries_identical():
