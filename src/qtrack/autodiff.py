@@ -6,10 +6,14 @@ rectifier, sigmoid, row softmax, row L2 normalisation, layer norm,
 log/pow/sum, concatenation and row gather). Every op builds a node
 holding the forward value and a closure that accumulates gradients
 into its parents. Calling ``backward()`` on a scalar walks the graph
-in reverse topological order.
+in reverse topological order and consumes it: each node is released
+(no gradient, closure or parents; its value stays) as soon as its
+closure has run, so reference counting frees the tape as the walk goes
+and backward never holds much more than the forward left live.
 
 Leaf tensors double as parameters: after ``backward()``, ``grad``
-holds dL/dvalue with the same shape as ``value``.
+holds dL/dvalue with the same shape as ``value``. Only leaves keep
+``grad``.
 
 The blocks in ``numerics`` and ``matcher`` call these ops by name on
 tensors, and so record the graph that training differentiates;
@@ -96,14 +100,23 @@ class Tensor:
         self.grad = None
 
     def backward(self) -> None:
-        """Seed this scalar with gradient 1 and propagate to all ancestors."""
+        """Seed this scalar with gradient 1 and propagate to all ancestors, consuming the graph.
+
+        Each node with a closure is released once that closure has run
+        (no ``grad``, closure or parents; its ``value`` stays), so only
+        leaves keep ``grad`` and the tape is freed as the walk goes.
+        """
         if self.value.size != 1:
             raise ValueError(f"backward() needs a scalar, got shape {self.shape}")
         order = _topo_order(self)
         self.grad = np.ones_like(self.value)
-        for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+        while order:
+            node = order.pop()
+            if node._backward is not None:
+                if node.grad is not None:
+                    node._backward(node.grad)
+                node.grad = node._backward = None
+                node._parents = ()
 
     # Operator sugar. Non-Tensor operands are wrapped as constants.
     def __add__(self, other):

@@ -102,7 +102,9 @@ class MatchResult:
 class Video:
     """One training video: its detection stream, its ground truth and the canvas that scales its boxes.
 
-    Its tracks are indexed by frame on first use, so they must not change after the first clip is built.
+    Its tracks are indexed by frame, and without a canvas its boxes'
+    extent is found, on first use, so neither its frames nor its tracks
+    may change after the first clip is built.
     """
 
     name: str
@@ -118,6 +120,18 @@ class Video:
             for f in tr.frames:
                 index[f].append(tr)
         return index
+
+    @cached_property
+    def extent(self) -> float:
+        """The joint extent of every record box and ground-truth box, at least 1; the scale when there is no canvas."""
+        extent = 1.0
+        for f in self.frames:
+            for r in f.records:
+                extent = max(extent, r.box[2], r.box[3])
+        for tr in self.tracks:
+            for e in tr.frames.values():
+                extent = max(extent, e.box[2], e.box[3])
+        return extent
 
 
 @dataclass
@@ -154,23 +168,21 @@ def assign_targets(pred_boxes, gt_boxes: dict[int, Box]) -> dict[int, int | None
         return result
     if len(pred_boxes) == 0:
         return {k: None for k in gt_boxes}
-    overlap = dict(zip(gt_boxes, iou_matrix(box_array(gt_boxes.values()), pred_boxes)))
+    overlap = iou_matrix(box_array(gt_boxes.values()), pred_boxes)
+    row = {k: i for i, k in enumerate(gt_boxes)}
     claimed = np.zeros(len(pred_boxes), dtype=bool)
     pending = sorted(gt_boxes)
     while pending:
         # every pending track proposes its best unclaimed record (the
-        # first one on ties); claimed records read -1 and never win
-        proposals: dict[int, tuple[float, int]] = {}
-        for k in pending:
-            masked = np.where(claimed, -1.0, overlap[k])
-            best_i = int(masked.argmax())
-            best = masked[best_i]
-            proposals[k] = (best, best_i if best >= 0.0 else -1)
+        # first one on ties) in one masked argmax over their rows;
+        # claimed records read -1 and never win
+        masked = np.where(claimed, -1.0, overlap[[row[k] for k in pending]])
+        choice = masked.argmax(axis=1)
+        top = masked[np.arange(len(pending)), choice]
         next_pending = []
         by_record: dict[int, list[tuple[float, int]]] = {}
-        for k in pending:
-            best, best_i = proposals[k]
-            if best_i < 0 or best < ASSIGN_IOU_MIN:
+        for k, best, best_i in zip(pending, top.tolist(), choice.tolist()):
+            if not best >= ASSIGN_IOU_MIN:  # a claimed record (-1), a low IoU or NaN
                 result[k] = None
                 continue
             by_record.setdefault(best_i, []).append((best, k))
@@ -341,17 +353,7 @@ def build_clip(video: Video, start: int, length: int) -> list[ClipFrame]:
     frames = video.frames[start:start + length]
     if len(frames) < length:
         raise ValueError(f"clip [{start}, {start + length}) exceeds video of {len(video.frames)} frames")
-    if video.canvas is not None:
-        sx, sy = video.canvas
-    else:
-        extent = 1.0
-        for f in video.frames:
-            for r in f.records:
-                extent = max(extent, r.box[2], r.box[3])
-        for tr in video.tracks:
-            for e in tr.frames.values():
-                extent = max(extent, e.box[2], e.box[3])
-        sx = sy = extent
+    sx, sy = video.canvas if video.canvas is not None else (video.extent, video.extent)
     scale = np.array([sx, sy, sx, sy], dtype=np.float64)
 
     clip = []

@@ -5,14 +5,16 @@ stages, the memory bank, target assignment and the CLEAR-MOT / IDF1
 pairings must give exactly the outcomes of the per-pair Python loops
 and the dict-of-lists bank kept below as references, and the training loss
 must give the values and gradients of the per-row target lists it was
-once built from. The reference association runs the matcher through the
-autodiff tape, so the same streams also hold the plain-array inference
-forward to the tape bit for bit. The streams are seeded and small; the
-grid covers every matcher variant, the long-term stage on and off, and
-forced ties. Since the tape takes its values from the array ops, the
-plain-array forward is also held to `reference_matcher`, the ops frozen
-as they were before they wrote into their own temporaries, which
-catches a drift the tape and the plain-array forward share.
+once built from, and backward, which consumes the graph, must give the
+gradients of the walk that kept every node. The reference association
+runs the matcher through the autodiff tape, so the same streams also
+hold the plain-array inference forward to the tape bit for bit. The
+streams are seeded and small; the grid covers every matcher variant,
+the long-term stage on and off, and forced ties. Since the tape takes
+its values from the array ops, the plain-array forward is also held to
+`reference_matcher`, the ops frozen as they were before they wrote into
+their own temporaries, which catches a drift the tape and the
+plain-array forward share.
 """
 
 import struct
@@ -40,6 +42,7 @@ from qtrack.autodiff import (
     _affine,
     _layer_norm,
     _relu,
+    _topo_order,
     concat_rows,
     log,
     matmul,
@@ -866,6 +869,44 @@ def test_total_loss_equals_reference_bitwise(variant, canvas):
             assert _loss_bits(total_loss, clip, model) == _loss_bits(ref_total_loss, clip, model)
     assert covered == {"no records", "no ground truth", "p < g",
                        "unassigned first", "unassigned middle", "unassigned last"}
+
+
+def ref_backward(root):
+    """The backward walk that keeps the graph: no node is released until the walk ends."""
+    order = _topo_order(root)
+    root.grad = np.ones_like(root.value)
+    for node in reversed(order):
+        if node._backward is not None and node.grad is not None:
+            node._backward(node.grad)
+
+
+@pytest.mark.parametrize("variant", [MatcherVariant.FFN, MatcherVariant.CROSS_ATTN, MatcherVariant.TRANSFORMER])
+def test_backward_consumes_the_graph_and_keeps_every_gradient(variant):
+    model = TrackerModel.create(variant, d_q=8, d_e=8, heads=2, seed=3)
+    rng = np.random.default_rng(5)
+    params = model.parameters()
+    for t in params:
+        t.value[...] = rng.normal(scale=0.5, size=t.shape)
+    for canvas in (True, False):
+        clips, _ = _loss_clips(1, canvas)
+        for clip in clips:
+            grads = []
+            for backward in (ref_backward, Tensor.backward):
+                for p in params:
+                    p.zero_grad()
+                out = total_loss(clip, model, LossConfig())
+                terms = [out.total, out.rescoring, out.association, out.short_term, out.long_term]
+                values = [t.value.tobytes() for t in terms]
+                inner = [node for node in _topo_order(out.total) if node._backward is not None]
+                backward(out.total)
+                grads.append([None if p.grad is None else p.grad.tobytes() for p in params])
+                assert [t.value.tobytes() for t in terms] == values
+            assert grads[1] == grads[0]
+            assert all(g is not None for g in grads[1])
+            # the consuming walk ran last: every node it ran a closure of is released
+            assert inner and all(
+                node.grad is None and node._backward is None and node._parents == () for node in inner
+            )
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Target assignment, matching, losses and the optimization loop."""
 
+import gc
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -359,6 +361,22 @@ def test_build_clip_boxes_equal_per_corner_division(with_canvas):
         assert np.array_equal(clip_frame.gt_boxes, _divided_per_corner(gt, sx, sy))
 
 
+def test_canvasless_clips_equal_clips_at_the_extent_canvas():
+    video = _video(seed=5, frames=7, tracks=3, noise_sigma=0.1, miss_prob=0.3, fp_rate=1.0, canvas=(300.0, 900.0))
+    boxes = [r.box for f in video.frames for r in f.records]
+    boxes += [entry.box for tr in video.tracks for entry in tr.frames.values()]
+    e = max(1.0, *(b[2] for b in boxes), *(b[3] for b in boxes))
+    bare = Video(video.name, video.frames, video.tracks, None)
+    framed = Video(video.name, video.frames, video.tracks, (e, e))
+    for start in range(3):
+        for a, b in zip(build_clip(bare, start, 5), build_clip(framed, start, 5), strict=True):
+            for name in ("queries", "boxes", "gt_boxes"):
+                x, y = getattr(a, name), getattr(b, name)
+                assert x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
+            assert a.assignments == b.assignments
+    assert bare.extent == e
+
+
 def test_build_clip_rejects_overrun():
     video = _video(frames=4)
     with pytest.raises(ValueError):
@@ -478,3 +496,50 @@ def test_backward_fills_every_parameter_gradient():
     for p in model.parameters():
         assert p.grad is not None
         assert p.grad.shape == p.value.shape
+
+
+def _dense_clip():
+    """Six frames of 60 tracks with misses and clutter, like the dense benchmark scene's."""
+    cfg = SynthConfig(frames=6, tracks=60, d_q=16, noise_sigma=0.1, miss_prob=0.2, fp_rate=1.0, seed=0)
+    header, dets, gts = generate_sequence(cfg)
+    return build_clip(Video("dense", dets, gts, header.canvas), 0, 6)
+
+
+@pytest.mark.parametrize("variant", [MatcherVariant.CROSS_ATTN, MatcherVariant.TRANSFORMER])
+def test_backward_peak_stays_near_the_live_tape(variant):
+    # a walk that keeps every node until it ends holds about twice the tape
+    clip = _dense_clip()
+    model = TrackerModel.create(variant, d_q=16, d_e=32, seed=1)
+    tracemalloc.start()
+    try:
+        breakdown = total_loss(clip, model, LossConfig())
+        live = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        breakdown.total.backward()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * live, f"backward peaked at {peak / live:.2f} times the {live / 1e6:.1f} MB live before it"
+
+
+def test_reference_counting_alone_frees_the_tape():
+    video = _video(seed=9, frames=4, tracks=3, noise_sigma=0.05, fp_rate=1.0)
+    model = TrackerModel.create(MatcherVariant.TRANSFORMER, d_q=8, d_e=8, seed=5)
+    params = model.parameters()
+    opt = AdamW(params)
+    gc.collect()
+    before = [o for o in gc.get_objects() if isinstance(o, Tensor)]  # held, so no id is reused
+    known = {id(o) for o in before}
+    gc.disable()
+    try:
+        clip = build_clip(video, 0, 4)
+        opt.zero_grad()
+        breakdown = total_loss(clip, model, LossConfig())
+        breakdown.total.backward()
+        opt.step(1e-3)
+        del breakdown, clip
+        left = [o for o in gc.get_objects() if isinstance(o, Tensor) and id(o) not in known]
+    finally:
+        gc.enable()
+    assert {id(p) for p in params} <= known
+    assert left == []
