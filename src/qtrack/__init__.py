@@ -24,7 +24,7 @@ from .matcher import (
 )
 from .metrics import EvalConfig, MotReport, clear_mot, detection_prf, idf1
 from .model import ModelConfig, TrackerModel, load_checkpoint, save_checkpoint
-from .rescoring import RescoringHead, ScoredInstance, filter_instances, fuse_scores, rescore
+from .rescoring import RescoringHead, ScoredInstance, filter_instances
 from .synth import SynthConfig, generate_sequence
 from .training import (
     LossConfig,

@@ -134,8 +134,11 @@ def _ensure_out(path: str) -> Path:
 def cmd_gen(args) -> int:
     config = _load_config(args.config)
     synth_cfg = _override(_dataclass_section(config, "synth", SynthConfig), seed=args.seed)
+    try:
+        header, frames, tracks = generate_sequence(synth_cfg)
+    except MemoryError as exc:
+        raise CliError(f"bad config section 'synth': {exc}") from None
     out = _ensure_out(args.out)
-    header, frames, tracks = generate_sequence(synth_cfg)
     write_detection_stream(out / "stream.jsonl", header, frames)
     write_annotations(out / "annotations.json", tracks, video=header.video)
     echo = dataclasses.asdict(synth_cfg)
@@ -181,7 +184,10 @@ def cmd_train(args) -> int:
         raise CliError(f"bad config section 'model': d_q {model_section['d_q']} does not match the streams' d_q {d_q}")
     # Built once, with the flags and the data's d_q, so its checks see the model that is trained.
     model_cfg = _build("model", ModelConfig, model_section, variant=args.variant, seed=args.seed, d_q=d_q)
-    model = TrackerModel.create(**dataclasses.asdict(model_cfg))
+    try:
+        model = TrackerModel.create(**dataclasses.asdict(model_cfg))
+    except MemoryError as exc:
+        raise CliError(f"bad config section 'model': {exc}") from None
     try:
         result = train(model, videos, train_cfg, loss_cfg)
     except FloatingPointError as exc:  # the loss diverged; its message names the iteration

@@ -14,11 +14,15 @@ A sequence is scored from one table built once: its boxes sorted by
 frame, and the same-frame (ground truth, prediction) pairs whose IoU
 reaches the threshold. CLEAR-MOT and IDF1 both read those pairs. The
 prediction rows are the trajectories' columns, concatenated.
+
+A set of sequences is scored as their disjoint union: each one's frames
+shifted past the last frame of the one before, and its ids renumbered
+apart. No pair, continuation or ID switch then crosses two sequences.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from itertools import chain
 
 import numpy as np
@@ -26,7 +30,7 @@ from scipy.optimize import linear_sum_assignment
 
 from .data_io import Box, GroundTruthTrack, TrajectoryOutput, box_array, frame_pairs, hit_mask
 
-__all__ = ["EvalConfig", "MotReport", "clear_mot", "idf1", "detection_prf", "evaluate_sequences"]
+__all__ = ["EvalConfig", "MotReport", "clear_mot", "idf1", "detection_prf"]
 
 INVALID = 1e9  # cost placeholder for pairs below the overlap threshold
 
@@ -53,19 +57,9 @@ class MotReport:
     fn: int
     id_switches: int
     gt_total: int
-    per_sequence: dict[str, dict] = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        return {
-            "mota": self.mota,
-            "motp": self.motp,
-            "idf1": self.idf1,
-            "tp": self.tp,
-            "fp": self.fp,
-            "fn": self.fn,
-            "id_switches": self.id_switches,
-            "gt_total": self.gt_total,
-        }
+        return asdict(self)
 
 
 def _norm_text(text: str | None) -> str:
@@ -209,17 +203,15 @@ def clear_mot(
 ) -> MotReport:
     """CLEAR-MOT counts, MOTA, MOTP and IDF1 of one sequence."""
     seq = _Sequence(gt_tracks, pred_tracks, cfg if cfg is not None else EvalConfig())
-    return _report(seq.clear_counts(), _idf1_score(*seq.idf1_counts()))
-
-
-def _report(counts: tuple[int, int, int, int, int, float], idf1_score: float, per_sequence=None) -> MotReport:
-    """The report of (tp, fp, fn, id switches, gt total, MOTP), with MOTA from them."""
-    tp, fp, fn, idsw, gt_total, motp = counts
+    tp, fp, fn, idsw, gt_total, motp = seq.clear_counts()
     if gt_total > 0:
         mota = 1.0 - (fn + fp + idsw) / gt_total
     else:
         mota = 1.0 if (fp + idsw) == 0 else None
-    return MotReport(mota, motp, idf1_score, tp, fp, fn, idsw, gt_total, per_sequence or {})
+    idtp, total_gt, total_pred = seq.idf1_counts()
+    # 1 when both totals are 0, and 0 when one is
+    idf1_score = 2.0 * idtp / (total_gt + total_pred) if total_gt and total_pred else float(total_gt == total_pred)
+    return MotReport(mota, motp, idf1_score, tp, fp, fn, idsw, gt_total)
 
 
 def idf1(
@@ -233,42 +225,7 @@ def idf1(
     overlap at the threshold; a min-cost assignment maximizes the total
     and IDF1 = 2*IDTP / (total gt frames + total predicted frames).
     """
-    cfg = cfg if cfg is not None else EvalConfig()
-    return _idf1_score(*_Sequence(gt_tracks, pred_tracks, cfg).idf1_counts())
-
-
-def _idf1_score(idtp: int, total_gt: int, total_pred: int) -> float:
-    if total_gt == 0 and total_pred == 0:
-        return 1.0
-    if total_gt == 0 or total_pred == 0:
-        return 0.0
-    return 2.0 * idtp / (total_gt + total_pred)
-
-
-def evaluate_sequences(
-    sequences: dict[str, tuple[list[GroundTruthTrack], list[TrajectoryOutput]]],
-    cfg: EvalConfig | None = None,
-) -> MotReport:
-    """Evaluate several sequences and merge by summing counts.
-
-    MOTA/MOTP come from the pooled counts; IDF1 from the pooled identity
-    counts (matching stays within each sequence). The per-sequence
-    breakdown is kept on the report.
-    """
-    cfg = cfg if cfg is not None else EvalConfig()
-    clear_sum = [0] * 5  # tp, fp, fn, id switches, gt total
-    motp_weighted = 0.0
-    idf1_sum = [0] * 3  # IDTP, gt frames, predicted frames
-    per_sequence: dict[str, dict] = {}
-    for name, (gt_tracks, pred_tracks) in sorted(sequences.items()):
-        seq = _Sequence(gt_tracks, pred_tracks, cfg)
-        counts, idf1_counts = seq.clear_counts(), seq.idf1_counts()
-        per_sequence[name] = _report(counts, _idf1_score(*idf1_counts)).as_dict()
-        clear_sum = [a + b for a, b in zip(clear_sum, counts)]
-        motp_weighted += counts[5] * counts[0]
-        idf1_sum = [a + b for a, b in zip(idf1_sum, idf1_counts)]
-    tp = clear_sum[0]
-    return _report((*clear_sum, motp_weighted / tp if tp > 0 else 0.0), _idf1_score(*idf1_sum), per_sequence)
+    return clear_mot(gt_tracks, pred_tracks, cfg).idf1
 
 
 def detection_prf(

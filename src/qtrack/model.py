@@ -107,7 +107,8 @@ class TrackerModel:
         return sum(p.value.size for p in self.parameters())
 
     def rescoring_head(self) -> RescoringHead:
-        return RescoringHead(weight=self.rescore_weight.value, bias=float(self.rescore_bias.value))
+        """A snapshot of the head: training, which updates the weight in place, leaves it as it was."""
+        return RescoringHead(weight=self.rescore_weight.value.copy(), bias=float(self.rescore_bias.value))
 
 
 def save_checkpoint(model: TrackerModel, path) -> None:

@@ -15,7 +15,7 @@ import numpy as np
 from .data_io import DetectionFrame, DetectionRecord
 from .numerics import stable_sigmoid
 
-__all__ = ["RescoringHead", "ScoredInstance", "rescore", "fuse_scores", "filter_instances"]
+__all__ = ["RescoringHead", "ScoredInstance", "filter_instances"]
 
 
 @dataclass
@@ -35,20 +35,11 @@ class ScoredInstance:
     fused_score: float  # c_f = max(c_o, c_r)
 
 
-def rescore(record: DetectionRecord, head: RescoringHead) -> float:
-    """Recomputed confidence c_r = logistic(weight . query + bias), in (0, 1)."""
-    if record.query.shape != head.weight.shape:
-        raise ValueError(f"query dim {record.query.shape} does not match head dim {head.weight.shape}")
-    return stable_sigmoid(float(record.query @ head.weight) + head.bias)
-
-
-def fuse_scores(c_o: float, c_r: float) -> float:
-    """Final confidence is the maximum of the original and recomputed scores."""
-    return max(c_o, c_r)
-
-
 def filter_instances(frame: DetectionFrame, head: RescoringHead, detect_threshold: float) -> list[ScoredInstance]:
     """Rescore every record and keep those with fused score >= threshold, order preserved.
+
+    The recomputed confidence is c_r = logistic(weight . query + bias)
+    and the fused one c_f = max(c_o, c_r).
 
     The frame's logits are one stacked product, (1, d_q) @ (d_q, 1) per
     record: the bits of each record's own `q @ w`, which a plain `Q @ w`
@@ -59,7 +50,7 @@ def filter_instances(frame: DetectionFrame, head: RescoringHead, detect_threshol
     records = frame.records
     for record in records:
         if record.query.shape != head.weight.shape:
-            rescore(record, head)  # raises the dimension error, naming this record's shape
+            raise ValueError(f"query dim {record.query.shape} does not match head dim {head.weight.shape}")
     if not records:
         return []
     queries = np.array([record.query for record in records])
@@ -67,7 +58,7 @@ def filter_instances(frame: DetectionFrame, head: RescoringHead, detect_threshol
     kept = []
     for record, logit in zip(records, logits):
         c_r = stable_sigmoid(logit + head.bias)
-        c_f = fuse_scores(record.score, c_r)
+        c_f = max(record.score, c_r)
         if c_f >= detect_threshold:
             kept.append(ScoredInstance(record, c_r, c_f))
     return kept

@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from disjoint_union import disjoint_union
 from qtrack.association import TrackerConfig, track_sequence
 from qtrack.cli import main as cli_main
 from qtrack.data_io import (
@@ -22,7 +23,7 @@ from qtrack.data_io import (
     box_array,
 )
 from qtrack.matcher import MatcherVariant, count_parameters
-from qtrack.metrics import clear_mot, detection_prf, evaluate_sequences, idf1
+from qtrack.metrics import clear_mot, detection_prf, idf1
 from qtrack.model import TrackerModel
 from qtrack.numerics import check_gradients
 from qtrack.rescoring import RescoringHead, filter_instances
@@ -71,11 +72,9 @@ def ablation_suite():
 
 
 def _suite_idf1(model, eval_videos, use_lt: bool) -> float:
-    sequences = {
-        video.name: (gts, track_sequence(video.frames, model, TrackerConfig(use_lt=use_lt)))
-        for video, gts in eval_videos
-    }
-    return evaluate_sequences(sequences).idf1
+    """Pooled IDF1 of the videos: the IDF1 of their disjoint union."""
+    sequences = [(gts, track_sequence(video.frames, model, TrackerConfig(use_lt=use_lt))) for video, gts in eval_videos]
+    return clear_mot(*disjoint_union(sequences)).idf1
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,11 @@
 `iou_matrix` must equal `iou` bit for bit, and NMS, both association
 stages, the memory bank, target assignment and the CLEAR-MOT / IDF1
 pairings must give exactly the outcomes of the per-pair Python loops
-and the dict-of-lists bank kept below as references, and the training loss
-must give the values and gradients of the per-row target lists it was
-once built from, and backward, which consumes the graph, must give the
-gradients of the walk that kept every node. The reference association
+and the dict-of-lists bank kept as references (the tracker's in
+`reference_tracker`), and the training loss must give the values and
+gradients of the per-row target lists it was once built from, and
+backward, which consumes the graph, must give the gradients of the
+walk that kept every node. The reference association
 runs the matcher through the autodiff tape, so the same streams also
 hold the plain-array inference forward to the tape bit for bit. The
 streams are seeded and small; the grid covers every matcher variant,
@@ -18,7 +19,7 @@ plain-array forward share.
 """
 
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,16 +28,10 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 import reference_matcher
+from disjoint_union import disjoint_union
 from reference_iou import iou
-from qtrack.association import (
-    AssociationOutcome,
-    MemoryBank,
-    TrackerConfig,
-    _greedy_matches,
-    associate_frame,
-    nms,
-    track_sequence,
-)
+from reference_tracker import assert_columns_equal_reference, ref_greedy_assign, ref_nms, track_both
+from qtrack.association import TrackerConfig, _greedy_matches, nms, track_sequence
 from qtrack.autodiff import (
     Tensor,
     _affine,
@@ -77,12 +72,11 @@ from qtrack.metrics import (
     MotReport,
     clear_mot,
     detection_prf,
-    evaluate_sequences,
     idf1,
 )
 from qtrack.model import TrackerModel
 from qtrack.numerics import AttentionParams
-from qtrack.rescoring import ScoredInstance, filter_instances
+from qtrack.rescoring import ScoredInstance
 from qtrack.synth import SynthConfig, generate_sequence
 from qtrack.training import (
     ASSIGN_IOU_MIN,
@@ -100,124 +94,6 @@ from qtrack.training import (
 
 # ---------------------------------------------------------------------------
 # references: the scalar loops as they were before the array kernels
-
-
-def ref_nms(instances, iou_threshold):
-    order = sorted(range(len(instances)), key=lambda i: (-instances[i].fused_score, i))
-    keep = []
-    for i in order:
-        box = instances[i].record.box
-        if all(iou(box, instances[j].record.box) < iou_threshold for j in keep):
-            keep.append(i)
-    return [instances[i] for i in sorted(keep)]
-
-
-def ref_greedy_assign(candidates, threshold, free_instances, free_tracks):
-    matched = []
-    for prob, inst, tid in sorted(candidates, key=lambda c: (-c[0], c[1], c[2])):
-        if prob < threshold:
-            break
-        if inst in free_instances and tid in free_tracks:
-            matched.append((inst, tid, prob))
-            free_instances.remove(inst)
-            free_tracks.remove(tid)
-    return matched
-
-
-@dataclass
-class _BankEntry:
-    frame: int
-    embedding: np.ndarray
-
-
-@dataclass
-class _LiveTrack:
-    track_id: int
-    entries: list[_BankEntry] = field(default_factory=list)
-    last_seen: int = -1
-
-
-class RefMemoryBank:
-    """The memory bank as a dict of live tracks, each a list of (frame, embedding)."""
-
-    def __init__(self, horizon):
-        self.horizon = horizon
-        self._tracks: dict[int, _LiveTrack] = {}
-        self._next_id = 1
-
-    def track_ids(self):
-        return sorted(self._tracks)
-
-    def seen_at(self, frame):
-        return sorted(tid for tid, t in self._tracks.items() if t.last_seen == frame)
-
-    def entries(self, track_id):
-        return self._tracks[track_id].entries
-
-    def new_track(self, frame, embedding):
-        tid = self._next_id
-        self._next_id += 1
-        self._tracks[tid] = _LiveTrack(track_id=tid, entries=[_BankEntry(frame, embedding)], last_seen=frame)
-        return tid
-
-    def append(self, track_id, frame, embedding):
-        track = self._tracks[track_id]
-        track.entries.append(_BankEntry(frame, embedding))
-        track.last_seen = frame
-
-    def evict(self, current_frame):
-        """Keep the entries of the last H frame indices before `current_frame`."""
-        cutoff = current_frame - self.horizon
-        dead = []
-        for tid, track in self._tracks.items():
-            track.entries = [e for e in track.entries if e.frame >= cutoff]
-            if not track.entries:
-                dead.append(tid)
-        for tid in dead:
-            del self._tracks[tid]
-
-    def rows(self):
-        """(track id, frame, embedding) per entry, by track id, then oldest first."""
-        return [(tid, e.frame, e.embedding) for tid in self.track_ids() for e in self.entries(tid)]
-
-
-def ref_probabilities(model, current, history, branch):
-    return association(Tensor(current), Tensor(history), model.matcher, branch)[1].value
-
-
-def ref_associate_frame(instances, bank, model, config, frame_index):
-    n = len(instances)
-    if n == 0:
-        return AssociationOutcome([], [], [], np.zeros((0, model.d_e)))
-    queries = np.stack([inst.record.query for inst in instances])
-    current = embed(Tensor(queries), model.matcher).value
-    free_instances = set(range(n))
-    st_matches = []
-    prev_tracks = bank.seen_at(frame_index - 1)
-    if prev_tracks:
-        rows = [next(e.embedding for e in bank.entries(tid) if e.frame == frame_index - 1) for tid in prev_tracks]
-        probs = ref_probabilities(model, current, np.stack(rows), "st")
-        candidates = [(float(probs[i, c]), i, tid) for i in range(n) for c, tid in enumerate(prev_tracks)]
-        st_matches = ref_greedy_assign(candidates, config.assoc_threshold, free_instances, set(prev_tracks))
-    lt_matches = []
-    if config.use_lt and free_instances:
-        claimed = {tid for _, tid, _ in st_matches}
-        lt_tracks = [tid for tid in bank.track_ids() if tid not in claimed]
-        if lt_tracks:
-            rows, row_tids = [], []
-            for tid in lt_tracks:
-                for entry in bank.entries(tid):
-                    rows.append(entry.embedding)
-                    row_tids.append(tid)
-            sub_rows = sorted(free_instances)
-            probs = ref_probabilities(model, current[sub_rows], np.stack(rows), "lt")
-            candidates = []
-            for local_i, inst in enumerate(sub_rows):
-                for tid in lt_tracks:
-                    cols = [c for c, t in enumerate(row_tids) if t == tid]
-                    candidates.append((float(probs[local_i, cols].max()), inst, tid))
-            lt_matches = ref_greedy_assign(candidates, config.assoc_threshold, free_instances, set(lt_tracks))
-    return AssociationOutcome(st_matches, lt_matches, sorted(free_instances), current)  # rows: bare embeddings
 
 
 def ref_assign_targets(pred_boxes, gt_boxes):
@@ -510,18 +386,18 @@ def ref_clear_mot(gt_tracks, pred_tracks, cfg):
 
 def ref_evaluate_sequences(sequences, cfg):
     """Counts summed over the sequences; MOTP weighted by each sequence's matches."""
-    reports, idf1_counts = {}, []
-    for name, (gt_tracks, pred_tracks) in sorted(sequences.items()):
-        reports[name] = ref_clear_mot(gt_tracks, pred_tracks, cfg)
+    reports, idf1_counts = [], []
+    for gt_tracks, pred_tracks in sequences:
+        reports.append(ref_clear_mot(gt_tracks, pred_tracks, cfg))
         idf1_counts.append(ref_idf1_counts(gt_tracks, pred_tracks, cfg))
-    tp, fp, fn, idsw, gt_total = (sum(getattr(r, k) for r in reports.values())
+    tp, fp, fn, idsw, gt_total = (sum(getattr(r, k) for r in reports)
                                   for k in ("tp", "fp", "fn", "id_switches", "gt_total"))
     motp = 0.0
-    for r in reports.values():
+    for r in reports:
         motp += r.motp * r.tp
     idf1_totals = [sum(c[k] for c in idf1_counts) for k in range(3)]
     return MotReport(ref_mota(tp, fp, fn, idsw, gt_total), motp / tp if tp > 0 else 0.0, ref_idf1_score(*idf1_totals),
-                     tp, fp, fn, idsw, gt_total, {name: r.as_dict() for name, r in reports.items()})
+                     tp, fp, fn, idsw, gt_total)
 
 
 def ref_detection_prf(gt_tracks, pred_boxes_by_frame, cfg):
@@ -719,65 +595,6 @@ def _stream(seed: int, ties: bool):
     return frames, gts
 
 
-def _track_both(frames, model, config):
-    """Track with the array code, checking every step and bank against the references.
-
-    Returns the reference tracker's trajectories: per track id, in order
-    of creation, its (frame, record, fused score, text with misreads)
-    rows in order of recording.
-    """
-    bank = MemoryBank(config.history_depth, PackedMatcher(model.matcher))
-    ref_bank = RefMemoryBank(config.history_depth)
-    head = model.rescoring_head()
-    recorded: dict[int, list] = {}
-    counts = {"st": 0, "lt": 0}
-    for frame in frames:
-        t = frame.frame_index
-        bank.advance(t)
-        ref_bank.evict(t)
-        scored = filter_instances(frame, head, config.detect_threshold)
-        kept = nms(scored, config.nms_iou)
-        assert [id(k) for k in kept] == [id(k) for k in ref_nms(scored, config.nms_iou)]
-        got = associate_frame(kept, bank, model, config, t)
-        want = ref_associate_frame(kept, ref_bank, model, config, t)
-        assert got.st_matches == want.st_matches
-        assert got.lt_matches == want.lt_matches
-        assert got.new_tracks == want.new_tracks
-        assert np.array_equal(got.rows[:, :model.d_e], want.rows)
-        counts["st"] += len(got.st_matches)
-        counts["lt"] += len(got.lt_matches)
-        new_ids = bank.new_ids(len(got.new_tracks))
-        assignments = [(i, tid) for i, tid, _ in got.st_matches + got.lt_matches]
-        assignments += zip(got.new_tracks, new_ids)
-        bank.update(t, [tid for _, tid in assignments], got.rows[[i for i, _ in assignments]])
-        for i, tid, _ in want.st_matches + want.lt_matches:
-            ref_bank.append(tid, t, want.rows[i])
-        assert [ref_bank.new_track(t, want.rows[i]) for i in want.new_tracks] == new_ids
-        want_rows = ref_bank.rows()
-        assert bank.track.tolist() == [tid for tid, _, _ in want_rows]
-        assert bank.frame.tolist() == [f for _, f, _ in want_rows]
-        assert np.array_equal(bank.rows[:, :model.d_e], np.reshape([e for _, _, e in want_rows], (-1, model.d_e)))
-        for i, tid in assignments:
-            rec = kept[i].record
-            text = rec.text if (i + t) % 5 else "typo"  # some misreads for spotting mode
-            recorded.setdefault(tid, []).append((t, rec, kept[i].fused_score, text))
-    return recorded, counts
-
-
-def _assert_columns_equal_reference(tracks, recorded, min_track_len):
-    """`track_sequence`'s columns against the reference rows: sorted by frame, short tracks dropped."""
-    want = {tid: sorted(rows, key=lambda r: r[0]) for tid, rows in sorted(recorded.items())
-            if len(rows) >= min_track_len}
-    assert [tr.track_id for tr in tracks] == list(want)
-    for tr in tracks:
-        frames, records, scores, _ = zip(*want[tr.track_id])
-        assert tr.frames.dtype == np.int64 and tr.frame_indices() == list(frames)
-        assert tr.boxes.dtype == np.float64 and tr.boxes.tolist() == [list(rec.box) for rec in records]
-        assert tr.scores.dtype == np.float64 and tr.scores.tolist() == list(scores)
-        assert tr.polygons == [rec.polygon for rec in records]
-        assert tr.texts == [rec.text for rec in records]
-
-
 @pytest.mark.parametrize("ties", [False, True])
 @pytest.mark.parametrize("use_lt", [True, False])
 @pytest.mark.parametrize("variant", list(MatcherVariant))
@@ -788,9 +605,9 @@ def test_stream_outcomes_equal_reference(variant, use_lt, ties):
     totals = {"st": 0, "lt": 0}
     for seed in (0, 1):
         frames, gts = _stream(seed, ties)
-        recorded, counts = _track_both(frames, model, config)
+        recorded, counts = track_both(frames, model, config)
         totals = {k: totals[k] + counts[k] for k in totals}
-        _assert_columns_equal_reference(track_sequence(frames, model, config), recorded, config.min_track_len)
+        assert_columns_equal_reference(track_sequence(frames, model, config), recorded, config.min_track_len)
         tracks = [traj(tid, [(t, rec.box, score, text) for t, rec, score, text in rows])
                   for tid, rows in recorded.items()]
 
@@ -961,8 +778,12 @@ def test_metrics_equal_reference_on_random_sequences(seq_a, seq_b, threshold):
             for f, box, _ in ref_pred_rows(tr):
                 by_frame.setdefault(f, []).append(box)
         assert detection_prf(gts, by_frame, cfg) == ref_detection_prf(gts, by_frame, cfg)
-        sequences = {"a": seq_a, "b": seq_b}
-        assert evaluate_sequences(sequences, cfg) == ref_evaluate_sequences(sequences, cfg)
+        # two sequences scored together: their union against the pooled per-sequence reference
+        union = disjoint_union([seq_a, seq_b])
+        got, pooled = clear_mot(*union, cfg), ref_evaluate_sequences([seq_a, seq_b], cfg)
+        assert got.motp == pytest.approx(pooled.motp, rel=1e-12, abs=0.0)  # summed in another order
+        assert replace(got, motp=pooled.motp) == pooled
+        assert got == ref_clear_mot(*union, cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,8 @@ from qtrack.model import TrackerModel
 from qtrack.rescoring import ScoredInstance, filter_instances
 from qtrack.synth import SynthConfig, generate_sequence
 
+from reference_tracker import assert_columns_equal_reference, track_both
+
 
 def _instance(query, box=(0, 0, 10, 10), score=0.9, frame=0):
     record = DetectionRecord(
@@ -381,8 +383,8 @@ _HEADED_MODELS = {(v, h): TrackerModel.create(v, d_q=8, d_e=8, heads=h, seed=4) 
          dropped=set(), min_len=1, hand=set())
 def test_track_sequence_properties(tmp_path_factory, seed, variant, heads, use_lt, frames, tracks, fp_rate,
                                    dropped, min_len, hand):
-    """A one-pass iterator tracks like a list; ST alone links only adjacent frames; no detection is used twice;
-    no trajectory is shorter than `min_track_len`."""
+    """The reference tracker's trajectories; a one-pass iterator tracks like a list; ST alone links only adjacent
+    frames; no detection is used twice; no trajectory is shorter than `min_track_len`."""
     cfg = SynthConfig(frames=frames, tracks=tracks, d_q=8, noise_sigma=0.3, miss_prob=0.2, fp_rate=fp_rate, seed=seed)
     _, stream, _ = generate_sequence(cfg)
     stream = [f for f in stream if f.frame_index not in dropped]
@@ -400,6 +402,7 @@ def test_track_sequence_properties(tmp_path_factory, seed, variant, heads, use_l
     config = TrackerConfig(history_depth=3, use_lt=use_lt, min_track_len=min_len)
 
     tracks_out = track_sequence(stream, model, config)
+    assert_columns_equal_reference(tracks_out, track_both(stream, model, config)[0], min_len)
     out = tmp_path_factory.mktemp("tracks")
     write_trajectories(tracks_out, out / "list.jsonl", video="v")
     write_trajectories(track_sequence(iter(stream), model, config), out / "iter.jsonl", video="v")

@@ -593,6 +593,24 @@ def test_train_loss_that_goes_non_finite_is_json_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, section", [
+    # first allocations of about 114 PiB (the shared FFN's d_q x d_e weight) and 7 PiB (a track's latent):
+    # refused at once, so no memory is touched
+    ("train", {"model": {"d_e": 10**15}}),
+    ("gen", {"synth": {"d_q": 10**15}}),
+])
+def test_size_beyond_memory_is_json_error(tmp_path, capsys, command, section):
+    cfg_path, out = tmp_path / "c.json", tmp_path / "o"
+    cfg_path.write_text(json.dumps(section))
+    argv = [command, "--config", str(cfg_path), "--out", str(out)]
+    if command == "train":
+        argv += ["--data", str(_gen(tmp_path))]
+    assert main(argv) == 1
+    error = _json_error(capsys)
+    assert error.startswith(f"bad config section '{next(iter(section))}': Unable to allocate ") and "PiB" in error
+    assert not out.exists()
+
+
 def test_config_not_utf8_names_the_file(tmp_path, capsys):
     cfg_path = tmp_path / "c.json"
     cfg_path.write_bytes(b'{"synth": {"frames": 8, "x": "\xff"}}')

@@ -17,6 +17,7 @@ from qtrack.data_io import (
 )
 from qtrack.metrics import EvalConfig, clear_mot, detection_prf, idf1
 
+from disjoint_union import disjoint_union
 from reference_iou import iou
 
 
@@ -278,33 +279,27 @@ def test_detection_prf_dontcare():
 
 
 # ---------------------------------------------------------------------------
-# multi-sequence merging
+# several sequences, scored as their disjoint union
 
 
-def test_evaluate_sequences_merges_counts():
-    from qtrack.metrics import evaluate_sequences
-
+def test_union_of_sequences_merges_counts():
     gt_a = [_gt(1, range(10), slot=0)]
     pred_a = [_pred(5, range(9), slot=0), _pred(6, [3], slot=3)]  # 1 FN, 1 FP
     gt_b = [_gt(1, range(10), slot=0)]
     pred_b = [_pred(5, range(10), slot=0)]  # perfect
-    merged = evaluate_sequences({"a": (gt_a, pred_a), "b": (gt_b, pred_b)})
+    merged = clear_mot(*disjoint_union([(gt_a, pred_a), (gt_b, pred_b)]))
     assert merged.gt_total == 20
     assert merged.fp == 1 and merged.fn == 1
     assert merged.mota == pytest.approx(1.0 - 2 / 20, abs=1e-12)
-    assert set(merged.per_sequence) == {"a", "b"}
-    assert merged.per_sequence["b"]["mota"] == 1.0
     # pooled identity counts: sequence a contributes IDTP 9 of (10 gt + 10 pred),
     # sequence b contributes IDTP 10 of (10 + 10)
     assert merged.idf1 == pytest.approx(2 * 19 / 40, abs=1e-12)
 
 
-def test_evaluate_sequences_single_matches_clear_mot():
-    from qtrack.metrics import evaluate_sequences
-
+def test_union_of_one_sequence_matches_clear_mot():
     gt = [_gt(1, range(10), slot=0)]
     preds = [_pred(5, range(5), slot=0), _pred(6, range(5, 10), slot=0)]
-    merged = evaluate_sequences({"only": (gt, preds)})
+    merged = clear_mot(*disjoint_union([(gt, preds)]))
     single = clear_mot(gt, preds)
     assert merged.mota == single.mota
     assert merged.idf1 == single.idf1

@@ -8,6 +8,8 @@ import pytest
 from qtrack.data_io import DataFormatError
 from qtrack.matcher import MatcherVariant, count_parameters
 from qtrack.model import TrackerModel, load_checkpoint, save_checkpoint
+from qtrack.synth import SynthConfig, generate_sequence
+from qtrack.training import TrainConfig, Video, train
 
 
 @pytest.mark.parametrize("variant", list(MatcherVariant))
@@ -51,6 +53,18 @@ def test_classifier_seed_initialization():
     head = model.rescoring_head()
     np.testing.assert_array_equal(head.weight, w)
     assert head.bias == -1.5
+
+
+def test_rescoring_head_is_a_snapshot():
+    """A head taken before training keeps the weight and the bias it was taken with."""
+    header, frames, gts = generate_sequence(SynthConfig(frames=8, d_q=6, degrade_fraction=0.5, seed=1))
+    model = TrackerModel.create(MatcherVariant.SIMILARITY, d_q=6)
+    before = model.rescoring_head()
+    train(model, [Video("v", frames, gts, header.canvas)], TrainConfig(iterations=5, clip_len=4))
+    after = model.rescoring_head()
+    assert np.any(after.weight != 0.0) and after.bias != 0.0  # training moved both
+    np.testing.assert_array_equal(before.weight, np.zeros(6))
+    assert before.bias == 0.0
 
 
 def test_load_rejects_wrong_format(tmp_path):

@@ -1,5 +1,6 @@
-"""Package-level checks: every module's declared exports exist, and the README names every module."""
+"""Package-level checks: every module's declared exports exist and has a caller, and the README names every module."""
 
+import ast
 import importlib
 import pkgutil
 import re
@@ -10,6 +11,7 @@ import pytest
 import qtrack
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(qtrack.__path__))
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_modules_found():
@@ -26,8 +28,43 @@ def test_all_names_exist(name):
 
 def test_readme_package_layout_names_every_module():
     """README's "Package layout" table has one row per module under `src/qtrack`, and no other."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
     table = readme.split("## Package layout", 1)[1].split("\n## ", 1)[0]
     rows = re.findall(r"^\| `(\w+)` +\|", table, flags=re.MULTILINE)
     assert len(rows) == len(set(rows)), "a module has two rows"
     assert sorted(rows) == MODULES
+
+
+def _references(path: Path, skip: str | None) -> set[str]:
+    """The names a file refers to: names, attributes and string constants, outside `__all__` and the top-level
+    definition of `skip`."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    names: set[str] = set()
+    for node in tree.body:
+        if getattr(node, "name", None) == skip:
+            continue
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            continue
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                names.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                names.add(sub.attr)
+            elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                names.add(sub.value)  # the benchmark looks some functions up by name
+    return names
+
+
+def test_every_package_export_has_a_caller():
+    """A name the package exports is used by the program (outside its own definition) or by the benchmark.
+
+    A name only tests call is surface to delete. `detection_prf` waits for its caller, the run's own report.
+    """
+    package = ast.parse((ROOT / "src" / "qtrack" / "__init__.py").read_text(encoding="utf-8"))
+    exported = [a.asname or a.name for node in package.body if isinstance(node, ast.ImportFrom) for a in node.names]
+    callers = [ROOT / "src" / "qtrack" / f"{m}.py" for m in MODULES]
+    callers += [path for path in sorted((ROOT / "perfbench").glob("*.py")) if not path.name.startswith("test_")]
+    unused = [name for name in exported if not any(
+        name in _references(path, name if path.stem == getattr(qtrack, name).__module__.split(".")[-1] else None)
+        for path in callers)]
+    assert unused == ["detection_prf"]

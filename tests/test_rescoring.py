@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from qtrack.data_io import DetectionFrame, DetectionRecord
-from qtrack.rescoring import RescoringHead, ScoredInstance, filter_instances, fuse_scores, rescore
+from qtrack.numerics import stable_sigmoid
+from qtrack.rescoring import RescoringHead, ScoredInstance, filter_instances
 
 
 def _record(query, score=0.5, frame=0):
@@ -18,32 +19,39 @@ def _record(query, score=0.5, frame=0):
     )
 
 
+def _scored(record, head):
+    """The record as the filter scores it, kept whatever its scores."""
+    return filter_instances(DetectionFrame(record.frame_index, [record]), head, 0.0)[0]
+
+
 def test_rescore_neutral_head_gives_half():
     head = RescoringHead(weight=np.zeros(3))
-    assert rescore(_record([1, 2, 3]), head) == pytest.approx(0.5)
+    assert _scored(_record([1, 2, 3]), head).recomputed_score == pytest.approx(0.5)
 
 
 def test_rescore_saturates_with_large_bias():
     head = RescoringHead(weight=np.zeros(2), bias=10.0)
-    assert rescore(_record([0, 0]), head) > 0.999
+    assert _scored(_record([0, 0]), head).recomputed_score > 0.999
 
 
 def test_rescore_hand_value():
     head = RescoringHead(weight=np.array([1.0, -1.0]), bias=0.0)
     # logit = 2 - 1 = 1 -> logistic(1)
-    assert rescore(_record([2.0, 1.0]), head) == pytest.approx(0.73105858, abs=1e-8)
+    assert _scored(_record([2.0, 1.0]), head).recomputed_score == pytest.approx(0.73105858, abs=1e-8)
 
 
 def test_rescore_dimension_mismatch():
     head = RescoringHead(weight=np.zeros(4))
     with pytest.raises(ValueError):
-        rescore(_record([1.0, 2.0]), head)
+        _scored(_record([1.0, 2.0]), head)
 
 
 def test_fuse_scores():
-    assert fuse_scores(0.3, 0.7) == 0.7
-    assert fuse_scores(0.5, 0.5) == 0.5
-    assert fuse_scores(0.9, 0.1) == 0.9  # fusion never lowers a score
+    up = RescoringHead(weight=np.zeros(2), bias=math.log(0.7 / 0.3))  # c_r about 0.7
+    assert _scored(_record([0, 0], score=0.3), up).fused_score == pytest.approx(0.7)
+    assert _scored(_record([0, 0], score=0.5), RescoringHead(weight=np.zeros(2))).fused_score == 0.5
+    down = RescoringHead(weight=np.zeros(2), bias=math.log(0.1 / 0.9))  # c_r about 0.1
+    assert _scored(_record([0, 0], score=0.9), down).fused_score == 0.9  # fusion never lowers a score
 
 
 def test_filter_all_below_threshold():
@@ -77,10 +85,9 @@ def test_filter_hand_fusion_case():
 def test_fusion_monotonicity_property():
     rng = np.random.default_rng(0)
     head = RescoringHead(weight=rng.normal(size=4), bias=rng.normal())
-    for _ in range(50):
-        rec = _record(rng.normal(size=4), score=float(rng.uniform(0, 1)))
-        c_r = rescore(rec, head)
-        inst = ScoredInstance(rec, c_r, fuse_scores(rec.score, c_r))
+    frame = DetectionFrame(0, [_record(rng.normal(size=4), score=float(rng.uniform(0, 1))) for _ in range(50)])
+    for inst in filter_instances(frame, head, 0.0):
+        rec = inst.record
         assert inst.fused_score >= rec.score
         assert inst.fused_score >= inst.recomputed_score
         assert inst.fused_score == max(rec.score, inst.recomputed_score)
@@ -104,7 +111,7 @@ def test_classifier_initialization_reproduces_scores():
     for _ in range(20):
         q = rng.normal(size=5)
         expected = 1.0 / (1.0 + math.exp(-(q @ w + b)))
-        assert rescore(_record(q), head) == pytest.approx(expected, abs=1e-15)
+        assert _scored(_record(q), head).recomputed_score == pytest.approx(expected, abs=1e-15)
 
 
 @pytest.mark.parametrize("n", [1, 3, 8, 60, 200])
@@ -116,6 +123,18 @@ def test_stacked_logits_equal_per_record_dot_bitwise(n, d_q):
         queries, weight = rng.normal(size=(n, d_q)) * scale, rng.normal(size=d_q)
         stacked = np.matmul(queries[:, None, :], weight[:, None]).ravel()
         assert stacked.tobytes() == np.array([q @ weight for q in queries]).tobytes()
+
+
+def rescore(record, head):
+    """The per-record confidence c_r = logistic(weight . query + bias), in (0, 1)."""
+    if record.query.shape != head.weight.shape:
+        raise ValueError(f"query dim {record.query.shape} does not match head dim {head.weight.shape}")
+    return stable_sigmoid(float(record.query @ head.weight) + head.bias)
+
+
+def fuse_scores(c_o, c_r):
+    """The fused confidence: the maximum of the original and recomputed scores."""
+    return max(c_o, c_r)
 
 
 def ref_filter_instances(frame, head, detect_threshold):
