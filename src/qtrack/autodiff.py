@@ -1,11 +1,12 @@
 """Reverse-mode differentiation over float64 numpy arrays.
 
 This is deliberately not a general autodiff: it covers exactly the
-operations the trainable blocks need (matrix products, bias adds,
-rectifier, sigmoid, row softmax, row L2 normalisation, layer norm,
-log/pow/sum, concatenation and row gather). Every op builds a node
-holding the forward value and a closure that accumulates gradients
-into its parents. Calling ``backward()`` on a scalar walks the graph
+operations the trainable blocks need (products of a matrix with a
+matrix or a vector, bias adds, rectifier, sigmoid, row softmax, row L2
+normalisation, layer norm, log/pow/sum, concatenation and row gather),
+and only in the shapes they reach. Every op builds a node holding the
+forward value and a closure that accumulates gradients into its
+parents. Calling ``backward()`` on a scalar walks the graph
 in reverse topological order and consumes it: each node is released
 (no gradient, closure or parents; its value stays) as soon as its
 closure has run, so reference counting frees the tape as the walk goes
@@ -15,14 +16,14 @@ Leaf tensors double as parameters: after ``backward()``, ``grad``
 holds dL/dvalue with the same shape as ``value``. Only leaves keep
 ``grad``.
 
-The blocks in ``numerics`` and ``matcher`` call these ops by name on
-tensors, and so record the graph that training differentiates;
-products, sums, scaling and transposes are ``@``, ``+``, ``*`` and
-``.T``. Where an op's forward is plain arithmetic (rectifier, row
-softmax, unit rows, layer norm), it computes its value with a
-plain-array function below. Tracking runs ``matcher.PackedMatcher``,
-which calls these same functions on plain copies of the weights, so the
-two agree bit for bit by construction.
+The blocks in ``matcher`` call these ops by name on tensors, and so
+record the graph that training differentiates; products, sums, scaling
+and transposes are ``@``, ``+``, ``*`` and ``.T``. Where an op's
+forward is plain arithmetic (rectifier, row softmax, unit rows, layer
+norm), it computes its value with a plain-array function below.
+Tracking runs ``matcher.PackedMatcher``, which calls these same
+functions on plain copies of the weights, so the two agree bit for bit
+by construction.
 
 The plain-array functions run on a few rows per tracked frame, where
 the cost is numpy's per-call overhead, not arithmetic. So they call the
@@ -219,24 +220,15 @@ def mul(a, b) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
-    """Matrix/vector product for the 2D@2D, 2D@1D, 1D@2D and 1D@1D cases."""
+    """Product of a 2D tensor with a 2D tensor or a vector."""
     a, b = _wrap(a), _wrap(b)
+    if a.value.ndim != 2:
+        raise ValueError("matmul expects a 2D left operand")
     out = a.value @ b.value
-    an, bn = a.value.ndim, b.value.ndim
 
     def bw(g):
-        if an == 2 and bn == 2:
-            _accum(a, g @ b.value.T)
-            _accum(b, a.value.T @ g)
-        elif an == 2 and bn == 1:
-            _accum(a, np.outer(g, b.value))
-            _accum(b, a.value.T @ g)
-        elif an == 1 and bn == 2:
-            _accum(a, b.value @ g)
-            _accum(b, np.outer(a.value, g))
-        else:  # 1D @ 1D -> scalar
-            _accum(a, g * b.value)
-            _accum(b, g * a.value)
+        _accum(a, g @ b.value.T if b.value.ndim == 2 else np.outer(g, b.value))
+        _accum(b, a.value.T @ g)
 
     return Tensor(out, (a, b), bw)
 
@@ -244,8 +236,8 @@ def matmul(a, b) -> Tensor:
 def linear(x, w, b) -> Tensor:
     """x @ w + b for 2D x as one node; its gradients are those of `matmul` then `add`."""
     x, w, b = _wrap(x), _wrap(w), _wrap(b)
-    if x.value.ndim != 2:  # a single vector: the general product's gradients
-        return matmul(x, w) + b
+    if x.value.ndim != 2:
+        raise ValueError("linear expects a 2D tensor")
 
     def bw(g):
         g = g + 0.0  # the product's gradient as `add` accumulated it
@@ -483,14 +475,5 @@ def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> tuple[np.n
 def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     out = x @ w
     out += b
-    return out
-
-
-def _scores_with_null(sims: np.ndarray, scale: float, null_logit: float) -> np.ndarray:
-    """`sims * scale` with a constant column of `null_logit` appended, written into one array."""
-    n, m = sims.shape
-    out = np.empty((n, m + 1))
-    np.multiply(sims, scale, out=out[:, :m])
-    out[:, m] = null_logit
     return out
 

@@ -17,8 +17,14 @@ probability distribution over "history rows + start a new trajectory".
 The short-term and long-term branches own separate attention weights
 but share one embedding FFN.
 
-``embed`` and ``association`` run on ``autodiff`` tensors, and
-training differentiates the graph they record. Tracking runs
+The whole matcher lives here. Each block's parameter class
+(``FfnParams``, ``AttentionParams``, ``LayerNormParams``,
+``TransformerLayerParams``) fixes its tensors' order, which the
+checkpoint, ``count_parameters`` and the packed forward read. Each
+block (two-layer feedforward, multi-head attention, the pre-norm
+encoder and decoder layers, the cosine matrix) is one forward on
+``autodiff`` tensors. ``embed`` and ``association`` run the blocks,
+and training differentiates the graph they record. Tracking runs
 ``PackedMatcher``, built once per run: the same float operations in the
 same order on plain copies of the weights, so it gives the tape's
 values bit for bit, with three differences in how it gets there. It
@@ -46,24 +52,27 @@ from .autodiff import (
     _layer_norm,
     _normalize_rows,
     _relu,
-    _scores_with_null,
     _softmax_rows,
     _unit_rows_or_zero,
     concat_cols,
+    l2_normalize_rows_or_zero,
+    layer_norm_rows,
+    linear,
+    relu,
     softmax_rows,
-)
-from .numerics import (
-    AttentionParams,
-    FfnParams,
-    TransformerLayerParams,
-    attention,
-    cosine_matrix,
-    decoder_layer,
-    encoder_layer,
-    ffn,
+    take_cols,
 )
 
 __all__ = [
+    "FfnParams",
+    "AttentionParams",
+    "LayerNormParams",
+    "TransformerLayerParams",
+    "ffn",
+    "attention",
+    "encoder_layer",
+    "decoder_layer",
+    "cosine_matrix",
     "MatcherVariant",
     "BranchParams",
     "MatcherParams",
@@ -74,6 +83,182 @@ __all__ = [
     "matcher_forward",
     "count_parameters",
 ]
+
+
+def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
+    bound = math.sqrt(6.0 / (fan_in + fan_out))
+    return rng.uniform(-bound, bound, size=(fan_in, fan_out))
+
+
+@dataclass
+class FfnParams:
+    """Two-layer feedforward block: linear -> rectifier -> linear."""
+
+    w1: Tensor  # (d_in, d_h)
+    b1: Tensor  # (d_h,)
+    w2: Tensor  # (d_h, d_out)
+    b2: Tensor  # (d_out,)
+
+    @classmethod
+    def create(cls, d_in: int, d_h: int, d_out: int, rng: np.random.Generator) -> "FfnParams":
+        return cls(
+            w1=Tensor(_xavier(rng, d_in, d_h)),
+            b1=Tensor(np.zeros(d_h)),
+            w2=Tensor(_xavier(rng, d_h, d_out)),
+            b2=Tensor(np.zeros(d_out)),
+        )
+
+    def tensors(self) -> list[Tensor]:
+        return [self.w1, self.b1, self.w2, self.b2]
+
+    @staticmethod
+    def count(d_in: int, d_h: int, d_out: int) -> int:
+        """d_in*d_h + d_h + d_h*d_out + d_out trainable scalars."""
+        return d_in * d_h + d_h + d_h * d_out + d_out
+
+
+@dataclass
+class AttentionParams:
+    """Projection weights for single-layer multi-head attention.
+
+    Query/key/value/output projections are square (d_model x d_model)
+    with per-projection biases, so the trainable count is 4*d*(d+1)
+    regardless of how many heads partition the model dimension.
+    """
+
+    wq: Tensor
+    bq: Tensor
+    wk: Tensor
+    bk: Tensor
+    wv: Tensor
+    bv: Tensor
+    wo: Tensor
+    bo: Tensor
+    heads: int = 1
+
+    @classmethod
+    def create(cls, d_model: int, heads: int, rng: np.random.Generator) -> "AttentionParams":
+        if d_model % heads != 0:
+            raise ValueError(f"model dim {d_model} not divisible by heads {heads}")
+        return cls(
+            wq=Tensor(_xavier(rng, d_model, d_model)),
+            bq=Tensor(np.zeros(d_model)),
+            wk=Tensor(_xavier(rng, d_model, d_model)),
+            bk=Tensor(np.zeros(d_model)),
+            wv=Tensor(_xavier(rng, d_model, d_model)),
+            bv=Tensor(np.zeros(d_model)),
+            wo=Tensor(_xavier(rng, d_model, d_model)),
+            bo=Tensor(np.zeros(d_model)),
+            heads=heads,
+        )
+
+    @property
+    def d_model(self) -> int:
+        return self.wq.shape[0]
+
+    def tensors(self) -> list[Tensor]:
+        return [self.wq, self.bq, self.wk, self.bk, self.wv, self.bv, self.wo, self.bo]
+
+    @staticmethod
+    def count(d_model: int) -> int:
+        return 4 * d_model * d_model + 4 * d_model
+
+
+@dataclass
+class LayerNormParams:
+    gain: Tensor
+    bias: Tensor
+
+    @classmethod
+    def create(cls, d: int) -> "LayerNormParams":
+        return cls(gain=Tensor(np.ones(d)), bias=Tensor(np.zeros(d)))
+
+    def tensors(self) -> list[Tensor]:
+        return [self.gain, self.bias]
+
+    @staticmethod
+    def count(d: int) -> int:
+        return 2 * d
+
+
+@dataclass
+class TransformerLayerParams:
+    """Pre-norm attention sublayer followed by a pre-norm feedforward sublayer.
+
+    With the attention output projection and the feedforward second
+    layer zeroed, the whole layer is an exact identity map, which keeps
+    degenerate configurations testable.
+    """
+
+    attn: AttentionParams
+    ln1: LayerNormParams
+    ffn: FfnParams
+    ln2: LayerNormParams
+
+    @classmethod
+    def create(cls, d_model: int, heads: int, rng: np.random.Generator) -> "TransformerLayerParams":
+        return cls(
+            attn=AttentionParams.create(d_model, heads, rng),
+            ln1=LayerNormParams.create(d_model),
+            ffn=FfnParams.create(d_model, d_model, d_model, rng),
+            ln2=LayerNormParams.create(d_model),
+        )
+
+    def tensors(self) -> list[Tensor]:
+        return self.attn.tensors() + self.ln1.tensors() + self.ffn.tensors() + self.ln2.tensors()
+
+    @staticmethod
+    def count(d_model: int) -> int:
+        return AttentionParams.count(d_model) + 2 * LayerNormParams.count(d_model) + FfnParams.count(d_model, d_model, d_model)
+
+
+# ---------------------------------------------------------------------------
+# blocks on tensors
+
+
+def ffn(x: Tensor, params: FfnParams) -> Tensor:
+    """Two-layer feedforward block on rows."""
+    return linear(relu(linear(x, params.w1, params.b1)), params.w2, params.b2)
+
+
+def attention(queries: Tensor, keys: Tensor, values: Tensor, params: AttentionParams) -> Tensor:
+    """Scaled dot-product attention with head split/concat and output projection."""
+    dh = params.d_model // params.heads
+    q = linear(queries, params.wq, params.bq)
+    k = linear(keys, params.wk, params.bk)
+    v = linear(values, params.wv, params.bv)
+    scale = 1.0 / math.sqrt(dh)
+    outs = []
+    for i in range(params.heads):
+        lo, hi = i * dh, (i + 1) * dh
+        weights = softmax_rows((take_cols(q, lo, hi) @ take_cols(k, lo, hi).T) * scale)
+        outs.append(weights @ take_cols(v, lo, hi))
+    mixed = outs[0] if params.heads == 1 else concat_cols(outs)
+    return linear(mixed, params.wo, params.bo)
+
+
+def encoder_layer(x: Tensor, params: TransformerLayerParams) -> Tensor:
+    t = layer_norm_rows(x, params.ln1.gain, params.ln1.bias)
+    x = x + attention(t, t, t, params.attn)
+    return x + ffn(layer_norm_rows(x, params.ln2.gain, params.ln2.bias), params.ffn)
+
+
+def decoder_layer(x: Tensor, memory: Tensor, params: TransformerLayerParams) -> Tensor:
+    x = x + attention(layer_norm_rows(x, params.ln1.gain, params.ln1.bias), memory, memory, params.attn)
+    return x + ffn(layer_norm_rows(x, params.ln2.gain, params.ln2.bias), params.ffn)
+
+
+def cosine_matrix(a: Tensor, b: Tensor) -> Tensor:
+    """Pairwise cosine similarities between the rows of a and the rows of b.
+
+    A zero-norm row has similarity 0 to every row.
+    """
+    return l2_normalize_rows_or_zero(a) @ l2_normalize_rows_or_zero(b).T
+
+
+# ---------------------------------------------------------------------------
+# the matcher
+
 
 class MatcherVariant(str, Enum):
     TRANSFORMER = "transformer"
@@ -233,6 +418,15 @@ def _cosines(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _unit_rows_or_zero(a)[0] @ _unit_rows_or_zero(b)[0].T
 
 
+def _scores_with_null(sims: np.ndarray, scale: float, null_logit: float) -> np.ndarray:
+    """`sims * scale` with a constant column of `null_logit` appended, written into one array."""
+    n, m = sims.shape
+    out = np.empty((n, m + 1))
+    np.multiply(sims, scale, out=out[:, :m])
+    out[:, m] = null_logit
+    return out
+
+
 class _Attention:
     """One attention block as arrays, its projections fused: [W_q|W_k|W_v] and [W_k|W_v].
 
@@ -256,11 +450,11 @@ class _Attention:
             self.qkv, self.kv = [(wq, bq), (wk, bk), (wv, bv)], [(wk, bk), (wv, bv)]
 
     def self_attend(self, x: np.ndarray) -> np.ndarray:
-        """`numerics.attention(x, x, x, p)`."""
+        """`attention(x, x, x, p)`."""
         return self._mix(*self.project(x, self.qkv))
 
     def attend(self, x: np.ndarray, memory: np.ndarray) -> np.ndarray:
-        """`numerics.attention(x, memory, memory, p)`."""
+        """`attention(x, memory, memory, p)`."""
         return self._mix(_affine(x, self.wq, self.bq), *self.project(memory, self.kv))
 
     def project(self, x: np.ndarray, groups: list[tuple[np.ndarray, np.ndarray]]) -> list[np.ndarray]:
@@ -298,11 +492,11 @@ class _Layer:
         self.ffn = _ffn_arrays(p.ffn)
 
     def encode(self, rows: np.ndarray) -> np.ndarray:
-        """`numerics.encoder_layer` on [x | normalized x] rows."""
+        """`encoder_layer` on [x | normalized x] rows."""
         return self._ffn_sublayer(self.attn.self_attend(self._ln1(rows)), rows)
 
     def decode(self, rows: np.ndarray, memory: np.ndarray) -> np.ndarray:
-        """`numerics.decoder_layer` on [x | normalized x] rows against `memory`."""
+        """`decoder_layer` on [x | normalized x] rows against `memory`."""
         return self._ffn_sublayer(self.attn.attend(self._ln1(rows), memory), rows)
 
     def _ln1(self, rows: np.ndarray) -> np.ndarray:

@@ -3,19 +3,27 @@
 A frozen spotter scores video frames poorly when the footage is blurry
 or small; the head recomputes a confidence from the query embedding and
 the final score takes the maximum of both, so fusion can only raise a
-detection's chance of surviving the threshold.
+detection's chance of surviving the threshold. The logistic is
+``stable_sigmoid``, split by sign so that no exponential overflows.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data_io import DetectionFrame, DetectionRecord
-from .numerics import stable_sigmoid
 
-__all__ = ["RescoringHead", "ScoredInstance", "filter_instances"]
+__all__ = ["RescoringHead", "ScoredInstance", "filter_instances", "stable_sigmoid"]
+
+
+def stable_sigmoid(z: float) -> float:
+    if z >= 0:
+        return 1.0 / (1.0 + math.exp(-z))
+    ez = math.exp(z)
+    return ez / (1.0 + ez)
 
 
 @dataclass

@@ -30,7 +30,6 @@ from .model import TrackerModel
 __all__ = [
     "LossConfig",
     "TrainConfig",
-    "MatchResult",
     "ClipFrame",
     "Video",
     "LossBreakdown",
@@ -88,14 +87,6 @@ class TrainConfig:
                 raise ValueError(f"{name} must be a finite number >= 0")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-
-
-@dataclass
-class MatchResult:
-    """One-to-one pairing of cost-matrix rows to columns."""
-
-    pairs: list[tuple[int, int]]
-    total_cost: float
 
 
 @dataclass
@@ -227,8 +218,8 @@ def matching_cost(
     return cfg.cost_class_weight * cls[:, None] + cfg.cost_box_weight * l1
 
 
-def hungarian_match(cost: np.ndarray) -> MatchResult:
-    """Minimum-total-cost assignment covering every column of the cost matrix.
+def hungarian_match(cost: np.ndarray) -> list[tuple[int, int]]:
+    """Minimum-total-cost assignment covering every column of the cost matrix, as (row, column) pairs.
 
     Rectangular matrices are fine as long as rows >= columns (matching a
     wide matrix is equivalent to padding it square with a large
@@ -243,8 +234,7 @@ def hungarian_match(cost: np.ndarray) -> MatchResult:
     if rows < cols:
         raise ValueError(f"cannot cover {cols} columns with {rows} rows")
     row_ind, col_ind = linear_sum_assignment(cost)
-    pairs = sorted(zip(row_ind.tolist(), col_ind.tolist()), key=lambda rc: rc[1])
-    return MatchResult(pairs=pairs, total_cost=float(cost[row_ind, col_ind].sum()))
+    return sorted(zip(row_ind.tolist(), col_ind.tolist()), key=lambda rc: rc[1])
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +289,7 @@ def total_loss(clip: list[ClipFrame], model: TrackerModel, cfg: LossConfig) -> L
             matched[:] = True  # fewer detections than ground truths: every record is a positive
         elif g:
             cost = matching_cost(probs.value, frame.boxes, frame.gt_boxes, cfg)
-            matched[[r for r, _ in hungarian_match(cost).pairs]] = True
+            matched[[r for r, _ in hungarian_match(cost)]] = True
         l_res = l_res + rescoring_loss(
             take_rows(probs, np.flatnonzero(matched)), take_rows(probs, np.flatnonzero(~matched)), cfg
         )

@@ -5,7 +5,7 @@ the encoder and decoder layers, `cosine_matrix`) as they ran on them,
 and the earlier score assembly of `matcher.association` (a constant
 null column from `np.full`, joined by `np.concatenate`), all frozen
 here, so that a change to `autodiff`'s array ops or to the order of a
-block's ops in `numerics` cannot move both sides of a comparison.
+block's ops in `matcher` cannot move both sides of a comparison.
 """
 
 from __future__ import annotations

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from disjoint_union import disjoint_union
+from gradcheck import check_gradients
 from qtrack.association import TrackerConfig, track_sequence
 from qtrack.cli import main as cli_main
 from qtrack.data_io import (
@@ -25,7 +26,6 @@ from qtrack.data_io import (
 from qtrack.matcher import MatcherVariant, count_parameters
 from qtrack.metrics import clear_mot, detection_prf, idf1
 from qtrack.model import TrackerModel
-from qtrack.numerics import check_gradients
 from qtrack.rescoring import RescoringHead, filter_instances
 from qtrack.synth import SynthConfig, generate_sequence
 from qtrack.training import (
@@ -120,7 +120,9 @@ def test_criterion_2_hungarian_oracle_equivalence():
         cols = int(rng.integers(1, 8))
         rows = int(rng.integers(cols, 8))
         cost = rng.integers(0, 100, size=(rows, cols)).astype(float)
-        got = hungarian_match(cost).total_cost
+        pairs = hungarian_match(cost)
+        assert [c for _, c in pairs] == list(range(cols)) and len({r for r, _ in pairs}) == cols
+        got = sum(cost[r, c] for r, c in pairs)
         want = _brute_force_min_cost(cost)
         assert got == want, f"trial {trial}: {got} != {want}"
     _report(2, "200 random cost matrices, sizes 1-7, exact equality")

@@ -58,6 +58,7 @@ from qtrack.data_io import (
 )
 from qtrack.matcher import (
     FUSED_PANEL,
+    AttentionParams,
     MatcherVariant,
     PackedMatcher,
     _Attention,
@@ -75,7 +76,6 @@ from qtrack.metrics import (
     idf1,
 )
 from qtrack.model import TrackerModel
-from qtrack.numerics import AttentionParams
 from qtrack.rescoring import ScoredInstance
 from qtrack.synth import SynthConfig, generate_sequence
 from qtrack.training import (
@@ -165,9 +165,9 @@ def ref_total_loss(clip, model, cfg):
         if len(frame.gt_boxes):
             cost = matching_cost(probs.value, frame.boxes, frame.gt_boxes, cfg)
             if p >= len(frame.gt_boxes):
-                matched_rows = sorted(r for r, _ in hungarian_match(cost).pairs)
+                matched_rows = sorted(r for r, _ in hungarian_match(cost))
             else:
-                matched_rows = sorted(c for _, c in hungarian_match(cost.T).pairs)
+                matched_rows = sorted(c for _, c in hungarian_match(cost.T))
         else:
             matched_rows = []
         matched = set(matched_rows)

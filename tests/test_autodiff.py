@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from gradcheck import check_gradients
 from qtrack.autodiff import (
     Tensor,
     concat_cols,
@@ -21,7 +22,6 @@ from qtrack.autodiff import (
     take_rows,
     transpose,
 )
-from qtrack.numerics import check_gradients
 
 
 def _param(rng, *shape):
@@ -45,7 +45,7 @@ def test_add_mul_broadcast_grads():
     assert check_gradients(loss, [a, b]) < 1e-7
 
 
-@pytest.mark.parametrize("shapes", [((3, 4), (4, 2)), ((3, 4), (4,)), ((4,), (4, 2)), ((4,), (4,))])
+@pytest.mark.parametrize("shapes", [((3, 4), (4, 2)), ((3, 4), (4,))])
 def test_matmul_grads(shapes):
     rng = np.random.default_rng(1)
     a = _param(rng, *shapes[0])
@@ -56,6 +56,14 @@ def test_matmul_grads(shapes):
         return sum_(out * out)
 
     assert check_gradients(loss, [a, b]) < 1e-7
+
+
+def test_products_take_a_matrix_on_the_left():
+    vector, matrix = Tensor(np.ones(4)), Tensor(np.ones((4, 2)))
+    with pytest.raises(ValueError, match="2D"):
+        matmul(vector, matrix)
+    with pytest.raises(ValueError, match="2D"):
+        linear(vector, matrix, Tensor(np.zeros(2)))
 
 
 def test_relu_sigmoid_log_pow_grads():
@@ -173,7 +181,7 @@ def _bits(a):
     return np.ascontiguousarray(a).tobytes()
 
 
-@pytest.mark.parametrize("rows", [(5,), ()], ids=["matrix", "vector"])
+@pytest.mark.parametrize("rows", [(5,)], ids=["matrix"])
 def test_linear_equals_matmul_then_add_bitwise(rows):
     rng = np.random.default_rng(8)
     x0, w0, b0 = rng.normal(size=(*rows, 4)), rng.normal(size=(4, 3)), rng.normal(size=3)

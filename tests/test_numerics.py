@@ -5,14 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from gradcheck import check_gradients
 from qtrack.autodiff import Tensor, pow_const, softmax_rows, sum_
-from qtrack.numerics import (
+from qtrack.matcher import (
     AttentionParams,
     FfnParams,
     LayerNormParams,
     TransformerLayerParams,
     attention,
-    check_gradients,
     cosine_matrix,
     decoder_layer,
     encoder_layer,
@@ -124,15 +124,20 @@ def _ffn(w1, b1, w2, b2):
     return FfnParams(w1=Tensor(w1), b1=Tensor(b1), w2=Tensor(w2), b2=Tensor(b2))
 
 
+def _ffn_row(x, p):
+    """`ffn` of one row."""
+    return _on_tape_and_reference(ffn, np.atleast_2d(x), params=p)[0]
+
+
 def test_ffn_zero_weights_annihilate():
     p = _ffn(np.zeros((3, 4)), np.zeros(4), np.zeros((4, 3)), np.zeros(3))
-    np.testing.assert_allclose(_on_tape_and_reference(ffn, np.array([1.0, -2.0, 5.0]), params=p), np.zeros(3))
+    np.testing.assert_allclose(_ffn_row(np.array([1.0, -2.0, 5.0]), p), np.zeros(3))
 
 
 def test_ffn_identity_composition():
     p = _ffn(np.eye(3), np.zeros(3), np.eye(3), np.zeros(3))
     x = np.array([0.5, 0.0, 2.0])  # nonnegative so the rectifier is transparent
-    np.testing.assert_allclose(_on_tape_and_reference(ffn, x, params=p), x)
+    np.testing.assert_allclose(_ffn_row(x, p), x)
 
 
 def test_ffn_hand_computation():
@@ -145,15 +150,15 @@ def test_ffn_hand_computation():
     # hidden pre-activation: [1*1 + 2*0.5 + 0.1, 1*(-1) + 2*0.25 - 0.2] = [2.1, -0.7]
     # after rectifier: [2.1, 0.0]; output: 2.1*2 + 0*3 + 0.5 = 4.7
     p = _ffn(w1, b1, w2, b2)
-    np.testing.assert_allclose(_on_tape_and_reference(ffn, x, params=p), [4.7])
+    np.testing.assert_allclose(_ffn_row(x, p), [4.7])
 
 
 def test_ffn_shape_mismatch():
     p = _ffn(np.zeros((3, 4)), np.zeros(4), np.zeros((4, 3)), np.zeros(3))
     with pytest.raises(ValueError):
-        reference_matcher.ffn(np.ones(5), p)
+        reference_matcher.ffn(np.ones((1, 5)), p)
     with pytest.raises(ValueError):
-        ffn(Tensor(np.ones(5)), p)
+        ffn(Tensor(np.ones((1, 5))), p)
 
 
 # ---------------------------------------------------------------------------

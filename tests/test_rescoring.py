@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from qtrack.data_io import DetectionFrame, DetectionRecord
-from qtrack.numerics import stable_sigmoid
-from qtrack.rescoring import RescoringHead, ScoredInstance, filter_instances
+from qtrack.rescoring import RescoringHead, ScoredInstance, filter_instances, stable_sigmoid
 
 
 def _record(query, score=0.5, frame=0):

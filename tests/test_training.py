@@ -123,22 +123,30 @@ def test_matching_cost_class_term_alone():
     np.testing.assert_allclose(cost[0, 0], focal_cost(np.array(0.8), alpha, gamma), atol=1e-15)
 
 
+def _matched_cost(cost):
+    """The total cost of `hungarian_match`'s pairs, after checking they cover each column once with distinct rows."""
+    pairs = hungarian_match(cost)
+    assert [c for _, c in pairs] == list(range(cost.shape[1]))
+    assert len({r for r, _ in pairs}) == len(pairs)
+    return sum(cost[r, c] for r, c in pairs)
+
+
 def test_hungarian_1x1():
-    result = hungarian_match(np.array([[3.5]]))
-    assert result.pairs == [(0, 0)]
-    assert result.total_cost == 3.5
+    cost = np.array([[3.5]])
+    assert hungarian_match(cost) == [(0, 0)]
+    assert _matched_cost(cost) == 3.5
 
 
 def test_hungarian_2x2_diagonal():
-    result = hungarian_match(np.array([[1.0, 2.0], [2.0, 1.0]]))
-    assert result.pairs == [(0, 0), (1, 1)]
-    assert result.total_cost == 2.0
+    cost = np.array([[1.0, 2.0], [2.0, 1.0]])
+    assert hungarian_match(cost) == [(0, 0), (1, 1)]
+    assert _matched_cost(cost) == 2.0
 
 
 def test_hungarian_5x5_matches_brute_force():
     rng = np.random.default_rng(0)
     cost = rng.integers(0, 100, size=(5, 5)).astype(float)
-    assert hungarian_match(cost).total_cost == brute_force_min_cost(cost)
+    assert _matched_cost(cost) == brute_force_min_cost(cost)
 
 
 def test_hungarian_random_property():
@@ -147,7 +155,7 @@ def test_hungarian_random_property():
         cols = int(rng.integers(1, 8))
         rows = int(rng.integers(cols, 8))
         cost = rng.integers(0, 50, size=(rows, cols)).astype(float)
-        assert hungarian_match(cost).total_cost == brute_force_min_cost(cost)
+        assert _matched_cost(cost) == brute_force_min_cost(cost)
 
 
 def test_hungarian_more_columns_than_rows_errors():
