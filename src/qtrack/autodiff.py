@@ -87,15 +87,8 @@ class Tensor:
         return self.value.shape
 
     @property
-    def ndim(self):
-        return self.value.ndim
-
-    @property
     def T(self):
         return transpose(self)
-
-    def item(self) -> float:
-        return float(self.value)
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -133,22 +126,11 @@ class Tensor:
     def __neg__(self):
         return mul(self, -1.0)
 
-    def __sub__(self, other):
-        return add(self, mul(other, -1.0) if isinstance(other, Tensor) else -np.asarray(other, dtype=np.float64))
-
     def __rsub__(self, other):
         return add(mul(self, -1.0), other)
 
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            raise TypeError("division only supported by plain scalars")
-        return mul(self, 1.0 / float(other))
-
     def __matmul__(self, other):
         return matmul(self, other)
-
-    def __pow__(self, k):
-        return pow_const(self, k)
 
     def __repr__(self):
         return f"Tensor(shape={self.shape})"

@@ -19,11 +19,11 @@ import json
 import logging
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 
 from .association import TrackerConfig, track_sequence
 from .data_io import (
-    DataFormatError,
     parse_annotations,
     parse_detection_stream,
     read_trajectories,
@@ -31,10 +31,11 @@ from .data_io import (
     write_detection_stream,
     write_trajectories,
 )
-from .metrics import EvalConfig, clear_mot
 from .model import VARIANTS, ModelConfig, TrackerModel, load_checkpoint, save_checkpoint
 from .synth import SynthConfig, generate_sequence
-from .training import LossConfig, TrainConfig, Video, train
+
+# `metrics` and `training` import scipy, whose import is most of a process's
+# start-up, so only the commands that run them import them: `train` and `eval`.
 
 log = logging.getLogger("qtrack.cli")
 
@@ -148,8 +149,11 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _discover_videos(data_dir: str) -> tuple[list[Video], int]:
-    """The stream/annotation pairs under `data_dir`, and the query dimension every stream header declares."""
+def _discover_videos(data_dir: str) -> tuple[list, int]:
+    """The stream/annotation pairs under `data_dir` as `training.Video`s, and the query dimension every stream
+    header declares."""
+    from .training import Video
+
     root = Path(data_dir)
     if not root.exists():
         raise CliError(f"data directory not found: {data_dir}")
@@ -174,6 +178,8 @@ def _discover_videos(data_dir: str) -> tuple[list[Video], int]:
 
 
 def cmd_train(args) -> int:
+    from .training import LossConfig, TrainConfig, train
+
     config = _load_config(args.config)
     train_cfg = _override(_dataclass_section(config, "train", TrainConfig), iterations=args.iterations, seed=args.seed)
     loss_cfg = _dataclass_section(config, "loss", LossConfig)
@@ -235,6 +241,8 @@ def cmd_track(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from .metrics import EvalConfig, clear_mot
+
     eval_cfg = EvalConfig(mode=args.mode)
     gt = parse_annotations(args.annotations)
     preds = read_trajectories(args.trajectories)
@@ -270,18 +278,9 @@ def cmd_eval(args) -> int:
 
 def cmd_stats(args) -> int:
     tracks = parse_annotations(args.annotations)
-    per_frame: dict[int, int] = {}
-    for tr in tracks:
-        for f in tr.frames:
-            per_frame[f] = per_frame.get(f, 0) + 1
-    count_hist: dict[int, int] = {}
-    for n in per_frame.values():
-        count_hist[n] = count_hist.get(n, 0) + 1
-    length_hist: dict[int, int] = {}
-    for tr in tracks:
-        first = min(tr.frames)
-        n = len(tr.frames[first].text)
-        length_hist[n] = length_hist.get(n, 0) + 1
+    per_frame = Counter(f for tr in tracks for f in tr.frames)
+    count_hist = Counter(per_frame.values())
+    length_hist = Counter(len(tr.frames[min(tr.frames)].text) for tr in tracks)
 
     out = _ensure_out(args.out)
     with open(out / "instances_per_frame.csv", "w", newline="", encoding="utf-8") as fh:
@@ -367,7 +366,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         return args.func(args)
-    except (CliError, DataFormatError, ValueError, OSError) as exc:
+    except (CliError, ValueError, OSError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 1
 

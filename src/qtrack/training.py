@@ -295,7 +295,7 @@ def total_loss(clip: list[ClipFrame], model: TrackerModel, cfg: LossConfig) -> L
         )
 
     # embeddings of the ground-truth-assigned instances, one row set per frame
-    frame_tracks = [sorted(k for k, i in frame.assignments.items() if i is not None) for frame in clip]
+    frame_tracks = [sorted(frame.assignments) for frame in clip]
     frame_emb = [
         embed(Tensor(frame.queries[[frame.assignments[k] for k in tracks]]), model.matcher) if tracks else None
         for frame, tracks in zip(clip, frame_tracks)

@@ -4,6 +4,9 @@ import contextlib
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -195,6 +198,43 @@ def test_stats_histograms(tmp_path):
     with open(out / "text_lengths.csv") as fh:
         rows = list(csv.reader(fh))
     assert rows == [["length", "instances"], ["3", "1"]]
+
+
+def _run_isolated(code: str, *args: str) -> list:
+    """The JSON line that `code` prints, run in a fresh interpreter with `src/` on its path."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+# runs one command, then prints its exit code and the scipy modules it loaded
+_COMMAND_PROBE = """
+import json, sys
+from qtrack.cli import main
+code = main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")]))
+"""
+
+
+def test_gen_track_and_stats_do_not_load_scipy(tmp_path):
+    """Only `train` and `eval` run the assignment solver, so only they import scipy."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"synth": {"frames": 12, "tracks": 2, "d_q": 16, "seed": 0}}))
+    data, ckpt = tmp_path / "data", tmp_path / "model.json"
+    save_checkpoint(TrackerModel.create(MatcherVariant.SIMILARITY, d_q=16), ckpt)
+    for argv in (
+        ["gen", "--config", str(config), "--out", str(data)],
+        ["track", "--checkpoint", str(ckpt), "--stream", str(data / "stream.jsonl"), "--out", str(tmp_path / "t")],
+        ["stats", "--annotations", str(data / "annotations.json"), "--out", str(tmp_path / "s")],
+    ):
+        assert _run_isolated(_COMMAND_PROBE, *argv) == [0, []], argv[0]
+
+
+def test_package_import_loads_no_module():
+    code = "import json, sys, qtrack; print(json.dumps(sorted(m for m in sys.modules if m.startswith('qtrack.'))))"
+    assert _run_isolated(code) == []
 
 
 def test_cli_error_is_machine_parsable(tmp_path, capsys):

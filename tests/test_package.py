@@ -63,17 +63,10 @@ def _unused(exported: list[tuple[str, str]]) -> list[str]:
             if not any(name in _references(path, name if path.stem == home else None) for path in callers)]
 
 
-def test_every_package_export_has_a_caller():
-    """A name the package exports is used by the program (outside its own definition) or by the benchmark.
+def test_every_module_export_has_a_caller():
+    """Every name in a module's `__all__` is used by the program (outside its own definition) or by the benchmark.
 
     A name only tests call is surface to delete. `detection_prf` waits for its caller, the run's own report.
     """
-    package = ast.parse((ROOT / "src" / "qtrack" / "__init__.py").read_text(encoding="utf-8"))
-    exported = [a.asname or a.name for node in package.body if isinstance(node, ast.ImportFrom) for a in node.names]
-    assert _unused([(name, getattr(qtrack, name).__module__.split(".")[-1]) for name in exported]) == ["detection_prf"]
-
-
-def test_every_module_export_has_a_caller():
-    """Every name in a module's `__all__`, re-exported by the package or not, is used by the program or the benchmark."""
     exported = [(name, m) for m in MODULES for name in getattr(importlib.import_module(f"qtrack.{m}"), "__all__", [])]
     assert _unused(exported) == ["detection_prf"]
