@@ -5,12 +5,14 @@ operations the trainable blocks need (products of a matrix with a
 matrix or a vector, bias adds, rectifier, sigmoid, row softmax, row L2
 normalisation, layer norm, log/pow/sum, concatenation and row gather),
 and only in the shapes they reach. Every op builds a node holding the
-forward value and a closure that accumulates gradients into its
-parents. Calling ``backward()`` on a scalar walks the graph
-in reverse topological order and consumes it: each node is released
-(no gradient, closure or parents; its value stays) as soon as its
-closure has run, so reference counting frees the tape as the walk goes
-and backward never holds much more than the forward left live.
+forward value, its parents, its backward function ``_<op>_bw(node, g)``
+(shared by every node of the op) and, in ``_saved``, only what that
+function cannot read from the parents or the node's own value. Calling
+``backward()`` on a scalar walks the graph in reverse topological order
+and consumes it: each node is released (no gradient, function, saved
+arrays or parents; its value stays) as soon as its function has run, so
+reference counting frees the tape as the walk goes and backward never
+holds much more than the forward left live.
 
 Leaf tensors double as parameters: after ``backward()``, ``grad``
 holds dL/dvalue with the same shape as ``value``. Only leaves keep
@@ -42,7 +44,9 @@ is one ``linear`` node, not a product node and a bias node; a
 whole-width column slice (every slice of one-head attention) records
 nothing. Constants (queries, masks, wrapped scalars) stay on the tape
 and receive gradients no one reads: skipping them saved no measurable
-time.
+time. Each node is also as few tracked objects as it can be: their
+allocations drive the cyclic collector, which finds nothing on a tape
+that reference counting frees; a closure per node would make about five.
 """
 
 from __future__ import annotations
@@ -72,15 +76,16 @@ __all__ = [
 
 
 class Tensor:
-    """A float64 array plus gradient storage and a backward closure."""
+    """A float64 array plus gradient storage, its parents, a backward function and what it saved."""
 
-    __slots__ = ("value", "grad", "_parents", "_backward")
+    __slots__ = ("value", "grad", "_parents", "_backward", "_saved")
 
-    def __init__(self, value, _parents=(), _backward=None):
+    def __init__(self, value, _parents=(), _backward=None, _saved=None):
         self.value = np.asarray(value, dtype=np.float64)
         self.grad = None
         self._parents = _parents
         self._backward = _backward
+        self._saved = _saved
 
     @property
     def shape(self):
@@ -96,9 +101,10 @@ class Tensor:
     def backward(self) -> None:
         """Seed this scalar with gradient 1 and propagate to all ancestors, consuming the graph.
 
-        Each node with a closure is released once that closure has run
-        (no ``grad``, closure or parents; its ``value`` stays), so only
-        leaves keep ``grad`` and the tape is freed as the walk goes.
+        Each node with a backward function is released once it has run
+        (no ``grad``, function, saved values or parents; its ``value``
+        stays), so only leaves keep ``grad`` and the tape is freed as
+        the walk goes.
         """
         if self.value.size != 1:
             raise ValueError(f"backward() needs a scalar, got shape {self.shape}")
@@ -108,8 +114,8 @@ class Tensor:
             node = order.pop()
             if node._backward is not None:
                 if node.grad is not None:
-                    node._backward(node.grad)
-                node.grad = node._backward = None
+                    node._backward(node, node.grad)
+                node.grad = node._backward = node._saved = None
                 node._parents = ()
 
     # Operator sugar. Non-Tensor operands are wrapped as constants.
@@ -137,22 +143,25 @@ class Tensor:
 
 
 def _topo_order(root: Tensor) -> list[Tensor]:
-    # a Tensor hashes by identity, so the set holds the nodes themselves
+    # a Tensor hashes by identity; two parallel stacks, so a push allocates no (node, expanded) tuple
     order: list[Tensor] = []
     visited: set[Tensor] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    stack: list[Tensor] = [root]
+    expanded: list[bool] = [False]
     while stack:
-        node, expanded = stack.pop()
-        if expanded:
+        node = stack.pop()
+        if expanded.pop():
             order.append(node)
             continue
         if node in visited:
             continue
         visited.add(node)
-        stack.append((node, True))
+        stack.append(node)
+        expanded.append(True)
         for parent in node._parents:
             if parent not in visited:
-                stack.append((parent, False))
+                stack.append(parent)
+                expanded.append(False)
     return order
 
 
@@ -181,24 +190,24 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def add(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
-    out = a.value + b.value
+    return Tensor(a.value + b.value, (a, b), _add_bw)
 
-    def bw(g):
-        _accum(a, _unbroadcast(g, a.value.shape))
-        _accum(b, _unbroadcast(g, b.value.shape))
 
-    return Tensor(out, (a, b), bw)
+def _add_bw(node, g):
+    a, b = node._parents
+    _accum(a, _unbroadcast(g, a.value.shape))
+    _accum(b, _unbroadcast(g, b.value.shape))
 
 
 def mul(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
-    out = a.value * b.value
+    return Tensor(a.value * b.value, (a, b), _mul_bw)
 
-    def bw(g):
-        _accum(a, _unbroadcast(g * b.value, a.value.shape))
-        _accum(b, _unbroadcast(g * a.value, b.value.shape))
 
-    return Tensor(out, (a, b), bw)
+def _mul_bw(node, g):
+    a, b = node._parents
+    _accum(a, _unbroadcast(g * b.value, a.value.shape))
+    _accum(b, _unbroadcast(g * a.value, b.value.shape))
 
 
 def matmul(a, b) -> Tensor:
@@ -206,13 +215,13 @@ def matmul(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     if a.value.ndim != 2:
         raise ValueError("matmul expects a 2D left operand")
-    out = a.value @ b.value
+    return Tensor(a.value @ b.value, (a, b), _matmul_bw)
 
-    def bw(g):
-        _accum(a, g @ b.value.T if b.value.ndim == 2 else np.outer(g, b.value))
-        _accum(b, a.value.T @ g)
 
-    return Tensor(out, (a, b), bw)
+def _matmul_bw(node, g):
+    a, b = node._parents
+    _accum(a, g @ b.value.T if b.value.ndim == 2 else np.outer(g, b.value))
+    _accum(b, a.value.T @ g)
 
 
 def linear(x, w, b) -> Tensor:
@@ -220,32 +229,34 @@ def linear(x, w, b) -> Tensor:
     x, w, b = _wrap(x), _wrap(w), _wrap(b)
     if x.value.ndim != 2:
         raise ValueError("linear expects a 2D tensor")
+    return Tensor(_affine(x.value, w.value, b.value), (x, w, b), _linear_bw)
 
-    def bw(g):
-        g = g + 0.0  # the product's gradient as `add` accumulated it
-        _accum(x, g @ w.value.T)
-        _accum(w, x.value.T @ g)
-        _accum(b, _unbroadcast(g, b.value.shape))
 
-    return Tensor(_affine(x.value, w.value, b.value), (x, w, b), bw)
+def _linear_bw(node, g):
+    x, w, b = node._parents
+    g = g + 0.0  # the product's gradient as `add` accumulated it
+    _accum(x, g @ w.value.T)
+    _accum(w, x.value.T @ g)
+    _accum(b, _unbroadcast(g, b.value.shape))
 
 
 def transpose(a: Tensor) -> Tensor:
     a = _wrap(a)
+    return Tensor(a.value.T, (a,), _transpose_bw)
 
-    def bw(g):
-        _accum(a, g.T)
 
-    return Tensor(a.value.T, (a,), bw)
+def _transpose_bw(node, g):
+    _accum(node._parents[0], g.T)
 
 
 def relu(a: Tensor) -> Tensor:
     a = _wrap(a)
+    return Tensor(_relu(a.value), (a,), _relu_bw)
 
-    def bw(g):
-        _accum(a, g * (a.value > 0))
 
-    return Tensor(_relu(a.value), (a,), bw)
+def _relu_bw(node, g):
+    (a,) = node._parents
+    _accum(a, g * (a.value > 0))
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -253,44 +264,44 @@ def sigmoid(a: Tensor) -> Tensor:
     x = a.value
     # Split by sign so neither exp overflows.
     s = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    return Tensor(s, (a,), _sigmoid_bw)
 
-    def bw(g):
-        _accum(a, g * s * (1.0 - s))
 
-    return Tensor(s, (a,), bw)
+def _sigmoid_bw(node, g):
+    s = node.value
+    _accum(node._parents[0], g * s * (1.0 - s))
 
 
 def log(a: Tensor) -> Tensor:
     a = _wrap(a)
+    return Tensor(np.log(a.value), (a,), _log_bw)
 
-    def bw(g):
-        _accum(a, g / a.value)
 
-    return Tensor(np.log(a.value), (a,), bw)
+def _log_bw(node, g):
+    (a,) = node._parents
+    _accum(a, g / a.value)
 
 
 def pow_const(a: Tensor, k: float) -> Tensor:
     """a**k for a constant exponent k (a must stay in the domain of x^(k-1))."""
     a = _wrap(a)
     k = float(k)
+    return Tensor(a.value ** k, (a,), _pow_const_bw, k)
 
-    def bw(g):
-        _accum(a, g * k * a.value ** (k - 1.0))
 
-    return Tensor(a.value ** k, (a,), bw)
+def _pow_const_bw(node, g):
+    (a,), k = node._parents, node._saved
+    _accum(a, g * k * a.value ** (k - 1.0))
 
 
 def sum_(a: Tensor, axis: int | None = None) -> Tensor:
     a = _wrap(a)
-    out = a.value.sum(axis=axis)
+    return Tensor(a.value.sum(axis=axis), (a,), _sum_bw, axis)
 
-    def bw(g):
-        if axis is None:
-            _accum(a, np.broadcast_to(g, a.value.shape).copy())
-        else:
-            _accum(a, np.broadcast_to(np.expand_dims(g, axis), a.value.shape).copy())
 
-    return Tensor(out, (a,), bw)
+def _sum_bw(node, g):
+    (a,), axis = node._parents, node._saved
+    _accum(a, np.broadcast_to(g if axis is None else np.expand_dims(g, axis), a.value.shape).copy())
 
 
 def softmax_rows(a: Tensor) -> Tensor:
@@ -298,14 +309,14 @@ def softmax_rows(a: Tensor) -> Tensor:
     a = _wrap(a)
     if a.value.ndim != 2:
         raise ValueError("softmax_rows expects a 2D tensor")
-    y = _softmax_rows(a.value)
+    return Tensor(_softmax_rows(a.value), (a,), _softmax_rows_bw)
 
-    def bw(g):
-        # dS = y * (g - sum_j g_j y_j) per row
-        dot = (g * y).sum(axis=1, keepdims=True)
-        _accum(a, y * (g - dot))
 
-    return Tensor(y, (a,), bw)
+def _softmax_rows_bw(node, g):
+    # dS = y * (g - sum_j g_j y_j) per row
+    y = node.value
+    dot = (g * y).sum(axis=1, keepdims=True)
+    _accum(node._parents[0], y * (g - dot))
 
 
 def l2_normalize_rows_or_zero(a: Tensor) -> Tensor:
@@ -315,12 +326,13 @@ def l2_normalize_rows_or_zero(a: Tensor) -> Tensor:
     """
     a = _wrap(a)
     y, n = _unit_rows_or_zero(a.value)
+    return Tensor(y, (a,), _unit_rows_bw, n)
 
-    def bw(g):
-        dot = (g * y).sum(axis=1, keepdims=True)
-        _accum(a, (g - y * dot) / n)
 
-    return Tensor(y, (a,), bw)
+def _unit_rows_bw(node, g):
+    y, n = node.value, node._saved
+    dot = (g * y).sum(axis=1, keepdims=True)
+    _accum(node._parents[0], (g - y * dot) / n)
 
 
 def layer_norm_rows(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
@@ -329,59 +341,58 @@ def layer_norm_rows(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     if x.value.ndim != 2:
         raise ValueError("layer_norm_rows expects a 2D tensor")
     out, y, inv = _layer_norm(x.value, gain.value, bias.value)
+    return Tensor(out, (x, gain, bias), _layer_norm_bw, (y, inv))
 
-    def bw(g):
-        _accum(gain, (g * y).sum(axis=0))
-        _accum(bias, g.sum(axis=0))
-        dy = g * gain.value
-        d = dy.shape[1]
-        m1 = dy.sum(axis=1, keepdims=True) / d
-        m2 = (dy * y).sum(axis=1, keepdims=True) / d
-        _accum(x, inv * (dy - m1 - y * m2))
 
-    return Tensor(out, (x, gain, bias), bw)
+def _layer_norm_bw(node, g):
+    (x, gain, bias), (y, inv) = node._parents, node._saved
+    _accum(gain, (g * y).sum(axis=0))
+    _accum(bias, g.sum(axis=0))
+    dy = g * gain.value
+    d = dy.shape[1]
+    m1 = dy.sum(axis=1, keepdims=True) / d
+    m2 = (dy * y).sum(axis=1, keepdims=True) / d
+    _accum(x, inv * (dy - m1 - y * m2))
 
 
 def concat_rows(parts: list[Tensor]) -> Tensor:
-    parts = [_wrap(p) for p in parts]
-    sizes = [p.value.shape[0] for p in parts]
-    out = np.concatenate([p.value for p in parts], axis=0)
+    parts = tuple(_wrap(p) for p in parts)
+    return Tensor(np.concatenate([p.value for p in parts], axis=0), parts, _concat_rows_bw)
 
-    def bw(g):
-        off = 0
-        for p, n in zip(parts, sizes):
-            _accum(p, g[off:off + n])
-            off += n
 
-    return Tensor(out, tuple(parts), bw)
+def _concat_rows_bw(node, g):
+    off = 0
+    for p in node._parents:
+        n = p.value.shape[0]
+        _accum(p, g[off:off + n])
+        off += n
 
 
 def concat_cols(parts: list[Tensor]) -> Tensor:
-    parts = [_wrap(p) for p in parts]
-    sizes = [p.value.shape[1] for p in parts]
-    out = np.concatenate([p.value for p in parts], axis=1)
+    parts = tuple(_wrap(p) for p in parts)
+    return Tensor(np.concatenate([p.value for p in parts], axis=1), parts, _concat_cols_bw)
 
-    def bw(g):
-        off = 0
-        for p, n in zip(parts, sizes):
-            _accum(p, g[:, off:off + n])
-            off += n
 
-    return Tensor(out, tuple(parts), bw)
+def _concat_cols_bw(node, g):
+    off = 0
+    for p in node._parents:
+        n = p.value.shape[1]
+        _accum(p, g[:, off:off + n])
+        off += n
 
 
 def take_rows(a: Tensor, indices) -> Tensor:
     """Gather rows (2D) or entries (1D) by index; duplicates accumulate on backward."""
     a = _wrap(a)
     idx = np.asarray(indices, dtype=np.intp)
-    out = a.value[idx]
+    return Tensor(a.value[idx], (a,), _take_rows_bw, idx)
 
-    def bw(g):
-        acc = np.zeros_like(a.value)
-        np.add.at(acc, idx, g)
-        _accum(a, acc)
 
-    return Tensor(out, (a,), bw)
+def _take_rows_bw(node, g):
+    (a,) = node._parents
+    acc = np.zeros_like(a.value)
+    np.add.at(acc, node._saved, g)
+    _accum(a, acc)
 
 
 def take_cols(a: Tensor, start: int, stop: int) -> Tensor:
@@ -389,14 +400,14 @@ def take_cols(a: Tensor, start: int, stop: int) -> Tensor:
     a = _wrap(a)
     if start == 0 and stop == a.value.shape[1]:
         return a
-    out = a.value[:, start:stop]
+    return Tensor(a.value[:, start:stop], (a,), _take_cols_bw, (start, stop))
 
-    def bw(g):
-        acc = np.zeros_like(a.value)
-        acc[:, start:stop] = g
-        _accum(a, acc)
 
-    return Tensor(out, (a,), bw)
+def _take_cols_bw(node, g):
+    (a,), (start, stop) = node._parents, node._saved
+    acc = np.zeros_like(a.value)
+    acc[:, start:stop] = g
+    _accum(a, acc)
 
 
 # ---------------------------------------------------------------------------

@@ -7,15 +7,16 @@ and the dict-of-lists bank kept as references (the tracker's in
 `reference_tracker`), and the training loss must give the values and
 gradients of the per-row target lists it was once built from, and
 backward, which consumes the graph, must give the gradients of the
-walk that kept every node. The reference association
-runs the matcher through the autodiff tape, so the same streams also
-hold the plain-array inference forward to the tape bit for bit. The
-streams are seeded and small; the grid covers every matcher variant,
-the long-term stage on and off, and forced ties. Since the tape takes
-its values from the array ops, the plain-array forward is also held to
-`reference_matcher`, the ops frozen as they were before they wrote into
-their own temporaries, which catches a drift the tape and the
-plain-array forward share.
+walk that kept every node, and the graph walk must list the nodes in
+the order of `ref_topo_order`, its frozen earlier self. The reference
+association runs the matcher through the autodiff tape, so the same
+streams also hold the plain-array inference forward to the tape bit
+for bit. The streams are seeded and small; the grid covers every
+matcher variant, the long-term stage on and off, and forced ties.
+Since the tape takes its values from the array ops, the plain-array
+forward is also held to `reference_matcher`, the ops frozen as they
+were before they wrote into their own temporaries, which catches a
+drift the tape and the plain-array forward share.
 """
 
 import struct
@@ -694,7 +695,61 @@ def ref_backward(root):
     root.grad = np.ones_like(root.value)
     for node in reversed(order):
         if node._backward is not None and node.grad is not None:
-            node._backward(node.grad)
+            node._backward(node, node.grad)
+
+
+def ref_topo_order(root):
+    """`autodiff._topo_order` as it was when it pushed a (node, expanded) tuple per step."""
+    order = []
+    visited = set()
+    stack = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if node in visited:
+            continue
+        visited.add(node)
+        stack.append((node, True))
+        for parent in node._parents:
+            if parent not in visited:
+                stack.append((parent, False))
+    return order
+
+
+def _same_nodes(a, b):
+    return len(a) == len(b) and all(x is y for x, y in zip(a, b))
+
+
+@st.composite
+def dag_parents(draw):
+    """Parent indices per node; node i draws from nodes < i, repeats allowed, so diamonds and doubled edges occur."""
+    n = draw(st.integers(1, 12))
+    return [draw(st.lists(st.integers(0, i - 1), max_size=4)) if i else [] for i in range(n)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(dag_parents())
+def test_topo_order_equals_reference_on_random_dags(parents):
+    nodes = []
+    for ps in parents:
+        nodes.append(Tensor(np.zeros(1), tuple(nodes[i] for i in ps)))
+    root = nodes[-1]
+    assert _same_nodes(_topo_order(root), ref_topo_order(root))
+
+
+def test_topo_order_equals_reference_on_ops_and_loss_tapes():
+    a = Tensor(np.arange(6.0).reshape(2, 3))
+    doubled = concat_rows([a, a])  # one parent twice
+    diamond = sum_(relu(doubled) * sigmoid(doubled))  # two paths from `doubled`
+    assert _same_nodes(_topo_order(diamond), ref_topo_order(diamond))
+    for variant in MatcherVariant:
+        model = TrackerModel.create(variant, d_q=8, d_e=8, heads=2, seed=3)
+        for clip in _loss_clips(2, True)[0]:
+            total = total_loss(clip, model, LossConfig()).total
+            order = _topo_order(total)
+            assert len(order) > 50 and _same_nodes(order, ref_topo_order(total))
 
 
 @pytest.mark.parametrize("variant", [MatcherVariant.FFN, MatcherVariant.CROSS_ATTN, MatcherVariant.TRANSFORMER])
@@ -720,9 +775,10 @@ def test_backward_consumes_the_graph_and_keeps_every_gradient(variant):
                 assert [t.value.tobytes() for t in terms] == values
             assert grads[1] == grads[0]
             assert all(g is not None for g in grads[1])
-            # the consuming walk ran last: every node it ran a closure of is released
+            # the consuming walk ran last: every node it ran a backward function of is released
             assert inner and all(
-                node.grad is None and node._backward is None and node._parents == () for node in inner
+                node.grad is None and node._backward is None and node._saved is None and node._parents == ()
+                for node in inner
             )
 
 

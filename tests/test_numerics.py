@@ -297,7 +297,7 @@ def test_check_gradients_detects_corruption():
     p = Tensor(rng.uniform(0.5, 1.5, size=6))
 
     def corrupted_identity(t):
-        def bw(g):
+        def bw(node, g):
             doubled = g.copy()
             doubled.flat[0] *= 2.0  # one gradient entry doubled
             if t.grad is None:

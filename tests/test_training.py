@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qtrack.autodiff import Tensor
+from qtrack.autodiff import Tensor, _topo_order
 from qtrack.matcher import MatcherVariant
 from qtrack.model import TrackerModel
 from qtrack.synth import SynthConfig, generate_sequence
@@ -551,3 +551,21 @@ def test_reference_counting_alone_frees_the_tape():
         gc.enable()
     assert {id(p) for p in params} <= known
     assert left == []
+
+
+def test_a_tape_node_is_few_tracked_objects():
+    # allocations of tracked objects drive the cyclic collector, which finds
+    # nothing on a tape that reference counting frees (the test above)
+    video = _video(seed=9, frames=4, tracks=3, noise_sigma=0.05, fp_rate=1.0)
+    model = TrackerModel.create(MatcherVariant.TRANSFORMER, d_q=8, d_e=8, seed=5)
+    clip = build_clip(video, 0, 4)
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        total = total_loss(clip, model, LossConfig()).total
+        tracked = len(gc.get_objects()) - before
+    finally:
+        gc.enable()
+    nodes = len(_topo_order(total))
+    assert tracked <= 2.5 * nodes, f"{tracked / nodes:.2f} tracked objects per node over {nodes} nodes"
