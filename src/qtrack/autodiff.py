@@ -262,8 +262,9 @@ def _relu_bw(node, g):
 def sigmoid(a: Tensor) -> Tensor:
     a = _wrap(a)
     x = a.value
-    # Split by sign so neither exp overflows.
-    s = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    # Split by sign so the exp never overflows.
+    e = np.exp(-np.abs(x))
+    s = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     return Tensor(s, (a,), _sigmoid_bw)
 
 

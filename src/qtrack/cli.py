@@ -142,9 +142,7 @@ def cmd_gen(args) -> int:
     out = _ensure_out(args.out)
     write_detection_stream(out / "stream.jsonl", header, frames)
     write_annotations(out / "annotations.json", tracks, video=header.video)
-    echo = dataclasses.asdict(synth_cfg)
-    echo["canvas"] = list(echo["canvas"])
-    _echo_config(out, {"command": "gen", "synth": echo})
+    _echo_config(out, {"command": "gen", "synth": dataclasses.asdict(synth_cfg)})
     log.info("wrote %d frames, %d tracks to %s", len(frames), len(tracks), out)
     return 0
 

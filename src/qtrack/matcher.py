@@ -19,9 +19,10 @@ but share one embedding FFN.
 
 The whole matcher lives here. Each block's parameter class
 (``FfnParams``, ``AttentionParams``, ``LayerNormParams``,
-``TransformerLayerParams``) fixes its tensors' order, which the
-checkpoint, ``count_parameters`` and the packed forward read. Each
-block (two-layer feedforward, multi-head attention, the pre-norm
+``TransformerLayerParams``, ``BranchParams``, ``MatcherParams``) declares
+its tensors as dataclass fields, and its field order, walked depth first
+by ``tensors()``, is the checkpoint order, which the packed forward also
+reads. Each block (two-layer feedforward, multi-head attention, the pre-norm
 encoder and decoder layers, the cosine matrix) is one forward on
 ``autodiff`` tensors. ``embed`` and ``association`` run the blocks,
 and training differentiates the graph they record. Tracking runs
@@ -41,7 +42,7 @@ to the tape and to a frozen copy of the earlier plain-array forward.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -90,8 +91,23 @@ def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.uniform(-bound, bound, size=(fan_in, fan_out))
 
 
+class _Params:
+    """Base of the parameter classes: the trainable tensors are the dataclass fields, in declaration order."""
+
+    def tensors(self) -> list[Tensor]:
+        """Trainable tensors in checkpoint order: fields in declaration order, sub-blocks walked depth first."""
+        out: list[Tensor] = []
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, Tensor):
+                out.append(value)
+            elif isinstance(value, _Params):  # an absent sub-block is None and holds nothing
+                out += value.tensors()
+        return out
+
+
 @dataclass
-class FfnParams:
+class FfnParams(_Params):
     """Two-layer feedforward block: linear -> rectifier -> linear."""
 
     w1: Tensor  # (d_in, d_h)
@@ -108,17 +124,9 @@ class FfnParams:
             b2=Tensor(np.zeros(d_out)),
         )
 
-    def tensors(self) -> list[Tensor]:
-        return [self.w1, self.b1, self.w2, self.b2]
-
-    @staticmethod
-    def count(d_in: int, d_h: int, d_out: int) -> int:
-        """d_in*d_h + d_h + d_h*d_out + d_out trainable scalars."""
-        return d_in * d_h + d_h + d_h * d_out + d_out
-
 
 @dataclass
-class AttentionParams:
+class AttentionParams(_Params):
     """Projection weights for single-layer multi-head attention.
 
     Query/key/value/output projections are square (d_model x d_model)
@@ -156,16 +164,9 @@ class AttentionParams:
     def d_model(self) -> int:
         return self.wq.shape[0]
 
-    def tensors(self) -> list[Tensor]:
-        return [self.wq, self.bq, self.wk, self.bk, self.wv, self.bv, self.wo, self.bo]
-
-    @staticmethod
-    def count(d_model: int) -> int:
-        return 4 * d_model * d_model + 4 * d_model
-
 
 @dataclass
-class LayerNormParams:
+class LayerNormParams(_Params):
     gain: Tensor
     bias: Tensor
 
@@ -173,16 +174,9 @@ class LayerNormParams:
     def create(cls, d: int) -> "LayerNormParams":
         return cls(gain=Tensor(np.ones(d)), bias=Tensor(np.zeros(d)))
 
-    def tensors(self) -> list[Tensor]:
-        return [self.gain, self.bias]
-
-    @staticmethod
-    def count(d: int) -> int:
-        return 2 * d
-
 
 @dataclass
-class TransformerLayerParams:
+class TransformerLayerParams(_Params):
     """Pre-norm attention sublayer followed by a pre-norm feedforward sublayer.
 
     With the attention output projection and the feedforward second
@@ -203,13 +197,6 @@ class TransformerLayerParams:
             ffn=FfnParams.create(d_model, d_model, d_model, rng),
             ln2=LayerNormParams.create(d_model),
         )
-
-    def tensors(self) -> list[Tensor]:
-        return self.attn.tensors() + self.ln1.tensors() + self.ffn.tensors() + self.ln2.tensors()
-
-    @staticmethod
-    def count(d_model: int) -> int:
-        return AttentionParams.count(d_model) + 2 * LayerNormParams.count(d_model) + FfnParams.count(d_model, d_model, d_model)
 
 
 # ---------------------------------------------------------------------------
@@ -268,26 +255,16 @@ class MatcherVariant(str, Enum):
 
 
 @dataclass
-class BranchParams:
+class BranchParams(_Params):
     """Per-branch attention weights. Which fields exist depends on the variant."""
 
     encoder: TransformerLayerParams | None = None
     decoder: TransformerLayerParams | None = None
     attn: AttentionParams | None = None
 
-    def tensors(self) -> list[Tensor]:
-        out: list[Tensor] = []
-        if self.encoder is not None:
-            out += self.encoder.tensors()
-        if self.decoder is not None:
-            out += self.decoder.tensors()
-        if self.attn is not None:
-            out += self.attn.tensors()
-        return out
-
 
 @dataclass
-class MatcherParams:
+class MatcherParams(_Params):
     variant: MatcherVariant
     d_q: int
     d_e: int
@@ -330,17 +307,6 @@ class MatcherParams:
         if name == "lt":
             return self.lt
         raise ValueError(f"unknown branch {name!r}")
-
-    def tensors(self) -> list[Tensor]:
-        """Trainable tensors in checkpoint order: shared FFN, ST branch, LT branch."""
-        out: list[Tensor] = []
-        if self.shared_ffn is not None:
-            out += self.shared_ffn.tensors()
-        if self.st is not None:
-            out += self.st.tensors()
-        if self.lt is not None:
-            out += self.lt.tensors()
-        return out
 
 
 def embed(queries: Tensor, params: MatcherParams) -> Tensor:
@@ -606,9 +572,10 @@ def count_parameters(variant: MatcherVariant, d_q: int, d_e: int, heads: int = 1
         raise ValueError("invalid dimensions")
     if variant is MatcherVariant.SIMILARITY:
         return 0
-    shared = FfnParams.count(d_q, d_e, d_e)
+    d = d_e
+    shared = d_q * d + d * d + 2 * d
     if variant is MatcherVariant.FFN:
         return shared
     if variant is MatcherVariant.CROSS_ATTN:
-        return shared + 2 * AttentionParams.count(d_e)
-    return shared + 2 * 2 * TransformerLayerParams.count(d_e)
+        return shared + 2 * (4 * d * d + 4 * d)
+    return shared + 4 * (6 * d * d + 10 * d)

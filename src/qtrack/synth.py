@@ -13,6 +13,7 @@ assignment is unambiguous at zero noise.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from itertools import compress
 
@@ -33,6 +34,7 @@ __all__ = ["SynthConfig", "generate_sequence"]
 
 TEXT_DIRECTION_WEIGHT = 0.55  # share of each latent along the common text axis
 MAX_CANVAS_SIDE = 2.0**52  # the largest canvas side on which no box degenerates; see `SynthConfig`
+MAX_STEP = sys.float_info.max / 2  # the largest step whose draw range, 2 * step, is a finite float
 
 
 @dataclass
@@ -77,6 +79,8 @@ class SynthConfig:
                 raise ValueError(f"{name} must be in [0,1]")
         if not 0.0 <= self.step < math.inf:
             raise ValueError("step must be a finite number >= 0")
+        if self.step > MAX_STEP:
+            raise ValueError(f"step must be at most {MAX_STEP!r}, got {self.step!r}")
         if self.noise_sigma < 0 or self.fp_rate < 0:
             raise ValueError("noise_sigma and fp_rate must be nonnegative")
         if not (len(self.canvas) == 2 and all(0 < c < math.inf for c in self.canvas)):

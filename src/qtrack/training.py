@@ -383,11 +383,11 @@ class AdamW:
     per-parameter step in the same order.
     """
 
-    def __init__(self, params: list[Tensor], weight_decay: float = 1e-4,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: list[Tensor], weight_decay: float = 1e-4):
         self.params = params
         self.weight_decay = weight_decay
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         offsets = np.cumsum([0] + [p.value.size for p in params]).tolist()
         self._spans = list(zip(offsets, offsets[1:]))
         self.m = np.zeros(offsets[-1])
@@ -396,7 +396,7 @@ class AdamW:
 
     def step(self, lr: float) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = self.BETA1, self.BETA2
         g, value = np.zeros_like(self.m), np.empty_like(self.m)
         for p, (lo, hi) in zip(self.params, self._spans):
             value[lo:hi] = p.value.ravel()
@@ -407,7 +407,7 @@ class AdamW:
         m_hat = self.m / (1 - b1 ** self.t)
         v_hat = self.v / (1 - b2 ** self.t)
         value -= lr * self.weight_decay * value
-        value -= lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        value -= lr * m_hat / (np.sqrt(v_hat) + self.EPS)
         for p, (lo, hi) in zip(self.params, self._spans):
             p.value[...] = value[lo:hi].reshape(p.value.shape)
 

@@ -41,9 +41,11 @@ def test_gen_writes_stream_annotations_and_config(tmp_path):
     out = _gen(tmp_path)
     assert (out / "stream.jsonl").exists()
     assert (out / "annotations.json").exists()
-    echoed = json.loads((out / "config.json").read_text())
+    text = (out / "config.json").read_text()
+    echoed = json.loads(text)
     assert echoed["command"] == "gen"
     assert echoed["synth"]["frames"] == 8
+    assert '\n  "canvas": [\n   640.0,\n   480.0\n  ],\n' in text  # the canvas tuple echoes as a JSON array
 
 
 def test_gen_seed_flag_overrides_config(tmp_path):
@@ -349,6 +351,8 @@ def test_config_value_of_wrong_type_is_json_error(tmp_path, capsys, command, con
      "bad config section 'model': field 'variant' must be one of ['transformer', 'similarity', 'ffn', 'crossattn']"),
     ("gen", {"synth": {"frames": 3, "tracks": 2, "canvas": [1e20, 1e20], "seed": 1}}, [],
      "bad config section 'synth': canvas sides must be at most 2**52, got [1e+20, 1e+20]"),
+    ("gen", {"synth": {"frames": 3, "tracks": 2, "step": 1e308}}, [],
+     "bad config section 'synth': step must be at most 8.988465674311579e+307, got 1e+308"),
 ])
 def test_invalid_setting_is_json_error(tmp_path, capsys, command, config, flags, message):
     """A value out of its field's range fails before any work, from a flag or from the config file."""

@@ -210,9 +210,13 @@ def test_count_ratio_below_half(d_e):
 
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
 def test_count_matches_actual_tensors(variant):
-    p = _params(variant, d_q=6, d_e=8 if variant is not MatcherVariant.SIMILARITY else 6)
-    actual = sum(t.value.size for t in p.tensors())
-    assert actual == count_parameters(variant, 6, 8 if variant is not MatcherVariant.SIMILARITY else 6)
+    """The walked tensors, each once, hold `count_parameters`' scalars, with d_q above or below d_e and any heads."""
+    for d_q, d_e in ((12, 8), (8, 12)):
+        for heads in (1, 2, 4):
+            p = _params(variant, d_q=d_q, d_e=d_e, heads=heads)
+            tensors = p.tensors()
+            assert len({id(t) for t in tensors}) == len(tensors)
+            assert sum(t.value.size for t in tensors) == count_parameters(variant, d_q, p.d_e, heads)
 
 
 def test_count_rejects_bad_dims():

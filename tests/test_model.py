@@ -1,6 +1,7 @@
 """Model assembly and bit-exact checkpoint round trips."""
 
 import json
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -38,6 +39,43 @@ def test_parameter_order_matches_declared_count(variant):
     d_e = model.d_e
     expected = count_parameters(variant, 6, d_e) + 6 + 1  # + rescoring head
     assert model.num_parameters() == expected
+
+
+_FFN = ["w1", "b1", "w2", "b2"]
+_ATTN = ["wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo"]
+_LAYER = [f"attn.{n}" for n in _ATTN] + ["ln1.gain", "ln1.bias"] + [f"ffn.{n}" for n in _FFN] + ["ln2.gain", "ln2.bias"]
+_BRANCH = {
+    MatcherVariant.TRANSFORMER: [f"{layer}.{n}" for layer in ("encoder", "decoder") for n in _LAYER],
+    MatcherVariant.CROSS_ATTN: [f"attn.{n}" for n in _ATTN],
+    MatcherVariant.FFN: [],
+    MatcherVariant.SIMILARITY: [],
+}
+
+
+def _checkpoint_paths(variant):
+    """Every trainable tensor's attribute path, in checkpoint order, written out by hand."""
+    shared = [] if variant is MatcherVariant.SIMILARITY else [f"matcher.shared_ffn.{n}" for n in _FFN]
+    return ["rescore_weight", "rescore_bias"] + shared + [f"matcher.{b}.{n}" for b in ("st", "lt") for n in _BRANCH[variant]]
+
+
+@pytest.mark.parametrize("heads", [1, 2])
+@pytest.mark.parametrize("variant", list(MatcherVariant))
+def test_checkpoint_layout_by_name(tmp_path, variant, heads):
+    """Each tensor, filled with its own value, sits at its named place in the checkpoint and loads back there."""
+    model = TrackerModel.create(variant, d_q=4, d_e=4, heads=heads)
+    paths = _checkpoint_paths(variant)
+    tensors = [attrgetter(path)(model) for path in paths]
+    assert [id(t) for t in model.parameters()] == [id(t) for t in tensors]
+    for k, t in enumerate(tensors):
+        t.value[...] = k + 1.0
+    path = tmp_path / "m.json"
+    save_checkpoint(model, path)
+    flat = json.loads(path.read_text())["params"]
+    assert flat == [k + 1.0 for k, t in enumerate(tensors) for _ in range(t.value.size)]
+    back = load_checkpoint(path)
+    for k, name in enumerate(paths):
+        value = attrgetter(name)(back).value
+        assert np.all(value == k + 1.0), name
 
 
 def test_classifier_seed_initialization():

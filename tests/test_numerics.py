@@ -264,18 +264,15 @@ def test_transformer_layer_gradients():
 
 
 def test_parameter_count_formulas():
+    """Each block's walked tensors hold its closed-form number of scalars."""
+    def walked(block):
+        return sum(t.value.size for t in block.tensors())
+
     rng = np.random.default_rng(9)
-    ffn = FfnParams.create(5, 7, 3, rng)
-    assert sum(t.value.size for t in ffn.tensors()) == FfnParams.count(5, 7, 3) == 5 * 7 + 7 + 7 * 3 + 3
-
-    attn = AttentionParams.create(8, 2, rng)
-    assert sum(t.value.size for t in attn.tensors()) == AttentionParams.count(8) == 4 * 64 + 32
-
-    ln = LayerNormParams.create(8)
-    assert sum(t.value.size for t in ln.tensors()) == LayerNormParams.count(8) == 16
-
-    layer = TransformerLayerParams.create(8, 1, rng)
-    assert sum(t.value.size for t in layer.tensors()) == TransformerLayerParams.count(8)
+    assert walked(FfnParams.create(5, 7, 3, rng)) == 5 * 7 + 7 + 7 * 3 + 3
+    assert walked(AttentionParams.create(8, 2, rng)) == 4 * 8 * 8 + 4 * 8
+    assert walked(LayerNormParams.create(8)) == 2 * 8
+    assert walked(TransformerLayerParams.create(8, 1, rng)) == 6 * 8 * 8 + 10 * 8
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Synthetic sequence generator: determinism, noise knobs, parser round trip, and its frozen reference."""
 
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -169,6 +170,16 @@ def test_canvas_sides_are_bounded_so_boxes_keep_their_extent():
     for canvas in ((math.nextafter(side, math.inf), 1.0), (640.0, 2**52 + 1)):
         with pytest.raises(ValueError, match=r"^canvas sides must be at most 2\*\*52, got \["):
             SynthConfig(canvas=canvas)
+
+
+def test_step_is_bounded_so_its_draw_range_is_finite():
+    """A step of half the largest float generates boxes on the canvas; the next float up is refused."""
+    cfg = SynthConfig(frames=6, tracks=3, step=sys.float_info.max / 2, seed=4)
+    _, _, gts = generate_sequence(cfg)
+    w, h = cfg.canvas
+    assert all(0 <= e.box[0] < e.box[2] <= w and 0 <= e.box[1] < e.box[3] <= h for t in gts for e in t.frames.values())
+    with pytest.raises(ValueError, match=r"^step must be at most 8\.988465674311579e\+307, got 8\.98846567431158e\+307$"):
+        SynthConfig(step=math.nextafter(sys.float_info.max / 2, math.inf))
 
 
 # ---------------------------------------------------------------------------
