@@ -235,7 +235,7 @@ def track_sequence(
     Deterministic: identical frames, model and config produce identical
     trajectory ids and contents. The matcher is packed once, for the run.
     """
-    bank = MemoryBank(config.history_depth, PackedMatcher(model.matcher))
+    bank = MemoryBank(config.history_depth, PackedMatcher(model))
     head = model.rescoring_head()
     track_ids, frame_ids, records, scores = [], [], [], []  # one row per (trajectory, frame)
 

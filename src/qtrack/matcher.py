@@ -19,16 +19,19 @@ but share one embedding FFN.
 
 The whole matcher lives here. Each block's parameter class
 (``FfnParams``, ``AttentionParams``, ``LayerNormParams``,
-``TransformerLayerParams``, ``BranchParams``, ``MatcherParams``) declares
-its tensors as dataclass fields, and its field order, walked depth first
-by ``tensors()``, is the checkpoint order, which the packed forward also
-reads. Each block (two-layer feedforward, multi-head attention, the pre-norm
-encoder and decoder layers, the cosine matrix) is one forward on
-``autodiff`` tensors. ``embed`` and ``association`` run the blocks,
-and training differentiates the graph they record. Tracking runs
-``PackedMatcher``, built once per run: the same float operations in the
-same order on plain copies of the weights, so it gives the tape's
-values bit for bit, with three differences in how it gets there. It
+``TransformerLayerParams``, ``BranchParams``) declares its tensors as
+dataclass fields, and its field order, walked depth first by
+``tensors()``, is the checkpoint order, which the packed forward also
+reads. The matcher's settings and its top blocks (the shared FFN, the
+ST and LT branches) are fields of ``model.TrackerModel``, beside the
+rescoring head. Each block (two-layer feedforward, multi-head attention,
+the pre-norm encoder and decoder layers, the cosine matrix) is one
+forward on ``autodiff`` tensors. ``embed`` and ``association`` run the
+blocks of a model, and training differentiates the graph they record.
+Tracking runs ``PackedMatcher``, built once per run from a model: the
+same float operations in the same order on plain copies of the weights,
+so it gives the tape's values bit for bit, with three differences in
+how it gets there. It
 records no graph and reads no ``Tensor.value``; it projects with fused
 weights, [W_q|W_k|W_v] for self-attention and [W_k|W_v] for memory,
 where the BLAS kernel gives the fused blocks the separate products'
@@ -44,6 +47,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from enum import Enum
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -64,6 +68,9 @@ from .autodiff import (
     take_cols,
 )
 
+if TYPE_CHECKING:
+    from .model import TrackerModel
+
 __all__ = [
     "FfnParams",
     "AttentionParams",
@@ -76,7 +83,6 @@ __all__ = [
     "cosine_matrix",
     "MatcherVariant",
     "BranchParams",
-    "MatcherParams",
     "embed",
     "embed_queries",
     "association",
@@ -263,57 +269,11 @@ class BranchParams(_Params):
     attn: AttentionParams | None = None
 
 
-@dataclass
-class MatcherParams(_Params):
-    variant: MatcherVariant
-    d_q: int
-    d_e: int
-    heads: int
-    temperature: float
-    null_logit: float
-    shared_ffn: FfnParams | None = None
-    st: BranchParams | None = None
-    lt: BranchParams | None = None
-
-    @classmethod
-    def create(cls, config) -> "MatcherParams":
-        """Fresh weights for a checked `model.ModelConfig`, drawn from a generator seeded with its `seed`."""
-        variant = MatcherVariant(config.variant)
-        rng = np.random.default_rng(config.seed)
-        d_q, d_e, heads = config.d_q, config.d_e, config.heads
-        settings = (variant, d_q, d_e, heads, config.temperature, config.null_logit)
-        if variant is MatcherVariant.SIMILARITY:  # the raw queries are the embeddings
-            return cls(*settings)
-        shared = FfnParams.create(d_q, d_e, d_e, rng)
-        if variant is MatcherVariant.FFN:
-            return cls(*settings, shared)
-        if variant is MatcherVariant.CROSS_ATTN:
-            st = BranchParams(attn=AttentionParams.create(d_e, heads, rng))
-            lt = BranchParams(attn=AttentionParams.create(d_e, heads, rng))
-            return cls(*settings, shared, st, lt)
-        st = BranchParams(
-            encoder=TransformerLayerParams.create(d_e, heads, rng),
-            decoder=TransformerLayerParams.create(d_e, heads, rng),
-        )
-        lt = BranchParams(
-            encoder=TransformerLayerParams.create(d_e, heads, rng),
-            decoder=TransformerLayerParams.create(d_e, heads, rng),
-        )
-        return cls(*settings, shared, st, lt)
-
-    def branch(self, name: str) -> BranchParams | None:
-        if name == "st":
-            return self.st
-        if name == "lt":
-            return self.lt
-        raise ValueError(f"unknown branch {name!r}")
-
-
-def embed(queries: Tensor, params: MatcherParams) -> Tensor:
+def embed(queries: Tensor, model: TrackerModel) -> Tensor:
     """Association embeddings (n, d_e) of instance queries (n, d_q)."""
-    if params.variant is MatcherVariant.SIMILARITY:
+    if model.variant is MatcherVariant.SIMILARITY:
         return queries
-    return ffn(queries, params.shared_ffn)
+    return ffn(queries, model.shared_ffn)
 
 
 def embed_queries(queries: np.ndarray, matcher: PackedMatcher) -> np.ndarray:
@@ -328,7 +288,7 @@ def embed_queries(queries: np.ndarray, matcher: PackedMatcher) -> np.ndarray:
     return matcher.embed(queries)
 
 
-def association(current: Tensor, history: Tensor, params: MatcherParams, branch: str) -> tuple[Tensor, Tensor]:
+def association(current: Tensor, history: Tensor, model: TrackerModel, branch: str) -> tuple[Tensor, Tensor]:
     """Match each current row against the history rows + null: (scores, probabilities).
 
     `current` has n_cur rows and `history` n_hist rows of width d_e;
@@ -342,25 +302,25 @@ def association(current: Tensor, history: Tensor, params: MatcherParams, branch:
         empty = Tensor(np.zeros((0, n_hist + 1)))
         return empty, empty
     if n_hist == 0:
-        scores = Tensor(np.full((n_cur, 1), params.null_logit))
+        scores = Tensor(np.full((n_cur, 1), model.null_logit))
         return scores, Tensor(np.ones((n_cur, 1)))
 
-    variant = params.variant
+    variant = model.variant
     if variant in (MatcherVariant.SIMILARITY, MatcherVariant.FFN):
         sims = cosine_matrix(current, history)
     elif variant is MatcherVariant.CROSS_ATTN:
-        b = params.branch(branch)
+        b = getattr(model, branch)
         attended = current + attention(current, history, history, b.attn)
         sims = cosine_matrix(attended, history)
     elif variant is MatcherVariant.TRANSFORMER:
-        b = params.branch(branch)
+        b = getattr(model, branch)
         encoded = encoder_layer(history, b.encoder)
         decoded = decoder_layer(current, encoded, b.decoder)
         sims = cosine_matrix(decoded, encoded)
     else:  # pragma: no cover - enum is closed
         raise ValueError(f"unknown variant {variant}")
 
-    scores = concat_cols([sims * (1.0 / params.temperature), Tensor(np.full((n_cur, 1), params.null_logit))])
+    scores = concat_cols([sims * (1.0 / model.temperature), Tensor(np.full((n_cur, 1), model.null_logit))])
     return scores, softmax_rows(scores)
 
 
@@ -479,7 +439,7 @@ class _Layer:
 
 
 class PackedMatcher:
-    """`MatcherParams` as plain arrays for tracking: `embed` and `association`'s values, bit for bit.
+    """A `TrackerModel`'s matcher as plain arrays for tracking: `embed` and `association`'s values, bit for bit.
 
     The weights are copied when it is built, so later training does not
     reach it; tracking builds one per run. It runs on rows: an
@@ -490,16 +450,16 @@ class PackedMatcher:
     for as long as the row is kept.
     """
 
-    def __init__(self, params: MatcherParams):
-        self.variant = params.variant
-        self.d_q, self.d_e = params.d_q, params.d_e
-        self.scale = 1.0 / params.temperature
-        self.null_logit = params.null_logit
+    def __init__(self, model: TrackerModel):
+        self.variant = model.variant
+        self.d_q, self.d_e = model.d_q, model.d_e
+        self.scale = 1.0 / model.temperature
+        self.null_logit = model.null_logit
         self.width = 2 * self.d_e if self.variant is MatcherVariant.TRANSFORMER else self.d_e
-        self.ffn = None if params.shared_ffn is None else _ffn_arrays(params.shared_ffn)
+        self.ffn = None if model.shared_ffn is None else _ffn_arrays(model.shared_ffn)
         self.branches = {}
         for name in ("st", "lt"):
-            b = params.branch(name)
+            b = getattr(model, name)
             if self.variant is MatcherVariant.CROSS_ATTN:
                 self.branches[name] = _Attention(b.attn)
             elif self.variant is MatcherVariant.TRANSFORMER:

@@ -33,16 +33,14 @@ from .data_io import Box, GroundTruthTrack, TrajectoryOutput, box_array, frame_p
 __all__ = ["EvalConfig", "MotReport", "clear_mot", "idf1", "detection_prf"]
 
 INVALID = 1e9  # cost placeholder for pairs below the overlap threshold
+IOU_MATCH = 0.5  # the overlap threshold: a ground-truth box and a prediction match at this IoU or above
 
 
 @dataclass
 class EvalConfig:
-    iou_match_threshold: float = 0.5
     mode: str = "tracking"  # or "spotting": matches also need equal transcriptions
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.iou_match_threshold < 1.0:
-            raise ValueError("iou_match_threshold must be in (0,1)")
         if self.mode not in ("tracking", "spotting"):
             raise ValueError(f"mode must be 'tracking' or 'spotting', got {self.mode!r}")
 
@@ -90,7 +88,6 @@ class _Sequence:
     """
 
     def __init__(self, gt_tracks: list[GroundTruthTrack], pred_tracks: list[TrajectoryOutput], cfg: EvalConfig):
-        thr = cfg.iou_match_threshold
         valid = [tr for tr in gt_tracks if tr.category != "other"]
         self.n_tracks = len(valid)
         g_order, self.g_frame, g_box, self.g_track = _gt_rows(valid)
@@ -100,8 +97,8 @@ class _Sequence:
         p_order, self.p_frame, p_box, p_track = _rows(p_frame, p_box, [len(tr.frames) for tr in pred_tracks])
         self.p_id = np.array([tr.track_id for tr in pred_tracks], dtype=np.int64)[p_track]
         _, d_frame, d_box, _ = _gt_rows([tr for tr in gt_tracks if tr.category == "other"])
-        self.on_dontcare = hit_mask(self.p_frame, p_box, d_frame, d_box, thr)
-        g, p, overlap = frame_pairs(self.g_frame, g_box, self.p_frame, p_box, thr)
+        self.on_dontcare = hit_mask(self.p_frame, p_box, d_frame, d_box, IOU_MATCH)
+        g, p, overlap = frame_pairs(self.g_frame, g_box, self.p_frame, p_box, IOU_MATCH)
         self.hits_valid = np.zeros(len(p_order), dtype=bool)
         self.hits_valid[p] = True  # at the threshold, whatever the texts
         if cfg.mode == "spotting":
@@ -231,7 +228,6 @@ def idf1(
 def detection_prf(
     gt_tracks: list[GroundTruthTrack],
     pred_boxes_by_frame: dict[int, list[Box]],
-    cfg: EvalConfig | None = None,
 ) -> tuple[float, float, float]:
     """Micro-averaged precision/recall/F over frames, greedy IoU matching.
 
@@ -239,14 +235,12 @@ def detection_prf(
     overlap (descending), then GT index, then prediction index.
     Empty denominators follow the usual convention and yield 0.
     """
-    cfg = cfg if cfg is not None else EvalConfig()
-    thr = cfg.iou_match_threshold
     _, g_frame, g_box, _ = _gt_rows([tr for tr in gt_tracks if tr.category != "other"])
     _, d_frame, d_box, _ = _gt_rows([tr for tr in gt_tracks if tr.category == "other"])
     sizes = [len(boxes) for boxes in pred_boxes_by_frame.values()]
     _, p_frame, p_box, _ = _rows(np.repeat(np.array(list(pred_boxes_by_frame), dtype=np.int64), sizes),
                                  box_array(chain.from_iterable(pred_boxes_by_frame.values())), sizes)
-    g, p, overlap = frame_pairs(g_frame, g_box, p_frame, p_box, thr)
+    g, p, overlap = frame_pairs(g_frame, g_box, p_frame, p_box, IOU_MATCH)
     # rows are global, so pairs of different frames never compete and one order serves all frames
     used_g: set[int] = set()
     used = np.zeros(len(p_frame), dtype=bool)
@@ -256,7 +250,7 @@ def detection_prf(
             used[p[q]] = True
     tp = len(used_g)
     fn = len(g_frame) - tp
-    fp = int(np.count_nonzero(~used & ~hit_mask(p_frame, p_box, d_frame, d_box, thr)))
+    fp = int(np.count_nonzero(~used & ~hit_mask(p_frame, p_box, d_frame, d_box, IOU_MATCH)))
 
     precision = tp / (tp + fp) if (tp + fp) > 0 else 0.0
     recall = tp / (tp + fn) if (tp + fn) > 0 else 0.0

@@ -2,9 +2,11 @@
 
 `ModelConfig` holds the model's settings, from the config file's `model`
 section or from a checkpoint's header, and is the one place they are
-defaulted and checked. Checkpoints are a single JSON document: a header
-describing the architecture followed by one flat parameter array in
-declared order (rescoring weight, rescoring bias, shared FFN, ST branch,
+defaulted and checked. `TrackerModel` is one parameter tree: its
+settings, then the rescoring head, then the matcher's blocks. Checkpoints
+are a single JSON document: a header of the settings in `HEADER`
+followed by one flat parameter array in the model's field order, walked
+depth first (rescoring weight, rescoring bias, shared FFN, ST branch,
 LT branch). Python's JSON float repr round-trips doubles exactly, so
 save/load is bit-exact. Loading checks every field before it builds the
 model, and a malformed file raises `DataFormatError` naming it.
@@ -21,13 +23,24 @@ import numpy as np
 
 from .autodiff import Tensor
 from .data_io import DataFormatError
-from .matcher import MatcherParams, MatcherVariant, count_parameters
+from .matcher import (
+    AttentionParams,
+    BranchParams,
+    FfnParams,
+    MatcherVariant,
+    TransformerLayerParams,
+    _Params,
+    count_parameters,
+)
 from .rescoring import RescoringHead
 
 __all__ = ["ModelConfig", "TrackerModel", "save_checkpoint", "load_checkpoint"]
 
 CHECKPOINT_FORMAT = "qtrack-model/1"
 VARIANTS = tuple(v.value for v in MatcherVariant)
+HEADER = ("variant", "d_q", "d_e", "heads", "temperature", "null_logit")  # a checkpoint's settings, in its order
+# at or above it, 1 / temperature is at most max / 2, so the scaled cosines and the softmax's differences are finite
+MIN_TEMPERATURE = 2 / sys.float_info.max
 
 
 @dataclass
@@ -64,47 +77,55 @@ class ModelConfig:
                 raise ValueError(f"field {key!r} must be a finite number")
         if not self.temperature > 0:
             raise ValueError("field 'temperature' must be positive")
+        if self.temperature < MIN_TEMPERATURE:
+            raise ValueError(f"field 'temperature' must be at least {MIN_TEMPERATURE!r}")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         self.temperature, self.null_logit = float(self.temperature), float(self.null_logit)
 
 
 @dataclass
-class TrackerModel:
+class TrackerModel(_Params):
+    """The trainable tracker: its settings, the rescoring head and the matcher's blocks, in checkpoint order."""
+
+    variant: MatcherVariant
+    d_q: int
+    d_e: int
+    heads: int
+    temperature: float
+    null_logit: float
     rescore_weight: Tensor  # (d_q,)
     rescore_bias: Tensor  # scalar
-    matcher: MatcherParams
+    shared_ffn: FfnParams | None = None  # absent for the similarity matcher, which embeds the raw queries
+    st: BranchParams | None = None  # the branches, absent but for crossattn and transformer
+    lt: BranchParams | None = None
 
     @classmethod
     def create(cls, variant: MatcherVariant | str, d_q: int, **settings) -> "TrackerModel":
         """Fresh model; `settings` are the other `ModelConfig` fields, and a bad one raises its `ValueError`.
 
-        The rescoring head starts neutral (zero weight and bias).
+        The rescoring head starts neutral (zero weight and bias). The
+        matcher's weights are drawn from a generator seeded with `seed`:
+        the shared FFN, then ST, then LT, each encoder before its decoder.
         """
         config = ModelConfig(variant, d_q, **settings)
-        return cls(
-            rescore_weight=Tensor(np.zeros(config.d_q)),
-            rescore_bias=Tensor(np.asarray(0.0)),
-            matcher=MatcherParams.create(config),
-        )
+        variant, d_e, heads = MatcherVariant(config.variant), config.d_e, config.heads
+        rng = np.random.default_rng(config.seed)
 
-    @property
-    def variant(self) -> MatcherVariant:
-        return self.matcher.variant
+        def branch() -> BranchParams | None:
+            if variant is MatcherVariant.CROSS_ATTN:
+                return BranchParams(attn=AttentionParams.create(d_e, heads, rng))
+            if variant is MatcherVariant.TRANSFORMER:
+                return BranchParams(encoder=TransformerLayerParams.create(d_e, heads, rng),
+                                    decoder=TransformerLayerParams.create(d_e, heads, rng))
+            return None
 
-    @property
-    def d_q(self) -> int:
-        return self.matcher.d_q
+        shared = None if variant is MatcherVariant.SIMILARITY else FfnParams.create(config.d_q, d_e, d_e, rng)
+        return cls(variant, config.d_q, d_e, heads, config.temperature, config.null_logit,
+                   rescore_weight=Tensor(np.zeros(config.d_q)), rescore_bias=Tensor(np.asarray(0.0)),
+                   shared_ffn=shared, st=branch(), lt=branch())
 
-    @property
-    def d_e(self) -> int:
-        return self.matcher.d_e
-
-    def parameters(self) -> list[Tensor]:
-        return [self.rescore_weight, self.rescore_bias] + self.matcher.tensors()
-
-    def num_parameters(self) -> int:
-        return sum(p.value.size for p in self.parameters())
+    parameters = _Params.tensors  # the trainable tensors, in checkpoint order
 
     def rescoring_head(self) -> RescoringHead:
         """A snapshot of the head: training, which updates the weight in place, leaves it as it was."""
@@ -112,19 +133,8 @@ class TrackerModel:
 
 
 def save_checkpoint(model: TrackerModel, path) -> None:
-    flat: list[float] = []
-    for p in model.parameters():
-        flat.extend(float(v) for v in p.value.ravel())
-    doc = {
-        "format": CHECKPOINT_FORMAT,
-        "variant": model.variant.value,
-        "d_q": model.d_q,
-        "d_e": model.d_e,
-        "heads": model.matcher.heads,
-        "temperature": model.matcher.temperature,
-        "null_logit": model.matcher.null_logit,
-        "params": flat,
-    }
+    flat = [float(v) for p in model.parameters() for v in p.value.ravel()]
+    doc = {"format": CHECKPOINT_FORMAT, **{key: getattr(model, key) for key in HEADER}, "params": flat}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
         fh.write("\n")
@@ -140,13 +150,11 @@ def load_checkpoint(path) -> TrackerModel:
     if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise DataFormatError(f"{path}: not a {CHECKPOINT_FORMAT} checkpoint")
     try:
-        config = ModelConfig(*map(doc.get, ("variant", "d_q", "d_e", "heads", "temperature", "null_logit")))
+        config = ModelConfig(*map(doc.get, HEADER))
     except ValueError as exc:
         raise DataFormatError(f"{path}: {exc}") from None
     flat = _checked_params(path, doc.get("params"), config)
     model = TrackerModel.create(**dataclasses.asdict(config))
-    if model.num_parameters() != flat.size:  # pragma: no cover - structural self-check
-        raise AssertionError("parameter layout out of sync with count_parameters")
     offset = 0
     for p in model.parameters():
         n = p.value.size

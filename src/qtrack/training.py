@@ -297,7 +297,7 @@ def total_loss(clip: list[ClipFrame], model: TrackerModel, cfg: LossConfig) -> L
     # embeddings of the ground-truth-assigned instances, one row set per frame
     frame_tracks = [sorted(frame.assignments) for frame in clip]
     frame_emb = [
-        embed(Tensor(frame.queries[[frame.assignments[k] for k in tracks]]), model.matcher) if tracks else None
+        embed(Tensor(frame.queries[[frame.assignments[k] for k in tracks]]), model) if tracks else None
         for frame, tracks in zip(clip, frame_tracks)
     ]
     empty = Tensor(np.zeros((0, model.d_e)))
@@ -306,7 +306,7 @@ def total_loss(clip: list[ClipFrame], model: TrackerModel, cfg: LossConfig) -> L
         """Association loss of frame t's rows against the instances of `hist_frames`."""
         rows = [frame_emb[s] for s in hist_frames if frame_emb[s] is not None]
         hist = empty if not rows else rows[0] if len(rows) == 1 else concat_rows(rows)
-        _, probs = association(frame_emb[t], hist, model.matcher, branch)
+        _, probs = association(frame_emb[t], hist, model, branch)
         other = [k for s in hist_frames for k in frame_tracks[s]]
         return association_loss(probs, _target_mask(frame_tracks[t], other))
 

@@ -14,7 +14,8 @@ import math
 
 import numpy as np
 
-from qtrack.matcher import MatcherParams, MatcherVariant
+from qtrack.matcher import MatcherVariant
+from qtrack.model import TrackerModel
 
 
 def softmax_rows(a: np.ndarray) -> np.ndarray:
@@ -77,7 +78,7 @@ def cosine_matrix(a, b):
     return _unit_rows_or_zero(a) @ _unit_rows_or_zero(b).T
 
 
-def embed_queries(queries: np.ndarray, params: MatcherParams) -> np.ndarray:
+def embed_queries(queries: np.ndarray, params: TrackerModel) -> np.ndarray:
     queries = np.asarray(queries, dtype=np.float64)
     if queries.shape[0] == 0:
         return np.zeros((0, params.d_e))
@@ -86,7 +87,7 @@ def embed_queries(queries: np.ndarray, params: MatcherParams) -> np.ndarray:
     return ffn(queries, params.shared_ffn)
 
 
-def matcher_forward(current, history, params: MatcherParams, branch: str = "st"):
+def matcher_forward(current, history, params: TrackerModel, branch: str = "st"):
     n_cur = current.shape[0]
     n_hist = history.shape[0]
     if n_cur == 0:
@@ -99,11 +100,11 @@ def matcher_forward(current, history, params: MatcherParams, branch: str = "st")
     if variant in (MatcherVariant.SIMILARITY, MatcherVariant.FFN):
         sims = cosine_matrix(current, history)
     elif variant is MatcherVariant.CROSS_ATTN:
-        b = params.branch(branch)
+        b = getattr(params, branch)
         attended = current + attention(current, history, history, b.attn)
         sims = cosine_matrix(attended, history)
     else:
-        b = params.branch(branch)
+        b = getattr(params, branch)
         encoded = encoder_layer(history, b.encoder)
         decoded = decoder_layer(current, encoded, b.decoder)
         sims = cosine_matrix(decoded, encoded)

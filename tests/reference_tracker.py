@@ -98,7 +98,7 @@ class RefMemoryBank:
 
 
 def ref_probabilities(model, current, history, branch):
-    return association(Tensor(current), Tensor(history), model.matcher, branch)[1].value
+    return association(Tensor(current), Tensor(history), model, branch)[1].value
 
 
 def ref_associate_frame(instances, bank, model, config, frame_index):
@@ -106,7 +106,7 @@ def ref_associate_frame(instances, bank, model, config, frame_index):
     if n == 0:
         return AssociationOutcome([], [], [], np.zeros((0, model.d_e)))
     queries = np.stack([inst.record.query for inst in instances])
-    current = embed(Tensor(queries), model.matcher).value
+    current = embed(Tensor(queries), model).value
     free_instances = set(range(n))
     st_matches = []
     prev_tracks = bank.seen_at(frame_index - 1)
@@ -143,7 +143,7 @@ def track_both(frames, model, config):
     of creation, its (frame, record, fused score, text with misreads)
     rows in order of recording.
     """
-    bank = MemoryBank(config.history_depth, PackedMatcher(model.matcher))
+    bank = MemoryBank(config.history_depth, PackedMatcher(model))
     ref_bank = RefMemoryBank(config.history_depth)
     head = model.rescoring_head()
     recorded: dict[int, list] = {}

@@ -70,6 +70,7 @@ from qtrack.matcher import (
 )
 from qtrack.metrics import (
     INVALID,
+    IOU_MATCH,
     EvalConfig,
     MotReport,
     clear_mot,
@@ -186,7 +187,7 @@ def ref_total_loss(clip, model, cfg):
         frame_tracks.append(tracks)
         if tracks:
             rows = np.stack([frame.queries[frame.assignments[k]] for k in tracks])
-            frame_emb.append(embed(Tensor(rows), model.matcher))
+            frame_emb.append(embed(Tensor(rows), model))
         else:
             frame_emb.append(None)
     empty = Tensor(np.zeros((0, model.d_e)))
@@ -196,7 +197,7 @@ def ref_total_loss(clip, model, cfg):
         cur, prev = frame_emb[t], frame_emb[t - 1]
         if cur is None:
             continue
-        _, probs = association(cur, prev if prev is not None else empty, model.matcher, "st")
+        _, probs = association(cur, prev if prev is not None else empty, model, "st")
         prev_tracks = frame_tracks[t - 1]
         rows = []
         for r, k in enumerate(frame_tracks[t]):
@@ -217,7 +218,7 @@ def ref_total_loss(clip, model, cfg):
             hist = concat_rows(other_emb) if len(other_emb) > 1 else other_emb[0]
         else:
             hist = empty
-        _, probs = association(cur, hist, model.matcher, "lt")
+        _, probs = association(cur, hist, model, "lt")
         rows = []
         for r, k in enumerate(frame_tracks[t]):
             cols = np.flatnonzero(other_tracks == k)
@@ -292,7 +293,7 @@ def ref_discount_dontcare(pred_tracks, valid, dontcare, thr):
 
 
 def ref_idf1_counts(gt_tracks, pred_tracks, cfg):
-    thr = cfg.iou_match_threshold
+    thr = IOU_MATCH
     valid, dontcare = ref_gt_by_frame(gt_tracks)
     pred_frames = ref_discount_dontcare(pred_tracks, valid, dontcare, thr)
     gt_list = [tr for tr in gt_tracks if tr.category != "other"]
@@ -332,7 +333,7 @@ def ref_mota(tp, fp, fn, idsw, gt_total):
 
 
 def ref_clear_mot(gt_tracks, pred_tracks, cfg):
-    thr = cfg.iou_match_threshold
+    thr = IOU_MATCH
     valid, dontcare = ref_gt_by_frame(gt_tracks)
     preds = ref_pred_by_frame(pred_tracks)
     tp = fp = fn = idsw = gt_total = 0
@@ -401,8 +402,8 @@ def ref_evaluate_sequences(sequences, cfg):
                      tp, fp, fn, idsw, gt_total)
 
 
-def ref_detection_prf(gt_tracks, pred_boxes_by_frame, cfg):
-    thr = cfg.iou_match_threshold
+def ref_detection_prf(gt_tracks, pred_boxes_by_frame):
+    thr = IOU_MATCH
     valid, dontcare = ref_gt_by_frame(gt_tracks)
     tp = fp = fn = 0
     for f in sorted(set(valid) | set(pred_boxes_by_frame)):
@@ -617,7 +618,7 @@ def test_stream_outcomes_equal_reference(variant, use_lt, ties):
         for mode in ("tracking", "spotting"):
             cfg = EvalConfig(mode=mode)
             assert clear_mot(gts, tracks, cfg) == ref_clear_mot(gts, tracks, cfg)
-            assert detection_prf(gts, by_frame, cfg) == ref_detection_prf(gts, by_frame, cfg)
+            assert detection_prf(gts, by_frame) == ref_detection_prf(gts, by_frame)
         for frame in frames:
             present = {tr.track_id: tr.frames[frame.frame_index].box for tr in gts if frame.frame_index in tr.frames}
             boxes = [r.box for r in frame.records]
@@ -822,10 +823,10 @@ def eval_sequence(draw):
 
 
 @settings(max_examples=200)
-@given(eval_sequence(), eval_sequence(), st.sampled_from([0.3, 0.5, 0.7]))
-def test_metrics_equal_reference_on_random_sequences(seq_a, seq_b, threshold):
+@given(eval_sequence(), eval_sequence())
+def test_metrics_equal_reference_on_random_sequences(seq_a, seq_b):
     for mode in ("tracking", "spotting"):
-        cfg = EvalConfig(iou_match_threshold=threshold, mode=mode)
+        cfg = EvalConfig(mode=mode)
         gts, preds = seq_a
         assert clear_mot(gts, preds, cfg) == ref_clear_mot(gts, preds, cfg)
         assert idf1(gts, preds, cfg) == ref_idf1_score(*ref_idf1_counts(gts, preds, cfg))
@@ -833,7 +834,7 @@ def test_metrics_equal_reference_on_random_sequences(seq_a, seq_b, threshold):
         for tr in preds:
             for f, box, _ in ref_pred_rows(tr):
                 by_frame.setdefault(f, []).append(box)
-        assert detection_prf(gts, by_frame, cfg) == ref_detection_prf(gts, by_frame, cfg)
+        assert detection_prf(gts, by_frame) == ref_detection_prf(gts, by_frame)
         # two sequences scored together: their union against the pooled per-sequence reference
         union = disjoint_union([seq_a, seq_b])
         got, pooled = clear_mot(*union, cfg), ref_evaluate_sequences([seq_a, seq_b], cfg)
@@ -886,7 +887,7 @@ MATCHER_SHAPES = {
 def test_plain_matcher_equals_tape_bitwise(variant, heads, branch, shape):
     """The packed forward, on rows that carry their normalization, equals the tape."""
     n_cur, n_hist, zero_cur, zero_hist, zero = MATCHER_SHAPES[shape]
-    params = TrackerModel.create(variant, d_q=8, d_e=8, heads=heads, seed=2).matcher
+    params = TrackerModel.create(variant, d_q=8, d_e=8, heads=heads, seed=2)
     rng = np.random.default_rng(5)
     for t in params.tensors():  # non-trivial biases and layer-norm gains too
         t.value[...] = rng.normal(scale=0.5, size=t.shape)
@@ -929,7 +930,7 @@ zero_rows = st.sets(st.integers(0, 90), max_size=3)
 def test_array_matcher_equals_frozen_reference_bitwise(variant, heads, branch, n_cur, n_hist,
                                                        zero_cur, zero_hist, zero, scale, seed, width):
     """The packed matcher, on the rows it stores, gives the reference's bytes."""
-    params = TrackerModel.create(variant, d_q=width, d_e=width, heads=heads, seed=3).matcher
+    params = TrackerModel.create(variant, d_q=width, d_e=width, heads=heads, seed=3)
     rng = np.random.default_rng(seed)
     for t in params.tensors():  # non-trivial biases and layer-norm gains too
         t.value[...] = rng.normal(scale=0.5, size=t.shape)
@@ -958,7 +959,7 @@ def test_stored_normalized_rows_equal_layer_norm_of_any_batch(d, n, subset, zero
     x = rng.normal(loc=rng.normal(), scale=scale, size=(n, d))
     x[[i for i in zeros if i < n]] = zero
     gain, bias = rng.normal(size=d), rng.normal(size=d)
-    stored = PackedMatcher(TrackerModel.create(MatcherVariant.TRANSFORMER, d_q=4, d_e=d, seed=0).matcher).rows(x)
+    stored = PackedMatcher(TrackerModel.create(MatcherVariant.TRANSFORMER, d_q=4, d_e=d, seed=0)).rows(x)
     subset = [i for i in subset if i < n]
     assert _bytes(stored[:, :d]) == _bytes(x)
     assert _bytes(stored[subset, d:]) == _bytes(_layer_norm(x[subset], gain, bias)[1])

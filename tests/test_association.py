@@ -44,7 +44,7 @@ def _similarity_model(d=4):
 
 def _bank(model, horizon=5):
     """An empty bank on `model`'s packed matcher."""
-    return MemoryBank(horizon, PackedMatcher(model.matcher))
+    return MemoryBank(horizon, PackedMatcher(model))
 
 
 def _new_track(bank, frame, embedding):

@@ -353,6 +353,8 @@ def test_config_value_of_wrong_type_is_json_error(tmp_path, capsys, command, con
      "bad config section 'synth': canvas sides must be at most 2**52, got [1e+20, 1e+20]"),
     ("gen", {"synth": {"frames": 3, "tracks": 2, "step": 1e308}}, [],
      "bad config section 'synth': step must be at most 8.988465674311579e+307, got 1e+308"),
+    ("train", {"model": {"temperature": 1e-320}}, [],
+     "bad config section 'model': field 'temperature' must be at least 1.1125369292536007e-308"),
 ])
 def test_invalid_setting_is_json_error(tmp_path, capsys, command, config, flags, message):
     """A value out of its field's range fails before any work, from a flag or from the config file."""
@@ -411,7 +413,7 @@ def test_train_writes_only_checkpoints_that_load(small_data, data_d_q, section, 
             echoed = json.loads((out / "config.json").read_text())["model"]
             assert model.variant == echoed["variant"] == variant and model.d_q == echoed["d_q"] == data_d_q
             assert model.d_e == echoed["d_e"] == (data_d_q if variant == "similarity" else settings_.get("d_e", 32))
-            assert model.matcher.heads == echoed["heads"] == settings_.get("heads", 1)
+            assert model.heads == echoed["heads"] == settings_.get("heads", 1)
         else:
             assert code == 1
             lines = err.getvalue().splitlines()

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from qtrack.matcher import (
-    MatcherParams,
     MatcherVariant,
     PackedMatcher,
     count_parameters,
     embed_queries,
     matcher_forward,
 )
-from qtrack.model import ModelConfig
+from qtrack.model import TrackerModel
 
 import reference_matcher
 
@@ -20,7 +19,7 @@ PARAMETRIC = [MatcherVariant.TRANSFORMER, MatcherVariant.FFN, MatcherVariant.CRO
 
 
 def _params(variant, d_q=6, d_e=6, seed=0, **kw):
-    return MatcherParams.create(ModelConfig(variant, d_q=d_q, d_e=d_e, seed=seed, **kw))
+    return TrackerModel.create(variant, d_q=d_q, d_e=d_e, seed=seed, **kw)
 
 
 def _embed(queries, params):
@@ -210,13 +209,14 @@ def test_count_ratio_below_half(d_e):
 
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
 def test_count_matches_actual_tensors(variant):
-    """The walked tensors, each once, hold `count_parameters`' scalars, with d_q above or below d_e and any heads."""
+    """The walked tensors, each once, hold `count_parameters`' scalars and the rescoring head's d_q + 1, with d_q
+    above or below d_e and any heads."""
     for d_q, d_e in ((12, 8), (8, 12)):
         for heads in (1, 2, 4):
             p = _params(variant, d_q=d_q, d_e=d_e, heads=heads)
             tensors = p.tensors()
             assert len({id(t) for t in tensors}) == len(tensors)
-            assert sum(t.value.size for t in tensors) == count_parameters(variant, d_q, p.d_e, heads)
+            assert sum(t.value.size for t in tensors) == count_parameters(variant, d_q, p.d_e, heads) + d_q + 1
 
 
 def test_count_rejects_bad_dims():

@@ -2,6 +2,7 @@
 
 import json
 from operator import attrgetter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from qtrack.matcher import MatcherVariant, count_parameters
 from qtrack.model import TrackerModel, load_checkpoint, save_checkpoint
 from qtrack.synth import SynthConfig, generate_sequence
 from qtrack.training import TrainConfig, Video, train
+
+FIXTURES = sorted((Path(__file__).resolve().parents[1] / "perfbench" / "fixtures").glob("*.json"))
 
 
 @pytest.mark.parametrize("variant", list(MatcherVariant))
@@ -38,7 +41,15 @@ def test_parameter_order_matches_declared_count(variant):
     model = TrackerModel.create(variant, d_q=6, d_e=8)
     d_e = model.d_e
     expected = count_parameters(variant, 6, d_e) + 6 + 1  # + rescoring head
-    assert model.num_parameters() == expected
+    assert sum(p.value.size for p in model.parameters()) == expected
+
+
+@pytest.mark.parametrize("fixture", FIXTURES, ids=lambda path: path.stem)
+def test_fixture_checkpoint_resaves_byte_for_byte(tmp_path, fixture):
+    """A trained checkpoint's header, its key order and every parameter survive a load and a save."""
+    path = tmp_path / "m.json"
+    save_checkpoint(load_checkpoint(fixture), path)
+    assert path.read_bytes() == fixture.read_bytes()
 
 
 _FFN = ["w1", "b1", "w2", "b2"]
@@ -54,8 +65,8 @@ _BRANCH = {
 
 def _checkpoint_paths(variant):
     """Every trainable tensor's attribute path, in checkpoint order, written out by hand."""
-    shared = [] if variant is MatcherVariant.SIMILARITY else [f"matcher.shared_ffn.{n}" for n in _FFN]
-    return ["rescore_weight", "rescore_bias"] + shared + [f"matcher.{b}.{n}" for b in ("st", "lt") for n in _BRANCH[variant]]
+    shared = [] if variant is MatcherVariant.SIMILARITY else [f"shared_ffn.{n}" for n in _FFN]
+    return ["rescore_weight", "rescore_bias"] + shared + [f"{b}.{n}" for b in ("st", "lt") for n in _BRANCH[variant]]
 
 
 @pytest.mark.parametrize("heads", [1, 2])
@@ -144,9 +155,10 @@ MISSING = object()
     ("params", [0.5] * 34, "checkpoint carries 34 parameters, model needs 35"),
     ("params", [0.5] * 34 + [float("nan")], "field 'params' holds a non-finite value"),
     ("params", [0.5] * 34 + [2**1024], "field 'params' holds a non-finite value"),
+    ("temperature", 1e-320, "field 'temperature' must be at least 1.1125369292536007e-308"),
 ], ids=["no-d_q", "d_e-float", "heads-bool", "d_q-zero", "heads-not-dividing", "variant-unknown", "no-variant",
         "temperature-string", "temperature-inf", "temperature-zero", "null_logit-bool", "null_logit-huge",
-        "params-object", "params-bools", "params-count", "params-nan", "params-huge"])
+        "params-object", "params-bools", "params-count", "params-nan", "params-huge", "temperature-subnormal"])
 def test_load_names_the_file_and_the_bad_field(tmp_path, field, value, message):
     path = tmp_path / "m.json"
     save_checkpoint(TrackerModel.create(MatcherVariant.FFN, d_q=2, d_e=4, heads=2), path)

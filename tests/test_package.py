@@ -26,13 +26,26 @@ def test_all_names_exist(name):
     assert [n for n in exported if not hasattr(module, n)] == []
 
 
-def test_readme_package_layout_names_every_module():
-    """README's "Package layout" table has one row per module under `src/qtrack`, and no other."""
+def _layout_rows() -> list[tuple[str, str]]:
+    """(module, contents) of each row of README's "Package layout" table."""
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     table = readme.split("## Package layout", 1)[1].split("\n## ", 1)[0]
-    rows = re.findall(r"^\| `(\w+)` +\|", table, flags=re.MULTILINE)
+    return re.findall(r"^\| `(\w+)` +\|(.*)$", table, flags=re.MULTILINE)
+
+
+def test_readme_package_layout_names_every_module():
+    """README's "Package layout" table has one row per module under `src/qtrack`, and no other."""
+    rows = [m for m, _ in _layout_rows()]
     assert len(rows) == len(set(rows)), "a module has two rows"
     assert sorted(rows) == MODULES
+
+
+def test_readme_package_layout_names_only_classes_that_exist():
+    """Every backticked CapWords name in a module's row of README's "Package layout" table is an attribute of it."""
+    named = {(m, name) for m, row in _layout_rows()
+             for name in re.findall(r"`([A-Z][a-z0-9]+(?:[A-Z][a-z0-9]*)+)`", row)}
+    assert named, "no class named in the table"
+    assert sorted((m, n) for m, n in named if not hasattr(importlib.import_module(f"qtrack.{m}"), n)) == []
 
 
 def _references(path: Path, skip: str | None) -> set[str]:
