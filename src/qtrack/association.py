@@ -57,9 +57,9 @@ class MemoryBank:
     """Embeddings of the live trajectories from the last H frames.
 
     One row per (trajectory, frame): `rows` with the `track` and `frame`
-    of each row. A row is the `matcher`'s row for the trajectory's
+    of each row. A row is the run's matcher's row for the trajectory's
     embedding at that frame (`PackedMatcher.rows`): the embedding in its
-    first d_e columns, followed by whatever the matcher keeps beside it.
+    first d_e columns, then whatever that matcher keeps beside it.
     Rows are grouped by ascending track id, oldest first within a track,
     which is the order the long-term stage reads them in. At frame t,
     after `advance(t)`, the bank holds only rows of frames t - H ... t - 1,
@@ -69,7 +69,7 @@ class MemoryBank:
 
     def __init__(self, horizon: int, matcher: PackedMatcher):
         self.horizon = horizon
-        self.matcher = matcher  # the tracking run's packed matcher, which `associate_frame` uses
+        self.d_e = matcher.d_e
         self.rows = np.zeros((0, matcher.width))
         self.track = np.zeros(0, dtype=np.int64)
         self.frame = np.zeros(0, dtype=np.int64)
@@ -81,7 +81,7 @@ class MemoryBank:
     def entries(self, track_id: int) -> np.ndarray:
         """The trajectory's embedding rows, oldest first."""
         lo, hi = np.searchsorted(self.track, (track_id, track_id + 1))
-        return self.rows[lo:hi, :self.matcher.d_e]
+        return self.rows[lo:hi, :self.d_e]
 
     def new_ids(self, count: int) -> list[int]:
         """Ids for `count` new trajectories, increasing and never reused."""
@@ -168,7 +168,7 @@ def _greedy_matches(prob: np.ndarray, threshold: float) -> list[tuple[int, int, 
 def associate_frame(
     instances: list[ScoredInstance],
     bank: MemoryBank,
-    model: TrackerModel,
+    matcher: PackedMatcher,
     config: TrackerConfig,
     frame_index: int,
 ) -> AssociationOutcome:
@@ -176,16 +176,14 @@ def associate_frame(
 
     Each stage keeps the pairs whose probability reaches the threshold
     and assigns them greedily: highest probability first, ties to the
-    lower instance index, then the lower track id. The matcher is the
-    bank's, packed once for the run; `model` is not read, and stays in
-    the signature for callers that bind the arguments by position. The
-    bank is not modified; the caller applies the outcome.
+    lower instance index, then the lower track id. `matcher` is the
+    run's packed matcher, the one whose rows the bank holds. The bank is
+    not modified; the caller applies the outcome.
     """
     n = len(instances)
     if n == 0:
-        return AssociationOutcome([], [], [], np.zeros((0, bank.rows.shape[1])))
+        return AssociationOutcome([], [], [], np.zeros((0, matcher.width)))
 
-    matcher = bank.matcher
     queries = np.array([inst.record.query for inst in instances])
     current = matcher.rows(embed_queries(queries, matcher))
 
@@ -233,9 +231,11 @@ def track_sequence(
     """Run the full per-frame pipeline and return finalized trajectories.
 
     Deterministic: identical frames, model and config produce identical
-    trajectory ids and contents. The matcher is packed once, for the run.
+    trajectory ids and contents. The matcher is packed once, for the run,
+    and serves the bank and every frame's association.
     """
-    bank = MemoryBank(config.history_depth, PackedMatcher(model))
+    matcher = PackedMatcher(model)
+    bank = MemoryBank(config.history_depth, matcher)
     head = model.rescoring_head()
     track_ids, frame_ids, records, scores = [], [], [], []  # one row per (trajectory, frame)
 
@@ -243,7 +243,7 @@ def track_sequence(
         t = frame.frame_index
         bank.advance(t)
         kept = nms(filter_instances(frame, head, config.detect_threshold), config.nms_iou)
-        outcome = associate_frame(kept, bank, model, config, frame_index=t)
+        outcome = associate_frame(kept, bank, matcher, config, frame_index=t)
 
         assignments = [(i, tid) for i, tid, _ in outcome.st_matches + outcome.lt_matches]
         assignments += zip(outcome.new_tracks, bank.new_ids(len(outcome.new_tracks)))

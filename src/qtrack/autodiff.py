@@ -23,9 +23,9 @@ record the graph that training differentiates; products, sums, scaling
 and transposes are ``@``, ``+``, ``*`` and ``.T``. Where an op's
 forward is plain arithmetic (rectifier, row softmax, unit rows, layer
 norm), it computes its value with a plain-array function below.
-Tracking runs ``matcher.PackedMatcher``, which calls these same
-functions on plain copies of the weights, so the two agree bit for bit
-by construction.
+Tracking runs ``matcher.matcher_forward`` on a ``PackedMatcher``, which
+calls these same functions on plain copies of the weights, so the two
+agree bit for bit by construction.
 
 The plain-array functions run on a few rows per tracked frame, where
 the cost is numpy's per-call overhead, not arithmetic. So they call the

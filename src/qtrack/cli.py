@@ -101,7 +101,7 @@ def _load_config(path: str | None) -> dict:
         raise CliError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise CliError(f"bad config JSON in {path}: {exc.msg}") from None
-    except ValueError as exc:  # not UTF-8, or an integer past the digit limit
+    except (ValueError, RecursionError) as exc:  # not UTF-8, an integer past the digit limit, or nested too deep
         raise CliError(f"bad config JSON in {path}: {exc}") from None
     if not isinstance(doc, dict):
         raise CliError("config root must be an object")
@@ -239,12 +239,11 @@ def cmd_track(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    from .metrics import EvalConfig, clear_mot
+    from .metrics import clear_mot
 
-    eval_cfg = EvalConfig(mode=args.mode)
     gt = parse_annotations(args.annotations)
     preds = read_trajectories(args.trajectories)
-    report = clear_mot(gt, preds, eval_cfg)
+    report = clear_mot(gt, preds, args.mode)
     table = [
         ("MOTA", "-" if report.mota is None else f"{report.mota:.4f}"),
         ("MOTP", f"{report.motp:.4f}"),
@@ -259,7 +258,7 @@ def cmd_eval(args) -> int:
     print(f"mode: {args.mode}")
     for key, value in table:
         print(f"{key:<{width}}  {value}")
-    doc = report.as_dict()
+    doc = dataclasses.asdict(report)
     doc["mode"] = args.mode
     print(json.dumps(doc, sort_keys=True))
     if args.out:

@@ -7,11 +7,12 @@ line-delimited JSON, one line per (track, frame), ordered so writes are
 reproducible byte for byte.
 All three writers format their lines directly, floats by
 `float.__repr__`, and write the same bytes as `json.dumps` (for
-annotations, `json.dump(doc, fh, indent=1)`); a value that is not a
-float or a str falls back to the encoder itself. The readers decode
-each line with the decoder's scanner alone and call `json.loads` only
-when the scanner fails or leaves part of the line, so every value and
-every error message is the decoder's own.
+annotations, `json.dump(doc, fh, indent=1)`). They take the floats and
+strings that the data model declares, which is all the readers and the
+generator make; `np.float64` is a float. The readers decode each line
+with the decoder's scanner alone and call `json.loads` only when the
+scanner fails or leaves part of the line, so every value and every
+error message is the decoder's own.
 A box is the corner tuple (x_min, y_min, x_max, y_max), many boxes an
 (n, 4) float64 array. A trajectory is held as columns
 (`TrajectoryOutput`) from the tracker through the file to the metrics,
@@ -256,8 +257,8 @@ def _norm_text(value) -> str | None:
     return str(value).strip()
 
 
-def _json_message(exc: ValueError) -> str:
-    """The decoder's message, or, for an integer literal past the interpreter's digit limit, the int parser's."""
+def _json_message(exc: ValueError | RecursionError) -> str:
+    """The decoder's message, or, for an integer past the digit limit or nesting past the recursion limit, Python's."""
     return exc.msg if isinstance(exc, json.JSONDecodeError) else str(exc)
 
 
@@ -378,7 +379,7 @@ def _read_jsonl(path, fmt: str, error: type[DataFormatError]) -> tuple[dict, Ite
         lines = [line[:-1] if line.endswith("\r") else line for line in lines]
     try:
         head = _decode(lines[0])
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise error(f"{path}:1: bad header JSON ({_json_message(exc)})") from None
     if not isinstance(head, dict) or head.get("format") != fmt:
         raise error(f"{path}:1: header must declare format {fmt!r}")
@@ -389,7 +390,7 @@ def _body_objects(path, lines: list[str], error: type[DataFormatError]) -> Itera
     for lineno, line in enumerate(lines[1:], start=2):
         try:
             raw = _decode(line)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             if not line.strip():  # a blank line
                 continue
             raise error(f"{path}:{lineno}: bad record JSON ({_json_message(exc)})") from None
@@ -449,27 +450,19 @@ def write_detection_stream(path, header: StreamHeader, frames: Iterable[Detectio
         for frame in frames:  # may be a one-pass iterator
             if frame.records:  # a frame without records writes no line
                 start = '{"frame": ' + json.dumps(frame.frame_index) + ', "box": ['
-                fh.write("".join([_stream_line(start, frame.frame_index, rec) for rec in frame.records]))
+                fh.write("".join([_stream_line(start, rec) for rec in frame.records]))
 
 
-def _stream_line(start: str, frame_index, rec: DetectionRecord) -> str:
+def _stream_line(start: str, rec: DetectionRecord) -> str:
     query = np.asarray(rec.query, dtype=np.float64).tolist()  # floats, as `float(v)` makes them
-    try:  # float.__repr__ takes only floats, so an int or a bool falls back to the encoder
-        nums = (", ".join(map(_repr, rec.box)) + '], "score": ' + _repr(rec.score)
-                + ', "query": [' + ", ".join(map(repr, query)) + "]")
-        if rec.polygon is not None:
-            nums += ', "poly": [' + ", ".join([f"[{_repr(x)}, {_repr(y)}]" for x, y in rec.polygon]) + "]"
-        line = start + _json_floats(nums)
-        if rec.text is not None:
-            line += ', "text": ' + encode_basestring_ascii(rec.text)
-        return line + "}\n"
-    except TypeError:
-        row: dict = {"frame": frame_index, "box": list(rec.box), "score": rec.score, "query": query}
-        if rec.polygon is not None:
-            row["poly"] = [[x, y] for x, y in rec.polygon]
-        if rec.text is not None:
-            row["text"] = rec.text
-        return json.dumps(row) + "\n"
+    nums = (", ".join(map(_repr, rec.box)) + '], "score": ' + _repr(rec.score)
+            + ', "query": [' + ", ".join(map(repr, query)) + "]")
+    if rec.polygon is not None:
+        nums += ', "poly": [' + ", ".join([f"[{_repr(x)}, {_repr(y)}]" for x, y in rec.polygon]) + "]"
+    line = start + _json_floats(nums)
+    if rec.text is not None:
+        line += ', "text": ' + encode_basestring_ascii(rec.text)
+    return line + "}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +484,7 @@ def parse_annotations(path) -> list[GroundTruthTrack]:
             doc = json.load(fh, object_pairs_hook=_reject_duplicate_keys)
         except _Invalid as exc:
             raise AnnotationFormatError(f"{path}: {exc}") from None
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise AnnotationFormatError(f"{path}: bad JSON ({_json_message(exc)})") from None
     if not isinstance(doc, dict) or not isinstance(doc.get("tracks"), list):
         raise AnnotationFormatError(f"{path}: document must carry a 'tracks' list")
@@ -566,23 +559,10 @@ def parse_annotations(path) -> list[GroundTruthTrack]:
 def write_annotations(path, tracks: list[GroundTruthTrack], video: str = "") -> None:
     """The document, tracks by ascending id: the bytes `json.dump(doc, fh, indent=1)` writes, in one write."""
     tracks = sorted(tracks, key=attrgetter("track_id"))
-    try:
-        text = ('{\n "video": ' + encode_basestring_ascii(video) + ',\n "tracks": '
-                + _block([_track_block(tr) for tr in tracks], "  ") + "\n}\n")
-    except TypeError:  # a number that is not a float, or a text that is not a str: the encoder's own spelling
-        doc = {"video": video, "tracks": [{"id": tr.track_id, "category": tr.category,
-                                           "frames": {str(f): _entry_row(tr.frames[f]) for f in tr.present_frames()}}
-                                          for tr in tracks]}
-        text = json.dumps(doc, indent=1) + "\n"
+    text = ('{\n "video": ' + encode_basestring_ascii(video) + ',\n "tracks": '
+            + _block([_track_block(tr) for tr in tracks], "  ") + "\n}\n")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
-
-
-def _entry_row(entry: GroundTruthEntry) -> dict:
-    row: dict = {"box": list(entry.box), "text": entry.text, "box_type": entry.box_type}
-    if entry.polygon is not None:
-        row["poly"] = [[x, y] for x, y in entry.polygon]
-    return row
 
 
 def _block(items: list[str], pad: str, brackets: str = "[]") -> str:
@@ -622,11 +602,8 @@ def write_trajectories(tracks: list[TrajectoryOutput], path, video: str = "") ->
         for f, (x0, y0, x1, y1), s, poly, text in rows:
             line = (f'{{"track": {tr.track_id}, "frame": {f}, '
                     f'"box": [{x0!r}, {y0!r}, {x1!r}, {y1!r}], "score": {s!r}')
-            if poly is not None:
-                try:  # float.__repr__ spells a float subclass such as np.float64 as a float, and takes nothing else
-                    line += ', "poly": [' + ", ".join([f"[{_repr(x)}, {_repr(y)}]" for x, y in poly]) + "]"
-                except TypeError:  # an int: the encoder's own spelling, which `_json_floats` leaves as it is
-                    line += ', "poly": ' + json.dumps([[x, y] for x, y in poly])
+            if poly is not None:  # float.__repr__ spells a float subclass such as np.float64 as a float
+                line += ', "poly": [' + ", ".join([f"[{_repr(x)}, {_repr(y)}]" for x, y in poly]) + "]"
             line = _json_floats(line)  # the text, which may hold "inf", comes after
             if text is not None:
                 line += ', "text": ' + encode_basestring_ascii(text)

@@ -28,18 +28,18 @@ rescoring head. Each block (two-layer feedforward, multi-head attention,
 the pre-norm encoder and decoder layers, the cosine matrix) is one
 forward on ``autodiff`` tensors. ``embed`` and ``association`` run the
 blocks of a model, and training differentiates the graph they record.
-Tracking runs ``PackedMatcher``, built once per run from a model: the
-same float operations in the same order on plain copies of the weights,
-so it gives the tape's values bit for bit, with three differences in
-how it gets there. It
-records no graph and reads no ``Tensor.value``; it projects with fused
-weights, [W_q|W_k|W_v] for self-attention and [W_k|W_v] for memory,
-where the BLAS kernel gives the fused blocks the separate products'
-bits; and it reads its own rows, where for the transformer each
-embedding keeps beside it the normalization of its first layer norm,
-computed once, when the row is embedded.
-``embed_queries`` and ``matcher_forward`` run it, and the tests hold it
-to the tape and to a frozen copy of the earlier plain-array forward.
+Tracking runs ``embed_queries`` and ``matcher_forward`` on a
+``PackedMatcher``, which holds plain copies of a model's weights and is
+built once per run: the same float operations in the same order, so
+they give the tape's values bit for bit, with three differences in how
+they get there. They record no graph and read no ``Tensor.value``; they
+project with fused weights, [W_q|W_k|W_v] for self-attention and
+[W_k|W_v] for memory, where the BLAS kernel gives the fused blocks the
+separate products' bits; and they read the matcher's rows, where for the
+transformer each embedding keeps beside it the normalization of its
+first layer norm, computed once, when the row is embedded. The tests
+hold them to the tape and to a frozen copy of the earlier plain-array
+forward.
 """
 
 from __future__ import annotations
@@ -285,7 +285,7 @@ def embed_queries(queries: np.ndarray, matcher: PackedMatcher) -> np.ndarray:
         return np.zeros((0, matcher.d_e))
     if queries.shape[1] != matcher.d_q:
         raise ValueError(f"query dim {queries.shape[1]} does not match matcher d_q {matcher.d_q}")
-    return matcher.embed(queries)
+    return queries if matcher.ffn is None else _ffn(queries, matcher.ffn)
 
 
 def association(current: Tensor, history: Tensor, model: TrackerModel, branch: str) -> tuple[Tensor, Tensor]:
@@ -439,15 +439,16 @@ class _Layer:
 
 
 class PackedMatcher:
-    """A `TrackerModel`'s matcher as plain arrays for tracking: `embed` and `association`'s values, bit for bit.
+    """A `TrackerModel`'s matcher as plain arrays for tracking: its settings, weights and row layout.
 
-    The weights are copied when it is built, so later training does not
-    reach it; tracking builds one per run. It runs on rows: an
-    embedding, and for the transformer its layer-norm normalization
-    beside it (`rows`). The normalization takes no parameters and
-    depends on its row alone, so one computed when a row is embedded
-    serves the first layer norm of both branches' encoder and decoder
-    for as long as the row is kept.
+    `embed_queries` and `matcher_forward` run it, and give `embed`'s and
+    `association`'s values bit for bit. The weights are copied when it
+    is built, so later training does not reach it; tracking builds one
+    per run. It runs on rows: an embedding, and for the transformer its
+    layer-norm normalization beside it (`rows`). The normalization takes
+    no parameters and depends on its row alone, so one computed when a
+    row is embedded serves the first layer norm of both branches'
+    encoder and decoder for as long as the row is kept.
     """
 
     def __init__(self, model: TrackerModel):
@@ -465,42 +466,11 @@ class PackedMatcher:
             elif self.variant is MatcherVariant.TRANSFORMER:
                 self.branches[name] = _Layer(b.encoder), _Layer(b.decoder)
 
-    def embed(self, queries: np.ndarray) -> np.ndarray:
-        """Embeddings (n, d_e) of queries (n, d_q)."""
-        return queries if self.ffn is None else _ffn(queries, self.ffn)
-
     def rows(self, embeddings: np.ndarray) -> np.ndarray:
         """The rows the forward reads: (n, width), the embeddings and, for the transformer, [embeddings | normalized]."""
         if self.width == self.d_e:
             return embeddings
         return np.concatenate((embeddings, _normalize_rows(embeddings)[0]), axis=1)
-
-    def forward(self, current: np.ndarray, history: np.ndarray, branch: str) -> tuple[np.ndarray, np.ndarray]:
-        """(scores, probabilities) of `association` for current and history `rows`."""
-        n_cur, n_hist = len(current), len(history)
-        if n_cur == 0:
-            empty = np.zeros((0, n_hist + 1))
-            return empty, empty
-        if n_hist == 0:
-            return np.full((n_cur, 1), self.null_logit), np.ones((n_cur, 1))
-        if self.variant is MatcherVariant.TRANSFORMER:
-            encoder, decoder = self._branch(branch)
-            encoded = encoder.encode(history)
-            sims = _cosines(decoder.decode(current, encoded), encoded)
-        elif self.variant is MatcherVariant.CROSS_ATTN:
-            attended = self._branch(branch).attend(current, history)
-            attended += current
-            sims = _cosines(attended, history)
-        else:
-            sims = _cosines(current, history)
-        scores = _scores_with_null(sims, self.scale, self.null_logit)
-        return scores, _softmax_rows(scores)
-
-    def _branch(self, name: str):
-        try:
-            return self.branches[name]
-        except KeyError:
-            raise ValueError(f"unknown branch {name!r}") from None
 
 
 def matcher_forward(
@@ -512,9 +482,26 @@ def matcher_forward(
     """`association`'s (scores, probabilities) on plain float64 arrays.
 
     `current` (n_cur rows) and `history` (n_hist rows) are the
-    matcher's `rows`.
+    matcher's `rows`; `branch` is "st" or "lt".
     """
-    return matcher.forward(current, history, branch)
+    n_cur, n_hist = len(current), len(history)
+    if n_cur == 0:
+        empty = np.zeros((0, n_hist + 1))
+        return empty, empty
+    if n_hist == 0:
+        return np.full((n_cur, 1), matcher.null_logit), np.ones((n_cur, 1))
+    if matcher.variant is MatcherVariant.TRANSFORMER:
+        encoder, decoder = matcher.branches[branch]
+        encoded = encoder.encode(history)
+        sims = _cosines(decoder.decode(current, encoded), encoded)
+    elif matcher.variant is MatcherVariant.CROSS_ATTN:
+        attended = matcher.branches[branch].attend(current, history)
+        attended += current
+        sims = _cosines(attended, history)
+    else:
+        sims = _cosines(current, history)
+    scores = _scores_with_null(sims, matcher.scale, matcher.null_logit)
+    return scores, _softmax_rows(scores)
 
 
 def count_parameters(variant: MatcherVariant, d_q: int, d_e: int, heads: int = 1) -> int:

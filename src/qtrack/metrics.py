@@ -22,7 +22,7 @@ apart. No pair, continuation or ID switch then crosses two sequences.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -30,19 +30,11 @@ from scipy.optimize import linear_sum_assignment
 
 from .data_io import Box, GroundTruthTrack, TrajectoryOutput, box_array, frame_pairs, hit_mask
 
-__all__ = ["EvalConfig", "MotReport", "clear_mot", "idf1", "detection_prf"]
+__all__ = ["MotReport", "clear_mot", "idf1", "detection_prf"]
 
 INVALID = 1e9  # cost placeholder for pairs below the overlap threshold
 IOU_MATCH = 0.5  # the overlap threshold: a ground-truth box and a prediction match at this IoU or above
-
-
-@dataclass
-class EvalConfig:
-    mode: str = "tracking"  # or "spotting": matches also need equal transcriptions
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("tracking", "spotting"):
-            raise ValueError(f"mode must be 'tracking' or 'spotting', got {self.mode!r}")
+MODES = ("tracking", "spotting")  # in spotting mode matches also need equal transcriptions
 
 
 @dataclass
@@ -55,9 +47,6 @@ class MotReport:
     fn: int
     id_switches: int
     gt_total: int
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def _norm_text(text: str | None) -> str:
@@ -87,7 +76,9 @@ class _Sequence:
     prediction row.
     """
 
-    def __init__(self, gt_tracks: list[GroundTruthTrack], pred_tracks: list[TrajectoryOutput], cfg: EvalConfig):
+    def __init__(self, gt_tracks: list[GroundTruthTrack], pred_tracks: list[TrajectoryOutput], mode: str):
+        if mode not in MODES:
+            raise ValueError(f"mode must be 'tracking' or 'spotting', got {mode!r}")
         valid = [tr for tr in gt_tracks if tr.category != "other"]
         self.n_tracks = len(valid)
         g_order, self.g_frame, g_box, self.g_track = _gt_rows(valid)
@@ -101,7 +92,7 @@ class _Sequence:
         g, p, overlap = frame_pairs(self.g_frame, g_box, self.p_frame, p_box, IOU_MATCH)
         self.hits_valid = np.zeros(len(p_order), dtype=bool)
         self.hits_valid[p] = True  # at the threshold, whatever the texts
-        if cfg.mode == "spotting":
+        if mode == "spotting":
             codes: dict[str, int] = {}
             g_text = [codes.setdefault(_norm_text(e.text), len(codes)) for tr in valid for e in tr.frames.values()]
             p_text = [codes.setdefault(_norm_text(text), len(codes)) for tr in pred_tracks for text in tr.texts]
@@ -196,10 +187,10 @@ class _Sequence:
 def clear_mot(
     gt_tracks: list[GroundTruthTrack],
     pred_tracks: list[TrajectoryOutput],
-    cfg: EvalConfig | None = None,
+    mode: str = "tracking",
 ) -> MotReport:
-    """CLEAR-MOT counts, MOTA, MOTP and IDF1 of one sequence."""
-    seq = _Sequence(gt_tracks, pred_tracks, cfg if cfg is not None else EvalConfig())
+    """CLEAR-MOT counts, MOTA, MOTP and IDF1 of one sequence; `mode` is one of `MODES`."""
+    seq = _Sequence(gt_tracks, pred_tracks, mode)
     tp, fp, fn, idsw, gt_total, motp = seq.clear_counts()
     if gt_total > 0:
         mota = 1.0 - (fn + fp + idsw) / gt_total
@@ -214,7 +205,7 @@ def clear_mot(
 def idf1(
     gt_tracks: list[GroundTruthTrack],
     pred_tracks: list[TrajectoryOutput],
-    cfg: EvalConfig | None = None,
+    mode: str = "tracking",
 ) -> float:
     """Identity F1 under the best global trajectory-to-trajectory pairing.
 
@@ -222,7 +213,7 @@ def idf1(
     overlap at the threshold; a min-cost assignment maximizes the total
     and IDF1 = 2*IDTP / (total gt frames + total predicted frames).
     """
-    return clear_mot(gt_tracks, pred_tracks, cfg).idf1
+    return clear_mot(gt_tracks, pred_tracks, mode).idf1
 
 
 def detection_prf(

@@ -145,7 +145,7 @@ def load_checkpoint(path) -> TrackerModel:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except ValueError as exc:  # not UTF-8, not JSON, or an integer past the digit limit
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, an integer past the digit limit, too deep
         raise DataFormatError(f"{path}: bad checkpoint JSON ({exc})") from None
     if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise DataFormatError(f"{path}: not a {CHECKPOINT_FORMAT} checkpoint")

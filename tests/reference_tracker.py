@@ -143,7 +143,8 @@ def track_both(frames, model, config):
     of creation, its (frame, record, fused score, text with misreads)
     rows in order of recording.
     """
-    bank = MemoryBank(config.history_depth, PackedMatcher(model))
+    matcher = PackedMatcher(model)
+    bank = MemoryBank(config.history_depth, matcher)
     ref_bank = RefMemoryBank(config.history_depth)
     head = model.rescoring_head()
     recorded: dict[int, list] = {}
@@ -155,7 +156,7 @@ def track_both(frames, model, config):
         scored = filter_instances(frame, head, config.detect_threshold)
         kept = nms(scored, config.nms_iou)
         assert [id(k) for k in kept] == [id(k) for k in ref_nms(scored, config.nms_iou)]
-        got = associate_frame(kept, bank, model, config, t)
+        got = associate_frame(kept, bank, matcher, config, t)
         want = ref_associate_frame(kept, ref_bank, model, config, t)
         assert got.st_matches == want.st_matches
         assert got.lt_matches == want.lt_matches

@@ -71,7 +71,6 @@ from qtrack.matcher import (
 from qtrack.metrics import (
     INVALID,
     IOU_MATCH,
-    EvalConfig,
     MotReport,
     clear_mot,
     detection_prf,
@@ -240,8 +239,8 @@ def ref_norm_text(text):
     return (text or "").strip().lower()
 
 
-def ref_text_ok(gt_text, pred_text, cfg):
-    return cfg.mode != "spotting" or ref_norm_text(gt_text) == ref_norm_text(pred_text)
+def ref_text_ok(gt_text, pred_text, mode):
+    return mode != "spotting" or ref_norm_text(gt_text) == ref_norm_text(pred_text)
 
 
 def ref_gt_by_frame(tracks):
@@ -292,7 +291,7 @@ def ref_discount_dontcare(pred_tracks, valid, dontcare, thr):
     return kept
 
 
-def ref_idf1_counts(gt_tracks, pred_tracks, cfg):
+def ref_idf1_counts(gt_tracks, pred_tracks, mode):
     thr = IOU_MATCH
     valid, dontcare = ref_gt_by_frame(gt_tracks)
     pred_frames = ref_discount_dontcare(pred_tracks, valid, dontcare, thr)
@@ -313,7 +312,7 @@ def ref_idf1_counts(gt_tracks, pred_tracks, cfg):
             hits = 0
             for f, box, text in pred_entries[pid]:
                 entry = tr.frames.get(f)
-                if entry is not None and iou(entry.box, box) >= thr and ref_text_ok(entry.text, text, cfg):
+                if entry is not None and iou(entry.box, box) >= thr and ref_text_ok(entry.text, text, mode):
                     hits += 1
             overlap[a, b] = hits
     rows, cols = linear_sum_assignment(-overlap)
@@ -332,7 +331,7 @@ def ref_mota(tp, fp, fn, idsw, gt_total):
     return 1.0 - (fn + fp + idsw) / gt_total if gt_total > 0 else (1.0 if fp + idsw == 0 else None)
 
 
-def ref_clear_mot(gt_tracks, pred_tracks, cfg):
+def ref_clear_mot(gt_tracks, pred_tracks, mode):
     thr = IOU_MATCH
     valid, dontcare = ref_gt_by_frame(gt_tracks)
     preds = ref_pred_by_frame(pred_tracks)
@@ -352,7 +351,7 @@ def ref_clear_mot(gt_tracks, pred_tracks, cfg):
             if pi in used_pred:
                 continue
             overlap = iou(gbox, prs[pi][1])
-            if overlap >= thr and ref_text_ok(gtext, prs[pi][2], cfg):
+            if overlap >= thr and ref_text_ok(gtext, prs[pi][2], mode):
                 matched_gt[gi] = pi
                 used_pred.add(pi)
                 motp_sum += overlap
@@ -364,7 +363,7 @@ def ref_clear_mot(gt_tracks, pred_tracks, cfg):
             for a, gi in enumerate(free_gt):
                 for b, pi in enumerate(free_pr):
                     overlap = iou(gts[gi][1], prs[pi][1])
-                    if overlap >= thr and ref_text_ok(gts[gi][2], prs[pi][2], cfg):
+                    if overlap >= thr and ref_text_ok(gts[gi][2], prs[pi][2], mode):
                         cost[a, b] = 1.0 - overlap
             for a, b in zip(*linear_sum_assignment(cost)):
                 if cost[a, b] >= INVALID:
@@ -383,15 +382,15 @@ def ref_clear_mot(gt_tracks, pred_tracks, cfg):
         fn += len(gts) - len(matched_gt)
         prev_pairs = {gt_ids[gi]: pr_ids[pi] for gi, pi in matched_gt.items()}
     return MotReport(ref_mota(tp, fp, fn, idsw, gt_total), motp_sum / tp if tp > 0 else 0.0,
-                     ref_idf1_score(*ref_idf1_counts(gt_tracks, pred_tracks, cfg)), tp, fp, fn, idsw, gt_total)
+                     ref_idf1_score(*ref_idf1_counts(gt_tracks, pred_tracks, mode)), tp, fp, fn, idsw, gt_total)
 
 
-def ref_evaluate_sequences(sequences, cfg):
+def ref_evaluate_sequences(sequences, mode):
     """Counts summed over the sequences; MOTP weighted by each sequence's matches."""
     reports, idf1_counts = [], []
     for gt_tracks, pred_tracks in sequences:
-        reports.append(ref_clear_mot(gt_tracks, pred_tracks, cfg))
-        idf1_counts.append(ref_idf1_counts(gt_tracks, pred_tracks, cfg))
+        reports.append(ref_clear_mot(gt_tracks, pred_tracks, mode))
+        idf1_counts.append(ref_idf1_counts(gt_tracks, pred_tracks, mode))
     tp, fp, fn, idsw, gt_total = (sum(getattr(r, k) for r in reports)
                                   for k in ("tp", "fp", "fn", "id_switches", "gt_total"))
     motp = 0.0
@@ -616,8 +615,7 @@ def test_stream_outcomes_equal_reference(variant, use_lt, ties):
         gts[0].category = "other"  # one don't-care region
         by_frame = {f.frame_index: [r.box for r in f.records] for f in frames}
         for mode in ("tracking", "spotting"):
-            cfg = EvalConfig(mode=mode)
-            assert clear_mot(gts, tracks, cfg) == ref_clear_mot(gts, tracks, cfg)
+            assert clear_mot(gts, tracks, mode) == ref_clear_mot(gts, tracks, mode)
             assert detection_prf(gts, by_frame) == ref_detection_prf(gts, by_frame)
         for frame in frames:
             present = {tr.track_id: tr.frames[frame.frame_index].box for tr in gts if frame.frame_index in tr.frames}
@@ -826,10 +824,9 @@ def eval_sequence(draw):
 @given(eval_sequence(), eval_sequence())
 def test_metrics_equal_reference_on_random_sequences(seq_a, seq_b):
     for mode in ("tracking", "spotting"):
-        cfg = EvalConfig(mode=mode)
         gts, preds = seq_a
-        assert clear_mot(gts, preds, cfg) == ref_clear_mot(gts, preds, cfg)
-        assert idf1(gts, preds, cfg) == ref_idf1_score(*ref_idf1_counts(gts, preds, cfg))
+        assert clear_mot(gts, preds, mode) == ref_clear_mot(gts, preds, mode)
+        assert idf1(gts, preds, mode) == ref_idf1_score(*ref_idf1_counts(gts, preds, mode))
         by_frame = {}
         for tr in preds:
             for f, box, _ in ref_pred_rows(tr):
@@ -837,10 +834,10 @@ def test_metrics_equal_reference_on_random_sequences(seq_a, seq_b):
         assert detection_prf(gts, by_frame) == ref_detection_prf(gts, by_frame)
         # two sequences scored together: their union against the pooled per-sequence reference
         union = disjoint_union([seq_a, seq_b])
-        got, pooled = clear_mot(*union, cfg), ref_evaluate_sequences([seq_a, seq_b], cfg)
+        got, pooled = clear_mot(*union, mode), ref_evaluate_sequences([seq_a, seq_b], mode)
         assert got.motp == pytest.approx(pooled.motp, rel=1e-12, abs=0.0)  # summed in another order
         assert replace(got, motp=pooled.motp) == pooled
-        assert got == ref_clear_mot(*union, cfg)
+        assert got == ref_clear_mot(*union, mode)
 
 
 # ---------------------------------------------------------------------------

@@ -42,9 +42,8 @@ def _similarity_model(d=4):
     return TrackerModel.create(MatcherVariant.SIMILARITY, d_q=d, d_e=d)
 
 
-def _bank(model, horizon=5):
-    """An empty bank on `model`'s packed matcher."""
-    return MemoryBank(horizon, PackedMatcher(model))
+def _matcher(d=4):
+    return PackedMatcher(_similarity_model(d))
 
 
 def _new_track(bank, frame, embedding):
@@ -102,7 +101,7 @@ def test_nms_threshold_validation():
 
 
 def test_bank_eviction_and_finalization():
-    bank = _bank(_similarity_model(), horizon=2)
+    bank = MemoryBank(2, _matcher())
     tid = _new_track(bank, 0, np.ones(4))
     bank.update(1, [tid], np.ones((1, 4)))
     assert bank.track_ids() == [tid]
@@ -115,13 +114,13 @@ def test_bank_eviction_and_finalization():
 
 
 def test_bank_ids_are_unique_and_increasing():
-    bank = _bank(_similarity_model(d=2))
+    bank = MemoryBank(5, _matcher(d=2))
     ids = [_new_track(bank, 0, np.ones(2)) for _ in range(4)] + bank.new_ids(3)
     assert ids == sorted(set(ids))
 
 
 def test_bank_seen_at():
-    bank = _bank(_similarity_model(d=2))
+    bank = MemoryBank(5, _matcher(d=2))
     a = _new_track(bank, 0, np.ones(2))
     b = _new_track(bank, 1, np.ones(2))
     bank.update(2, [a], np.full((1, 2), 2.0))
@@ -138,20 +137,20 @@ def test_bank_seen_at():
 
 
 def test_empty_bank_creates_new_tracks():
-    model = _similarity_model()
-    bank = _bank(model)
+    matcher = _matcher()
+    bank = MemoryBank(5, matcher)
     instances = [_instance(_unit(1, 0, 0, 0)), _instance(_unit(0, 1, 0, 0), box=(20, 0, 30, 10))]
-    outcome = associate_frame(instances, bank, model, TrackerConfig(), frame_index=0)
+    outcome = associate_frame(instances, bank, matcher, TrackerConfig(), frame_index=0)
     assert outcome.st_matches == [] and outcome.lt_matches == []
     assert outcome.new_tracks == [0, 1]
 
 
 def test_stage_ordering_st_wins_before_lt():
-    model = _similarity_model()
-    bank = _bank(model)
+    matcher = _matcher()
+    bank = MemoryBank(5, matcher)
     q = _unit(1, 0, 0, 0)
     tid = _new_track(bank, 4, q)  # seen at t-1
-    outcome = associate_frame([_instance(q, frame=5)], bank, model, TrackerConfig(), frame_index=5)
+    outcome = associate_frame([_instance(q, frame=5)], bank, matcher, TrackerConfig(), frame_index=5)
     assert len(outcome.st_matches) == 1
     inst, matched_tid, prob = outcome.st_matches[0]
     assert (inst, matched_tid) == (0, tid)
@@ -161,13 +160,13 @@ def test_stage_ordering_st_wins_before_lt():
 
 def test_lt_recovers_when_st_fails():
     """Low short-term probability, high long-term probability: the missed-detection path."""
-    model = _similarity_model()
-    bank = _bank(model)
+    matcher = _matcher()
+    bank = MemoryBank(5, matcher)
     q = _unit(1, 0, 0, 0)
     # trajectory A was seen at t-1 but points the other way; B is older and matches
     a = _new_track(bank, 4, -q)
     b = _new_track(bank, 2, q)
-    outcome = associate_frame([_instance(q, frame=5)], bank, model, TrackerConfig(), frame_index=5)
+    outcome = associate_frame([_instance(q, frame=5)], bank, matcher, TrackerConfig(), frame_index=5)
     assert outcome.st_matches == []  # so instance 0 reaches the long-term stage
     assert len(outcome.lt_matches) == 1
     inst, matched_tid, prob = outcome.lt_matches[0]
@@ -178,15 +177,15 @@ def test_lt_recovers_when_st_fails():
 
 def test_partition_and_one_instance_per_trajectory():
     rng = np.random.default_rng(0)
-    model = _similarity_model(d=8)
-    bank = _bank(model)
+    matcher = _matcher(d=8)
+    bank = MemoryBank(5, matcher)
     for f in range(3):
         for _ in range(2):
             _new_track(bank, f, rng.normal(size=8))
     instances = [
         _instance(rng.normal(size=8), box=(i * 20, 0, i * 20 + 10, 10), frame=3) for i in range(5)
     ]
-    outcome = associate_frame(instances, bank, model, TrackerConfig(assoc_threshold=0.05), frame_index=3)
+    outcome = associate_frame(instances, bank, matcher, TrackerConfig(assoc_threshold=0.05), frame_index=3)
     resolved = (
         [i for i, _, _ in outcome.st_matches]
         + [i for i, _, _ in outcome.lt_matches]
@@ -198,12 +197,12 @@ def test_partition_and_one_instance_per_trajectory():
 
 
 def test_st_only_config_never_consults_lt():
-    model = _similarity_model()
-    bank = _bank(model)
+    matcher = _matcher()
+    bank = MemoryBank(5, matcher)
     q = _unit(1, 0, 0, 0)
     _new_track(bank, 2, q)  # only reachable through the long-term stage
     cfg = TrackerConfig(use_lt=False)
-    outcome = associate_frame([_instance(q, frame=5)], bank, model, cfg, frame_index=5)
+    outcome = associate_frame([_instance(q, frame=5)], bank, matcher, cfg, frame_index=5)
     assert outcome.lt_matches == []
     assert outcome.new_tracks == [0]
 
@@ -265,13 +264,14 @@ def test_bank_never_holds_stale_embeddings():
     dets, _ = _noiseless_frames(frames=10, tracks=2, seed=3)
     model = _similarity_model(d=16)
     config = TrackerConfig()
-    bank = _bank(model, config.history_depth)
+    matcher = PackedMatcher(model)
+    bank = MemoryBank(config.history_depth, matcher)
     head = model.rescoring_head()
     for frame in dets:
         bank.advance(frame.frame_index)
         assert len(bank.frame) == 0 or bank.frame.min() >= frame.frame_index - config.history_depth
         kept = nms(filter_instances(frame, head, config.detect_threshold), config.nms_iou)
-        outcome = associate_frame(kept, bank, model, config, frame.frame_index)
+        outcome = associate_frame(kept, bank, matcher, config, frame.frame_index)
         assignments = [(i, tid) for i, tid, _ in outcome.st_matches + outcome.lt_matches]
         assignments += zip(outcome.new_tracks, bank.new_ids(len(outcome.new_tracks)))
         bank.update(frame.frame_index, [tid for _, tid in assignments],
@@ -295,7 +295,8 @@ def test_tracking_invariants_on_synthetic_streams(seed, variant, use_lt, history
     frames = [f for f in frames if f.frame_index not in dropped]  # gaps in the stream
     model = _MODELS[variant]
     config = TrackerConfig(history_depth=history, use_lt=use_lt)
-    bank = _bank(model, config.history_depth)
+    matcher = PackedMatcher(model)
+    bank = MemoryBank(config.history_depth, matcher)
     head = model.rescoring_head()
     last_id = 0
     for frame in frames:
@@ -303,7 +304,7 @@ def test_tracking_invariants_on_synthetic_streams(seed, variant, use_lt, history
         bank.advance(t)
         assert np.all((bank.frame >= t - history) & (bank.frame < t))  # the last H frame indices, gaps or not
         kept = nms(filter_instances(frame, head, config.detect_threshold), config.nms_iou)
-        outcome = associate_frame(kept, bank, model, config, t)
+        outcome = associate_frame(kept, bank, matcher, config, t)
 
         # every kept instance lands in exactly one of ST, LT or new
         buckets = [i for i, _, _ in outcome.st_matches] + [i for i, _, _ in outcome.lt_matches] + outcome.new_tracks

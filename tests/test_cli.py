@@ -189,7 +189,7 @@ def test_stats_histograms(tmp_path):
     ann = tmp_path / "a.json"
     track = GroundTruthTrack(
         track_id=1,
-        frames={f: GroundTruthEntry(box=(0, 0, 5, 5), text="hey") for f in range(3)},
+        frames={f: GroundTruthEntry(box=(0.0, 0.0, 5.0, 5.0), text="hey") for f in range(3)},
     )
     write_annotations(ann, [track])
     out = tmp_path / "stats"
@@ -459,7 +459,9 @@ def test_flag_the_command_does_not_read_is_rejected(tmp_path, monkeypatch, capsy
     ([], "qtrack: the following arguments are required: command"),
     (["track", "--out", "o"], "qtrack track: the following arguments are required: --checkpoint, --stream"),
     (["gen", "--seed", "abc", "--out", "o"], "qtrack gen: argument --seed: invalid int value: 'abc'"),
-], ids=["no-command", "missing-flag", "bad-int"])
+    (["eval", "--annotations", "a.json", "--trajectories", "t.jsonl", "--mode", "bogus"],
+     "qtrack eval: argument --mode: invalid choice: 'bogus' (choose from 'tracking', 'spotting')"),
+], ids=["no-command", "missing-flag", "bad-int", "bad-mode"])
 def test_usage_error_is_json_error(tmp_path, monkeypatch, capsys, argv, message):
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 1
@@ -663,6 +665,14 @@ def test_config_not_utf8_names_the_file(tmp_path, capsys):
     assert main(["gen", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
     assert _json_error(capsys) == (f"bad config JSON in {cfg_path}: 'utf-8' codec can't decode byte 0xff "
                                    "in position 30: invalid start byte")
+    assert not (tmp_path / "o").exists()
+
+
+def test_config_nested_past_the_recursion_limit_names_the_file(tmp_path, capsys):
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text('{"synth": ' + "[" * 5000 + "]" * 5000 + "}")
+    assert main(["gen", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+    assert _json_error(capsys).startswith(f"bad config JSON in {cfg_path}: maximum recursion depth exceeded")
     assert not (tmp_path / "o").exists()
 
 

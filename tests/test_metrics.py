@@ -15,7 +15,7 @@ from qtrack.data_io import (
     TrajectoryOutput,
     box_array,
 )
-from qtrack.metrics import EvalConfig, clear_mot, detection_prf, idf1
+from qtrack.metrics import clear_mot, detection_prf, idf1
 
 from disjoint_union import disjoint_union
 from reference_iou import iou
@@ -100,9 +100,17 @@ def test_spotting_mode_requires_transcription():
     gt = [_gt(1, range(6), slot=0, text="HELLO")]
     good = [_pred(5, range(6), slot=0, text="hello ")]  # case/whitespace insensitive
     bad = [_pred(5, range(6), slot=0, text="WORLD")]
-    assert clear_mot(gt, good, EvalConfig(mode="spotting")).mota == 1.0
-    report = clear_mot(gt, bad, EvalConfig(mode="spotting"))
+    assert clear_mot(gt, good, "spotting").mota == 1.0
+    report = clear_mot(gt, bad, "spotting")
     assert report.mota == pytest.approx(1.0 - 12 / 6)  # every frame is FP + FN
+
+
+@pytest.mark.parametrize("score", [clear_mot, idf1])
+def test_unknown_mode_is_refused(score):
+    gt = [_gt(1, range(3))]
+    with pytest.raises(ValueError) as exc:
+        score(gt, _as_predictions(gt), "bogus")
+    assert str(exc.value) == "mode must be 'tracking' or 'spotting', got 'bogus'"
 
 
 def test_dontcare_regions_absorb_predictions():
@@ -140,7 +148,7 @@ def test_dontcare_absorbs_a_misread_only_when_no_valid_gt_is_hit():
     # a don't-care region on the same box as a valid track; the prediction misreads frames 2-3
     gt = [_gt(1, range(4), slot=0), _gt(2, range(4), slot=0, category="other")]
     preds = [_traj(5, [(f, _box(0), 0.9, "word" if f < 2 else "ward") for f in range(4)])]
-    report = clear_mot(gt, preds, EvalConfig(mode="spotting"))
+    report = clear_mot(gt, preds, "spotting")
     assert (report.tp, report.fp, report.fn) == (2, 0, 2)
     # IDF1 discounts a prediction only if it hits no valid GT at the threshold, whatever
     # the texts: the misreads stay among the predicted frames (IDTP 2 of 4 + 4)
@@ -166,7 +174,7 @@ def lane_tracks(draw):
 
 @given(lane_tracks(), st.sampled_from(["tracking", "spotting"]))
 def test_predictions_equal_to_the_ground_truth_score_one(gt, mode):
-    report = clear_mot(gt, _as_predictions(gt), EvalConfig(mode=mode))
+    report = clear_mot(gt, _as_predictions(gt), mode)
     assert (report.mota, report.idf1, report.fp, report.fn, report.id_switches) == (1.0, 1.0, 0, 0, 0)
 
 
@@ -179,7 +187,7 @@ def test_mota_at_most_one_and_idf1_in_unit_interval(gt, rows, mode):
         entries = by_id.setdefault(pid, {})
         entries.setdefault(f, (f, _box(slot), 0.9, text))
     preds = [_traj(pid, [entries[f] for f in sorted(entries)]) for pid, entries in by_id.items()]
-    report = clear_mot(gt, preds, EvalConfig(mode=mode))
+    report = clear_mot(gt, preds, mode)
     assert report.mota is None or report.mota <= 1.0
     assert report.mota is not None or (report.gt_total == 0 and report.fp > 0)
     assert 0.0 <= report.idf1 <= 1.0

@@ -1,4 +1,5 @@
-"""Package-level checks: every module's declared exports exist and has a caller, and the README names every module."""
+"""Package-level checks: every module's declared exports exist and has a caller, every parameter is read, and the
+README names every module."""
 
 import ast
 import importlib
@@ -83,3 +84,27 @@ def test_every_module_export_has_a_caller():
     """
     exported = [(name, m) for m in MODULES for name in getattr(importlib.import_module(f"qtrack.{m}"), "__all__", [])]
     assert _unused(exported) == ["detection_prf"]
+
+
+def _unread_parameters(path: Path) -> list[str]:
+    """`function(parameter)` for each parameter of a function or lambda in `path` that its body never reads.
+
+    `self`, `cls` and names that start with "_" are exempt.
+    """
+    unread = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = node.args
+        params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg) if p is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {sub.id for stmt in body for sub in ast.walk(stmt)
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+        unread += [f"{path.stem}.{getattr(node, 'name', '<lambda>')}({p})" for p in params
+                   if p not in read and p not in ("self", "cls") and not p.startswith("_")]
+    return unread
+
+
+def test_every_parameter_is_read():
+    """No function in the program takes an argument only to ignore it."""
+    assert [u for m in MODULES for u in _unread_parameters(ROOT / "src" / "qtrack" / f"{m}.py")] == []
