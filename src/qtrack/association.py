@@ -6,13 +6,17 @@ trajectories seen in the immediately preceding frame (short-term),
 then the leftovers against every other live trajectory in the memory
 bank (long-term), which is what recovers tracks across missed
 detections. Whatever remains unmatched founds a new trajectory.
-Each match adds a row (track id, frame, record, fused score) to flat
-lists, grouped into per-track columns at the end.
+Each match adds a row (track id, frame, box, fused score, polygon,
+text) to flat columns, grouped into per-track columns at the end; no
+record outlives its frame.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from itertools import chain
+from typing import Iterable
 
 import numpy as np
 
@@ -29,6 +33,8 @@ __all__ = [
     "associate_frame",
     "track_sequence",
 ]
+
+PACK_ROWS = 4096  # rows that track_sequence gathers by reference before it packs them into arrays
 
 
 @dataclass
@@ -224,7 +230,7 @@ def associate_frame(
 
 
 def track_sequence(
-    frames: list[DetectionFrame],
+    frames: Iterable[DetectionFrame],
     model: TrackerModel,
     config: TrackerConfig,
 ) -> list[TrajectoryOutput]:
@@ -232,12 +238,17 @@ def track_sequence(
 
     Deterministic: identical frames, model and config produce identical
     trajectory ids and contents. The matcher is packed once, for the run,
-    and serves the bank and every frame's association.
+    and serves the bank and every frame's association. `frames` may be a
+    one-pass iterator, such as a stream read as it is tracked.
     """
     matcher = PackedMatcher(model)
     bank = MemoryBank(config.history_depth, matcher)
     head = model.rescoring_head()
-    track_ids, frame_ids, records, scores = [], [], [], []  # one row per (trajectory, frame)
+    # one row per (trajectory, frame), only what finalize writes: ids, frames, boxes and fused scores are
+    # gathered by reference, a cheap step for a frame, and packed into arrays every PACK_ROWS rows
+    track_ids, frame_ids, boxes, scores = gathered = [], [], [], []
+    packed = array("q"), array("q"), array("d"), array("d")
+    polygons, texts = [], []
 
     for frame in frames:
         t = frame.frame_index
@@ -247,17 +258,33 @@ def track_sequence(
 
         assignments = [(i, tid) for i, tid, _ in outcome.st_matches + outcome.lt_matches]
         assignments += zip(outcome.new_tracks, bank.new_ids(len(outcome.new_tracks)))
-        bank.update(t, [tid for _, tid in assignments], outcome.rows[[i for i, _ in assignments]])
+        ids = [tid for _, tid in assignments]
+        bank.update(t, ids, outcome.rows[[i for i, _ in assignments]])
 
-        track_ids += [tid for _, tid in assignments]
-        frame_ids += [t] * len(assignments)
-        records += [kept[i].record for i, _ in assignments]
-        scores += [kept[i].fused_score for i, _ in assignments]
+        assigned = [kept[i] for i, _ in assignments]
+        records = [inst.record for inst in assigned]
+        track_ids += ids
+        frame_ids += [t] * len(ids)
+        boxes += [rec.box for rec in records]
+        scores += [inst.fused_score for inst in assigned]
+        polygons += [rec.polygon for rec in records]
+        texts += [rec.text for rec in records]
+        if len(track_ids) >= PACK_ROWS:
+            _pack(packed, gathered)
+    _pack(packed, gathered)
 
     # the rows of trajectories with at least min_track_len of them
-    track = np.array(track_ids, dtype=np.int64)
+    track, frame_idx, corners, fused = (np.frombuffer(column, dtype=column.typecode) for column in packed)
     rows = np.flatnonzero(np.bincount(track)[track] >= config.min_track_len)
-    records = [records[i] for i in rows.tolist()]
-    return group_trajectories(track[rows], np.array(frame_ids, dtype=np.int64)[rows],
-                              box_array(rec.box for rec in records), np.array(scores, dtype=np.float64)[rows],
-                              [rec.polygon for rec in records], [rec.text for rec in records])
+    keep = rows.tolist()
+    return group_trajectories(track[rows], frame_idx[rows], corners.reshape(-1, 4)[rows], fused[rows],
+                              [polygons[i] for i in keep], [texts[i] for i in keep])
+
+
+def _pack(packed, gathered) -> None:
+    """Append the gathered rows' ids, frames, box corners and scores to their arrays, and empty the lists."""
+    track_ids, frame_ids, boxes, scores = gathered
+    for column, values in zip(packed, (track_ids, frame_ids, list(chain.from_iterable(boxes)), scores)):
+        column.fromlist(values)
+    for rows in gathered:
+        rows.clear()

@@ -19,11 +19,12 @@ import json
 import logging
 import os
 import sys
-from collections import Counter
+from collections import Counter, deque
 from pathlib import Path
 
 from .association import TrackerConfig, track_sequence
 from .data_io import (
+    iter_detection_stream,
     parse_annotations,
     parse_detection_stream,
     read_trajectories,
@@ -222,8 +223,9 @@ def cmd_track(args) -> int:
         history_depth=args.history, min_track_len=args.min_track_len, use_lt=False if args.st_only else None,
     )
     model = load_checkpoint(args.checkpoint)
-    header, frames = parse_detection_stream(args.stream)
+    header, frames = iter_detection_stream(args.stream)  # read as it is tracked
     if header.d_q != model.d_q:
+        deque(frames, maxlen=0)  # a bad line in the stream wins over the mismatch
         raise CliError(f"stream d_q {header.d_q} does not match checkpoint d_q {model.d_q}")
     tracks = track_sequence(frames, model, tracker_cfg)
     out = _ensure_out(args.out)

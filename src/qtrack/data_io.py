@@ -10,9 +10,12 @@ All three writers format their lines directly, floats by
 annotations, `json.dump(doc, fh, indent=1)`). They take the floats and
 strings that the data model declares, which is all the readers and the
 generator make; `np.float64` is a float. The readers decode each line
-with the decoder's scanner alone and call `json.loads` only when the
-scanner fails or leaves part of the line, so every value and every
-error message is the decoder's own.
+with the decoder's scanner alone, in place in its block's text, and
+call `json.loads` on the line only when the scanner fails or does not
+end at the line's end, so every value and every error message is the
+decoder's own. They read a file READ_BLOCK bytes at
+a time and hold one block's lines, not the whole file; their errors are
+still those of a reader that decodes the whole file first.
 A box is the corner tuple (x_min, y_min, x_max, y_max), many boxes an
 (n, 4) float64 array. A trajectory is held as columns
 (`TrajectoryOutput`) from the tracker through the file to the metrics,
@@ -25,6 +28,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain
 from json.encoder import encode_basestring_ascii
@@ -51,6 +55,7 @@ __all__ = [
     "GroundTruthTrack",
     "TrajectoryOutput",
     "group_trajectories",
+    "iter_detection_stream",
     "parse_detection_stream",
     "write_detection_stream",
     "parse_annotations",
@@ -66,6 +71,7 @@ BOX_TYPES = ("quadrilateral", "polygon")
 POLYGON_POINTS = 14  # curved-text annotation convention
 QUAD_POINTS = 4
 PAIR_BUDGET = 4096  # same-frame pairs whose IoU is taken at once, so crowded frames stay small in memory
+READ_BLOCK = 1 << 20  # bytes a JSONL reader reads and decodes at once, so that it holds one block's lines, not the file
 INT64_END = 2**63  # integer fields lie in [-INT64_END, INT64_END)
 _repr = float.__repr__  # a float's JSON spelling, save inf and nan, for subclasses such as np.float64 too
 
@@ -265,15 +271,19 @@ def _json_message(exc: ValueError | RecursionError) -> str:
 _scan_once = json.JSONDecoder().scan_once  # the scanner `json.loads` runs, without its whitespace steps
 
 
-def _decode(line: str):
-    """`json.loads(line)`: the scanner alone when one value fills the line, else the decoder, for its errors."""
+def _decode(text: str, start: int, stop: int):
+    """`json.loads(text[start:stop])`: the scanner alone when one value fills the span, else the decoder, for its errors.
+
+    The scanner runs past `stop` only on a span that it does not fill,
+    which the decoder then reads alone.
+    """
     try:
-        value, end = _scan_once(line, 0)
-        if end == len(line):
+        value, end = _scan_once(text, start)
+        if end == stop:
             return value
-    except (StopIteration, ValueError):
+    except (StopIteration, ValueError, RecursionError):
         pass
-    return json.loads(line)
+    return json.loads(text[start:stop])
 
 
 # The types of a JSON number: a numeric string or a boolean is not one,
@@ -358,27 +368,79 @@ def _stream_record(raw: dict, d_q: int) -> DetectionRecord:
     return DetectionRecord(frame_idx, query, corners, score, polygon, _norm_text(raw.get("text")))
 
 
-def _read_jsonl(path, fmt: str, error: type[DataFormatError]) -> tuple[dict, Iterator[tuple[int, dict]]]:
-    """The header object of a .jsonl file that declares `fmt`, and its other nonblank lines' objects, numbered.
+def _lines(path) -> Iterator[tuple[str, int, int]]:
+    """A file's lines, decoded from UTF-8 a block at a time: none for an empty file, else one more than its "\\n"s.
 
     A line ends at "\\n", a trailing "\\r" dropped, as JSON Lines defines it:
     U+2028 and the other breaks that `str.splitlines` knows may stand raw
-    inside a JSON string. The body is decoded as it is iterated.
+    inside a JSON string. A block is cut after its last "\\n", which no
+    UTF-8 character holds, so only whole lines are decoded, and the bytes
+    after the cut start the next block's first line. The other lines are
+    decoded straight from the block, with no copy of its bytes. Each line
+    is a span `(text, start, stop)` of its block's text, not a string of
+    its own.
     """
     with open(path, "rb") as fh:
-        data = fh.read()
+        tail: list = []  # the bytes read after the last "\n"
+        while block := fh.read(READ_BLOCK):
+            first = block.find(b"\n") + 1
+            if not first:
+                tail.append(block)
+                continue
+            tail.append(memoryview(block)[:first])
+            yield from _spans(b"".join(tail))
+            cut = block.rfind(b"\n") + 1
+            tail = [block[cut:]]
+            yield from _spans(memoryview(block)[first:cut])
+        if tail:
+            last = b"".join(tail).decode("utf-8")
+            yield last, 0, len(last) - 1 if last.endswith("\r") else len(last)
+
+
+def _spans(data) -> Iterator[tuple[str, int, int]]:
+    """The lines of `data`, bytes that end with "\\n": decoded from UTF-8, each a span that leaves out a trailing "\\r"."""
+    text = str(data, "utf-8")
+    cr = "\r" in text
+    start = 0
+    while (end := text.find("\n", start)) >= 0:
+        yield text, start, end - 1 if cr and end > start and text[end - 1] == "\r" else end
+        start = end + 1
+
+
+@contextmanager
+def _utf8_first(path, error: type[DataFormatError]):
+    """Report the file's first byte that is not UTF-8, if it has one, in place of a reader error raised within.
+
+    The readers decode a block at a time, yet a bad byte anywhere in the
+    file wins over every header and line error, named by its line and
+    its offset in the whole file, as when the whole file was decoded
+    before any line was read. Only a failing read decodes the file again.
+    """
     try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        lineno = data.count(b"\n", 0, exc.start) + 1
-        raise error(f"{path}:{lineno}: not UTF-8 ({exc})") from None
-    if not text:
+        yield
+    except (DataFormatError, UnicodeDecodeError):
+        with open(path, "rb") as fh:
+            data = fh.read()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            lineno = data.count(b"\n", 0, exc.start) + 1
+            raise error(f"{path}:{lineno}: not UTF-8 ({exc})") from None
+        raise
+
+
+def _read_jsonl(path, fmt: str, error: type[DataFormatError]) -> tuple[dict, Iterator[tuple[int, dict]]]:
+    """The header object of a .jsonl file that declares `fmt`, and its other nonblank lines' objects, numbered.
+
+    The body is read as it is iterated. Run under `_utf8_first`, which
+    puts a bad byte's error before any raised here.
+    """
+    lines = _lines(path)
+    first = next(lines, None)
+    if first is None:
         raise error(f"{path}: empty file, header expected")
-    lines = text.split("\n")
-    if "\r" in text:
-        lines = [line[:-1] if line.endswith("\r") else line for line in lines]
     try:
-        head = _decode(lines[0])
+        head = _decode(*first)
     except (ValueError, RecursionError) as exc:
         raise error(f"{path}:1: bad header JSON ({_json_message(exc)})") from None
     if not isinstance(head, dict) or head.get("format") != fmt:
@@ -386,12 +448,13 @@ def _read_jsonl(path, fmt: str, error: type[DataFormatError]) -> tuple[dict, Ite
     return head, _body_objects(path, lines, error)
 
 
-def _body_objects(path, lines: list[str], error: type[DataFormatError]) -> Iterator[tuple[int, dict]]:
-    for lineno, line in enumerate(lines[1:], start=2):
+def _body_objects(path, lines: Iterator[tuple[str, int, int]],
+                  error: type[DataFormatError]) -> Iterator[tuple[int, dict]]:
+    for lineno, (text, start, stop) in enumerate(lines, start=2):
         try:
-            raw = _decode(line)
+            raw = _decode(text, start, stop)
         except (ValueError, RecursionError) as exc:
-            if not line.strip():  # a blank line
+            if not text[start:stop].strip():  # a blank line
                 continue
             raise error(f"{path}:{lineno}: bad record JSON ({_json_message(exc)})") from None
         if type(raw) is not dict:
@@ -399,40 +462,59 @@ def _body_objects(path, lines: list[str], error: type[DataFormatError]) -> Itera
         yield lineno, raw
 
 
+def iter_detection_stream(path) -> tuple[StreamHeader, Iterator[DetectionFrame]]:
+    """The header of a .jsonl detection stream, and its frames as a one-pass iterator that reads the file as it goes.
+
+    The header is read and checked at once, each record as its frame is
+    reached, so a bad line raises only when the iterator gets there.
+    """
+    with _utf8_first(path, StreamFormatError):
+        head, body = _read_jsonl(path, STREAM_FORMAT, StreamFormatError)
+        d_q = head.get("d_q")
+        if type(d_q) is not int or not 0 < d_q < INT64_END:
+            raise StreamFormatError(f"{path}:1: header field d_q must be a positive integer")
+        canvas = None
+        if "canvas" in head:
+            c = head["canvas"]
+            # two finite positive numbers, not booleans; an integer beyond float range fails the bound too
+            if not (isinstance(c, list) and len(c) == 2
+                    and all(type(v) in (int, float) and 0 < v <= sys.float_info.max for v in c)):
+                raise StreamFormatError(f"{path}:1: header field canvas must be [width, height]")
+            canvas = (float(c[0]), float(c[1]))
+        video = head.get("video", "")
+        if type(video) is not str:
+            raise StreamFormatError(f"{path}:1: header field video must be a string")
+    return StreamHeader(d_q, video, canvas), _stream_frames(path, body, d_q)
+
+
+def _stream_frames(path, body: Iterator[tuple[int, dict]], d_q: int) -> Iterator[DetectionFrame]:
+    """The stream's records, validated and grouped by frame; a frame is complete when the next one starts."""
+    with _utf8_first(path, StreamFormatError):
+        records: list[DetectionRecord] = []
+        current = -1  # frame indices are nonnegative
+        for lineno, raw in body:
+            try:
+                record = _stream_record(raw, d_q)
+            except _Invalid as exc:
+                raise StreamFormatError(f"{path}:{lineno}: {exc}") from None
+            frame_idx = record.frame_index
+            if frame_idx != current:
+                if frame_idx < current:
+                    raise StreamFormatError(
+                        f"{path}:{lineno}: frame index {frame_idx} after {current}, stream must be monotone"
+                    )
+                if records:
+                    yield DetectionFrame(current, records)
+                current, records = frame_idx, []
+            records.append(record)
+        if records:
+            yield DetectionFrame(current, records)
+
+
 def parse_detection_stream(path) -> tuple[StreamHeader, list[DetectionFrame]]:
     """Read a .jsonl detection stream, validating and grouping records by frame."""
-    head, body = _read_jsonl(path, STREAM_FORMAT, StreamFormatError)
-    d_q = head.get("d_q")
-    if type(d_q) is not int or not 0 < d_q < INT64_END:
-        raise StreamFormatError(f"{path}:1: header field d_q must be a positive integer")
-    canvas = None
-    if "canvas" in head:
-        c = head["canvas"]
-        # two finite positive numbers, not booleans; an integer beyond float range fails the bound too
-        if not (isinstance(c, list) and len(c) == 2
-                and all(type(v) in (int, float) and 0 < v <= sys.float_info.max for v in c)):
-            raise StreamFormatError(f"{path}:1: header field canvas must be [width, height]")
-        canvas = (float(c[0]), float(c[1]))
-    header = StreamHeader(d_q, str(head.get("video", "")), canvas)
-
-    frames: list[DetectionFrame] = []
-    records: list[DetectionRecord] = []
-    current = -1  # frame indices are nonnegative
-    for lineno, raw in body:
-        try:
-            record = _stream_record(raw, d_q)
-        except _Invalid as exc:
-            raise StreamFormatError(f"{path}:{lineno}: {exc}") from None
-        frame_idx = record.frame_index
-        if frame_idx != current:
-            if frame_idx < current:
-                raise StreamFormatError(
-                    f"{path}:{lineno}: frame index {frame_idx} after {current}, stream must be monotone"
-                )
-            current, records = frame_idx, []
-            frames.append(DetectionFrame(frame_idx, records))
-        records.append(record)
-    return header, frames
+    header, frames = iter_detection_stream(path)
+    return header, list(frames)
 
 
 def _json_floats(text: str) -> str:
@@ -614,23 +696,24 @@ def write_trajectories(tracks: list[TrajectoryOutput], path, video: str = "") ->
 
 def read_trajectories(path) -> list[TrajectoryOutput]:
     """Trajectories by ascending track id; lines of different tracks may interleave."""
-    _, body = _read_jsonl(path, TRAJ_FORMAT, DataFormatError)
     track, frame, corners, scores, polygons, texts = [], [], [], [], [], []
     last_frame: dict[int, int] = {}  # per track
-    for lineno, raw in body:
-        try:
-            track_id, frame_idx, box, score, polygon, text = _trajectory_row(raw)
-        except _Invalid as exc:
-            raise DataFormatError(f"{path}:{lineno}: {exc}") from None
-        if frame_idx <= last_frame.get(track_id, frame_idx - 1):
-            raise DataFormatError(f"{path}:{lineno}: frame {frame_idx} not increasing within track {track_id}")
-        last_frame[track_id] = frame_idx
-        track.append(track_id)
-        frame.append(frame_idx)
-        corners += box
-        scores.append(score)
-        polygons.append(polygon)
-        texts.append(text)
+    with _utf8_first(path, DataFormatError):
+        _, body = _read_jsonl(path, TRAJ_FORMAT, DataFormatError)
+        for lineno, raw in body:
+            try:
+                track_id, frame_idx, box, score, polygon, text = _trajectory_row(raw)
+            except _Invalid as exc:
+                raise DataFormatError(f"{path}:{lineno}: {exc}") from None
+            if frame_idx <= last_frame.get(track_id, frame_idx - 1):
+                raise DataFormatError(f"{path}:{lineno}: frame {frame_idx} not increasing within track {track_id}")
+            last_frame[track_id] = frame_idx
+            track.append(track_id)
+            frame.append(frame_idx)
+            corners += box
+            scores.append(score)
+            polygons.append(polygon)
+            texts.append(text)
     return group_trajectories(np.array(track, dtype=np.int64), np.array(frame, dtype=np.int64),
                               np.array(corners, dtype=np.float64).reshape(-1, 4),
                               np.array(scores, dtype=np.float64), polygons, texts)

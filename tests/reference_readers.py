@@ -3,7 +3,8 @@
 These are the earlier readers, verbatim with their helpers, so that a
 change to a helper in `data_io` cannot move both sides of a comparison.
 Lines are split by `str.splitlines`, as they were then. They share only
-the data model and the error classes with `data_io`.
+the data model and the error classes with `data_io`. One check was
+added since: a stream header's `video` must be a string.
 """
 
 from __future__ import annotations
@@ -173,6 +174,8 @@ def parse_detection_stream(path) -> tuple[StreamHeader, list[DetectionFrame]]:
                 and all(type(v) in (int, float) and 0 < v <= sys.float_info.max for v in c)):
             raise StreamFormatError(f"{path}:1: header field canvas must be [width, height]")
         canvas = (float(c[0]), float(c[1]))
+    if type(head.get("video", "")) is not str:
+        raise StreamFormatError(f"{path}:1: header field video must be a string")
     header = StreamHeader(d_q=head["d_q"], video=str(head.get("video", "")), canvas=canvas)
 
     frames: list[DetectionFrame] = []

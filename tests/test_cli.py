@@ -493,6 +493,51 @@ def test_track_stream_box_not_a_list_is_json_error(tmp_path, capsys):
     assert f"{stream}:3" in error and "'box'" in error
 
 
+def _track_spoiled_stream(tmp_path, capsys, edit, d_q=16):
+    """`qtrack track`'s error on a generated stream whose lines `edit` changed; it writes no output."""
+    data = _gen(tmp_path, frames=6, tracks=2, seed=8)
+    stream = data / "stream.jsonl"
+    lines = stream.read_text().splitlines()
+    edit(lines)
+    stream.write_text("\n".join(lines) + "\n")
+    ckpt = tmp_path / "model.json"
+    save_checkpoint(TrackerModel.create(MatcherVariant.SIMILARITY, d_q=d_q), ckpt)
+    out = tmp_path / "o"
+    assert main(["track", "--checkpoint", str(ckpt), "--stream", str(stream), "--out", str(out)]) == 1
+    assert not out.exists()
+    return stream, _json_error(capsys)
+
+
+@pytest.mark.parametrize("video", [None, [1]])
+def test_track_stream_video_not_a_string_is_json_error(tmp_path, capsys, video):
+    def edit(lines):
+        lines[0] = json.dumps({**json.loads(lines[0]), "video": video})
+
+    stream, error = _track_spoiled_stream(tmp_path, capsys, edit)
+    assert error == f"{stream}:1: header field video must be a string"
+
+
+def test_track_bad_line_after_good_frames_writes_nothing(tmp_path, capsys):
+    def edit(lines):
+        lines.append("{")
+
+    stream, error = _track_spoiled_stream(tmp_path, capsys, edit)
+    assert error.startswith(f"{stream}:{len(stream.read_text().splitlines())}: bad record JSON (")
+
+
+def test_track_bad_line_wins_over_checkpoint_d_q_mismatch(tmp_path, capsys):
+    def edit(lines):
+        lines[-1] = lines[-1].replace('"score": ', '"score": 2 + ', 1)
+
+    stream, error = _track_spoiled_stream(tmp_path, capsys, edit, d_q=4)
+    assert error.startswith(f"{stream}:{len(stream.read_text().splitlines())}: bad record JSON (")
+
+
+def test_track_checkpoint_d_q_mismatch_is_json_error(tmp_path, capsys):
+    stream, error = _track_spoiled_stream(tmp_path, capsys, lambda lines: None, d_q=4)
+    assert error == "stream d_q 16 does not match checkpoint d_q 4"
+
+
 def test_eval_annotation_frame_without_box_is_json_error(tmp_path, capsys):
     data = _gen(tmp_path, frames=4, tracks=2, seed=8)
     ann = data / "annotations.json"

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qtrack import data_io
 from qtrack.data_io import (
     BOX_TYPES,
     CATEGORIES,
@@ -176,6 +177,21 @@ def test_stream_header_canvas_must_be_two_finite_positive_numbers(tmp_path, canv
     with pytest.raises(StreamFormatError) as err:
         parse_detection_stream(path)
     assert str(err.value) == f"{path}:1: header field canvas must be [width, height]"
+
+
+@pytest.mark.parametrize("video", [None, [1], 1, True, {}])
+def test_stream_header_video_must_be_a_string(tmp_path, video):
+    path = tmp_path / "s.jsonl"
+    _write_lines(path, {**HEADER, "video": video}, _record())
+    with pytest.raises(StreamFormatError) as err:
+        parse_detection_stream(path)
+    assert str(err.value) == f"{path}:1: header field video must be a string"
+
+
+def test_stream_header_without_video_reads_as_empty(tmp_path):
+    path = tmp_path / "s.jsonl"
+    _write_lines(path, {"format": "qtrack-det/1", "d_q": 4}, _record())
+    assert parse_detection_stream(path)[0].video == ""
 
 
 @pytest.mark.parametrize("field, value, message", [
@@ -1166,3 +1182,65 @@ def test_readers_match_their_earlier_selves(tmp_path_factory, file):
     path.write_bytes(text.encode())
     read, reference, _ = DIFF_FILES[kind]
     assert _outcome(read, path) == _outcome(reference, path)
+
+
+# ---------------------------------------------------------------------------
+# reading in blocks: where the block edges fall changes nothing
+
+
+def _raw_lines(*rows, newline="\n", end="\n") -> bytes:
+    """`rows` (objects, or strings put in as they are) as UTF-8 lines, non-ASCII characters unescaped."""
+    return (newline.join(row if isinstance(row, str) else json.dumps(row, ensure_ascii=False) for row in rows)
+            + end).encode()
+
+
+def _traj_row(frame, **extra):
+    return {"track": 1, "frame": frame, "box": [0, 0, 10, 10], "score": 0.5, **extra}
+
+
+WIDE = "é€😀"  # two, three and four bytes
+BLOCK_CASES = {  # name: (kind, bytes, whether `str.splitlines` finds the same lines as the readers)
+    "stream-wide-chars": ("stream", _raw_lines(HEADER, _record(text=WIDE * 3), _record(frame=1, text=WIDE)), True),
+    "traj-wide-chars": ("trajectories", _raw_lines(TRAJ_HEADER, _traj_row(0, text=WIDE), _traj_row(1, text=WIDE)),
+                        True),
+    "stream-long-line": ("stream", _raw_lines(HEADER, _record(text="x" * 300), _record(frame=1)), True),
+    "traj-long-line": ("trajectories", _raw_lines(TRAJ_HEADER, _traj_row(0, text="y" * 300)), True),
+    "stream-crlf-no-last-newline": ("stream", _raw_lines(HEADER, _record(), _record(frame=1), newline="\r\n", end=""),
+                                    True),
+    "traj-crlf": ("trajectories", _raw_lines(TRAJ_HEADER, _traj_row(0), _traj_row(1), newline="\r\n", end="\r\n"),
+                  True),
+    "traj-no-last-newline": ("trajectories", _raw_lines(TRAJ_HEADER, _traj_row(0), _traj_row(1), end=""), True),
+    "stream-blank-lines": ("stream", _raw_lines(HEADER, "", _record(), "  ", "\r", "\t", _record(frame=1), "",
+                                                end="\n\n"), True),
+    "traj-blank-lines": ("trajectories", _raw_lines(TRAJ_HEADER, " ", _traj_row(0), "", "", _traj_row(1), end="\n \n"),
+                         True),
+    "stream-line-separator": ("stream", _raw_lines(HEADER, _record(text="a\u2028b\u2029c\x85"), _record(frame=1)),
+                              False),
+    "traj-line-separator": ("trajectories", _raw_lines(TRAJ_HEADER, _traj_row(0, text="\u2028x"), _traj_row(1)), False),
+    "stream-bom": ("stream", b"\xef\xbb\xbf" + _raw_lines(HEADER, _record()), True),
+    "traj-bom": ("trajectories", b"\xef\xbb\xbf" + _raw_lines(TRAJ_HEADER, _traj_row(0)), True),
+    "stream-not-utf8-after-bad-line": ("stream", _raw_lines(HEADER, _record(), "{bad", _record(frame=1))
+                                       + b'{"frame": \xff}\n', True),
+    "traj-not-utf8-after-bad-line": ("trajectories", _raw_lines(TRAJ_HEADER, _traj_row(0), "[1]", _traj_row(1))
+                                     + b'{"text": "a\xc3"}\n', True),
+    "stream-not-utf8-after-bad-header": ("stream", _raw_lines('{"format": 1', _record()) + b"\xff\n", True),
+    "stream-not-utf8-after-bad-header-field": ("stream", _raw_lines({**HEADER, "video": None}, _record())
+                                               + b"\n\xe2\x82", True),
+    "traj-not-utf8-after-bad-header": ("trajectories", _raw_lines("{}", _traj_row(0)) + b"\x80", True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+def test_readers_give_the_same_outcome_wherever_the_block_edges_fall(tmp_path, monkeypatch, case):
+    kind, data, splits_alike = BLOCK_CASES[case]
+    path = tmp_path / "f.jsonl"
+    path.write_bytes(data)
+    read, reference, _ = DIFF_FILES[kind]
+    whole = _outcome(read, path)  # the file is one block
+    if splits_alike:
+        assert whole == _outcome(reference, path)
+    else:  # the reference splits at the separators too, so it cannot read the file
+        assert whole[0] == "value"
+    for size in (1, 2, 3, 5, 8, 64):
+        monkeypatch.setattr(data_io, "READ_BLOCK", size)
+        assert _outcome(read, path) == whole, size
