@@ -8,7 +8,8 @@ bank (long-term), which is what recovers tracks across missed
 detections. Whatever remains unmatched founds a new trajectory.
 Each match adds a row (track id, frame, box, fused score, polygon,
 text) to flat columns, grouped into per-track columns at the end; no
-record outlives its frame.
+record outlives its frame. Frames must come in increasing index order:
+the memory bank is a log in that order.
 """
 
 from __future__ import annotations
@@ -33,9 +34,6 @@ __all__ = [
     "associate_frame",
     "track_sequence",
 ]
-
-PACK_ROWS = 4096  # rows that track_sequence gathers by reference before it packs them into arrays
-
 
 @dataclass
 class TrackerConfig:
@@ -66,9 +64,10 @@ class MemoryBank:
     of each row. A row is the run's matcher's row for the trajectory's
     embedding at that frame (`PackedMatcher.rows`): the embedding in its
     first d_e columns, then whatever that matcher keeps beside it.
-    Rows are grouped by ascending track id, oldest first within a track,
-    which is the order the long-term stage reads them in. At frame t,
-    after `advance(t)`, the bank holds only rows of frames t - H ... t - 1,
+    The bank is a log: rows by ascending frame, and within a frame by
+    ascending track id. So the rows of the latest frame are its tail, and
+    the rows that fall out of the horizon are its head. At frame t, after
+    `advance(t)`, the bank holds only rows of frames t - H ... t - 1,
     whatever frames the stream skipped. A trajectory leaves the bank with
     its last row.
     """
@@ -86,8 +85,7 @@ class MemoryBank:
 
     def entries(self, track_id: int) -> np.ndarray:
         """The trajectory's embedding rows, oldest first."""
-        lo, hi = np.searchsorted(self.track, (track_id, track_id + 1))
-        return self.rows[lo:hi, :self.d_e]
+        return self.rows[self.track == track_id, :self.d_e]
 
     def new_ids(self, count: int) -> list[int]:
         """Ids for `count` new trajectories, increasing and never reused."""
@@ -96,22 +94,20 @@ class MemoryBank:
         return list(range(first, self.next_id))
 
     def advance(self, frame: int) -> None:
-        """Enter `frame`: drop the rows of frames before frame - H."""
-        keep = self.frame >= frame - self.horizon
-        if not keep.all():
-            self.track, self.frame, self.rows = self.track[keep], self.frame[keep], self.rows[keep]
+        """Enter `frame`: drop the rows of frames before frame - H, the log's head."""
+        cut = np.searchsorted(self.frame, frame - self.horizon)
+        self.track, self.frame, self.rows = self.track[cut:], self.frame[cut:], self.rows[cut:]
 
     def update(self, frame: int, track_ids: list[int], rows: np.ndarray) -> None:
-        """Add one row per trajectory seen at `frame`.
+        """Append one row per trajectory seen at `frame`, a frame after every row the bank holds.
 
-        `rows` are as wide as the bank's. The stable sort by track id puts
-        each new row last in its track.
+        `rows` are as wide as the bank's; they go in by ascending track id.
         """
-        track = np.concatenate((self.track, np.asarray(track_ids, dtype=np.int64)))
-        order = np.argsort(track, kind="stable")
-        self.track = track[order]
-        self.frame = np.concatenate((self.frame, np.full(len(track_ids), frame)))[order]
-        self.rows = np.concatenate((self.rows, rows))[order]
+        track = np.asarray(track_ids, dtype=np.int64)
+        order = np.argsort(track)
+        self.track = np.concatenate((self.track, track[order]))
+        self.frame = np.concatenate((self.frame, np.full(len(track), frame)))
+        self.rows = np.concatenate((self.rows, rows[order]))
 
 
 @dataclass
@@ -196,11 +192,11 @@ def associate_frame(
     st_matches: list[tuple[int, int, float]] = []
 
     # Stage 1: trajectories seen in the previous frame, through their row
-    # from that frame.
-    prev = (bank.frame == frame_index - 1).nonzero()[0]
-    if len(prev):
-        prev_tracks = bank.track[prev].tolist()
-        _, st = matcher_forward(current, bank.rows[prev], matcher, branch="st")
+    # from that frame: the bank's tail.
+    lo, hi = np.searchsorted(bank.frame, (frame_index - 1, frame_index))
+    if hi > lo:
+        prev_tracks = bank.track[lo:hi].tolist()
+        _, st = matcher_forward(current, bank.rows[lo:hi], matcher, branch="st")
         st_matches = [(i, prev_tracks[c], p) for i, c, p in _greedy_matches(st[:, :-1], config.assoc_threshold)]
 
     matched = {i for i, _, _ in st_matches}
@@ -208,12 +204,14 @@ def associate_frame(
     lt_matches: list[tuple[int, int, float]] = []
 
     # Stage 2: leftovers against the rows of every trajectory ST did not
-    # claim. A trajectory's rows are contiguous, and its score is the
-    # maximum over them.
+    # claim, read by ascending track id, oldest row first: the stable sort
+    # of the frame-ordered log sets that order, and with it the matcher's
+    # sums. A trajectory's score is the maximum over its rows.
     if config.use_lt and leftovers:
         claimed = np.zeros(bank.next_id, dtype=bool)
         claimed[[tid for _, tid, _ in st_matches]] = True
-        free = ~claimed[bank.track]
+        free = (~claimed[bank.track]).nonzero()[0]
+        free = free[np.argsort(bank.track[free], kind="stable")]
         track = bank.track[free]
         if len(track):
             starts = np.concatenate(([True], track[1:] != track[:-1])).nonzero()[0]
@@ -239,19 +237,22 @@ def track_sequence(
     Deterministic: identical frames, model and config produce identical
     trajectory ids and contents. The matcher is packed once, for the run,
     and serves the bank and every frame's association. `frames` may be a
-    one-pass iterator, such as a stream read as it is tracked.
+    one-pass iterator, such as a stream read as it is tracked. Frame
+    indices must increase from frame to frame.
     """
     matcher = PackedMatcher(model)
     bank = MemoryBank(config.history_depth, matcher)
     head = model.rescoring_head()
-    # one row per (trajectory, frame), only what finalize writes: ids, frames, boxes and fused scores are
-    # gathered by reference, a cheap step for a frame, and packed into arrays every PACK_ROWS rows
-    track_ids, frame_ids, boxes, scores = gathered = [], [], [], []
-    packed = array("q"), array("q"), array("d"), array("d")
+    # one row per (trajectory, frame), only what finalize writes
+    track_ids, frame_ids, corners, scores = array("q"), array("q"), array("d"), array("d")
     polygons, texts = [], []
 
+    last = None
     for frame in frames:
         t = frame.frame_index
+        if last is not None and t <= last:
+            raise ValueError(f"frame index {t} after {last}, frames must increase")
+        last = t
         bank.advance(t)
         kept = nms(filter_instances(frame, head, config.detect_threshold), config.nms_iou)
         outcome = associate_frame(kept, bank, matcher, config, frame_index=t)
@@ -263,28 +264,17 @@ def track_sequence(
 
         assigned = [kept[i] for i, _ in assignments]
         records = [inst.record for inst in assigned]
-        track_ids += ids
-        frame_ids += [t] * len(ids)
-        boxes += [rec.box for rec in records]
-        scores += [inst.fused_score for inst in assigned]
+        track_ids.fromlist(ids)
+        frame_ids.fromlist([t] * len(ids))
+        corners.fromlist(list(chain.from_iterable(rec.box for rec in records)))
+        scores.fromlist([inst.fused_score for inst in assigned])
         polygons += [rec.polygon for rec in records]
         texts += [rec.text for rec in records]
-        if len(track_ids) >= PACK_ROWS:
-            _pack(packed, gathered)
-    _pack(packed, gathered)
 
     # the rows of trajectories with at least min_track_len of them
-    track, frame_idx, corners, fused = (np.frombuffer(column, dtype=column.typecode) for column in packed)
+    track, frame_idx, boxes, fused = (np.frombuffer(column, dtype=column.typecode)
+                                      for column in (track_ids, frame_ids, corners, scores))
     rows = np.flatnonzero(np.bincount(track)[track] >= config.min_track_len)
     keep = rows.tolist()
-    return group_trajectories(track[rows], frame_idx[rows], corners.reshape(-1, 4)[rows], fused[rows],
+    return group_trajectories(track[rows], frame_idx[rows], boxes.reshape(-1, 4)[rows], fused[rows],
                               [polygons[i] for i in keep], [texts[i] for i in keep])
-
-
-def _pack(packed, gathered) -> None:
-    """Append the gathered rows' ids, frames, box corners and scores to their arrays, and empty the lists."""
-    track_ids, frame_ids, boxes, scores = gathered
-    for column, values in zip(packed, (track_ids, frame_ids, list(chain.from_iterable(boxes)), scores)):
-        column.fromlist(values)
-    for rows in gathered:
-        rows.clear()

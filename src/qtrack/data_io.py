@@ -677,21 +677,22 @@ def _track_block(track: GroundTruthTrack) -> str:
 
 
 def write_trajectories(tracks: list[TrajectoryOutput], path, video: str = "") -> None:
-    """One line per (track, frame), sorted by (track_id, frame_index): the bytes `json.dumps` writes."""
-    lines = [json.dumps({"format": TRAJ_FORMAT, "video": video})]
-    for tr in sorted(tracks, key=attrgetter("track_id")):
-        rows = zip(tr.frames.tolist(), tr.boxes.tolist(), tr.scores.tolist(), tr.polygons, tr.texts)
-        for f, (x0, y0, x1, y1), s, poly, text in rows:
-            line = (f'{{"track": {tr.track_id}, "frame": {f}, '
-                    f'"box": [{x0!r}, {y0!r}, {x1!r}, {y1!r}], "score": {s!r}')
-            if poly is not None:  # float.__repr__ spells a float subclass such as np.float64 as a float
-                line += ', "poly": [' + ", ".join([f"[{_repr(x)}, {_repr(y)}]" for x, y in poly]) + "]"
-            line = _json_floats(line)  # the text, which may hold "inf", comes after
-            if text is not None:
-                line += ', "text": ' + encode_basestring_ascii(text)
-            lines.append(line + "}")
+    """One line per (track, frame), by (track_id, frame_index): the bytes `json.dumps` writes, one write per track."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(json.dumps({"format": TRAJ_FORMAT, "video": video}) + "\n")
+        for tr in sorted(tracks, key=attrgetter("track_id")):
+            lines = []
+            rows = zip(tr.frames.tolist(), tr.boxes.tolist(), tr.scores.tolist(), tr.polygons, tr.texts)
+            for f, (x0, y0, x1, y1), s, poly, text in rows:
+                line = (f'{{"track": {tr.track_id}, "frame": {f}, '
+                        f'"box": [{x0!r}, {y0!r}, {x1!r}, {y1!r}], "score": {s!r}')
+                if poly is not None:  # float.__repr__ spells a float subclass such as np.float64 as a float
+                    line += ', "poly": [' + ", ".join([f"[{_repr(x)}, {_repr(y)}]" for x, y in poly]) + "]"
+                line = _json_floats(line)  # the text, which may hold "inf", comes after
+                if text is not None:
+                    line += ', "text": ' + encode_basestring_ascii(text)
+                lines.append(line + "}\n")
+            fh.write("".join(lines))
 
 
 def read_trajectories(path) -> list[TrajectoryOutput]:

@@ -171,7 +171,7 @@ def track_both(frames, model, config):
         for i, tid, _ in want.st_matches + want.lt_matches:
             ref_bank.append(tid, t, want.rows[i])
         assert [ref_bank.new_track(t, want.rows[i]) for i in want.new_tracks] == new_ids
-        want_rows = ref_bank.rows()
+        want_rows = sorted(ref_bank.rows(), key=lambda row: (row[1], row[0]))  # by (frame, track)
         assert bank.track.tolist() == [tid for tid, _, _ in want_rows]
         assert bank.frame.tolist() == [f for _, f, _ in want_rows]
         assert np.array_equal(bank.rows[:, :model.d_e], np.reshape([e for _, _, e in want_rows], (-1, model.d_e)))

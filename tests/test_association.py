@@ -126,9 +126,9 @@ def test_bank_seen_at():
     bank.update(2, [a], np.full((1, 2), 2.0))
     assert bank.track[bank.frame == 2].tolist() == [a]
     assert bank.track[bank.frame == 1].tolist() == [b]
-    # rows stay grouped by track, oldest first: the new row is last in a's group
-    assert bank.track.tolist() == [a, a, b]
-    assert bank.frame.tolist() == [0, 2, 1]
+    # the bank is a log in frame order: the new row goes after every row it holds
+    assert bank.track.tolist() == [a, b, a]
+    assert bank.frame.tolist() == [0, 1, 2]
     assert np.array_equal(bank.entries(a), [[1.0, 1.0], [2.0, 2.0]])
 
 
@@ -323,10 +323,10 @@ def test_tracking_invariants_on_synthetic_streams(seed, variant, use_lt, history
         assignments += zip(outcome.new_tracks, new_ids)
         bank.update(t, [tid for _, tid in assignments], outcome.rows[[i for i, _ in assignments]])
 
-        # rows grouped by ascending track id, frames ascending within a track
-        same_track = bank.track[1:] == bank.track[:-1]
-        assert np.all(bank.track[1:] >= bank.track[:-1])
-        assert np.all(bank.frame[1:][same_track] > bank.frame[:-1][same_track])
+        # rows by ascending frame, track ids ascending within a frame
+        same_frame = bank.frame[1:] == bank.frame[:-1]
+        assert np.all(bank.frame[1:] >= bank.frame[:-1])
+        assert np.all(bank.track[1:][same_frame] > bank.track[:-1][same_frame])
         assert len(bank.track) == len(bank.frame) == len(bank.rows)
         assert sum(len(bank.entries(tid)) for tid in bank.track_ids()) == len(bank.track)
         assert set(bank.track[bank.frame == t].tolist()) == {tid for _, tid in assignments}
@@ -341,6 +341,14 @@ def test_track_sequence_deterministic():
     for ta, tb in zip(a, b):
         assert ta.frame_indices() == tb.frame_indices()
         assert ta.scores.tolist() == tb.scores.tolist()
+
+
+@pytest.mark.parametrize("order", [[5, 3], [2, 2]])
+def test_track_sequence_refuses_frames_that_do_not_increase(order):
+    dets, _ = _noiseless_frames(frames=2)
+    frames = [DetectionFrame(t, det.records) for t, det in zip(order, dets)]
+    with pytest.raises(ValueError, match=f"^frame index {order[1]} after {order[0]}, frames must increase$"):
+        track_sequence(frames, _similarity_model(d=16), TrackerConfig())
 
 
 def test_tracker_config_validation():

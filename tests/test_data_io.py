@@ -1,9 +1,11 @@
 """Stream/annotation/trajectory parsing, validation and round trips; checkpoints under any JSON."""
 
 import dataclasses
+import gc
 import json
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -449,6 +451,22 @@ def test_trajectory_round_trip_random_property():
                 assert a.boxes.tolist() == b.boxes.tolist()  # exact float round trip
                 assert a.scores.tolist() == b.scores.tolist()
                 assert a.texts == b.texts
+
+
+def test_trajectory_write_holds_one_track_at_a_time(tmp_path):
+    tracks = [_traj(tid, range(100)) for tid in range(1, 201)]
+    path = tmp_path / "t.jsonl"
+    gc.collect()
+    tracemalloc.start()
+    try:
+        write_trajectories(tracks, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    lines = path.read_bytes().splitlines(keepends=True)
+    one_track = sum(map(len, lines[1:101]))
+    # a few times one track's lines, for the lists they are built from, and the file's buffers: not the file
+    assert peak < 4 * one_track + 64 * 1024 < sum(map(len, lines)) / 4, (peak, one_track)
 
 
 def test_trajectory_writes_are_deterministic(tmp_path):
