@@ -6,9 +6,11 @@ trajectories seen in the immediately preceding frame (short-term),
 then the leftovers against every other live trajectory in the memory
 bank (long-term), which is what recovers tracks across missed
 detections. Whatever remains unmatched founds a new trajectory.
-Each match adds a row (track id, frame, box, fused score, polygon,
-text) to flat columns, grouped into per-track columns at the end; no
-record outlives its frame. Frames must come in increasing index order:
+A frame's rows go through rescoring, NMS and association as columns
+(`Candidates`), and each match adds a row (track id, frame, box, fused
+score, polygon, text), gathered from the frame's columns by index, to
+flat columns grouped into per-track columns at the end; the tracker
+keeps nothing else of a frame. Frames must come in increasing index order:
 the memory bank is a log in that order.
 """
 
@@ -16,15 +18,14 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterable
 
 import numpy as np
 
-from .data_io import DetectionFrame, TrajectoryOutput, box_array, group_trajectories, iou_matrix
+from .data_io import DetectionFrame, TrajectoryOutput, group_trajectories, iou_matrix
 from .matcher import PackedMatcher, embed_queries, matcher_forward
 from .model import TrackerModel
-from .rescoring import ScoredInstance, filter_instances
+from .rescoring import Candidates, filter_instances
 
 __all__ = [
     "TrackerConfig",
@@ -112,7 +113,7 @@ class MemoryBank:
 
 @dataclass
 class AssociationOutcome:
-    """How one frame's instances were resolved; indices refer to the input list."""
+    """How one frame's instances were resolved; indices refer to the input rows."""
 
     st_matches: list[tuple[int, int, float]]  # (instance index, track id, probability)
     lt_matches: list[tuple[int, int, float]]
@@ -120,14 +121,14 @@ class AssociationOutcome:
     rows: np.ndarray  # (n, width) bank rows (`PackedMatcher.rows`) aligned with the input instances
 
 
-def nms(instances: list[ScoredInstance], iou_threshold: float) -> list[ScoredInstance]:
-    """Greedy suppression in descending fused score; returns survivors in input order."""
+def nms(instances: Candidates, iou_threshold: float) -> Candidates:
+    """Greedy suppression in descending fused score; returns the surviving rows in input order."""
     if not 0.0 < iou_threshold <= 1.0:
         raise ValueError(f"iou_threshold must be in (0,1], got {iou_threshold}")
     n = len(instances)
     if n <= 1:
-        return list(instances)
-    boxes = box_array(inst.record.box for inst in instances)
+        return instances
+    boxes = instances.boxes
     overlaps = iou_matrix(boxes, boxes) >= iou_threshold
     overlaps.flat[::n + 1] = False  # the diagonal: a box does not suppress itself
     # A box that overlaps no other box is kept and suppresses nothing, so
@@ -135,14 +136,15 @@ def nms(instances: list[ScoredInstance], iou_threshold: float) -> list[ScoredIns
     crowded = np.logical_or.reduce(overlaps, axis=1)
     contested = crowded.nonzero()[0].tolist()
     if not contested:
-        return list(instances)
+        return instances
     keep = ~crowded
     suppressed = np.zeros(n, dtype=bool)
-    for i in sorted(contested, key=lambda i: (-instances[i].fused_score, i)):
+    fused = instances.fused.tolist()
+    for i in sorted(contested, key=lambda i: (-fused[i], i)):
         if not suppressed[i]:
             keep[i] = True
             suppressed |= overlaps[i]
-    return [inst for inst, k in zip(instances, keep.tolist()) if k]
+    return instances.take(keep.nonzero()[0])
 
 
 def _greedy_matches(prob: np.ndarray, threshold: float) -> list[tuple[int, int, float]]:
@@ -168,7 +170,7 @@ def _greedy_matches(prob: np.ndarray, threshold: float) -> list[tuple[int, int, 
 
 
 def associate_frame(
-    instances: list[ScoredInstance],
+    instances: Candidates,
     bank: MemoryBank,
     matcher: PackedMatcher,
     config: TrackerConfig,
@@ -186,8 +188,7 @@ def associate_frame(
     if n == 0:
         return AssociationOutcome([], [], [], np.zeros((0, matcher.width)))
 
-    queries = np.array([inst.record.query for inst in instances])
-    current = matcher.rows(embed_queries(queries, matcher))
+    current = matcher.rows(embed_queries(instances.queries, matcher))
 
     st_matches: list[tuple[int, int, float]] = []
 
@@ -206,11 +207,12 @@ def associate_frame(
     # Stage 2: leftovers against the rows of every trajectory ST did not
     # claim, read by ascending track id, oldest row first: the stable sort
     # of the frame-ordered log sets that order, and with it the matcher's
-    # sums. A trajectory's score is the maximum over its rows.
+    # sums. A trajectory's score is the maximum over its rows. A row is
+    # claimed when its track is among the sorted claimed ids, which end
+    # in 0, an id no trajectory has, so the work is in the bank's rows.
     if config.use_lt and leftovers:
-        claimed = np.zeros(bank.next_id, dtype=bool)
-        claimed[[tid for _, tid, _ in st_matches]] = True
-        free = (~claimed[bank.track]).nonzero()[0]
+        claimed = np.array(sorted(tid for _, tid, _ in st_matches) + [0], dtype=np.int64)
+        free = (claimed[np.searchsorted(claimed[:-1], bank.track)] != bank.track).nonzero()[0]
         free = free[np.argsort(bank.track[free], kind="stable")]
         track = bank.track[free]
         if len(track):
@@ -260,16 +262,16 @@ def track_sequence(
         assignments = [(i, tid) for i, tid, _ in outcome.st_matches + outcome.lt_matches]
         assignments += zip(outcome.new_tracks, bank.new_ids(len(outcome.new_tracks)))
         ids = [tid for _, tid in assignments]
-        bank.update(t, ids, outcome.rows[[i for i, _ in assignments]])
+        at = np.array([i for i, _ in assignments], dtype=np.intp)
+        bank.update(t, ids, outcome.rows[at])
 
-        assigned = [kept[i] for i, _ in assignments]
-        records = [inst.record for inst in assigned]
         track_ids.fromlist(ids)
         frame_ids.fromlist([t] * len(ids))
-        corners.fromlist(list(chain.from_iterable(rec.box for rec in records)))
-        scores.fromlist([inst.fused_score for inst in assigned])
-        polygons += [rec.polygon for rec in records]
-        texts += [rec.text for rec in records]
+        corners.frombytes(kept.boxes[at].tobytes())
+        scores.frombytes(kept.fused[at].tobytes())
+        rows = kept.rows[at].tolist()
+        polygons += map(frame.polygons.__getitem__, rows)
+        texts += map(frame.texts.__getitem__, rows)
 
     # the rows of trajectories with at least min_track_len of them
     track, frame_idx, boxes, fused = (np.frombuffer(column, dtype=column.typecode)

@@ -193,10 +193,55 @@ class DetectionRecord:
     text: str | None = None
 
 
-@dataclass
 class DetectionFrame:
-    frame_index: int
-    records: list[DetectionRecord] = field(default_factory=list)
+    """One frame's detections, as columns: row i of `queries`, `boxes`, `scores`, `polygons` and `texts` is record i.
+
+    The stream reader builds the columns, and `records` builds their
+    `DetectionRecord`s on first read, each query a row view of
+    `queries`. A frame built from records builds its columns on first
+    read instead, so records changed in place before that are seen; to
+    change a frame afterwards, assign its `records`. The columns are one
+    plain tuple of arrays and tuples, which the garbage collector stops
+    tracking, so a parsed frame is one tracked object.
+    """
+
+    __slots__ = ("frame_index", "_records", "_columns")
+
+    def __init__(self, frame_index: int, records: list[DetectionRecord] | None = None):
+        self.frame_index = frame_index
+        self.records = [] if records is None else records
+
+    @classmethod
+    def from_columns(cls, frame_index: int, queries, boxes, scores, polygons, texts) -> DetectionFrame:
+        frame = cls.__new__(cls)
+        frame.frame_index, frame._records, frame._columns = frame_index, None, (queries, boxes, scores, polygons, texts)
+        return frame
+
+    @property
+    def records(self) -> list[DetectionRecord]:
+        if self._records is None:
+            t, (queries, boxes, scores, polygons, texts) = self.frame_index, self._columns
+            self._records = [DetectionRecord(t, q, tuple(box), s, p, x) for q, box, s, p, x
+                             in zip(queries, boxes.tolist(), scores.tolist(), polygons, texts)]
+        return self._records
+
+    @records.setter
+    def records(self, records: list[DetectionRecord]) -> None:
+        self._records, self._columns = records, None
+
+    def _cols(self) -> tuple:
+        if self._columns is None:
+            recs = self._records
+            self._columns = (np.array([r.query for r in recs], dtype=np.float64) if recs else np.zeros((0, 0)),
+                             box_array(r.box for r in recs), np.array([r.score for r in recs], dtype=np.float64),
+                             tuple(r.polygon for r in recs), tuple(r.text for r in recs))
+        return self._columns
+
+    queries = property(lambda self: self._cols()[0], doc="(n, d_q) float64")
+    boxes = property(lambda self: self._cols()[1], doc="(n, 4) float64")
+    scores = property(lambda self: self._cols()[2], doc="(n,) float64, the original confidences c_o")
+    polygons = property(lambda self: self._cols()[3], doc="n polygons or None, a tuple")
+    texts = property(lambda self: self._cols()[4], doc="n texts or None, a tuple")
 
 
 @dataclass
@@ -289,6 +334,7 @@ def _decode(text: str, start: int, stop: int):
 # The types of a JSON number: a numeric string or a boolean is not one,
 # though `float()` would take it.
 _NUMBER_TYPES = frozenset((int, float))
+_FLOAT_TYPE = frozenset((float,))
 
 
 def _box_corners(raw) -> Box:
@@ -312,20 +358,27 @@ def _parse_float(raw, name: str) -> float:
     raise _Invalid(f"field {name!r} must be a number, got {raw!r}")
 
 
-def _parse_query(raw, d_q: int) -> np.ndarray:
-    query = None
-    if type(raw) is list and _NUMBER_TYPES.issuperset(map(type, raw)):
-        try:
-            query = np.array(raw, dtype=np.float64)
-        except OverflowError:  # an integer beyond float range
-            pass
-    if query is None:
+def _parse_query(raw, d_q: int) -> list:
+    """The list itself, checked; the reader makes the queries of a frame one float64 matrix."""
+    if type(raw) is not list or not (_FLOAT_TYPE.issuperset(map(type, raw)) or _float_numbers(raw)):
         raise _Invalid("field 'query' must be a list of numbers")
     if len(raw) != d_q:
         raise _Invalid(f"field 'query' has dim {len(raw)}, header d_q is {d_q}")
-    if not all(map(math.isfinite, raw)):  # each value fits a float: the array took it
+    if not all(map(math.isfinite, raw)):  # each value fits a float
         raise _Invalid("field 'query' contains non-finite values")
-    return query
+    return raw
+
+
+def _float_numbers(values: list) -> bool:
+    """Whether every value is a number that converts to a float: an integer beyond float range does not."""
+    if not _NUMBER_TYPES.issuperset(map(type, values)):
+        return False
+    try:
+        for _ in map(float, values):
+            pass
+    except OverflowError:
+        return False
+    return True
 
 
 def _parse_polygon(raw) -> list[tuple[float, float]]:
@@ -346,7 +399,8 @@ def _check_envelope(polygon, box: Box) -> None:
         raise _Invalid("polygon envelope does not match box")
 
 
-def _stream_record(raw: dict, d_q: int) -> DetectionRecord:
+def _stream_record(raw: dict, d_q: int) -> tuple[int, list, Box, float, list | None, str | None]:
+    """One record line's (frame, query numbers, box corners, score, polygon, text), checked in field order."""
     try:
         frame_idx, box, score, query = raw["frame"], raw["box"], raw["score"], raw["query"]
     except KeyError as exc:  # the first missing field, in this order
@@ -365,7 +419,7 @@ def _stream_record(raw: dict, d_q: int) -> DetectionRecord:
     if polygon is not None:
         polygon = _parse_polygon(polygon)
         _check_envelope(polygon, corners)
-    return DetectionRecord(frame_idx, query, corners, score, polygon, _norm_text(raw.get("text")))
+    return frame_idx, query, corners, score, polygon, _norm_text(raw.get("text"))
 
 
 def _lines(path) -> Iterator[tuple[str, int, int]]:
@@ -488,27 +542,35 @@ def iter_detection_stream(path) -> tuple[StreamHeader, Iterator[DetectionFrame]]
 
 
 def _stream_frames(path, body: Iterator[tuple[int, dict]], d_q: int) -> Iterator[DetectionFrame]:
-    """The stream's records, validated and grouped by frame; a frame is complete when the next one starts."""
+    """The stream's records, validated and grouped by frame into columns; a frame is complete when the next one starts."""
     with _utf8_first(path, StreamFormatError):
-        records: list[DetectionRecord] = []
+        rows: list[tuple] = []
         current = -1  # frame indices are nonnegative
         for lineno, raw in body:
             try:
-                record = _stream_record(raw, d_q)
+                row = _stream_record(raw, d_q)
             except _Invalid as exc:
                 raise StreamFormatError(f"{path}:{lineno}: {exc}") from None
-            frame_idx = record.frame_index
+            frame_idx = row[0]
             if frame_idx != current:
                 if frame_idx < current:
                     raise StreamFormatError(
                         f"{path}:{lineno}: frame index {frame_idx} after {current}, stream must be monotone"
                     )
-                if records:
-                    yield DetectionFrame(current, records)
-                current, records = frame_idx, []
-            records.append(record)
-        if records:
-            yield DetectionFrame(current, records)
+                if rows:
+                    yield _column_frame(current, rows, d_q)
+                current, rows = frame_idx, []
+            rows.append(row)
+        if rows:
+            yield _column_frame(current, rows, d_q)
+
+
+def _column_frame(frame_index: int, rows: list[tuple], d_q: int) -> DetectionFrame:
+    """A frame of checked record rows: one (n, d_q) query matrix, one (n, 4) box array, one score array."""
+    _, queries, boxes, scores, polygons, texts = zip(*rows)
+    return DetectionFrame.from_columns(
+        frame_index, np.fromiter(chain.from_iterable(queries), np.float64, len(rows) * d_q).reshape(-1, d_q),
+        box_array(boxes), np.array(scores, dtype=np.float64), polygons, texts)
 
 
 def parse_detection_stream(path) -> tuple[StreamHeader, list[DetectionFrame]]:
@@ -573,7 +635,9 @@ def parse_annotations(path) -> list[GroundTruthTrack]:
 
     tracks: list[GroundTruthTrack] = []
     seen_ids: set[int] = set()
-    for ti, raw in enumerate(doc["tracks"]):
+    raw_tracks = doc["tracks"]
+    for ti in range(len(raw_tracks)):
+        raw, raw_tracks[ti] = raw_tracks[ti], None  # a track's document is freed once it is read
         where = f"{path}: track #{ti}"
         if not isinstance(raw, dict):
             raise AnnotationFormatError(f"{where}: track must be an object")

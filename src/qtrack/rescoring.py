@@ -10,13 +10,14 @@ detection's chance of surviving the threshold. The logistic is
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data_io import DetectionFrame, DetectionRecord
 
-__all__ = ["RescoringHead", "ScoredInstance", "filter_instances", "stable_sigmoid"]
+__all__ = ["RescoringHead", "ScoredInstance", "Candidates", "filter_instances", "stable_sigmoid"]
 
 
 def stable_sigmoid(z: float) -> float:
@@ -43,30 +44,62 @@ class ScoredInstance:
     fused_score: float  # c_f = max(c_o, c_r)
 
 
-def filter_instances(frame: DetectionFrame, head: RescoringHead, detect_threshold: float) -> list[ScoredInstance]:
-    """Rescore every record and keep those with fused score >= threshold, order preserved.
+@dataclass(eq=False)
+class Candidates(Sequence):
+    """Rows of one frame as columns: row k is the frame's row `rows[k]`, with its query, box, c_r and c_f.
+
+    As a sequence, row k reads as a `ScoredInstance` of the frame's
+    record `rows[k]`.
+    """
+
+    frame: DetectionFrame
+    rows: np.ndarray  # (k,) int64, increasing
+    queries: np.ndarray  # (k, d_q)
+    boxes: np.ndarray  # (k, 4)
+    recomputed: np.ndarray  # (k,) c_r
+    fused: np.ndarray  # (k,) c_f
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, k: int) -> ScoredInstance:
+        return ScoredInstance(self.frame.records[self.rows[k]], self.recomputed[k].item(), self.fused[k].item())
+
+    def take(self, index: np.ndarray) -> Candidates:
+        """The rows at `index`, in its order."""
+        return Candidates(self.frame, self.rows[index], self.queries[index], self.boxes[index],
+                          self.recomputed[index], self.fused[index])
+
+
+def filter_instances(frame: DetectionFrame, head: RescoringHead, detect_threshold: float) -> Candidates:
+    """Rescore every row of the frame and keep those with fused score >= threshold, order preserved.
 
     The recomputed confidence is c_r = logistic(weight . query + bias)
     and the fused one c_f = max(c_o, c_r).
 
     The frame's logits are one stacked product, (1, d_q) @ (d_q, 1) per
-    record: the bits of each record's own `q @ w`, which a plain `Q @ w`
-    does not promise.
+    row: the bits of each record's own `q @ w`, which a plain `Q @ w`
+    does not promise. The logistic is `stable_sigmoid` on each row, and
+    c_f is c_r where c_r > c_o, else c_o, as `max(c_o, c_r)` chooses.
     """
     if not 0.0 <= detect_threshold <= 1.0:
         raise ValueError(f"detect_threshold must be in [0,1], got {detect_threshold}")
-    records = frame.records
-    for record in records:
-        if record.query.shape != head.weight.shape:
-            raise ValueError(f"query dim {record.query.shape} does not match head dim {head.weight.shape}")
-    if not records:
-        return []
-    queries = np.array([record.query for record in records])
-    logits = np.matmul(queries[:, None, :], head.weight[:, None]).ravel().tolist()
-    kept = []
-    for record, logit in zip(records, logits):
-        c_r = stable_sigmoid(logit + head.bias)
-        c_f = max(record.score, c_r)
-        if c_f >= detect_threshold:
-            kept.append(ScoredInstance(record, c_r, c_f))
-    return kept
+    try:
+        queries = frame.queries
+    except ValueError:  # records whose queries differ in shape
+        queries = None
+    if queries is None or len(queries) and queries.shape[1:] != head.weight.shape:
+        for record in frame.records:  # name the first record that does not fit the head
+            if record.query.shape != head.weight.shape:
+                raise ValueError(f"query dim {record.query.shape} does not match head dim {head.weight.shape}")
+        queries = frame.queries  # any other error of the records' queries
+    boxes, scores = frame.boxes, frame.scores
+    if not len(scores):
+        return Candidates(frame, np.zeros(0, dtype=np.int64), queries, boxes, scores, scores)
+    logits = np.matmul(queries[:, None, :], head.weight[:, None]).ravel() + head.bias
+    recomputed = np.array(list(map(stable_sigmoid, logits.tolist())), dtype=np.float64)
+    fused = np.where(recomputed > scores, recomputed, scores)
+    rows = np.flatnonzero(fused >= detect_threshold)
+    if len(rows) < len(scores):
+        queries, boxes, recomputed, fused = queries[rows], boxes[rows], recomputed[rows], fused[rows]
+    return Candidates(frame, rows, queries, boxes, recomputed, fused)

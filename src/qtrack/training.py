@@ -114,11 +114,14 @@ class Video:
 
     @cached_property
     def extent(self) -> float:
-        """The joint extent of every record box and ground-truth box, at least 1; the scale when there is no canvas."""
+        """The joint extent of every record box and ground-truth box, at least 1; the scale when there is no canvas.
+
+        Like `max`, it passes over NaN corners.
+        """
         extent = 1.0
-        for f in self.frames:
-            for r in f.records:
-                extent = max(extent, r.box[2], r.box[3])
+        if self.frames:
+            far = np.concatenate([f.boxes[:, 2:] for f in self.frames])
+            extent = float(np.fmax.reduce(far, axis=None, initial=extent))
         for tr in self.tracks:
             for e in tr.frames.values():
                 extent = max(extent, e.box[2], e.box[3])
@@ -348,19 +351,15 @@ def build_clip(video: Video, start: int, length: int) -> list[ClipFrame]:
 
     clip = []
     for frame in frames:
-        boxes = box_array(r.box for r in frame.records)
+        boxes = frame.boxes
         t = frame.frame_index
         gt_map = {tr.track_id: tr.frames[t].box for tr in video.present_tracks.get(t, ())}
         assignments = {
             k: i for k, i in assign_targets(boxes, gt_map).items() if i is not None
         }
-        if frame.records:
-            queries = np.stack([r.query for r in frame.records])
-        else:
-            queries = np.zeros((0, 1))
         clip.append(
             ClipFrame(
-                queries=queries,
+                queries=frame.queries if len(boxes) else np.zeros((0, 1)),
                 boxes=boxes / scale,
                 gt_boxes=box_array(gt_map[k] for k in sorted(gt_map)) / scale,
                 assignments=assignments,

@@ -12,10 +12,19 @@ import numpy as np
 
 from qtrack.association import AssociationOutcome, MemoryBank, associate_frame, nms
 from qtrack.autodiff import Tensor
+from qtrack.data_io import DetectionFrame
 from qtrack.matcher import PackedMatcher, association, embed
-from qtrack.rescoring import filter_instances
+from qtrack.rescoring import Candidates, filter_instances
 
 from reference_iou import iou
+
+
+def as_rows(instances):
+    """`ScoredInstance`s as the filter passes them on: the rows of one frame of their records."""
+    frame = DetectionFrame(0, [inst.record for inst in instances])
+    return Candidates(frame, np.arange(len(instances)), frame.queries, frame.boxes,
+                      np.array([inst.recomputed_score for inst in instances], dtype=np.float64),
+                      np.array([inst.fused_score for inst in instances], dtype=np.float64))
 
 
 def ref_nms(instances, iou_threshold):
@@ -155,7 +164,7 @@ def track_both(frames, model, config):
         ref_bank.evict(t)
         scored = filter_instances(frame, head, config.detect_threshold)
         kept = nms(scored, config.nms_iou)
-        assert [id(k) for k in kept] == [id(k) for k in ref_nms(scored, config.nms_iou)]
+        assert [id(k.record) for k in kept] == [id(k.record) for k in ref_nms(list(scored), config.nms_iou)]
         got = associate_frame(kept, bank, matcher, config, t)
         want = ref_associate_frame(kept, ref_bank, model, config, t)
         assert got.st_matches == want.st_matches

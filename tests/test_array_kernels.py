@@ -31,7 +31,7 @@ from scipy.optimize import linear_sum_assignment
 import reference_matcher
 from disjoint_union import disjoint_union
 from reference_iou import iou
-from reference_tracker import assert_columns_equal_reference, ref_greedy_assign, ref_nms, track_both
+from reference_tracker import as_rows, assert_columns_equal_reference, ref_greedy_assign, ref_nms, track_both
 from qtrack.association import TrackerConfig, _greedy_matches, nms, track_sequence
 from qtrack.autodiff import (
     Tensor,
@@ -512,7 +512,8 @@ def test_nms_equals_reference(corners_scores, threshold):
     for x, y, score in corners_scores:
         record = DetectionRecord(0, np.zeros(2), (x, y, x + 5, y + 5), score)
         instances.append(ScoredInstance(record=record, recomputed_score=score, fused_score=score))
-    assert [id(k) for k in nms(instances, threshold)] == [id(k) for k in ref_nms(instances, threshold)]
+    got = nms(as_rows(instances), threshold)
+    assert [id(k.record) for k in got] == [id(k.record) for k in ref_nms(instances, threshold)]
 
 
 @st.composite
@@ -547,7 +548,8 @@ def test_nms_drops_as_scalar_greedy_reference(frame, threshold):
     assert [[_bits(float(v)) for v in row] for row in m.tolist()] == [[_bits(float(iou(a, b))) for b in boxes] for a in boxes]
     instances = [ScoredInstance(record=DetectionRecord(0, np.zeros(2), box, score), recomputed_score=score,
                                 fused_score=score) for box, score in zip(boxes, scores)]
-    assert [id(k) for k in nms(instances, threshold)] == [id(k) for k in ref_nms(instances, threshold)]
+    got = nms(as_rows(instances), threshold)
+    assert [id(k.record) for k in got] == [id(k.record) for k in ref_nms(instances, threshold)]
 
 
 @settings(max_examples=200)

@@ -1,5 +1,6 @@
 """NMS, the memory bank, two-stage association and full sequence tracking."""
 
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -20,7 +21,7 @@ from qtrack.model import TrackerModel
 from qtrack.rescoring import ScoredInstance, filter_instances
 from qtrack.synth import SynthConfig, generate_sequence
 
-from reference_tracker import assert_columns_equal_reference, track_both
+from reference_tracker import as_rows, assert_columns_equal_reference, track_both
 
 
 def _instance(query, box=(0, 0, 10, 10), score=0.9, frame=0):
@@ -59,7 +60,7 @@ def _new_track(bank, frame, embedding):
 
 def test_nms_identical_boxes_keep_highest():
     instances = [_instance([1, 0, 0, 0], score=0.9), _instance([0, 1, 0, 0], score=0.8)]
-    kept = nms(instances, 0.5)
+    kept = nms(as_rows(instances), 0.5)
     assert len(kept) == 1
     assert kept[0].fused_score == 0.9
 
@@ -69,7 +70,7 @@ def test_nms_disjoint_boxes_all_kept():
         _instance([1, 0, 0, 0], box=(0, 0, 5, 5), score=0.2),
         _instance([0, 1, 0, 0], box=(10, 10, 15, 15), score=0.9),
     ]
-    assert len(nms(instances, 0.5)) == 2
+    assert len(nms(as_rows(instances), 0.5)) == 2
 
 
 def test_nms_hand_iou_case():
@@ -78,7 +79,7 @@ def test_nms_hand_iou_case():
         _instance([1, 0, 0, 0], box=(0, 0, 10, 10), score=0.9),
         _instance([0, 1, 0, 0], box=(0, 0, 10, 8), score=0.8),
     ]
-    kept = nms(instances, 0.5)
+    kept = nms(as_rows(instances), 0.5)
     assert [k.fused_score for k in kept] == [0.9]
 
 
@@ -87,7 +88,7 @@ def test_nms_preserves_input_order():
         _instance([1, 0, 0, 0], box=(0, 0, 5, 5), score=0.1),
         _instance([0, 1, 0, 0], box=(20, 0, 25, 5), score=0.9),
     ]
-    kept = nms(instances, 0.5)
+    kept = nms(as_rows(instances), 0.5)
     assert [k.fused_score for k in kept] == [0.1, 0.9]
 
 
@@ -140,7 +141,7 @@ def test_empty_bank_creates_new_tracks():
     matcher = _matcher()
     bank = MemoryBank(5, matcher)
     instances = [_instance(_unit(1, 0, 0, 0)), _instance(_unit(0, 1, 0, 0), box=(20, 0, 30, 10))]
-    outcome = associate_frame(instances, bank, matcher, TrackerConfig(), frame_index=0)
+    outcome = associate_frame(as_rows(instances), bank, matcher, TrackerConfig(), frame_index=0)
     assert outcome.st_matches == [] and outcome.lt_matches == []
     assert outcome.new_tracks == [0, 1]
 
@@ -150,7 +151,7 @@ def test_stage_ordering_st_wins_before_lt():
     bank = MemoryBank(5, matcher)
     q = _unit(1, 0, 0, 0)
     tid = _new_track(bank, 4, q)  # seen at t-1
-    outcome = associate_frame([_instance(q, frame=5)], bank, matcher, TrackerConfig(), frame_index=5)
+    outcome = associate_frame(as_rows([_instance(q, frame=5)]), bank, matcher, TrackerConfig(), frame_index=5)
     assert len(outcome.st_matches) == 1
     inst, matched_tid, prob = outcome.st_matches[0]
     assert (inst, matched_tid) == (0, tid)
@@ -166,7 +167,7 @@ def test_lt_recovers_when_st_fails():
     # trajectory A was seen at t-1 but points the other way; B is older and matches
     a = _new_track(bank, 4, -q)
     b = _new_track(bank, 2, q)
-    outcome = associate_frame([_instance(q, frame=5)], bank, matcher, TrackerConfig(), frame_index=5)
+    outcome = associate_frame(as_rows([_instance(q, frame=5)]), bank, matcher, TrackerConfig(), frame_index=5)
     assert outcome.st_matches == []  # so instance 0 reaches the long-term stage
     assert len(outcome.lt_matches) == 1
     inst, matched_tid, prob = outcome.lt_matches[0]
@@ -185,7 +186,7 @@ def test_partition_and_one_instance_per_trajectory():
     instances = [
         _instance(rng.normal(size=8), box=(i * 20, 0, i * 20 + 10, 10), frame=3) for i in range(5)
     ]
-    outcome = associate_frame(instances, bank, matcher, TrackerConfig(assoc_threshold=0.05), frame_index=3)
+    outcome = associate_frame(as_rows(instances), bank, matcher, TrackerConfig(assoc_threshold=0.05), frame_index=3)
     resolved = (
         [i for i, _, _ in outcome.st_matches]
         + [i for i, _, _ in outcome.lt_matches]
@@ -202,9 +203,27 @@ def test_st_only_config_never_consults_lt():
     q = _unit(1, 0, 0, 0)
     _new_track(bank, 2, q)  # only reachable through the long-term stage
     cfg = TrackerConfig(use_lt=False)
-    outcome = associate_frame([_instance(q, frame=5)], bank, matcher, cfg, frame_index=5)
+    outcome = associate_frame(as_rows([_instance(q, frame=5)]), bank, matcher, cfg, frame_index=5)
     assert outcome.lt_matches == []
     assert outcome.new_tracks == [0]
+
+
+def test_lt_stage_memory_is_sized_by_the_bank_not_by_the_ids_issued():
+    """After ten million ids, one frame's association allocates for the bank's rows, not for every id."""
+    matcher = _matcher()
+    bank = MemoryBank(5, matcher)
+    bank.next_id = 10**7
+    q = _unit(1, 0, 0, 0)
+    _new_track(bank, 4, -q)  # seen at t-1, but pointing the other way
+    b = _new_track(bank, 2, q)
+    tracemalloc.start()
+    try:
+        outcome = associate_frame(as_rows([_instance(q, frame=5)]), bank, matcher, TrackerConfig(), frame_index=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert outcome.st_matches == [] and [(i, tid) for i, tid, _ in outcome.lt_matches] == [(0, b)]
+    assert peak < 1 << 20, peak
 
 
 # ---------------------------------------------------------------------------

@@ -1043,6 +1043,9 @@ def _canon(value):
     """`value` as nested tuples that are equal only if the types, the float bits and the order are."""
     if isinstance(value, np.ndarray):
         return ("ndarray", value.dtype.str, value.shape, value.tobytes())
+    if isinstance(value, DetectionFrame):  # its records, and the columns that hold them
+        return ("DetectionFrame", *map(_canon, (value.frame_index, value.records, value.queries, value.boxes,
+                                                value.scores, value.polygons, value.texts)))
     if dataclasses.is_dataclass(value):
         return (type(value).__name__, *(_canon(getattr(value, f.name)) for f in dataclasses.fields(value)))
     if isinstance(value, (list, tuple)):

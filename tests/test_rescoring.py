@@ -56,7 +56,7 @@ def test_fuse_scores():
 def test_filter_all_below_threshold():
     frame = DetectionFrame(0, [_record([0, 0], score=0.1), _record([0, 0], score=0.2)])
     head = RescoringHead(weight=np.zeros(2), bias=-10.0)  # c_r ~ 0
-    assert filter_instances(frame, head, 0.9) == []
+    assert list(filter_instances(frame, head, 0.9)) == []
 
 
 def test_filter_threshold_zero_keeps_all():

@@ -11,6 +11,8 @@ import dataclasses
 import gc
 import tracemalloc
 
+import numpy as np
+
 from qtrack.cli import main
 from qtrack.data_io import parse_detection_stream, write_detection_stream
 from qtrack.matcher import MatcherVariant
@@ -56,3 +58,26 @@ def test_track_peak_memory_does_not_grow_with_suppressed_copies(tmp_path):
     written = [(tmp_path / out / "trajectories.jsonl").read_bytes() for out in ("plain", "doubled")]
     assert written[0] == written[1]
     assert abs(doubled_peak - plain_peak) < copies / 10, (plain_peak, doubled_peak, copies)
+
+
+# What the parsed frames of the stream below held when every record owned
+# its query array (tracemalloc, CPython 3.11, numpy 2.4): the frames' columns
+# must not hold more.
+RECORD_FRAMES_BYTES = 1_574_888
+
+
+def test_parsed_frames_hold_each_query_once(tmp_path):
+    """Widening every query by 48 numbers adds one copy of them per record to the parsed frames, not two."""
+    header, frames, _ = generate_sequence(SynthConfig(frames=300, tracks=8, d_q=16, noise_sigma=0.1, miss_prob=0.1,
+                                                      fp_rate=1.0, degrade_fraction=0.1, seed=3))
+    narrow, wide = tmp_path / "narrow.jsonl", tmp_path / "wide.jsonl"
+    write_detection_stream(narrow, header, frames)
+    for frame in frames:
+        frame.records = [dataclasses.replace(rec, query=np.tile(rec.query, 4)) for rec in frame.records]
+    write_detection_stream(wide, dataclasses.replace(header, d_q=64), frames)
+    records = sum(len(frame.records) for frame in frames)
+    del frames
+    held = {path: _traced(lambda: parse_detection_stream(path))[0] for path in (narrow, wide)}
+    assert held[narrow] <= RECORD_FRAMES_BYTES, held
+    copies = (held[wide] - held[narrow]) / (records * 48 * 8)
+    assert 0.9 < copies < 1.5, copies

@@ -14,7 +14,9 @@ pair, and the side that runs first alternates from pair to pair. The
 output holds the machine line, the revisions, the seeds and, for each
 end-to-end metric that `BENCHMARK.json` declares: both sides' medians,
 the parent's interquartile range, how many pairs the change won, and
-every run's value and `correct`.
+every run's value and `correct`. A run that is not `correct` or that
+failed operations makes the script exit 1 after writing the file, with
+one line on stderr for each such run naming its workload, seed and side.
 """
 
 from __future__ import annotations
@@ -136,7 +138,12 @@ def main(argv=None) -> int:
         "workloads": workloads,
     }
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
-    return 0
+    wrong = [f"{workload} seed {run['seed']} {side}: correct={run[side]['correct']} failed={run[side]['failed']}"
+             for workload, result in workloads.items() for run in result["runs"] for side in SIDES
+             if run[side]["correct"] is not True or run[side]["failed"] > 0]
+    for line in wrong:
+        print(f"incorrect run: {line}", file=sys.stderr)
+    return 1 if wrong else 0
 
 
 if __name__ == "__main__":
